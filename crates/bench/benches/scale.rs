@@ -14,8 +14,8 @@
 //! over dozens of iterations are not affordable — and a single
 //! discrete-event run of ~10⁶ events is already an average over that
 //! many scheduler operations. Every case (100k included) re-runs under
-//! the binary-heap event queue and the sharded engine and asserts the
-//! reports stay byte-identical, so the determinism contract is checked
+//! the binary-heap event queue and asserts the reports stay
+//! byte-identical, so the determinism contract is checked
 //! at scale on every bench run, not just on the small golden tests.
 //! Reports are compared by a streamed digest of their full `Debug`
 //! rendering — no second report or rendered string is ever held — so
@@ -190,31 +190,19 @@ fn run_case(name: &str, flows: u32, repeats: u32, check_determinism: bool) -> Sc
     }
 }
 
-/// Re-runs the plant under the reference event queue and the sharded
-/// engine; all reports must digest-identically to the calendar-queue
-/// serial baseline. Variants run one at a time, so the peak-RSS cost of
-/// the check is one extra resident plant, not a second report.
+/// Re-runs the plant under the reference binary-heap event queue; the
+/// report must digest-identically to the calendar-queue baseline. The
+/// variant runs after the baseline report is dropped, so the peak-RSS
+/// cost of the check is one extra resident plant, not a second report.
 fn check_byte_identity(plant: &LargePlant, baseline_digest: u64) {
-    for (label, mutate) in [
-        (
-            "binary-heap event queue",
-            Box::new(|p: &mut LargePlant| p.config.event_queue = EventQueueKind::BinaryHeap)
-                as Box<dyn Fn(&mut LargePlant)>,
-        ),
-        (
-            "sharded engine (shards=2)",
-            Box::new(|p: &mut LargePlant| p.config.shards = 2),
-        ),
-    ] {
-        let mut variant = plant.clone();
-        mutate(&mut variant);
-        let report = variant.into_network().expect("network builds").run();
-        assert_eq!(
-            report_digest(&report),
-            baseline_digest,
-            "{label} diverged from the calendar-queue serial report"
-        );
-    }
+    let mut variant = plant.clone();
+    variant.config.event_queue = EventQueueKind::BinaryHeap;
+    let report = variant.into_network().expect("network builds").run();
+    assert_eq!(
+        report_digest(&report),
+        baseline_digest,
+        "binary-heap event queue diverged from the calendar-queue report"
+    );
 }
 
 struct ReconfigCase {
@@ -483,7 +471,7 @@ fn main() {
                 .map_or("n/a".into(), |b| format!("{}MiB", b >> 20)),
             case.p99_us,
             if case.determinism_checked {
-                "  [backends+shards byte-identical]"
+                "  [backends byte-identical]"
             } else {
                 ""
             },

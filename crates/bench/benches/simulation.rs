@@ -7,37 +7,25 @@
 //! each case's median next to the tracked pre-calendar-queue baseline,
 //! so the perf trajectory of the event core is machine-readable.
 //!
-//! A second section exercises the sharded conservative-parallel engine
-//! (`SimConfig::shards`) on multi-switch scenarios at 1–4 shards and
-//! writes `BENCH_5.json`: each sharded case's `speedup_vs_serial` is
-//! computed against the *same run's* shards=1 median, so the scaling
-//! numbers always reflect the machine they were measured on (they only
-//! exceed 1.0 when real cores are available), while the shards=1 cases
-//! are gated against pinned serial baselines like `BENCH_2.json`. The
-//! two coverage-honest summaries live in separate fields:
-//! `serial_geomean_vs_baseline` folds only the shards=1 rows (the rows
-//! that *have* a pinned baseline — sharded rows no longer silently drop
-//! out of a field named like it covered them), and
-//! `shards_geomean_vs_serial` / `shards2_geomean_vs_serial` fold the
-//! sharded rows against their same-run serial medians. Each sharded row
-//! also carries the engine's `ShardOverhead` counters from an untimed
-//! run, and `message_reduction_vs_per_event_min` is the worst-case
-//! ratio of work units (released + replayed events) to coordinator
-//! messages — how many per-event exchanges one epoch message replaces.
+//! The `sim_multi` rows run the same serial loop on larger multi-switch
+//! topologies (a 12-switch ring and an 8-child star) with fully derived
+//! resources, so the geomean also covers many-switch event mixes.
 
 use std::collections::HashMap;
 use std::hint::black_box;
 use tsn_bench::{BenchResult, Runner};
 use tsn_builder::{itp, AppRequirements, CqfPlan, Strategy};
 use tsn_sim::network::{Network, SimConfig, SyncSetup};
-use tsn_sim::ShardOverhead;
 use tsn_topology::presets;
 use tsn_types::{DataRate, FlowMap, FlowSet, SimDuration};
 
 /// Median ns/iter measured at commit b8cca7c (BinaryHeap event queue,
 /// poll-based port wakeups) with `TSN_BENCH_MS=2000` — the pre-overhaul
-/// baseline every later run is compared against.
-const BASELINE_NS: [(&str, f64); 7] = [
+/// baseline every later run is compared against. The two `sim_multi`
+/// rows postdate that commit: their baselines are the serial-loop
+/// medians pinned when those scenarios were first benched (same budget,
+/// on a 1-CPU reference machine).
+const BASELINE_NS: [(&str, f64); 9] = [
     ("sim_fig7/ts_flows/32", 178_620.0),
     ("sim_fig7/ts_flows/128", 616_120.0),
     ("sim_fig2/bg_mbps/100", 735_880.0),
@@ -45,16 +33,8 @@ const BASELINE_NS: [(&str, f64); 7] = [
     ("sim_build/network_build_512_flows", 653_640.0),
     ("sim_preemption/enabled/false", 1_960_000.0),
     ("sim_preemption/enabled/true", 133_480_000.0),
-];
-
-/// Median ns/iter of the serial engine on the shard-scaling scenarios,
-/// measured on the reference machine with `TSN_BENCH_MS=2000` when the
-/// sharded engine landed. The shards=1 runs are gated against these (the
-/// dispatch through `SimConfig::shards` must stay free); the sharded
-/// runs are compared against the same-run serial median instead.
-const SHARD_SERIAL_BASELINE_NS: [(&str, f64); 2] = [
-    ("sim_shards/ring12/shards/1", 479_140.0),
-    ("sim_shards/star8/shards/1", 458_380.0),
+    ("sim_multi/ring12", 479_140.0),
+    ("sim_multi/star8", 458_380.0),
 ];
 
 /// Plans injection offsets the way the real pipeline does, so the bench
@@ -136,12 +116,11 @@ fn write_bench_json(results: &[BenchResult], budget_ms: u64) {
     }
 }
 
-/// The shard-scaling scenarios: multi-switch topologies large enough for
-/// the partitioner to produce balanced shards. Resources, slot and
-/// injection offsets come from the full derivation pipeline (the star
-/// hub needs more ports than the paper's ring column provisions).
+/// The multi-switch scenarios. Resources, slot and injection offsets
+/// come from the full derivation pipeline (the star hub needs more ports
+/// than the paper's ring column provisions).
 #[allow(clippy::type_complexity)]
-fn shard_scenarios() -> Vec<(
+fn multi_scenarios() -> Vec<(
     &'static str,
     tsn_topology::Topology,
     FlowSet,
@@ -169,121 +148,6 @@ fn shard_scenarios() -> Vec<(
         scenarios.push((label, topo, flows, config, derived.itp.offsets));
     }
     scenarios
-}
-
-/// Geometric mean, or `"null"` when nothing qualified.
-fn geomean(values: &[f64]) -> String {
-    if values.is_empty() {
-        "null".to_owned()
-    } else {
-        let g = (values.iter().map(|s| s.ln()).sum::<f64>() / values.len() as f64).exp();
-        format!("{g:.3}")
-    }
-}
-
-/// Serializes the shard-scaling results as `BENCH_5.json` at the repo
-/// root. `speedup_vs_serial` divides the same run's shards=1 median, so
-/// the scaling column is always same-machine. Summary fields are named
-/// for exactly what they cover: `serial_geomean_vs_baseline` (the CI
-/// gate on the serial dispatch path) folds only the shards=1 rows,
-/// which are the only rows with pinned baselines; the sharded rows get
-/// their own `shards_geomean_vs_serial` / `shards2_geomean_vs_serial`
-/// instead of silently vanishing from a combined geomean.
-fn write_shard_json(
-    results: &[BenchResult],
-    overheads: &HashMap<String, ShardOverhead>,
-    budget_ms: u64,
-) {
-    let baselines: HashMap<&str, f64> = SHARD_SERIAL_BASELINE_NS.iter().copied().collect();
-    let serial_of = |name: &str| {
-        let scenario = name.split('/').nth(1)?;
-        let serial_name = format!("sim_shards/{scenario}/shards/1");
-        results
-            .iter()
-            .find(|r| r.name == serial_name)
-            .map(|r| r.median_ns)
-    };
-    let mut entries = Vec::new();
-    let mut gated = Vec::new();
-    let mut sharded = Vec::new();
-    let mut sharded2 = Vec::new();
-    let mut message_reduction_min: Option<f64> = None;
-    for r in results {
-        let shards: u64 = r
-            .name
-            .rsplit('/')
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
-        let vs_serial = serial_of(&r.name).map(|serial| serial / r.median_ns);
-        let vs_baseline = baselines.get(r.name.as_str()).map(|b| b / r.median_ns);
-        if let Some(s) = vs_baseline {
-            gated.push(s);
-        }
-        if shards > 1 {
-            if let Some(s) = vs_serial {
-                sharded.push(s);
-                if shards == 2 {
-                    sharded2.push(s);
-                }
-            }
-        }
-        let counters = overheads.get(&r.name).map_or_else(
-            || "null".to_owned(),
-            |o| {
-                let per_epoch = o.coord_messages as f64 / (o.epochs.max(1)) as f64;
-                let work_units = (o.released_events + o.replayed_entries) as f64;
-                let reduction = work_units / (o.coord_messages.max(1)) as f64;
-                message_reduction_min = Some(match message_reduction_min {
-                    Some(m) => m.min(reduction),
-                    None => reduction,
-                });
-                format!(
-                    "{{\"epochs\": {}, \"coord_messages\": {}, \
-                     \"messages_per_epoch\": {per_epoch:.2}, \"released_events\": {}, \
-                     \"replayed_entries\": {}, \"deferred_replays\": {}, \
-                     \"lookahead_recomputes\": {}}}",
-                    o.epochs,
-                    o.coord_messages,
-                    o.released_events,
-                    o.replayed_entries,
-                    o.deferred_replays,
-                    o.lookahead_recomputes,
-                )
-            },
-        );
-        entries.push(format!(
-            "    {{\"name\": \"{}\", \"shards\": {shards}, \"median_ns\": {:.1}, \
-             \"min_ns\": {:.1}, \"speedup_vs_serial\": {}, \"speedup_vs_baseline\": {}, \
-             \"overhead\": {counters}}}",
-            r.name,
-            r.median_ns,
-            r.min_ns,
-            vs_serial.map_or("null".into(), |s| format!("{s:.3}")),
-            vs_baseline.map_or("null".into(), |s| format!("{s:.3}")),
-        ));
-    }
-    let serial_geomean = geomean(&gated);
-    let shards_geomean = geomean(&sharded);
-    let shards2_geomean = geomean(&sharded2);
-    let reduction = message_reduction_min.map_or("null".to_owned(), |m| format!("{m:.1}"));
-    let json = format!(
-        "{{\n  \"bench\": \"shard_scaling\",\n  \"baseline\": \"same-machine serial \
-         (shards=1), TSN_BENCH_MS=2000\",\n  \"budget_ms\": {budget_ms},\n  \
-         \"serial_geomean_vs_baseline\": {serial_geomean},\n  \
-         \"shards_geomean_vs_serial\": {shards_geomean},\n  \
-         \"shards2_geomean_vs_serial\": {shards2_geomean},\n  \
-         \"message_reduction_vs_per_event_min\": {reduction},\n  \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "wrote {path} (serial-path geomean {serial_geomean}x vs baseline, \
-             shards=2 geomean {shards2_geomean}x vs serial)"
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
 }
 
 fn main() {
@@ -341,41 +205,18 @@ fn main() {
         );
     }
 
-    if !results.is_empty() {
-        write_bench_json(&results, runner.budget_ms());
+    // Many-switch serial runs with derived resources.
+    for (label, topo, flows, config, offsets) in multi_scenarios() {
+        results.extend(runner.bench(&format!("sim_multi/{label}"), || {
+            let report = Network::build(topo.clone(), flows.clone(), &offsets, config.clone())
+                .expect("network builds")
+                .run();
+            assert_eq!(report.ts_lost(), 0);
+            black_box(report.events_processed)
+        }));
     }
 
-    // Shard scaling: the conservative-parallel engine at 1–4 shards on
-    // scenarios that actually partition. Reports are byte-identical
-    // across shard counts (the shard_golden tests pin that); only the
-    // wall clock may differ.
-    let mut shard_results: Vec<BenchResult> = Vec::new();
-    let mut shard_overheads: HashMap<String, ShardOverhead> = HashMap::new();
-    for (label, topo, flows, base_config, offsets) in shard_scenarios() {
-        for shards in 1..=4usize {
-            let name = format!("sim_shards/{label}/shards/{shards}");
-            if shards > 1 {
-                // One untimed run to capture the engine's coordination
-                // counters (epochs, messages, replay volume) for the row.
-                let mut config = base_config.clone();
-                config.shards = shards;
-                let report = Network::build(topo.clone(), flows.clone(), &offsets, config)
-                    .expect("network builds")
-                    .run();
-                shard_overheads.insert(name.clone(), report.events.shard);
-            }
-            shard_results.extend(runner.bench(&name, || {
-                let mut config = base_config.clone();
-                config.shards = shards;
-                let report = Network::build(topo.clone(), flows.clone(), &offsets, config)
-                    .expect("network builds")
-                    .run();
-                assert_eq!(report.ts_lost(), 0);
-                black_box(report.events_processed)
-            }));
-        }
-    }
-    if !shard_results.is_empty() {
-        write_shard_json(&shard_results, &shard_overheads, runner.budget_ms());
+    if !results.is_empty() {
+        write_bench_json(&results, runner.budget_ms());
     }
 }

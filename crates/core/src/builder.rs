@@ -152,7 +152,6 @@ impl Customization {
         config.duration = duration;
         config.sync = sync;
         config.aggregate_switch_tbl = self.derived.aggregate_switch_tbl;
-        config.shards = tsn_sim::sweep::shards_from_env();
         configure(&mut config);
         match &self.derived.tas {
             None => Network::build(

@@ -359,6 +359,25 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        for text in [deep.clone(), format!("{{\"queries\": {deep}")] {
+            let e = parse_batch(&text).expect_err("nesting limit");
+            assert!(e.contains("nesting deeper than"), "{e}");
+        }
+        // Exactly at the limit the text parses, so the error is the
+        // schema's, naming the query, not the parser's.
+        let inner = tsn_experiments::json::MAX_DEPTH - 2;
+        let at_limit = format!(
+            "{{\"queries\": [{}{}]}}",
+            "[".repeat(inner),
+            "]".repeat(inner)
+        );
+        let e = parse_batch(&at_limit).expect_err("queries are objects");
+        assert!(e.contains("queries[0]") && !e.contains("nesting"), "{e}");
+    }
+
+    #[test]
     fn inline_topologies_parse() {
         let inline = MINIMAL.replace(
             r#"{"kind": "ring", "switches": 3, "hosts": 2}"#,

@@ -196,7 +196,6 @@ impl PlannedQuery {
         config.resources = derived.resources.clone();
         config.duration = query.duration;
         config.sync = SyncSetup::Perfect;
-        config.shards = 1;
         let template = Arc::new(NetworkTemplate::new(
             requirements.topology().clone(),
             requirements.flows().clone(),

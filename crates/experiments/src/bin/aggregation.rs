@@ -10,7 +10,7 @@
 
 use tsn_builder::{run_scenarios, workloads, DeriveOptions, Scenario};
 use tsn_experiments::json::{Json, ToJson};
-use tsn_experiments::util::{dump_json, expect_outcomes, sim_shards};
+use tsn_experiments::util::{dump_json, expect_outcomes};
 use tsn_resource::{AllocationPolicy, UsageReport};
 use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_sim::sweep::workers_from_env;
@@ -48,7 +48,6 @@ fn scenario(aggregate: bool) -> Scenario {
     let mut config = SimConfig::paper_defaults();
     config.duration = SimDuration::from_millis(60);
     config.sync = SyncSetup::Perfect;
-    config.shards = sim_shards();
     Scenario::derived(
         if aggregate {
             "aggregated (per destination)"

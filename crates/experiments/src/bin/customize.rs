@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 use std::path::Path;
 use tsn_builder::{workloads, DeriveOptions, GateMode, TsnBuilder};
 use tsn_experiments::json::{self, Json};
-use tsn_experiments::util::sim_shards;
 use tsn_resource::AllocationPolicy;
 use tsn_sim::network::SyncSetup;
 use tsn_sim::sweep::{run_sweep, workers_from_env};
@@ -248,18 +247,7 @@ fn sample_json() -> Json {
 }
 
 fn main() {
-    // `--shards N` / `--shards=N` is consumed by `sim_shards()` (it scans
-    // the raw argv); strip it here so it is never mistaken for a scenario
-    // path.
-    let mut args: Vec<String> = Vec::new();
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
-        if arg == "--shards" {
-            let _ = raw.next();
-        } else if !arg.starts_with("--shards=") {
-            args.push(arg);
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--sample") => {
             let path = Path::new("scenarios/sample.json");
@@ -299,7 +287,7 @@ fn main() {
             }
         }
         None => {
-            eprintln!("usage: customize [--shards N] <scenario.json>... | customize --sample");
+            eprintln!("usage: customize <scenario.json>... | customize --sample");
             std::process::exit(2);
         }
     }
@@ -398,10 +386,7 @@ fn run_scenario(path: &str) -> Result<(String, bool), String> {
             .synthesize_network_configured(
                 SimDuration::from_millis(scenario.run.duration_ms),
                 SyncSetup::default(),
-                |config| {
-                    config.frame_preemption = preemption;
-                    config.shards = sim_shards();
-                },
+                |config| config.frame_preemption = preemption,
             )
             .map_err(|e| format!("synthesis: {e}"))?
             .run();

@@ -16,7 +16,7 @@
 
 use tsn_builder::{Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
-use tsn_experiments::util::{dump_json, expect_outcomes, sim_shards};
+use tsn_experiments::util::{dump_json, expect_outcomes};
 use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_sim::sweep::workers_from_env;
 use tsn_sim::{FaultConfig, LinkFaultProfile, LinkFlap, LinkOutage};
@@ -136,7 +136,6 @@ fn scenario(level: u32, seed: u64, duration: SimDuration) -> Scenario {
     let mut config = SimConfig::paper_defaults();
     config.duration = duration;
     config.drain = duration / 2;
-    config.shards = sim_shards();
     // The diamond's switches have two switch-facing ports; the paper's
     // single-ring default provisions only one TSN port.
     config

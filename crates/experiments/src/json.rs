@@ -251,15 +251,23 @@ impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound a file of a few hundred
+/// thousand `[` overflows the thread stack and aborts the process. The
+/// shipped scenario and DSE batch files nest at most 6 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON text.
 ///
 /// # Errors
 ///
-/// A human-readable message naming the byte offset of the problem.
+/// A human-readable message naming the byte offset of the problem,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -273,6 +281,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -297,8 +307,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -484,6 +508,19 @@ mod tests {
         // Nested objects are checked too; sibling objects may repeat keys.
         assert!(parse(r#"{"o": {"x": 1, "x": 2}}"#).is_err());
         assert!(parse(r#"{"o": {"x": 1}, "p": {"x": 2}}"#).is_ok());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).expect_err("too deep");
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        assert!(parse(&format!("{{\"queries\": {deep}")).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        assert!(parse(&format!("[{at_limit}]")).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
     }
 
     #[test]

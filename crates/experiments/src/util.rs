@@ -173,9 +173,7 @@ pub fn run_network(
 }
 
 /// The default measurement config used by the figures: 100 ms of
-/// traffic, gPTP sync. The intra-run shard count comes from
-/// [`sim_shards`], so every figure binary honors `--shards` /
-/// `TSN_SIM_SHARDS` without per-binary plumbing.
+/// traffic, gPTP sync.
 #[must_use]
 pub fn figure_config(slot: SimDuration, resources: tsn_resource::ResourceConfig) -> SimConfig {
     let mut config = SimConfig::paper_defaults();
@@ -183,31 +181,5 @@ pub fn figure_config(slot: SimDuration, resources: tsn_resource::ResourceConfig)
     config.resources = resources;
     config.duration = SimDuration::from_millis(100);
     config.sync = SyncSetup::default();
-    config.shards = sim_shards();
     config
-}
-
-/// The intra-run shard count for an experiment binary: a `--shards N` /
-/// `--shards=N` command-line flag wins, otherwise the `TSN_SIM_SHARDS`
-/// environment variable, otherwise 1 (serial). Reports are byte-identical
-/// for any value, so this only changes how the simulator spends cores.
-#[must_use]
-pub fn sim_shards() -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix("--shards=") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-    }
-    tsn_sim::sweep::shards_from_env()
 }

@@ -51,7 +51,7 @@ pub fn hist_bucket_bounds(bucket: usize) -> (u64, u64) {
 /// never deliver cost nothing beyond the struct itself. Bucket counts are
 /// integers, so merging histograms is exact and associative — unlike the
 /// float Welford state, histogram-derived quantiles are immune to merge
-/// order, which is what keeps sharded reports byte-identical.
+/// order.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct LatencyStats {
     count: u64,
@@ -341,23 +341,6 @@ impl Analyzer {
             if latency > deadline {
                 self.misses[idx] += 1;
             }
-        }
-    }
-
-    /// Merges a shard-local analyzer into this one. Per flow, injections
-    /// happen on the talker's shard and deliveries (latency, misses) on
-    /// the listener's shard, so the per-field contributions are disjoint:
-    /// counters sum and at most one side carries a non-empty latency
-    /// block, which [`LatencyStats::merge`] adopts bit-for-bit — the
-    /// merged analyzer equals the serial one exactly.
-    pub(crate) fn merge_disjoint(&mut self, other: &Analyzer) {
-        for (idx, &class) in other.class.iter().enumerate() {
-            let Some(class) = class else { continue };
-            let slot = self.touch(FlowId::new(idx as u32), class);
-            self.injected[slot] += other.injected[idx];
-            self.received[slot] += other.received[idx];
-            self.misses[slot] += other.misses[idx];
-            self.latency[slot].merge(&other.latency[idx]);
         }
     }
 
@@ -680,8 +663,8 @@ mod tests {
     fn equality_compares_tracked_state_not_arenas() {
         let mut a = Analyzer::new();
         a.note_injected(FlowId::new(2), TrafficClass::TimeSensitive);
-        let mut b = Analyzer::new();
-        b.merge_disjoint(&a);
+        let mut b = Analyzer::with_flow_capacity(16);
+        b.note_injected(FlowId::new(2), TrafficClass::TimeSensitive);
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         b.note_injected(FlowId::new(2), TrafficClass::TimeSensitive);
@@ -690,39 +673,5 @@ mod tests {
         let mut c = Analyzer::new();
         c.note_injected(FlowId::new(3), TrafficClass::TimeSensitive);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn merge_disjoint_matches_serial() {
-        // Talker shard sees injections, listener shard sees deliveries.
-        let mut serial = Analyzer::new();
-        let mut talker = Analyzer::new();
-        let mut listener = Analyzer::new();
-        let f = FlowId::new(4);
-        for i in 0..6u64 {
-            serial.note_injected(f, TrafficClass::TimeSensitive);
-            talker.note_injected(f, TrafficClass::TimeSensitive);
-            let t0 = SimTime::from_micros(i * 100);
-            let t1 = SimTime::from_micros(i * 100 + 130 + i);
-            serial.note_delivered(
-                f,
-                TrafficClass::TimeSensitive,
-                t0,
-                t1,
-                Some(SimDuration::from_millis(1)),
-            );
-            listener.note_delivered(
-                f,
-                TrafficClass::TimeSensitive,
-                t0,
-                t1,
-                Some(SimDuration::from_millis(1)),
-            );
-        }
-        let mut merged = Analyzer::new();
-        merged.merge_disjoint(&talker);
-        merged.merge_disjoint(&listener);
-        assert_eq!(merged, serial);
-        assert_eq!(format!("{merged:?}"), format!("{serial:?}"));
     }
 }

@@ -123,7 +123,7 @@ const INITIAL_SHIFT: u32 = 10;
 
 /// A maximal group of equal-timestamp events inside one bucket, kept in
 /// ascending-`seq` order: the earliest entry (smallest seq) pops from the
-/// front, serial inserts (globally monotone seq) push onto the back.
+/// front, inserts (globally monotone seq) push onto the back.
 #[derive(Debug, Clone)]
 struct Run {
     at: SimTime,
@@ -195,20 +195,11 @@ impl CalendarQueue {
         // same bucket), sorted descending by `at`.
         match bucket.binary_search_by(|run| at.cmp(&run.at)) {
             Ok(i) => {
+                // Scheduling assigns globally monotone seqs, so the new
+                // entry is always the run's newest.
                 let run = &mut bucket[i];
-                // Serial scheduling assigns monotone seqs, so the new
-                // entry is almost always the run's newest; the sharded
-                // engine's provisional keys are the only out-of-order
-                // source and fall back to a search within the run.
-                if run.events.back().is_none_or(|&(q, _)| q < seq) {
-                    run.events.push_back((seq, event));
-                } else {
-                    let pos = run
-                        .events
-                        .binary_search_by(|&(q, _)| q.cmp(&seq))
-                        .unwrap_err();
-                    run.events.insert(pos, (seq, event));
-                }
+                debug_assert!(run.events.back().is_none_or(|&(q, _)| q < seq));
+                run.events.push_back((seq, event));
             }
             Err(i) => {
                 let mut events = self.pool.pop().unwrap_or_default();
@@ -413,62 +404,12 @@ impl EventQueue {
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pop_with_seq().map(|(at, _, event)| (at, event))
-    }
-
-    /// Pops the earliest event together with its sequence number — the
-    /// tie-break half of the `(time, seq)` total-order key. The sharded
-    /// engine uses this to carry the serial engine's exact ordering
-    /// across shard boundaries.
-    pub(crate) fn pop_with_seq(&mut self) -> Option<(SimTime, u64, Event)> {
         let s = match &mut self.backend {
             Backend::Calendar(cal) => cal.pop(),
             Backend::Heap(heap) => heap.pop(),
         }?;
         self.len -= 1;
-        Some((s.at, s.seq, s.event))
-    }
-
-    /// Schedules `event` under an explicit sequence number instead of the
-    /// auto-incremented one. The caller owns key uniqueness: two pending
-    /// entries must never share `(at, seq)`. Used by the sharded engine,
-    /// whose per-shard queues replay the coordinator-assigned global
-    /// order. Does not advance `next_seq` or the scheduling counters —
-    /// global accounting happens at the coordinator.
-    pub(crate) fn schedule_with_seq(&mut self, at: SimTime, seq: u64, event: Event) {
-        self.len += 1;
-        let s = Scheduled { at, seq, event };
-        match &mut self.backend {
-            Backend::Calendar(cal) => cal.insert(s),
-            Backend::Heap(heap) => heap.push(s),
-        }
-    }
-
-    /// Bulk [`EventQueue::schedule_with_seq`]: inserts a whole released
-    /// epoch batch in one call. Same contract — the
-    /// caller owns key uniqueness, and `next_seq` plus the scheduling
-    /// counters stay untouched.
-    pub(crate) fn schedule_batch_with_seq<I>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = (SimTime, u64, Event)>,
-    {
-        for (at, seq, event) in batch {
-            self.schedule_with_seq(at, seq, event);
-        }
-    }
-
-    /// The sequence number the next [`EventQueue::schedule`] call would
-    /// assign.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Overrides the recorded high-water mark. The sharded engine's
-    /// coordinator reconstructs the serial scheduler's exact occupancy
-    /// trajectory during replay and stamps the result here so reports
-    /// stay byte-identical.
-    pub(crate) fn force_high_water(&mut self, high_water: usize) {
-        self.high_water = high_water;
+        Some((s.at, s.event))
     }
 
     /// The time of the earliest pending event.

@@ -166,11 +166,9 @@ pub struct FlowDegradation {
 
 /// Runtime state of the fault subsystem for one simulation.
 ///
-/// `Clone` exists for the sharded engine: each shard carries a replica
-/// (cloned after the timeline PRNG draws) for link-state queries, route
-/// bookkeeping and the loss accounting of the nodes it owns, while the
-/// coordinator's authoritative engine performs every remaining PRNG draw
-/// (wire effects) in the serial engine's global order.
+/// `Clone` lets a template's cached instantiation image hand every
+/// capacity-patched instantiation its own engine, already past the
+/// timeline PRNG draws.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultEngine {
     config: FaultConfig,
@@ -352,48 +350,6 @@ impl FaultEngine {
     /// Per-flow accounting, sorted by flow id.
     pub(crate) fn per_flow(&self) -> Vec<(FlowId, FlowDegradation)> {
         self.per_flow.iter().map(|(&f, &d)| (f, d)).collect()
-    }
-
-    /// `true` when the wire profile of `link` perturbs nothing — such
-    /// links consume zero PRNG draws, so shards may deliver over them
-    /// without consulting the authoritative engine.
-    pub(crate) fn wire_is_pristine(&self, link: LinkId) -> bool {
-        self.wire
-            .get(link.index() as usize)
-            .is_none_or(LinkFaultProfile::is_none)
-    }
-
-    /// Folds per-shard replica accounting into the authoritative engine
-    /// after a sharded run.
-    ///
-    /// Disjoint counters (dead-link losses, host FCS drops, per-flow
-    /// deadline misses and losses) are summed — each increment happened
-    /// on exactly one owning shard. Route bookkeeping (`reroutes`, the
-    /// unroutable part of `reroute_failures`) ran identically on every
-    /// replica, so the first replica's value is adopted verbatim.
-    /// Table-capacity failures during reroute were counted per owning
-    /// shard *outside* the replicas (see the shard engine) and arrive as
-    /// `table_reroute_failures`.
-    pub(crate) fn merge_shard_outcomes(
-        &mut self,
-        replicas: &[FaultEngine],
-        table_reroute_failures: u64,
-    ) {
-        for replica in replicas {
-            self.frames_lost_on_dead_links += replica.frames_lost_on_dead_links;
-            self.fcs_drops_host += replica.fcs_drops_host;
-            for (&flow, d) in &replica.per_flow {
-                let entry = self.per_flow.entry(flow).or_default();
-                entry.misses_on_detour += d.misses_on_detour;
-                entry.misses_on_primary += d.misses_on_primary;
-                entry.lost_to_faults += d.lost_to_faults;
-            }
-        }
-        if let Some(first) = replicas.first() {
-            self.reroutes = first.reroutes;
-            self.reroute_failures = first.reroute_failures;
-        }
-        self.reroute_failures += table_reroute_failures;
     }
 }
 

@@ -48,7 +48,6 @@ pub mod fault;
 pub mod host;
 pub mod network;
 pub mod report;
-pub(crate) mod shard;
 pub mod sweep;
 
 pub use analyzer::{
@@ -58,10 +57,7 @@ pub use event::EventQueueKind;
 pub use fault::{FaultConfig, FlowDegradation, LinkFaultProfile, LinkFlap, LinkOutage};
 pub use host::{Generator, Host};
 pub use network::{
-    mac_for, vlan_for, ConfigDelta, GclSchedule, Network, NetworkTemplate, ShardExecution,
-    SimConfig, SyncSetup,
+    mac_for, vlan_for, ConfigDelta, GclSchedule, Network, NetworkTemplate, SimConfig, SyncSetup,
 };
-pub use report::{DegradationReport, EventStats, RouteCacheStats, ShardOverhead, SimReport};
-#[doc(hidden)]
-pub use shard::SHARD_SABOTAGE;
+pub use report::{DegradationReport, EventStats, RouteCacheStats, SimReport};
 pub use sweep::{run_sweep, CacheStats, PlanCache, SweepError};

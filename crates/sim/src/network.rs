@@ -91,37 +91,6 @@ pub struct SimConfig {
     /// work and zero PRNG draws, so fault-free runs are byte-identical
     /// to pre-fault-subsystem behaviour.
     pub faults: FaultConfig,
-    /// How many conservative-parallel shards drive the run. `1` — the
-    /// default — is the serial event loop; `> 1` partitions the
-    /// topology across worker threads synchronized on the cut links'
-    /// propagation + processing lookahead. Any value produces a
-    /// [`SimReport`] byte-identical to the serial engine; the count is
-    /// clamped to what the topology supports (and falls back to serial
-    /// when no safe lookahead exists).
-    pub shards: usize,
-    /// How the sharded engine executes its per-shard replicas. The
-    /// default, [`ShardExecution::Auto`], picks worker threads on
-    /// multi-core hosts and the cooperative in-thread driver on
-    /// single-CPU hosts (where extra threads only add context-switch
-    /// latency to every epoch barrier). All modes are byte-identical.
-    pub shard_execution: ShardExecution,
-}
-
-/// Execution backend for the conservative-parallel engine
-/// ([`SimConfig::shards`] > 1). Every mode produces byte-identical
-/// reports; they differ only in scheduling overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardExecution {
-    /// Threads when `std::thread::available_parallelism()` ≥ 2,
-    /// otherwise the inline driver.
-    #[default]
-    Auto,
-    /// One OS thread per shard, synchronized over channels.
-    Threads,
-    /// All shard replicas driven cooperatively on the calling thread —
-    /// no threads, no channel round-trips. The right choice when the
-    /// host has a single CPU.
-    Inline,
 }
 
 impl SimConfig {
@@ -141,8 +110,6 @@ impl SimConfig {
             frame_preemption: false,
             event_queue: EventQueueKind::default(),
             faults: FaultConfig::none(),
-            shards: 1,
-            shard_execution: ShardExecution::Auto,
         }
     }
 }
@@ -154,20 +121,13 @@ impl Default for SimConfig {
 }
 
 #[derive(Clone)]
-pub(crate) enum NodeRole {
+enum NodeRole {
     Switch {
         core: Box<TsnSwitchCore>,
         /// Index into the gPTP sync domain (chain order).
         sync_index: usize,
     },
     Host(Box<Host>),
-    /// Placeholder on shard replicas for nodes another shard owns: the
-    /// coordinator never routes an event here, and the merge takes each
-    /// node's final state from its owning replica. Keeping non-owned
-    /// roles vacant makes replica setup O(network/shards) instead of
-    /// O(network) — switch cores (tables, calendars, queues) are by far
-    /// the heaviest state to clone.
-    Vacant,
 }
 
 /// Smallest fragment (wire bytes) that must already be on the wire before
@@ -202,7 +162,7 @@ struct Suspended {
 
 /// Per-port transmitter state for the preemption machinery.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WireState {
+struct WireState {
     gen: u64,
     active: Option<ActiveTx>,
     suspended: Option<Suspended>,
@@ -220,68 +180,47 @@ enum PreemptOutcome {
 }
 
 /// A fully assembled simulated TSN network.
-///
-/// Fields are `pub(crate)` so the sharded engine (`crate::shard`) can
-/// run per-shard replicas and assemble the merged result.
 pub struct Network {
-    /// Shared immutable after build (`Arc`: replica clones are free).
-    pub(crate) topology: Arc<Topology>,
-    pub(crate) roles: Vec<NodeRole>,
-    /// Shared immutable after build (`Arc`: replica clones are free).
-    pub(crate) flows: Arc<FlowSet>,
-    pub(crate) queue: EventQueue,
-    pub(crate) analyzer: Analyzer,
+    /// Shared immutable after build, with the template that built it.
+    topology: Arc<Topology>,
+    roles: Vec<NodeRole>,
+    /// Shared immutable after build, with the template that built it.
+    flows: Arc<FlowSet>,
+    queue: EventQueue,
+    analyzer: Analyzer,
     /// Per-(node, port) link-busy horizon (flat stride-indexed arena).
-    pub(crate) busy_until: PortGrid<SimTime>,
+    busy_until: PortGrid<SimTime>,
     /// Per-(node, port) transmitted wire bytes (frames + overhead).
-    pub(crate) tx_bytes: PortGrid<u64>,
+    tx_bytes: PortGrid<u64>,
     /// Per-(node, port) transmitter state (active segment, suspended
     /// fragment, generation).
-    pub(crate) wires: PortGrid<WireState>,
+    wires: PortGrid<WireState>,
     /// Preemptions performed (802.3br).
-    pub(crate) preemptions: u64,
-    pub(crate) sync_domain: Option<SyncDomain>,
+    preemptions: u64,
+    sync_domain: Option<SyncDomain>,
     /// The fault-injection engine; `None` on healthy runs, which
     /// therefore skip every per-frame fault check.
-    pub(crate) fault: Option<FaultEngine>,
-    /// Shared immutable after build (`Arc`: replica clones are free).
-    pub(crate) config: Arc<SimConfig>,
-    pub(crate) events_processed: u64,
+    fault: Option<FaultEngine>,
+    config: SimConfig,
+    events_processed: u64,
     /// Per-event-type counters and suppression instrumentation.
-    pub(crate) stats: EventStats,
+    stats: EventStats,
     /// TS deadline per flow, precomputed at build so the hot delivery
     /// path avoids the linear `FlowSet` scan. Dense `FlowId`-indexed:
-    /// the per-delivery lookup is one bounds check. Shared immutable.
-    pub(crate) deadlines: Arc<FlowMap<SimDuration>>,
+    /// the per-delivery lookup is one bounds check. Shared with the
+    /// template.
+    deadlines: Arc<FlowMap<SimDuration>>,
     /// Reusable scratch buffer for switch dispositions (one allocation
     /// for the whole run instead of one per arriving frame).
-    pub(crate) scratch: Vec<tsn_switch::pipeline::Disposition>,
-    /// Present on shard replicas driven by `crate::shard`: ownership
-    /// map, epoch bound and the emission trace the replica records for
-    /// the coordinator's deterministic merge. `None` on the serial path.
-    pub(crate) shard: Option<Box<crate::shard::ShardCtx>>,
-    /// Build inputs the sharded engine's failure path needs to rebuild
-    /// a pristine network (roles are *moved* into the replicas, so the
-    /// serial fallback reruns from a fresh build, not from a snapshot).
-    /// Retained only when `config.shards > 1`.
-    pub(crate) rebuild: Option<Arc<RebuildInputs>>,
-    pub(crate) now: SimTime,
-}
-
-/// What the sharded engine's failure path needs to deterministically
-/// rebuild a pristine network: the resident template plus the effective
-/// offsets the instantiation used (the effective config already lives in
-/// [`Network::config`]).
-pub(crate) struct RebuildInputs {
-    pub(crate) template: Arc<NetworkTemplate>,
-    pub(crate) offsets: FlowMap<SimDuration>,
+    scratch: Vec<tsn_switch::pipeline::Disposition>,
+    now: SimTime,
 }
 
 /// A flat `(node, port)`-indexed arena: one contiguous allocation with a
 /// shared prefix-sum base, replacing the former `Vec<Vec<…>>` per-port
 /// state (one heap block per node, pointer chase per access).
 #[derive(Debug, Clone)]
-pub(crate) struct PortGrid<T> {
+struct PortGrid<T> {
     /// `base[n]..base[n + 1]` is node `n`'s span; `base.len() = nodes + 1`.
     base: Arc<[u32]>,
     data: Vec<T>,
@@ -297,25 +236,18 @@ impl<T: Clone> PortGrid<T> {
     }
 
     #[inline]
-    pub(crate) fn at(&self, node: usize, port: usize) -> &T {
+    fn at(&self, node: usize, port: usize) -> &T {
         &self.data[self.base[node] as usize + port]
     }
 
     #[inline]
-    pub(crate) fn at_mut(&mut self, node: usize, port: usize) -> &mut T {
+    fn at_mut(&mut self, node: usize, port: usize) -> &mut T {
         &mut self.data[self.base[node] as usize + port]
     }
 
     /// One node's contiguous span.
-    pub(crate) fn node_span(&self, node: usize) -> &[T] {
+    fn node_span(&self, node: usize) -> &[T] {
         &self.data[self.base[node] as usize..self.base[node + 1] as usize]
-    }
-
-    /// Copies one node's span from another grid with the same base.
-    pub(crate) fn copy_node_from(&mut self, other: &PortGrid<T>, node: usize) {
-        let lo = self.base[node] as usize;
-        let hi = self.base[node + 1] as usize;
-        self.data[lo..hi].clone_from_slice(&other.data[lo..hi]);
     }
 }
 
@@ -678,7 +610,7 @@ impl NetworkTemplate {
     ///
     /// Resource shortfalls: more TSN ports than provisioned, tables too
     /// small for the flow count, gate-table capacity violations.
-    pub fn instantiate(self: &Arc<Self>) -> TsnResult<Network> {
+    pub fn instantiate(&self) -> TsnResult<Network> {
         self.instantiate_with(self.config.clone(), &self.offsets)
     }
 
@@ -692,7 +624,7 @@ impl NetworkTemplate {
     ///
     /// As [`NetworkTemplate::instantiate`] (the delta may shrink tables
     /// below what the flows need).
-    pub fn reconfigure(self: &Arc<Self>, delta: &ConfigDelta) -> TsnResult<Network> {
+    pub fn reconfigure(&self, delta: &ConfigDelta) -> TsnResult<Network> {
         let mut config = self.config.clone();
         if let Some(resources) = &delta.resources {
             config.resources = resources.clone();
@@ -725,13 +657,12 @@ impl NetworkTemplate {
 
     /// The instantiation worker: assembles switch cores, hosts, port
     /// grids and the event queue for an arbitrary effective config, then
-    /// replays the install program. `pub(crate)` because arbitrary
-    /// configs could desynchronize the cached sync domain (its clocks
-    /// depend on `sync`/`faults`, which [`ConfigDelta`] deliberately
-    /// cannot change); the sharded engine's failure path uses it with
-    /// the exact config this template already produced.
-    pub(crate) fn instantiate_with(
-        self: &Arc<Self>,
+    /// replays the install program. Private because arbitrary configs
+    /// could desynchronize the cached sync domain (its clocks depend on
+    /// `sync`/`faults`, which [`ConfigDelta`] deliberately cannot
+    /// change).
+    fn instantiate_with(
+        &self,
         config: SimConfig,
         offsets: &FlowMap<SimDuration>,
     ) -> TsnResult<Network> {
@@ -775,7 +706,7 @@ impl NetworkTemplate {
         let fault = faults_on.then(|| FaultEngine::new(config.faults.clone(), &self.topology));
         let horizon = SimTime::ZERO + config.duration + config.drain;
         let queue = EventQueue::with_kind(config.event_queue);
-        let mut network = self.assemble(config, offsets, roles, queue, fault);
+        let mut network = self.assemble(config, roles, queue, fault);
         network.apply_program(&self.program, offsets)?;
         // The link up/down timeline is pre-generated from the fault seed
         // at build, so it is identical whatever the run does.
@@ -811,7 +742,7 @@ impl NetworkTemplate {
     /// replay *programs* (queue schedules, table keys, generator
     /// phases), not just capacity checks, so the cached image would be
     /// stale. The caller enforces that precondition.
-    fn instantiate_patched(self: &Arc<Self>, config: &SimConfig) -> Option<Network> {
+    fn instantiate_patched(&self, config: &SimConfig) -> Option<Network> {
         let seed = self
             .seed
             .get_or_init(|| {
@@ -838,7 +769,6 @@ impl NetworkTemplate {
         }
         Some(self.assemble(
             config.clone(),
-            &self.offsets,
             roles,
             seed.queue.clone(),
             seed.fault.clone(),
@@ -849,19 +779,12 @@ impl NetworkTemplate {
     /// event queue and a fault engine — everything both instantiation
     /// paths share (grids, analyzer, sync domain, report plumbing).
     fn assemble(
-        self: &Arc<Self>,
+        &self,
         config: SimConfig,
-        offsets: &FlowMap<SimDuration>,
         roles: Vec<NodeRole>,
         queue: EventQueue,
         fault: Option<FaultEngine>,
     ) -> Network {
-        let rebuild = (config.shards > 1).then(|| {
-            Arc::new(RebuildInputs {
-                template: Arc::clone(self),
-                offsets: offsets.clone(),
-            })
-        });
         let stats = EventStats {
             route_cache: self.route_cache,
             ..EventStats::default()
@@ -878,13 +801,11 @@ impl NetworkTemplate {
             preemptions: 0,
             sync_domain: self.sync_seed.clone(),
             fault,
-            config: Arc::new(config),
+            config,
             events_processed: 0,
             stats,
             deadlines: Arc::clone(&self.deadlines),
             scratch: Vec::new(),
-            shard: None,
-            rebuild,
             now: SimTime::ZERO,
         }
     }
@@ -990,7 +911,7 @@ impl Network {
         offsets: &FlowMap<SimDuration>,
         config: SimConfig,
     ) -> TsnResult<Self> {
-        Arc::new(NetworkTemplate::new(topology, flows, offsets, config)?).instantiate()
+        NetworkTemplate::new(topology, flows, offsets, config)?.instantiate()
     }
 
     /// As [`Network::build`], with explicit per-port gate-control lists —
@@ -1009,14 +930,8 @@ impl Network {
         config: SimConfig,
         gcls: &GclSchedule,
     ) -> TsnResult<Self> {
-        Arc::new(NetworkTemplate::with_schedule(
-            topology,
-            flows,
-            offsets,
-            config,
-            gcls.clone(),
-        )?)
-        .instantiate()
+        NetworkTemplate::with_schedule(topology, flows, offsets, config, gcls.clone())?
+            .instantiate()
     }
 
     /// Replays the precomputed install program: programs forwarding /
@@ -1178,29 +1093,12 @@ impl Network {
     }
 
     /// Runs the event loop to completion and returns the report.
-    ///
-    /// With [`SimConfig::shards`] > 1 the run is driven by the
-    /// conservative-parallel engine; topologies without a usable
-    /// lookahead window fall back to the serial loop. Either way the
-    /// report is byte-identical.
-    pub fn run(self) -> SimReport {
-        if self.config.shards > 1 {
-            match crate::shard::run_sharded(self) {
-                Ok(report) => return report,
-                Err(network) => return network.run_serial(),
-            }
-        }
-        self.run_serial()
-    }
-
-    /// The single-threaded event loop (the reference semantics the
-    /// sharded engine reproduces).
-    pub(crate) fn run_serial(mut self) -> SimReport {
+    pub fn run(mut self) -> SimReport {
         while self.step() {}
-        self.into_report()
+        self.finish()
     }
 
-    /// Advances the serial event loop by exactly one event. Returns
+    /// Advances the event loop by exactly one event. Returns
     /// `false` once the event list is exhausted or the horizon passed —
     /// then [`Network::finish`] yields the report. Exposed so harnesses
     /// (e.g. the counting-allocator test) can observe the loop
@@ -1221,111 +1119,7 @@ impl Network {
         true
     }
 
-    /// Finalizes a stepped run (see [`Network::step`]) into its report.
-    #[must_use]
-    pub fn finish(self) -> SimReport {
-        self.into_report()
-    }
-
-    /// A replica of this (freshly built, not yet run) network for one
-    /// shard worker: identical switch/host/fault/sync state, an empty
-    /// event queue (the coordinator owns every pending event) and zeroed
-    /// run counters, so per-shard counters sum to the serial totals.
-    /// Splits the replica for shard `me` out of this network: owned
-    /// roles and their per-port state are *moved* (leaving
-    /// [`NodeRole::Vacant`] holes behind), so replica setup costs
-    /// O(owned nodes) pointer moves instead of deep clones. The gutted
-    /// base cannot run serially afterwards — on a worker failure the
-    /// sharded engine rebuilds from [`RebuildInputs`] instead.
-    pub(crate) fn split_for_shard(&mut self, shard_of: &[usize], me: usize) -> Network {
-        let nodes = self.roles.len();
-        let mut roles = Vec::with_capacity(nodes);
-        for (node, &owner) in shard_of.iter().enumerate().take(nodes) {
-            if owner == me {
-                roles.push(std::mem::replace(&mut self.roles[node], NodeRole::Vacant));
-            } else {
-                roles.push(NodeRole::Vacant);
-            }
-        }
-        // Splitting happens on a freshly built, never-run network, so all
-        // per-port state still holds its build-time defaults: fresh
-        // default grids on the replica are exactly the moved state the
-        // Vec-of-Vec layout used to transfer.
-        Network {
-            topology: self.topology.clone(),
-            roles,
-            flows: self.flows.clone(),
-            queue: EventQueue::with_kind(self.config.event_queue),
-            analyzer: Analyzer::with_flow_capacity(self.flows.len()),
-            busy_until: PortGrid::new(self.busy_until.base.clone(), SimTime::ZERO),
-            tx_bytes: PortGrid::new(self.tx_bytes.base.clone(), 0),
-            wires: PortGrid::new(self.wires.base.clone(), WireState::default()),
-            preemptions: 0,
-            sync_domain: self.sync_domain.clone(),
-            fault: self.fault.clone(),
-            config: self.config.clone(),
-            events_processed: 0,
-            stats: EventStats::default(),
-            deadlines: self.deadlines.clone(),
-            scratch: Vec::new(),
-            shard: None,
-            rebuild: None,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The node an event executes on (`None` only for link
-    /// transitions, which the shard coordinator owns).
-    pub(crate) fn event_node(event: &Event) -> Option<NodeId> {
-        match event {
-            Event::Inject { node, .. }
-            | Event::HostKick { node }
-            | Event::FrameArrive { node, .. }
-            | Event::PortKick { node, .. }
-            | Event::TxComplete { node, .. } => Some(*node),
-            Event::LinkDown { .. } | Event::LinkUp { .. } => None,
-        }
-    }
-
-    /// Schedules a handler-emitted event. Serially this is a plain
-    /// queue insert; on a shard replica the event either stays local
-    /// (inside the epoch, keyed so the local order equals the global
-    /// order restricted to this shard) or is recorded in the ship list
-    /// for the coordinator to re-sequence with a definitive global seq.
-    pub(crate) fn emit(&mut self, at: SimTime, event: Event) {
-        let Some(ctx) = &mut self.shard else {
-            self.queue.schedule(at, event);
-            return;
-        };
-        let target = Network::event_node(&event)
-            .map(|n| ctx.shard_of[n.as_usize()])
-            .unwrap_or(ctx.me);
-        let parent = ctx
-            .trace
-            .len()
-            .checked_sub(1)
-            .expect("emissions only happen while an event is being processed");
-        let entry = &mut ctx.trace[parent];
-        let idx = entry.emissions;
-        entry.emissions += 1;
-        if at >= ctx.epoch_end || target != ctx.me {
-            ctx.ships.push(crate::shard::Ship {
-                parent: parent as u32,
-                emission: idx,
-                at,
-                event,
-                wire: None,
-            });
-        } else {
-            self.queue.schedule_with_seq(
-                at,
-                crate::shard::provisional_key(parent as u64, u64::from(idx)),
-                event,
-            );
-        }
-    }
-
-    pub(crate) fn handle(&mut self, now: SimTime, event: Event) {
+    fn handle(&mut self, now: SimTime, event: Event) {
         match event {
             Event::Inject { node, generator } => {
                 self.stats.injects += 1;
@@ -1393,67 +1187,21 @@ impl Network {
                 // into the dead wire drop one by one at `start_tx` until
                 // the re-route takes effect.
                 let kick = self.kick_for(end.node, end.port);
-                self.emit(now, kick);
+                self.queue.schedule(now, kick);
             }
         } else {
             // The wire is back: wake both transmitters.
             for end in ends {
                 let kick = self.kick_for(end.node, end.port);
-                self.emit(now, kick);
-            }
-        }
-        self.reprogram_routes();
-    }
-
-    /// A shard replica's view of a link transition the coordinator
-    /// already sequenced: update the (replica-identical) fault-engine
-    /// link state, kill in-flight frames on owned ends of a dying wire,
-    /// and recompute routes. The serial path's wake-up kicks are NOT
-    /// scheduled here — the coordinator synthesized them with their
-    /// definitive seqs and delivers them like any released event.
-    pub(crate) fn apply_transition_replica(&mut self, at: SimTime, link: LinkId, goes_down: bool) {
-        let Some(engine) = &mut self.fault else {
-            return;
-        };
-        if !engine.transition(link, goes_down) {
-            return; // nested overlap: effective state unchanged
-        }
-        let Some(ends) = self.topology.link(link).map(|l| [l.a(), l.b()]) else {
-            return;
-        };
-        if goes_down {
-            for end in ends {
-                let owned = self
-                    .shard
-                    .as_ref()
-                    .is_some_and(|ctx| ctx.shard_of[end.node.as_usize()] == ctx.me);
-                if !owned {
-                    continue; // that end's transmitter lives on another replica
-                }
-                let ws = self.wires.at_mut(end.node.as_usize(), end.port.as_usize());
-                ws.gen += 1; // stale TxComplete becomes a no-op
-                let engine = self.fault.as_mut().expect("checked above");
-                if let Some(active) = ws.active.take() {
-                    engine.frames_lost_on_dead_links += 1;
-                    engine.note_flow_loss(active.frame.flow());
-                }
-                if let Some(suspended) = ws.suspended.take() {
-                    engine.frames_lost_on_dead_links += 1;
-                    engine.note_flow_loss(suspended.frame.flow());
-                }
-                *self
-                    .busy_until
-                    .at_mut(end.node.as_usize(), end.port.as_usize()) = at;
+                self.queue.schedule(now, kick);
             }
         }
         self.reprogram_routes();
     }
 
     /// The wake-up event for a transmitter: a `PortKick` on switches, a
-    /// `HostKick` on hosts. Resolved through the topology (not the
-    /// roles) so the shard coordinator, which owns no roles at all, can
-    /// synthesize kicks at link transitions.
-    pub(crate) fn kick_for(&self, node: NodeId, port: PortId) -> Event {
+    /// `HostKick` on hosts.
+    fn kick_for(&self, node: NodeId, port: PortId) -> Event {
         let is_host = self
             .topology
             .node(node)
@@ -1469,13 +1217,8 @@ impl Network {
     /// Recomputes every flow's route avoiding the currently-dead links
     /// and reprograms the forwarding tables along changed paths.
     /// Deterministic: flows are visited in `FlowSet` order and the BFS
-    /// is seedless. On a shard replica the route computation and the
-    /// fault-engine bookkeeping run identically on every shard (same
-    /// topology, same dead-link set), but each replica programs only
-    /// the switches it owns, and table-capacity failures — which only
-    /// the owning replica can observe — are tallied in the shard
-    /// context instead of the (replica-identical) engine counter.
-    pub(crate) fn reprogram_routes(&mut self) {
+    /// is seedless.
+    fn reprogram_routes(&mut self) {
         let flows = Arc::clone(&self.flows);
         // The dead-link set is fixed for the duration of one reprogram
         // pass, so one avoiding-BFS per talker serves all of its flows
@@ -1509,11 +1252,6 @@ impl Network {
             let dst_mac = mac_for(flow.dst());
             for hop in route.switch_hops_iter() {
                 let Some(egress) = hop.egress else { continue };
-                if let Some(ctx) = &self.shard {
-                    if ctx.shard_of[hop.node.as_usize()] != ctx.me {
-                        continue; // another replica owns this switch
-                    }
-                }
                 let NodeRole::Switch { core, .. } = &mut self.roles[hop.node.as_usize()] else {
                     continue;
                 };
@@ -1525,9 +1263,7 @@ impl Network {
                     core.add_unicast(dst_mac, vlan, egress)
                 };
                 if programmed.is_err() {
-                    if let Some(ctx) = &mut self.shard {
-                        ctx.table_reroute_failures += 1;
-                    } else if let Some(engine) = &mut self.fault {
+                    if let Some(engine) = &mut self.fault {
                         engine.reroute_failures += 1;
                     }
                 }
@@ -1568,7 +1304,7 @@ impl Network {
                 engine.frames_lost_on_dead_links += 1;
                 engine.note_flow_loss(frame.flow());
                 let kick = self.kick_for(node, port);
-                self.emit(now, kick);
+                self.queue.schedule(now, kick);
                 return;
             }
         }
@@ -1585,7 +1321,8 @@ impl Network {
             started: now,
         });
         let gen = ws.gen;
-        self.emit(end, Event::TxComplete { node, port, gen });
+        self.queue
+            .schedule(end, Event::TxComplete { node, port, gen });
         // A preemptable segment on a switch port may need interrupting at
         // the next gate change (an express frame becoming eligible
         // mid-segment); arm a kick for it. Ports whose queues are empty
@@ -1606,7 +1343,8 @@ impl Network {
                 Some(Some(until_next)) => {
                     let wait = until_next + SimDuration::from_nanos(100);
                     if now + wait < end {
-                        self.emit(now + wait, Event::PortKick { node, port });
+                        self.queue
+                            .schedule(now + wait, Event::PortKick { node, port });
                     }
                 }
                 Some(None) => self.stats.kicks_suppressed += 1,
@@ -1681,61 +1419,31 @@ impl Network {
         };
         // The wire itself may destroy or damage the frame (fault
         // injection). The sender still spent the serialization time and
-        // shaper credit either way. On a shard replica a faultable
-        // wire's draw is deferred: the PRNG stream lives on the
-        // coordinator's engine, which performs the draw during the merge
-        // replay at exactly this emission's global position — the epoch
-        // width never exceeds the faultable-link delivery floor, so the
-        // arrival necessarily ships and no replica consumes the draw.
-        let deferred_wire = self.shard.is_some()
-            && self
-                .fault
-                .as_ref()
-                .is_some_and(|e| !e.wire_is_pristine(link.id()));
+        // shaper credit either way.
         let mut delivered = Some(active.frame);
-        if !deferred_wire {
-            if let Some(engine) = &mut self.fault {
-                match engine.wire_effect(link.id()) {
-                    WireEffect::Intact => {}
-                    WireEffect::Lost => {
-                        engine.frames_lost_to_wire += 1;
-                        engine.note_flow_loss(active.frame.flow());
-                        delivered = None;
-                    }
-                    WireEffect::Corrupted => {
-                        engine.frames_corrupted += 1;
-                        delivered = Some(active.frame.with_corruption());
-                    }
+        if let Some(engine) = &mut self.fault {
+            match engine.wire_effect(link.id()) {
+                WireEffect::Intact => {}
+                WireEffect::Lost => {
+                    engine.frames_lost_to_wire += 1;
+                    engine.note_flow_loss(active.frame.flow());
+                    delivered = None;
+                }
+                WireEffect::Corrupted => {
+                    engine.frames_corrupted += 1;
+                    delivered = Some(active.frame.with_corruption());
                 }
             }
         }
         if let Some(frame) = delivered {
-            let at = now + link.propagation() + proc;
-            let event = Event::FrameArrive {
-                node: peer.node,
-                port: peer.port,
-                frame,
-            };
-            if deferred_wire {
-                let ctx = self.shard.as_mut().expect("deferral implies a shard");
-                let parent = ctx
-                    .trace
-                    .len()
-                    .checked_sub(1)
-                    .expect("emissions only happen while an event is being processed");
-                let entry = &mut ctx.trace[parent];
-                let idx = entry.emissions;
-                entry.emissions += 1;
-                ctx.ships.push(crate::shard::Ship {
-                    parent: parent as u32,
-                    emission: idx,
-                    at,
-                    event,
-                    wire: Some(link.id()),
-                });
-            } else {
-                self.emit(at, event);
-            }
+            self.queue.schedule(
+                now + link.propagation() + proc,
+                Event::FrameArrive {
+                    node: peer.node,
+                    port: peer.port,
+                    frame,
+                },
+            );
         }
         // Charge the credit-based shaper over the segment's span.
         if let (Some(queue), NodeRole::Switch { core, .. }) =
@@ -1761,10 +1469,9 @@ impl Network {
             NodeRole::Host(host) => {
                 (host.queued() > 0 || suspended).then_some(Event::HostKick { node })
             }
-            NodeRole::Vacant => panic!("kick check for a node this replica does not own"),
         };
         match kick {
-            Some(kick) => self.emit(now, kick),
+            Some(kick) => self.queue.schedule(now, kick),
             None => self.stats.kicks_suppressed += 1,
         }
     }
@@ -1778,10 +1485,11 @@ impl Network {
         };
         self.analyzer.note_injected(outcome.flow, outcome.class);
         if outcome.next_injection.saturating_since(SimTime::ZERO) < self.config.duration {
-            self.emit(outcome.next_injection, Event::Inject { node, generator });
+            self.queue
+                .schedule(outcome.next_injection, Event::Inject { node, generator });
         }
         if outcome.queued {
-            self.emit(now, Event::HostKick { node });
+            self.queue.schedule(now, Event::HostKick { node });
         }
     }
 
@@ -1793,13 +1501,12 @@ impl Network {
             let express_waiting = match &self.roles[node.as_usize()] {
                 NodeRole::Host(host) => host.express_queued(),
                 NodeRole::Switch { .. } => return,
-                NodeRole::Vacant => panic!("host kick for a node this replica does not own"),
             };
             if self.config.frame_preemption && express_waiting {
                 match self.try_preempt(node, port, now) {
                     PreemptOutcome::Preempted => {} // fall through, wire free
                     PreemptOutcome::RetryAt(at) => {
-                        self.emit(at, Event::HostKick { node });
+                        self.queue.schedule(at, Event::HostKick { node });
                         return;
                     }
                     PreemptOutcome::No => {
@@ -1896,7 +1603,7 @@ impl Network {
                 {
                     self.stats.kicks_suppressed += 1;
                 } else {
-                    self.emit(now, Event::PortKick { node, port });
+                    self.queue.schedule(now, Event::PortKick { node, port });
                 }
             }
         }
@@ -1910,13 +1617,12 @@ impl Network {
             let express_ready = match &self.roles[node.as_usize()] {
                 NodeRole::Switch { core, .. } => core.express_ready(port, corrected),
                 NodeRole::Host(_) => return,
-                NodeRole::Vacant => panic!("port kick for a node this replica does not own"),
             };
             if self.config.frame_preemption && express_ready {
                 match self.try_preempt(node, port, now) {
                     PreemptOutcome::Preempted => {} // fall through, wire free
                     PreemptOutcome::RetryAt(at) => {
-                        self.emit(at, Event::PortKick { node, port });
+                        self.queue.schedule(at, Event::PortKick { node, port });
                         return;
                     }
                     PreemptOutcome::No => {
@@ -1978,13 +1684,16 @@ impl Network {
                 };
                 if let Some(next) = core.next_dequeue_opportunity(port, corrected) {
                     let wait = next.saturating_since(corrected) + SimDuration::from_nanos(100);
-                    self.emit(now + wait, Event::PortKick { node, port });
+                    self.queue
+                        .schedule(now + wait, Event::PortKick { node, port });
                 }
             }
         }
     }
 
-    pub(crate) fn into_report(self) -> SimReport {
+    /// Finalizes a stepped run (see [`Network::step`]) into its report.
+    #[must_use]
+    pub fn finish(self) -> SimReport {
         let mut merged = tsn_switch::SwitchStats::new();
         let mut per_switch = Vec::new();
         let mut max_high_water = 0;
@@ -1999,7 +1708,6 @@ impl Network {
                 NodeRole::Host(host) => {
                     host_overflow += host.overflow_drops();
                 }
-                NodeRole::Vacant => panic!("reports are built from the full network"),
             }
         }
         // Link utilization: transmitted wire bits over capacity × elapsed.

@@ -32,10 +32,6 @@ pub struct EventStats {
     pub link_transitions: u64,
     /// Most events simultaneously pending in the scheduler.
     pub queue_high_water: usize,
-    /// Sharded-engine synchronization diagnostics (all zero on serial
-    /// runs). Excluded from equality and `Debug` so sharded reports stay
-    /// byte-identical to serial ones; read the fields directly.
-    pub shard: ShardOverhead,
     /// Route-cache effectiveness during flow installation. Excluded from
     /// equality and `Debug` (cache sizing must not perturb goldens);
     /// read the fields directly.
@@ -44,10 +40,9 @@ pub struct EventStats {
 
 /// How well the per-talker BFS route cache served flow installation:
 /// hits/misses/evictions plus the capacity it ran with (scaled to the
-/// scenario's talker count). Diagnostics only — like [`ShardOverhead`]
-/// it compares equal to everything and renders a constant `Debug`
-/// string, so cache-capacity tuning can never break report
-/// byte-identity.
+/// scenario's talker count). Diagnostics only — it compares equal to
+/// everything and renders a constant `Debug` string, so cache-capacity
+/// tuning can never break report byte-identity.
 #[derive(Clone, Copy, Default)]
 pub struct RouteCacheStats {
     /// Routes served from a cached talker tree.
@@ -75,59 +70,6 @@ impl fmt::Debug for RouteCacheStats {
     /// golden tests compare `Debug` output across engines.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("RouteCacheStats(..)")
-    }
-}
-
-/// How much coordination the conservative-parallel engine spent on a
-/// run: epoch barriers, coordinator↔worker messages, and how far the
-/// merge replay lagged behind the workers. The counters exist to prove
-/// (in benches and CI) that synchronization overhead stays low.
-///
-/// The struct deliberately compares equal to everything and renders a
-/// constant `Debug` string: the serial and sharded engines must produce
-/// byte-identical reports, and these diagnostics are the one place where
-/// they legitimately differ.
-#[derive(Clone, Copy, Default)]
-pub struct ShardOverhead {
-    /// Epoch barriers the coordinator ran (0 = the serial engine ran).
-    pub epochs: u64,
-    /// Coordinator↔worker exchanges: one release and one reply per
-    /// active shard per epoch. Link transitions piggyback on releases
-    /// and cost nothing extra.
-    pub coord_messages: u64,
-    /// Definitive pending events released to workers over the run.
-    pub released_events: u64,
-    /// Trace entries (event pops) the coordinator replayed for seq
-    /// assignment and queue-trajectory mirroring.
-    pub replayed_entries: u64,
-    /// Epochs whose replay was deferred off the critical path (no
-    /// shipped events, so only bookkeeping was outstanding).
-    pub deferred_replays: u64,
-    /// Most deferred epochs outstanding at once (merge lag high-water).
-    pub merge_lag_max: u64,
-    /// Times the per-shard-pair lookahead matrix was (re)computed —
-    /// once at takeover plus once per link-transition batch.
-    pub lookahead_recomputes: u64,
-    /// 1 when the sharded engine aborted mid-run (worker failure) and
-    /// the run was replayed on the serial engine from a snapshot.
-    pub serial_fallbacks: u64,
-}
-
-impl PartialEq for ShardOverhead {
-    /// Always equal: scheduling diagnostics must not break the
-    /// byte-identity contract between serial and sharded reports.
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for ShardOverhead {}
-
-impl fmt::Debug for ShardOverhead {
-    /// Constant rendering, for the same reason `PartialEq` is constant:
-    /// golden tests compare `Debug` output across engines.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ShardOverhead(..)")
     }
 }
 

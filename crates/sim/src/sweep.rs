@@ -86,21 +86,6 @@ pub fn workers_from_env() -> usize {
         .unwrap_or_else(available_workers)
 }
 
-/// Intra-run shard count for simulations launched from binaries: the
-/// `TSN_SIM_SHARDS` environment variable when set (and ≥ 1), otherwise 1
-/// (serial). The experiment binaries feed this into
-/// [`SimConfig::shards`](crate::network::SimConfig::shards), so the
-/// conservative-parallel engine can be enabled fleet-wide without
-/// touching scenario code; reports are byte-identical either way.
-#[must_use]
-pub fn shards_from_env() -> usize {
-    std::env::var("TSN_SIM_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Runs `f` over every item of `items` on a pool of at most `workers`
 /// threads and returns the results **in input order**.
 ///

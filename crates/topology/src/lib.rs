@@ -35,7 +35,6 @@ pub mod analysis;
 pub mod graph;
 pub mod link;
 pub mod node;
-pub mod partition;
 pub mod presets;
 pub mod route;
 
@@ -43,5 +42,4 @@ pub use analysis::EnabledPorts;
 pub use graph::{RouteTree, RouteTreeCache, Topology};
 pub use link::{Link, LinkDirection, LinkEnd, LinkId};
 pub use node::{Node, NodeKind};
-pub use partition::{partition_network, Partition};
 pub use route::{Route, RouteHop};

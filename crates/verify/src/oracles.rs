@@ -1,4 +1,4 @@
-//! The nine cross-layer differential oracles.
+//! The eight cross-layer differential oracles.
 //!
 //! Each oracle consumes a random [`ScenarioCase`] and cross-checks two
 //! independent layers of the stack against each other, so neither layer's
@@ -13,18 +13,15 @@
 //!    byte-stable and parameter-consistent with the resource config.
 //! 5. [`fault_monotonicity`] — longer link outages never reduce the
 //!    deadline-failure count.
-//! 6. [`shard_equivalence`] — the sharded conservative-parallel engine
-//!    vs. the serial event loop on the same scenario (fault-free and
-//!    faulted), for a case-derived shard count in `1..=4`.
-//! 7. [`hdl_cost_agreement`] — BRAM/register cost elaborated from the
+//! 6. [`hdl_cost_agreement`] — BRAM/register cost elaborated from the
 //!    *parsed* Verilog must agree bit-exactly with `tsn_resource`'s
 //!    config-only accounting (and the emitted bundle must lint clean)
 //!    for randomized `ResourceConfig`s.
-//! 8. [`dse_optimality`] — every feasible answer of the design-space
+//! 7. [`dse_optimality`] — every feasible answer of the design-space
 //!    search must survive `tsn_dse::check_optimality`: its confirming
 //!    simulation meets the QoS targets *and* stepping any monotone knob
 //!    down one notch makes a bound or the simulation fail.
-//! 9. [`reconfigure_equivalence`] — applying a random [`ConfigDelta`] to
+//! 8. [`reconfigure_equivalence`] — applying a random [`ConfigDelta`] to
 //!    a resident [`NetworkTemplate`] must produce a report byte-identical
 //!    (including the `Debug` rendering) to building the delta'd
 //!    configuration from scratch — the incremental-reconfiguration path
@@ -44,7 +41,7 @@ use tsn_resource::config::EntryWidths;
 use tsn_resource::ResourceConfig;
 use tsn_sim::network::{ConfigDelta, Network, NetworkTemplate};
 use tsn_sim::report::SimReport;
-use tsn_sim::{EventQueueKind, FaultConfig, LinkFaultProfile, LinkOutage};
+use tsn_sim::{EventQueueKind, FaultConfig, LinkOutage};
 use tsn_topology::{LinkId, Topology};
 use tsn_types::FlowMap;
 use tsn_types::{
@@ -64,7 +61,6 @@ pub const ORACLES: &[(&str, Oracle)] = &[
     ("backend-equivalence", backend_equivalence),
     ("hdl-fixpoint", hdl_fixpoint),
     ("fault-monotonicity", fault_monotonicity),
-    ("shard-equivalence", shard_equivalence),
     ("hdl-cost-agreement", hdl_cost_agreement),
     ("dse-optimality", dse_optimality),
     ("reconfigure-equivalence", reconfigure_equivalence),
@@ -491,70 +487,6 @@ pub fn fault_monotonicity(case: &ScenarioCase) -> Verdict {
     Verdict::Pass
 }
 
-/// Oracle 6 — shard equivalence: the conservative-parallel engine
-/// (`SimConfig::shards > 1`) must produce a report byte-identical to the
-/// serial event loop on the same scenario, including the `Debug`
-/// rendering (every f64 bit pattern, every counter, the scheduler
-/// high-water). The shard count (`1..=4`) and whether a deterministic
-/// outage plus stochastic wire faults are layered on are both derived
-/// from the case's workload seed, so the random sweep covers fault-free
-/// and faulted runs in every backend.
-pub fn shard_equivalence(case: &ScenarioCase) -> Verdict {
-    let (topology, flows, derived) = match prepare(case) {
-        Ok(x) => x,
-        Err(v) => return v,
-    };
-    let shards = 1 + (case.wl_seed % 4) as usize;
-    let faulted = (case.wl_seed >> 2) & 1 == 1;
-    let configure = |shards: usize| {
-        let mut config = case.base_config();
-        config.slot = derived.cqf.slot;
-        config.resources = derived.resources.clone();
-        config.aggregate_switch_tbl = derived.aggregate_switch_tbl;
-        config.shards = shards;
-        if faulted {
-            config.faults = FaultConfig {
-                seed: case.wl_seed,
-                outages: vec![LinkOutage {
-                    link: LinkId::new(0),
-                    from: SimTime::from_millis(1),
-                    until: SimTime::from_millis(3),
-                }],
-                wire: LinkFaultProfile {
-                    loss_prob: 0.005,
-                    corrupt_prob: 0.005,
-                },
-                ..FaultConfig::none()
-            };
-        }
-        config
-    };
-    let mut reports = Vec::new();
-    for n in [1, shards] {
-        match Network::build(
-            topology.clone(),
-            flows.clone(),
-            &derived.itp.offsets,
-            configure(n),
-        ) {
-            Ok(network) => reports.push(network.run()),
-            Err(e) => {
-                return Verdict::Fail(format!(
-                    "post-derive network build failed (shards={n}): {e}"
-                ))
-            }
-        }
-    }
-    if reports[0] != reports[1] || format!("{:?}", reports[0]) != format!("{:?}", reports[1]) {
-        return Verdict::Fail(format!(
-            "sharded engine diverged from serial (shards={shards}, faulted={faulted}): \
-             serial [{}] vs sharded [{}]",
-            reports[0], reports[1]
-        ));
-    }
-    Verdict::Pass
-}
-
 /// How many randomized resource configurations [`hdl_cost_agreement`]
 /// derives and checks per case.
 pub const HDL_COST_CONFIGS_PER_CASE: usize = 8;
@@ -606,7 +538,7 @@ fn random_resource_config(rng: &mut SplitMix64) -> TsnResult<ResourceConfig> {
     Ok(cfg)
 }
 
-/// Oracle 7 — HDL cost agreement: for [`HDL_COST_CONFIGS_PER_CASE`]
+/// Oracle 6 — HDL cost agreement: for [`HDL_COST_CONFIGS_PER_CASE`]
 /// randomized resource configurations per case, the emitted Verilog must
 /// parse, lint clean ([`tsn_hdl::lint_modules`]), and elaborate
 /// ([`tsn_hdl::check_agreement`]) to the exact memory map, BRAM18/36
@@ -686,7 +618,7 @@ pub fn dse_query(case: &ScenarioCase) -> tsn_dse::QosQuery {
     }
 }
 
-/// Oracle 8 — DSE optimality: run the design-space search on a
+/// Oracle 7 — DSE optimality: run the design-space search on a
 /// case-derived query; an infeasible verdict (random QoS targets may
 /// simply be unmeetable) is a discard, but a feasible answer must pass
 /// both directions of [`tsn_dse::check_optimality`] — the returned
@@ -739,7 +671,7 @@ fn random_delta(case: &ScenarioCase, derived: &DerivedConfig) -> TsnResult<Confi
     Ok(delta)
 }
 
-/// Oracle 9 — reconfigure equivalence: build a resident
+/// Oracle 8 — reconfigure equivalence: build a resident
 /// [`NetworkTemplate`] from the derived configuration, apply a random
 /// [`ConfigDelta`] (resources / slot / aggregation / offsets, each with
 /// an independent coin), and cross-check against a from-scratch
@@ -827,7 +759,7 @@ mod tests {
             assert!(oracle_by_name(name).is_some());
         }
         assert!(oracle_by_name("nope").is_none());
-        assert_eq!(ORACLES.len(), 9);
+        assert_eq!(ORACLES.len(), 8);
     }
 
     /// Planted defect: a deliberately over-provisioned "optimum" must be

@@ -15,7 +15,7 @@ use tsn_sim::{hist_bucket, LatencyStats};
 use tsn_switch::gate_ctrl::{GateControlList, GateEntry};
 use tsn_switch::ingress_filter::TokenBucketMeter;
 use tsn_switch::table::CapTable;
-use tsn_topology::{partition_network, presets, RouteTreeCache, Topology};
+use tsn_topology::{presets, RouteTreeCache, Topology};
 use tsn_types::{DataRate, MacAddr, QueueId, SimDuration, SimTime, SplitMix64, TsnResult};
 
 use crate::corpus::CaseCodec;
@@ -266,7 +266,6 @@ pub const PROPERTIES: &[PortedProperty] = &[
             fields: &[
                 ("half", Range::new(1, 4)),
                 ("hpe_raw", Range::new(0, 7)),
-                ("shards", Range::new(1, 6)),
                 ("seed", Range::new(0, u64::MAX)),
             ],
         },
@@ -281,7 +280,6 @@ pub const PROPERTIES: &[PortedProperty] = &[
                 ("rings", Range::new(1, 6)),
                 ("ring_size", Range::new(3, 10)),
                 ("hpr_raw", Range::new(0, 15)),
-                ("shards", Range::new(1, 6)),
                 ("seed", Range::new(0, u64::MAX)),
             ],
         },
@@ -612,12 +610,10 @@ fn latency_merge(case: &ParamCase) -> Verdict {
 /// Shared topology checks for the builder-shape properties: a sampled
 /// host pair routes identically through the per-call BFS and the bounded
 /// [`RouteTreeCache`] with at most `max_switch_hops` switches on the
-/// path, and [`partition_network`] keeps every host on its switch's
-/// shard with no shard left empty.
+/// path, and every host hangs off a switch.
 fn topology_shape_checks(
     topology: &Topology,
     max_switch_hops: usize,
-    shards: usize,
     rng: &mut SplitMix64,
 ) -> Verdict {
     let hosts = topology.hosts();
@@ -651,41 +647,10 @@ fn topology_shape_checks(
         }
     }
 
-    let partition = partition_network(topology, shards);
-    if partition.shards() < 1 || partition.shards() > shards.max(1) {
-        return Verdict::Fail(format!(
-            "{} shards used for a request of {shards}",
-            partition.shards()
-        ));
-    }
-    let mut owned = vec![0usize; partition.shards()];
-    for node in topology.nodes() {
-        let shard = partition.shard_of(node.id());
-        if shard >= partition.shards() {
-            return Verdict::Fail(format!(
-                "node {} assigned to shard {shard} of {}",
-                node.id(),
-                partition.shards()
-            ));
-        }
-        if node.is_switch() {
-            owned[shard] += 1;
-        }
-    }
     for &host in hosts {
-        let Some(switch) = topology.switch_of_host(host) else {
+        if topology.switch_of_host(host).is_none() {
             return Verdict::Fail(format!("host {host} has no switch"));
-        };
-        if partition.shard_of(host) != partition.shard_of(switch) {
-            return Verdict::Fail(format!(
-                "host {host} on shard {} away from its switch's shard {}",
-                partition.shard_of(host),
-                partition.shard_of(switch)
-            ));
         }
-    }
-    if let Some(empty) = owned.iter().position(|&n| n == 0) {
-        return Verdict::Fail(format!("shard {empty} owns no switch"));
     }
     Verdict::Pass
 }
@@ -693,7 +658,7 @@ fn topology_shape_checks(
 /// The fat-tree builder produces the Clos arithmetic — `(k/2)²` cores,
 /// `k` pods of `k` switches, `hosts_per_edge` hosts per edge switch and
 /// the matching link count — with every host pair at most 5 switch hops
-/// apart (edge-agg-core-agg-edge) and a partition-compatible shape.
+/// apart (edge-agg-core-agg-edge).
 fn fat_tree_shape(case: &ParamCase) -> Verdict {
     let half = case.value("half") as usize;
     let k = 2 * half;
@@ -721,7 +686,7 @@ fn fat_tree_shape(case: &ParamCase) -> Verdict {
         ));
     }
     let mut rng = SplitMix64::seed_from_u64(case.value("seed"));
-    topology_shape_checks(&topology, 5, case.value("shards") as usize, &mut rng)
+    topology_shape_checks(&topology, 5, &mut rng)
 }
 
 /// The multi-ring builder produces `rings × ring_size` switches,
@@ -759,7 +724,7 @@ fn multi_ring_shape(case: &ParamCase) -> Verdict {
     // half a ring to the destination switch.
     let max_hops = 2 * (ring_size / 2) + rings / 2 + 1;
     let mut rng = SplitMix64::seed_from_u64(case.value("seed"));
-    topology_shape_checks(&topology, max_hops, case.value("shards") as usize, &mut rng)
+    topology_shape_checks(&topology, max_hops, &mut rng)
 }
 
 /// The log2 histogram sketch lands every quantile in the same bucket as

@@ -45,64 +45,27 @@ TSN_VERIFY_MS="${TSN_VERIFY_MS:-4000}" \
     run cargo run -q --release -p tsn-verify --bin verify -- --smoke
 
 # Bench smoke: a tiny TSN_BENCH_MS budget proves the harness and every
-# scenario still run end to end, and gates on the recorded summaries:
-#   - the smoke's geomean speedup vs the b8cca7c baselines in
-#     BENCH_2.json and the serial-path (shards=1) geomean vs the pinned
-#     serial baselines in BENCH_5.json must both stay >= 0.95x;
-#   - the sharded engine's shards=2 geomean vs the same-run serial
-#     median must stay >= 1.0x on multi-core hosts, or >= 0.5x on a
-#     single CPU (there the epoch protocol is pure overhead — the gate
-#     bounds that overhead at 2x instead of demanding a speedup);
-#   - every epoch message must replace at least 5 per-event exchanges
-#     (released + replayed events per coordinator message), pinning the
-#     batched protocol against a per-event regression.
-# The tracked (full-budget) JSON files are restored afterwards so a
-# smoke run never overwrites the recorded numbers.
+# scenario still run end to end, and gates the smoke's geomean speedup
+# vs the pinned baselines in BENCH_2.json at >= 0.95x. The tracked
+# (full-budget) JSON file is restored afterwards so a smoke run never
+# overwrites the recorded numbers.
 tracked_bench2="$(mktemp)"
-tracked_bench5="$(mktemp)"
 cp BENCH_2.json "$tracked_bench2"
-cp BENCH_5.json "$tracked_bench5"
 TSN_BENCH_MS="${TSN_BENCH_MS:-25}" run cargo bench -q -p tsn-bench --bench simulation
 smoke_geomean2="$(sed -n 's/.*"geomean_speedup": \([0-9.]*\).*/\1/p' BENCH_2.json)"
-smoke_geomean5="$(sed -n 's/.*"serial_geomean_vs_baseline": \([0-9.]*\).*/\1/p' BENCH_5.json)"
-smoke_shards2="$(sed -n 's/.*"shards2_geomean_vs_serial": \([0-9.]*\).*/\1/p' BENCH_5.json)"
-smoke_reduction="$(sed -n 's/.*"message_reduction_vs_per_event_min": \([0-9.]*\).*/\1/p' BENCH_5.json)"
 cp "$tracked_bench2" BENCH_2.json
-cp "$tracked_bench5" BENCH_5.json
-rm -f "$tracked_bench2" "$tracked_bench5"
-if [ -z "$smoke_geomean2" ] || [ -z "$smoke_geomean5" ] \
-    || [ -z "$smoke_shards2" ] || [ -z "$smoke_reduction" ]; then
+rm -f "$tracked_bench2"
+if [ -z "$smoke_geomean2" ]; then
     echo "bench smoke wrote incomplete summary fields" >&2
     exit 1
 fi
-echo "==> bench smoke geomean ${smoke_geomean2}x vs b8cca7c baselines (gate: >= 0.95)"
+echo "==> bench smoke geomean ${smoke_geomean2}x vs pinned baselines (gate: >= 0.95)"
 if ! awk -v g="$smoke_geomean2" 'BEGIN { exit !(g >= 0.95) }'; then
     echo "bench smoke geomean ${smoke_geomean2}x regressed below 0.95x baseline" >&2
     exit 1
 fi
-echo "==> shard-bench serial-path geomean ${smoke_geomean5}x vs pinned serial baselines (gate: >= 0.95)"
-if ! awk -v g="$smoke_geomean5" 'BEGIN { exit !(g >= 0.95) }'; then
-    echo "shard bench serial path ${smoke_geomean5}x regressed below 0.95x baseline" >&2
-    exit 1
-fi
-cores="$(nproc 2>/dev/null || echo 1)"
-if [ "$cores" -ge 2 ]; then
-    shards2_floor="1.0"
-else
-    shards2_floor="0.5"
-fi
-echo "==> shards=2 geomean ${smoke_shards2}x vs same-run serial on ${cores} CPU(s) (gate: >= ${shards2_floor})"
-if ! awk -v g="$smoke_shards2" -v f="$shards2_floor" 'BEGIN { exit !(g >= f) }'; then
-    echo "sharded engine at shards=2 is ${smoke_shards2}x serial, below the ${shards2_floor}x floor" >&2
-    exit 1
-fi
-echo "==> epoch batching: ${smoke_reduction} work units per coordinator message (gate: >= 5)"
-if ! awk -v g="$smoke_reduction" 'BEGIN { exit !(g >= 5) }'; then
-    echo "message reduction ${smoke_reduction}x fell below 5x — the epoch protocol is degrading toward per-event exchange" >&2
-    exit 1
-fi
 
-# Zero-allocation proof: the counting-allocator test asserts the serial
+# Zero-allocation proof: the counting-allocator test asserts the
 # event loop's steady state performs no heap allocation after warmup on
 # the large-plant workload. Release mode, on its own line so a hot-path
 # allocation regression is named here rather than buried in the
@@ -113,7 +76,7 @@ run cargo test -q --release -p tsn-sim --test zero_alloc
 # throughput case (the 100k and opt-in 1M cases stay full-budget-only)
 # plus the reconfigure-vs-rebuild case the same filter now selects. The
 # throughput case asserts byte-identical reports across event-queue
-# backends and the sharded engine and a < 1 GiB peak RSS; the reconfig
+# backends and a < 1 GiB peak RSS; the reconfig
 # case asserts the reconfigure-path report digests identically to a
 # from-scratch build. The gates below add an absolute throughput floor,
 # a smoke RSS ceiling, the events/sec geomeans vs the pinned baselines
