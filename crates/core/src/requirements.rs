@@ -5,8 +5,8 @@
 //! synchronization precision. Everything else (Table II parameters, GCLs,
 //! injection offsets) is derived.
 
-use tsn_topology::Topology;
-use tsn_types::{FlowSet, SimDuration, TsnError, TsnResult};
+use tsn_topology::{Route, RouteTreeCache, Topology};
+use tsn_types::{FlowSet, SimDuration, TsFlowSpec, TsnError, TsnResult};
 
 /// One application scenario.
 ///
@@ -32,13 +32,18 @@ use tsn_types::{FlowSet, SimDuration, TsnError, TsnResult};
 pub struct AppRequirements {
     topology: Topology,
     flows: FlowSet,
+    /// `routes[i]` is the shortest-path route of the `i`-th flow of
+    /// `flows`, computed once at construction.
+    routes: Vec<Route>,
     sync_precision: SimDuration,
 }
 
 impl AppRequirements {
     /// Creates and validates a requirement set: every flow must run
     /// host-to-host over an existing route, and at least one TS flow must
-    /// exist (otherwise there is nothing to customize for).
+    /// exist (otherwise there is nothing to customize for). Every flow is
+    /// routed here, once, through one [`RouteTreeCache`]; the planners
+    /// read the stored routes instead of routing again.
     ///
     /// # Errors
     ///
@@ -58,6 +63,8 @@ impl AppRequirements {
                 "must be non-zero",
             ));
         }
+        let mut route_trees = RouteTreeCache::new();
+        let mut routes = Vec::with_capacity(flows.len());
         for flow in flows.iter() {
             for node in [flow.src(), flow.dst()] {
                 if !topology.node(node)?.is_host() {
@@ -67,12 +74,12 @@ impl AppRequirements {
                     ));
                 }
             }
-            // Routability check; the route itself is recomputed on demand.
-            topology.route(flow.src(), flow.dst())?;
+            routes.push(route_trees.route(&topology, flow.src(), flow.dst())?);
         }
         Ok(AppRequirements {
             topology,
             flows,
+            routes,
             sync_precision,
         })
     }
@@ -89,6 +96,21 @@ impl AppRequirements {
         &self.flows
     }
 
+    /// Every flow's route, in flow-set order (`routes()[i]` belongs to
+    /// `flows().iter().nth(i)`).
+    #[must_use]
+    pub fn routes(&self) -> &[Route] {
+        &self.routes
+    }
+
+    /// The TS flows with their routes, in flow-set order.
+    pub fn ts_routes(&self) -> impl Iterator<Item = (&TsFlowSpec, &Route)> {
+        self.flows
+            .iter()
+            .zip(&self.routes)
+            .filter_map(|(flow, route)| flow.as_ts().map(|ts| (ts, route)))
+    }
+
     /// Required synchronization precision (the paper's prototype achieves
     /// < 50 ns).
     #[must_use]
@@ -97,18 +119,12 @@ impl AppRequirements {
     }
 
     /// The largest switch-hop count over all TS flows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing errors (cannot happen after successful
-    /// construction unless the topology was swapped).
-    pub fn max_ts_hops(&self) -> TsnResult<usize> {
-        let mut max = 0;
-        for flow in self.flows.ts_flows() {
-            let route = self.topology.route(flow.src(), flow.dst())?;
-            max = max.max(route.switch_hops());
-        }
-        Ok(max)
+    #[must_use]
+    pub fn max_ts_hops(&self) -> usize {
+        self.ts_routes()
+            .map(|(_, route)| route.switch_hops())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Decomposes into its parts.
@@ -145,7 +161,7 @@ mod tests {
         flows.push(a_flow(&topo, 0));
         let req =
             AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).expect("valid scenario");
-        assert_eq!(req.max_ts_hops().expect("routable"), 2);
+        assert_eq!(req.max_ts_hops(), 2);
     }
 
     #[test]

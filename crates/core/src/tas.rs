@@ -19,21 +19,12 @@
 //!   per-stream protection flavour of 802.1Qci.
 
 use crate::cqf::CqfPlan;
-use crate::itp::ItpResult;
+use crate::itp::{hyperperiod_slots, period_slots, ItpResult};
 use crate::requirements::AppRequirements;
 use std::collections::HashMap;
 use tsn_switch::gate_ctrl::{GateControlList, GateEntry};
 use tsn_switch::layout::QueueLayout;
 use tsn_types::{NodeId, PortId, QueueId, SimDuration, TsnError, TsnResult};
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
 
 /// A synthesized per-port 802.1Qbv schedule.
 #[derive(Debug, Clone)]
@@ -53,8 +44,8 @@ impl TasSchedule {
     ///
     /// # Errors
     ///
-    /// Propagates routing errors; [`TsnError::ScheduleInfeasible`] if the
-    /// scenario has no TS flows to schedule.
+    /// [`TsnError::ScheduleInfeasible`] if the scenario has no TS flows
+    /// to schedule or its hyperperiod exceeds 2^20 slots.
     pub fn synthesize(
         requirements: &AppRequirements,
         plan: &CqfPlan,
@@ -70,21 +61,15 @@ impl TasSchedule {
         let pair = [qa, qb];
         let slot_ns = plan.slot.as_nanos();
 
-        // Slot-aligned talkers advance exactly ceil(period/slot) slots per
-        // period, so each flow's windows repeat with that *effective*
-        // period; the GCL length is the LCM of all effective periods,
-        // rounded even so the queue-pair parity survives the wrap.
-        let mut phases: u64 = 1;
-        for flow in requirements.flows().ts_flows() {
-            let per = flow.period().as_nanos().div_ceil(slot_ns).max(1);
-            phases = phases / gcd(phases, per) * per;
-            if phases > 1 << 20 {
-                return Err(TsnError::ScheduleInfeasible(format!(
-                    "TAS hyperperiod exceeds 2^20 slots at slot {}",
-                    plan.slot
-                )));
-            }
-        }
+        // Each flow's windows repeat with its slot-aligned period; the
+        // GCL length is the LCM of those periods, rounded even so the
+        // queue-pair parity survives the wrap.
+        let mut phases = hyperperiod_slots(requirements, slot_ns, 1 << 20).ok_or_else(|| {
+            TsnError::ScheduleInfeasible(format!(
+                "TAS hyperperiod exceeds 2^20 slots at slot {}",
+                plan.slot
+            ))
+        })?;
         if phases % 2 == 1 {
             phases *= 2;
         }
@@ -104,14 +89,13 @@ impl TasSchedule {
         let mut in_entries: HashMap<(NodeId, PortId), Vec<GateEntry>> = HashMap::new();
         let mut out_entries: HashMap<(NodeId, PortId), Vec<GateEntry>> = HashMap::new();
 
-        for flow in requirements.flows().ts_flows() {
-            let route = requirements.topology().route(flow.src(), flow.dst())?;
+        for (flow, route) in requirements.ts_routes() {
             let offset = itp
                 .offsets
                 .get(flow.id())
                 .copied()
                 .unwrap_or(SimDuration::ZERO);
-            let effective_period_slots = flow.period().as_nanos().div_ceil(slot_ns).max(1);
+            let effective_period_slots = period_slots(flow, slot_ns);
             let repeats = (phases / effective_period_slots).max(1);
             for n in 0..repeats {
                 let base_phase = offset.as_nanos() / slot_ns + n * effective_period_slots;

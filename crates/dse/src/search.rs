@@ -185,7 +185,7 @@ impl PlannedQuery {
         options.slot = Some(cqf.slot);
         let derived = derive_with_plans(&requirements, &options, cqf.clone(), itp.clone())?;
 
-        let (unicast_floor, class_floor) = table_floors(&requirements)?;
+        let (unicast_floor, class_floor) = table_floors(&requirements);
 
         // The candidate-invariant simulation setup, built once: every
         // `simulate` call swaps in only its ResourceConfig via
@@ -253,19 +253,17 @@ impl PlannedQuery {
 /// Computes the exact per-switch install counts `Network::build` will
 /// attempt: distinct `(dst MAC, VLAN)` unicast keys and distinct
 /// `(src, dst, VLAN, PCP)` classification keys, maxed over switches.
-/// Uses the same shortest-path routing as the build, so the counts are
-/// exact, not estimates.
-fn table_floors(requirements: &AppRequirements) -> TsnResult<(u32, u32)> {
+/// Reads the routes [`AppRequirements`] computed with the same
+/// shortest-path routing as the build, so the counts are exact, not
+/// estimates.
+fn table_floors(requirements: &AppRequirements) -> (u32, u32) {
     use std::collections::{BTreeMap, BTreeSet};
-    let topology = requirements.topology();
     let mut unicast: BTreeMap<
         tsn_types::NodeId,
         BTreeSet<(tsn_types::MacAddr, tsn_types::VlanId)>,
     > = BTreeMap::new();
     let mut class: BTreeMap<tsn_types::NodeId, u32> = BTreeMap::new();
-    let mut route_trees = tsn_topology::RouteTreeCache::new();
-    for flow in requirements.flows().iter() {
-        let route = route_trees.route(topology, flow.src(), flow.dst())?;
+    for (flow, route) in requirements.flows().iter().zip(requirements.routes()) {
         let vlan = vlan_for(flow.id());
         let dst_mac = mac_for(flow.dst());
         let is_be = matches!(flow, tsn_types::FlowSpec::Be(_));
@@ -284,7 +282,7 @@ fn table_floors(requirements: &AppRequirements) -> TsnResult<(u32, u32)> {
         .max()
         .unwrap_or(0);
     let class_floor = class.values().copied().max().unwrap_or(0);
-    Ok((unicast_floor, class_floor))
+    (unicast_floor, class_floor)
 }
 
 /// What one candidate evaluation concluded.

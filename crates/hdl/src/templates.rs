@@ -10,7 +10,8 @@
 //! complete RTL.
 
 use crate::ast::{Item, Module, Port};
-use crate::validate::check_source;
+use crate::validate::module_names;
+use std::collections::HashSet;
 use tsn_resource::ResourceConfig;
 use tsn_types::{TsnError, TsnResult};
 
@@ -86,12 +87,28 @@ pub fn generate(config: &ResourceConfig) -> TsnResult<HdlBundle> {
         .into_iter()
         .map(|(name, module)| (name.to_owned(), module.emit()))
         .collect();
-    for (name, src) in &files {
-        check_source(src).map_err(|e| TsnError::InvalidArtifact(format!("{name}: {e}")))?;
+    check_files(&files)?;
+    Ok(HdlBundle { files })
+}
+
+/// Validates each file once, then checks, from the names those checks
+/// collected, that no module is declared in two files. Once every file
+/// passes on its own, a module declared twice is the only thing a check
+/// of the concatenated bundle could still reject.
+fn check_files(files: &[(String, String)]) -> TsnResult<()> {
+    let mut declared = HashSet::new();
+    for (name, src) in files {
+        let modules =
+            module_names(src).map_err(|e| TsnError::InvalidArtifact(format!("{name}: {e}")))?;
+        for module in modules {
+            if !declared.insert(module) {
+                return Err(TsnError::InvalidArtifact(format!(
+                    "{name}: duplicate module {module:?}"
+                )));
+            }
+        }
     }
-    let bundle = HdlBundle { files };
-    check_source(&bundle.concatenated())?;
-    Ok(bundle)
+    Ok(())
 }
 
 /// Generic simple-dual-port RAM, the BRAM-inferrable primitive every
@@ -983,9 +1000,30 @@ mod tests {
                 .expect("valid");
             let bundle = generate(&cfg).expect("generation succeeds");
             for (name, src) in bundle.files() {
-                check_source(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+                crate::check_source(src).unwrap_or_else(|e| panic!("{name}: {e}"));
             }
         }
+    }
+
+    #[test]
+    fn a_module_declared_in_two_files_is_rejected() {
+        let module = |name: &str| format!("module {name} (\n    input clk\n);\nendmodule\n");
+        let files = |names: [&str; 3]| -> Vec<(String, String)> {
+            names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| (format!("f{i}.v"), module(name)))
+                .collect()
+        };
+        assert!(check_files(&files(["a", "b", "c"])).is_ok());
+        let err = check_files(&files(["a", "b", "a"])).expect_err("duplicate across files");
+        assert!(err.to_string().contains("duplicate module \"a\""), "{err}");
+        // The same bundle fails the whole-bundle check it stands in for.
+        let concatenated = HdlBundle {
+            files: files(["a", "b", "a"]),
+        }
+        .concatenated();
+        assert!(crate::check_source(&concatenated).is_err());
     }
 
     #[test]

@@ -3,12 +3,21 @@
 //! Not a parser — a safety net that catches the classes of generator bug
 //! that actually happen: unbalanced `module`/`endmodule`, unbalanced
 //! `begin`/`end`, unbalanced parentheses/brackets, illegal identifiers,
-//! and duplicate module names in one source file.
+//! and duplicate module names in one source file. The same pass hands
+//! back the declared names, so a caller can check uniqueness across
+//! files without scanning them again.
 
 use std::collections::HashSet;
 use tsn_types::{TsnError, TsnResult};
 
 /// Checks a Verilog source string for structural sanity.
+///
+/// One lexical pass over the bytes: comments are skipped in place and
+/// every identifier-like token feeds the `module`/`endmodule` and
+/// `begin`/`end` balances and the module-name rules. When several checks
+/// fail, the error reported is the one the checks give in this order:
+/// unterminated block comment, module balance, `begin`/`end` balance,
+/// brackets, module names.
 ///
 /// # Errors
 ///
@@ -25,12 +34,84 @@ use tsn_types::{TsnError, TsnResult};
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
 pub fn check_source(source: &str) -> TsnResult<()> {
-    let stripped = strip_comments(source)?;
-    check_balance(&stripped, "module", "endmodule")?;
-    check_balance(&stripped, "begin", "end")?;
-    check_brackets(&stripped)?;
-    check_module_names(&stripped)?;
-    Ok(())
+    module_names(source).map(drop)
+}
+
+/// As [`check_source`], returning the names of the modules `source`
+/// declares, in order — what a caller needs to check name uniqueness
+/// across several files without scanning them again.
+///
+/// # Errors
+///
+/// As [`check_source`].
+pub(crate) fn module_names(source: &str) -> TsnResult<Vec<&str>> {
+    let bytes = source.as_bytes();
+    let mut modules = Balance::new("module", "endmodule");
+    let mut blocks = Balance::new("begin", "end");
+    let mut brackets = Vec::new();
+    let mut bracket_error = None;
+    let mut names = Names::default();
+    let mut token_start = None;
+    let mut i = 0;
+    while i <= bytes.len() {
+        // A space past the end closes the last token.
+        let b = bytes.get(i).copied().unwrap_or(b' ');
+        if is_identifier_byte(b) {
+            token_start.get_or_insert(i);
+            i += 1;
+            continue;
+        }
+        if let Some(start) = token_start.take() {
+            let token = &source[start..i];
+            modules.count(token);
+            blocks.count(token);
+            names.feed(token);
+        }
+        match (b, bytes.get(i + 1)) {
+            (b'/', Some(b'/')) => {
+                // A line comment ends at (and consumes) its newline.
+                i = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| i + n + 1);
+                continue;
+            }
+            (b'/', Some(b'*')) => {
+                // An unterminated block comment would otherwise swallow
+                // the rest of the file, `endmodule`s included.
+                let Some(n) = source[i + 2..].find("*/") else {
+                    return Err(TsnError::InvalidArtifact(
+                        "unterminated block comment".to_owned(),
+                    ));
+                };
+                i += n + 4;
+                continue;
+            }
+            (b'(' | b'[' | b'{', _) => brackets.push(b),
+            (b')' | b']' | b'}', _) => {
+                let expected = match b {
+                    b')' => b'(',
+                    b']' => b'[',
+                    _ => b'{',
+                };
+                if brackets.pop() != Some(expected) && bracket_error.is_none() {
+                    bracket_error = Some(format!("unbalanced bracket {:?}", char::from(b)));
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    modules.finish()?;
+    blocks.finish()?;
+    if let Some(message) = bracket_error.or_else(|| {
+        brackets
+            .last()
+            .map(|&open| format!("unclosed bracket {:?}", char::from(open)))
+    }) {
+        return Err(TsnError::InvalidArtifact(message));
+    }
+    names.finish()
 }
 
 /// `true` if `name` is a legal (non-escaped) Verilog identifier.
@@ -44,138 +125,399 @@ pub fn is_identifier(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '$')
 }
 
-/// Removes `//` line comments and `/* … */` block comments. Newlines
-/// inside block comments are preserved so downstream diagnostics keep
-/// their line positions. An unterminated block comment is an error — it
-/// would otherwise silently swallow the rest of the file (including any
-/// `endmodule`s the balance checks are counting).
-fn strip_comments(source: &str) -> TsnResult<String> {
-    let mut out = String::with_capacity(source.len());
-    let mut chars = source.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c != '/' {
-            out.push(c);
-            continue;
-        }
-        match chars.peek() {
-            Some(&'/') => {
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        out.push('\n');
-                        break;
-                    }
-                }
-            }
-            Some(&'*') => {
-                chars.next();
-                let mut prev = ' ';
-                let mut terminated = false;
-                for c in chars.by_ref() {
-                    if prev == '*' && c == '/' {
-                        terminated = true;
-                        break;
-                    }
-                    if c == '\n' {
-                        out.push('\n');
-                    }
-                    prev = c;
-                }
-                if !terminated {
-                    return Err(TsnError::InvalidArtifact(
-                        "unterminated block comment".to_owned(),
-                    ));
-                }
-                // Keep tokens on either side separated.
-                out.push(' ');
-            }
-            _ => out.push('/'),
-        }
-    }
-    Ok(out)
+/// Bytes that continue a token; everything else (punctuation, white
+/// space, any non-ASCII byte) separates tokens.
+fn is_identifier_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'$'
 }
 
-fn tokens(source: &str) -> impl Iterator<Item = &str> {
-    source.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '$'))
+/// The nesting depth of one `open`/`close` keyword pair, with the first
+/// error it ran into.
+struct Balance {
+    open: &'static str,
+    close: &'static str,
+    depth: i64,
+    underflow: bool,
 }
 
-fn check_balance(source: &str, open: &str, close: &str) -> TsnResult<()> {
-    let mut depth: i64 = 0;
-    for token in tokens(source) {
-        if token == open {
-            depth += 1;
-        } else if token == close {
-            depth -= 1;
-            if depth < 0 {
-                return Err(TsnError::InvalidArtifact(format!(
-                    "{close} without matching {open}"
-                )));
-            }
+impl Balance {
+    fn new(open: &'static str, close: &'static str) -> Self {
+        Balance {
+            open,
+            close,
+            depth: 0,
+            underflow: false,
         }
     }
-    if depth != 0 {
-        return Err(TsnError::InvalidArtifact(format!(
-            "{depth} unclosed {open} block(s)"
-        )));
+
+    fn count(&mut self, token: &str) {
+        if self.underflow {
+            return;
+        }
+        if token == self.open {
+            self.depth += 1;
+        } else if token == self.close {
+            self.depth -= 1;
+            self.underflow = self.depth < 0;
+        }
     }
-    Ok(())
+
+    fn finish(&self) -> TsnResult<()> {
+        let (open, close, depth) = (self.open, self.close, self.depth);
+        if self.underflow {
+            return Err(TsnError::InvalidArtifact(format!(
+                "{close} without matching {open}"
+            )));
+        }
+        if depth != 0 {
+            return Err(TsnError::InvalidArtifact(format!(
+                "{depth} unclosed {open} block(s)"
+            )));
+        }
+        Ok(())
+    }
 }
 
-fn check_brackets(source: &str) -> TsnResult<()> {
-    let mut stack = Vec::new();
-    for c in source.chars() {
-        match c {
-            '(' | '[' | '{' => stack.push(c),
-            ')' | ']' | '}' => {
-                let expected = match c {
-                    ')' => '(',
-                    ']' => '[',
-                    _ => '{',
-                };
-                if stack.pop() != Some(expected) {
-                    return Err(TsnError::InvalidArtifact(format!(
-                        "unbalanced bracket {c:?}"
-                    )));
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(open) = stack.pop() {
-        return Err(TsnError::InvalidArtifact(format!(
-            "unclosed bracket {open:?}"
-        )));
-    }
-    Ok(())
+/// The module-name rules: the token after each `module` keyword names
+/// the module, must be a legal identifier and must be unique.
+#[derive(Default)]
+struct Names<'a> {
+    names: Vec<&'a str>,
+    seen: HashSet<&'a str>,
+    expect_name: bool,
+    error: Option<String>,
 }
 
-fn check_module_names(source: &str) -> TsnResult<()> {
-    let mut seen = HashSet::new();
-    let mut toks = tokens(source).filter(|t| !t.is_empty());
-    while let Some(tok) = toks.next() {
-        if tok == "module" {
-            let Some(name) = toks.next() else {
-                return Err(TsnError::InvalidArtifact(
-                    "module keyword without a name".to_owned(),
-                ));
-            };
-            if !is_identifier(name) {
-                return Err(TsnError::InvalidArtifact(format!(
-                    "illegal module name {name:?}"
-                )));
-            }
-            if !seen.insert(name.to_owned()) {
-                return Err(TsnError::InvalidArtifact(format!(
-                    "duplicate module {name:?}"
-                )));
-            }
+impl<'a> Names<'a> {
+    fn feed(&mut self, token: &'a str) {
+        if self.error.is_some() {
+            return;
+        }
+        if !self.expect_name {
+            self.expect_name = token == "module";
+            return;
+        }
+        self.expect_name = false;
+        if !is_identifier(token) {
+            self.error = Some(format!("illegal module name {token:?}"));
+        } else if !self.seen.insert(token) {
+            self.error = Some(format!("duplicate module {token:?}"));
+        } else {
+            self.names.push(token);
         }
     }
-    Ok(())
+
+    fn finish(self) -> TsnResult<Vec<&'a str>> {
+        let error = self.error.or_else(|| {
+            self.expect_name
+                .then(|| "module keyword without a name".to_owned())
+        });
+        match error {
+            Some(message) => Err(TsnError::InvalidArtifact(message)),
+            None => Ok(self.names),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The four-pass checker the one-pass scan replaced, kept as the
+    /// differential reference: strip comments into a copy, then
+    /// tokenize that copy once per check.
+    mod reference {
+        use std::collections::HashSet;
+        use tsn_types::{TsnError, TsnResult};
+
+        pub fn check_source(source: &str) -> TsnResult<()> {
+            let stripped = strip_comments(source)?;
+            check_balance(&stripped, "module", "endmodule")?;
+            check_balance(&stripped, "begin", "end")?;
+            check_brackets(&stripped)?;
+            check_module_names(&stripped)?;
+            Ok(())
+        }
+
+        fn strip_comments(source: &str) -> TsnResult<String> {
+            let mut out = String::with_capacity(source.len());
+            let mut chars = source.chars().peekable();
+            while let Some(c) = chars.next() {
+                if c != '/' {
+                    out.push(c);
+                    continue;
+                }
+                match chars.peek() {
+                    Some(&'/') => {
+                        for c in chars.by_ref() {
+                            if c == '\n' {
+                                out.push('\n');
+                                break;
+                            }
+                        }
+                    }
+                    Some(&'*') => {
+                        chars.next();
+                        let mut prev = ' ';
+                        let mut terminated = false;
+                        for c in chars.by_ref() {
+                            if prev == '*' && c == '/' {
+                                terminated = true;
+                                break;
+                            }
+                            if c == '\n' {
+                                out.push('\n');
+                            }
+                            prev = c;
+                        }
+                        if !terminated {
+                            return Err(TsnError::InvalidArtifact(
+                                "unterminated block comment".to_owned(),
+                            ));
+                        }
+                        out.push(' ');
+                    }
+                    _ => out.push('/'),
+                }
+            }
+            Ok(out)
+        }
+
+        fn tokens(source: &str) -> impl Iterator<Item = &str> {
+            source.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '$'))
+        }
+
+        fn check_balance(source: &str, open: &str, close: &str) -> TsnResult<()> {
+            let mut depth: i64 = 0;
+            for token in tokens(source) {
+                if token == open {
+                    depth += 1;
+                } else if token == close {
+                    depth -= 1;
+                    if depth < 0 {
+                        return Err(TsnError::InvalidArtifact(format!(
+                            "{close} without matching {open}"
+                        )));
+                    }
+                }
+            }
+            if depth != 0 {
+                return Err(TsnError::InvalidArtifact(format!(
+                    "{depth} unclosed {open} block(s)"
+                )));
+            }
+            Ok(())
+        }
+
+        fn check_brackets(source: &str) -> TsnResult<()> {
+            let mut stack = Vec::new();
+            for c in source.chars() {
+                match c {
+                    '(' | '[' | '{' => stack.push(c),
+                    ')' | ']' | '}' => {
+                        let expected = match c {
+                            ')' => '(',
+                            ']' => '[',
+                            _ => '{',
+                        };
+                        if stack.pop() != Some(expected) {
+                            return Err(TsnError::InvalidArtifact(format!(
+                                "unbalanced bracket {c:?}"
+                            )));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(open) = stack.pop() {
+                return Err(TsnError::InvalidArtifact(format!(
+                    "unclosed bracket {open:?}"
+                )));
+            }
+            Ok(())
+        }
+
+        fn check_module_names(source: &str) -> TsnResult<()> {
+            let mut seen = HashSet::new();
+            let mut toks = tokens(source).filter(|t| !t.is_empty());
+            while let Some(tok) = toks.next() {
+                if tok == "module" {
+                    let Some(name) = toks.next() else {
+                        return Err(TsnError::InvalidArtifact(
+                            "module keyword without a name".to_owned(),
+                        ));
+                    };
+                    if !super::is_identifier(name) {
+                        return Err(TsnError::InvalidArtifact(format!(
+                            "illegal module name {name:?}"
+                        )));
+                    }
+                    if !seen.insert(name.to_owned()) {
+                        return Err(TsnError::InvalidArtifact(format!(
+                            "duplicate module {name:?}"
+                        )));
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Bundles for the paper's settings (linear, 2 ports), an
+    /// automatically derived ring (1 port) and a TAS star (3 ports,
+    /// 154-entry gate lists).
+    fn bundles() -> Vec<crate::HdlBundle> {
+        use tsn_resource::ResourceConfig;
+        let paper = {
+            let mut cfg = ResourceConfig::new();
+            cfg.set_switch_tbl(1024, 0)
+                .and_then(|c| c.set_class_tbl(1024))
+                .and_then(|c| c.set_meter_tbl(1024))
+                .and_then(|c| c.set_gate_tbl(2, 8, 2))
+                .and_then(|c| c.set_cbs_tbl(3, 3, 2))
+                .and_then(|c| c.set_queues(12, 8, 2))
+                .and_then(|c| c.set_buffers(96, 2))
+                .expect("valid paper config");
+            cfg
+        };
+        let automatic_ring = {
+            let mut cfg = ResourceConfig::new();
+            cfg.set_switch_tbl(256, 0)
+                .and_then(|c| c.set_class_tbl(256))
+                .and_then(|c| c.set_meter_tbl(256))
+                .and_then(|c| c.set_gate_tbl(2, 8, 1))
+                .and_then(|c| c.set_cbs_tbl(0, 0, 1))
+                .and_then(|c| c.set_queues(3, 8, 1))
+                .and_then(|c| c.set_buffers(24, 1))
+                .expect("valid ring config");
+            cfg
+        };
+        let tas = {
+            let mut cfg = ResourceConfig::new();
+            cfg.set_switch_tbl(16, 0)
+                .and_then(|c| c.set_class_tbl(128))
+                .and_then(|c| c.set_meter_tbl(128))
+                .and_then(|c| c.set_gate_tbl(154, 8, 3))
+                .and_then(|c| c.set_cbs_tbl(0, 0, 3))
+                .and_then(|c| c.set_queues(2, 8, 3))
+                .and_then(|c| c.set_buffers(16, 3))
+                .expect("valid TAS config");
+            cfg
+        };
+        [paper, automatic_ring, tas]
+            .iter()
+            .map(|cfg| crate::generate(cfg).expect("emits"))
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_matches_the_reference_on_every_prefix() {
+        for bundle in bundles() {
+            for (name, src) in bundle.files() {
+                for end in 0..=src.len() {
+                    if let Some(prefix) = src.get(..end) {
+                        assert_eq!(
+                            check_source(prefix),
+                            reference::check_source(prefix),
+                            "{name}[..{end}]"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_the_reference_on_edge_cases() {
+        // Single-edit mutants of well-formed files always fail a balance
+        // check first; these reach the later checks.
+        const CASES: &[&str] = &[
+            "",
+            "module module 1x ();\nendmodule\nendmodule\n",
+            "module module ();\nendmodule\nendmodule\nmodule module ();\nendmodule\nendmodule\n",
+            "module m ();\nendmodule\nmodule",
+            "module 1x ();\nendmodule\n",
+            "module $x ();\nendmodule\n",
+            "module m$ ();\nendmodule\nmodule m$ ();\nendmodule\n",
+            "module/**/m ();\nendmodule\n",
+            "module m (); /*/ endmodule */ endmodule",
+            "module m (); // endmodule\nendmodule",
+            "module m (); endmodule //",
+            "module m (); endmodule /",
+            "module m (); end begin endmodule",
+            "module m ([)]); endmodule",
+            "module m ()); begin endmodule",
+            "module m (); endmodule\u{e9}module",
+        ];
+        for case in CASES {
+            assert_eq!(
+                check_source(case),
+                reference::check_source(case),
+                "{case:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_the_reference_on_mutants() {
+        const INSERTS: &[&str] = &[
+            "/*",
+            "*/",
+            "//",
+            "module module",
+            " end ",
+            "end",
+            "begin",
+            " module ",
+            "endmodule",
+            "1x",
+            "\n",
+            "(",
+            "]",
+            "}",
+        ];
+        const BYTES: &[u8] = b"()[]{}/*$_a1 \n;";
+        let mut rng = tsn_types::SplitMix64::seed_from_u64(15);
+        let (mut accepted, mut rejected) = (0, 0);
+        for bundle in bundles() {
+            let sources: Vec<String> = bundle
+                .files()
+                .iter()
+                .map(|(_, src)| src.clone())
+                .chain([bundle.concatenated()])
+                .collect();
+            for src in &sources {
+                for _ in 0..100 {
+                    let mut mutant = src.clone().into_bytes();
+                    let at = rng.gen_range(mutant.len() as u64 + 1) as usize;
+                    match rng.gen_range(3) {
+                        0 if at < mutant.len() => {
+                            mutant[at] = BYTES[rng.gen_range(BYTES.len() as u64) as usize];
+                        }
+                        1 if at < mutant.len() => {
+                            mutant.remove(at);
+                        }
+                        _ => {
+                            let insert = INSERTS[rng.gen_range(INSERTS.len() as u64) as usize];
+                            mutant.splice(at..at, insert.bytes());
+                        }
+                    }
+                    let mutant = String::from_utf8(mutant).expect("ASCII edits of ASCII text");
+                    let result = check_source(&mutant);
+                    assert_eq!(result, reference::check_source(&mutant), "{mutant}");
+                    if result.is_ok() {
+                        accepted += 1;
+                    } else {
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 100 && rejected > 100,
+            "{accepted} ok, {rejected} err"
+        );
+    }
 
     #[test]
     fn accepts_a_well_formed_module() {

@@ -72,6 +72,13 @@ fi
 # workspace test wall.
 run cargo test -q --release -p tsn-sim --test zero_alloc
 
+# Layer-bench smokes: run every planning (CQF, ITP, derive, TAS,
+# per-switch) and template (table lookups, gate control, HDL emission)
+# bench once on a tiny budget, so a panicking `expect` inside one fails
+# here. No timing gate.
+TSN_BENCH_MS=5 run cargo bench -q -p tsn-bench --bench planning
+TSN_BENCH_MS=5 run cargo bench -q -p tsn-bench --bench templates
+
 # Scale smoke: the 10k-flow cases of the scale bench — the plant
 # throughput case (the 100k and opt-in 1M cases stay full-budget-only)
 # plus the reconfigure-vs-rebuild case the same filter now selects. The
