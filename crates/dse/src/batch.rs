@@ -14,8 +14,21 @@ use tsn_sim::sweep::run_sweep;
 use tsn_sim::CacheStats;
 use tsn_types::SimDuration;
 
-use crate::query::{QosQuery, TopologySpec};
+use crate::query::{QosQuery, TopologySpec, MAX_TS_COUNT};
 use crate::search::{DseEngine, QueryResult, QueryStatus, KNOBS};
+
+/// Longest request [`parse_batch`] accepts, in bytes.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+/// Most switches a query's topology may declare (named count or inline
+/// names).
+pub const MAX_SWITCHES: u64 = 1024;
+/// Most hosts a query's topology may declare.
+pub const MAX_HOSTS: u64 = 4096;
+/// Most links an inline topology may list.
+pub const MAX_LINKS: u64 = 16384;
+/// Longest injection window a query may simulate, 1 s: every candidate
+/// simulation of the search runs the whole window.
+pub const MAX_DURATION_US: u64 = 1_000_000;
 
 /// Context for parse errors: the query index (or "request" for the top
 /// level) plus the complaint.
@@ -37,6 +50,18 @@ fn u64_field(obj: &Json, at: &str, key: &str) -> Result<u64, String> {
 fn u32_field(obj: &Json, at: &str, key: &str) -> Result<u32, String> {
     u32::try_from(u64_field(obj, at, key)?)
         .map_err(|_| err(at, format!("field {key:?} does not fit in 32 bits")))
+}
+
+/// `count` checked against `max`: requests are bounded before anything is
+/// built from them.
+fn within(at: &str, key: &str, count: u64, max: u64) -> Result<u64, String> {
+    if count > max {
+        return Err(err(
+            at,
+            format!("field {key:?} holds {count}, above the limit of {max}"),
+        ));
+    }
+    Ok(count)
 }
 
 fn micros_field(obj: &Json, at: &str, key: &str) -> Result<SimDuration, String> {
@@ -68,20 +93,24 @@ fn parse_topology(value: &Json, at: &str) -> Result<TopologySpec, String> {
     }
     if value.get("kind").is_some() {
         reject_unknown(value, at, &["kind", "switches", "hosts"])?;
+        let count = |key: &str, max: u64| -> Result<usize, String> {
+            Ok(within(at, key, u64_field(value, at, key)?, max)? as usize)
+        };
         return Ok(TopologySpec::Named {
             kind: str_field(value, at, "kind")?,
-            switches: u64_field(value, at, "switches")? as usize,
-            hosts: u64_field(value, at, "hosts")? as usize,
+            switches: count("switches", MAX_SWITCHES)?,
+            hosts: count("hosts", MAX_HOSTS)?,
         });
     }
     reject_unknown(value, at, &["switches", "hosts", "links"])?;
-    let names = |key: &str| -> Result<Vec<String>, String> {
+    let names = |key: &str, max: u64| -> Result<Vec<String>, String> {
         let Some(Json::Arr(items)) = value.get(key) else {
             return Err(err(
                 at,
                 format!("inline topology field {key:?} must be an array"),
             ));
         };
+        within(at, key, items.len() as u64, max)?;
         items
             .iter()
             .map(|item| {
@@ -94,6 +123,7 @@ fn parse_topology(value: &Json, at: &str) -> Result<TopologySpec, String> {
     let Some(Json::Arr(raw_links)) = value.get("links") else {
         return Err(err(at, "inline topology field \"links\" must be an array"));
     };
+    within(at, "links", raw_links.len() as u64, MAX_LINKS)?;
     let mut links = Vec::with_capacity(raw_links.len());
     for link in raw_links {
         let Json::Arr(pair) = link else {
@@ -108,8 +138,8 @@ fn parse_topology(value: &Json, at: &str) -> Result<TopologySpec, String> {
         links.push((a.to_owned(), b.to_owned()));
     }
     Ok(TopologySpec::Inline {
-        switches: names("switches")?,
-        hosts: names("hosts")?,
+        switches: names("switches", MAX_SWITCHES)?,
+        hosts: names("hosts", MAX_HOSTS)?,
         links,
     })
 }
@@ -145,14 +175,24 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
     Ok(QosQuery {
         label: str_field(value, &at, "label")?,
         topology: parse_topology(require(value, &at, "topology")?, &at)?,
-        ts_count: u32_field(value, &at, "ts_count")?,
+        ts_count: within(
+            &at,
+            "ts_count",
+            u64_field(value, &at, "ts_count")?,
+            MAX_TS_COUNT.into(),
+        )? as u32,
         frame_bytes: u32_field(value, &at, "frame_bytes")?,
         period: micros_field(value, &at, "period_us")?,
         seed: u64_field(value, &at, "seed")?,
         deadline: micros_field(value, &at, "deadline_us")?,
         jitter,
         max_lost,
-        duration: micros_field(value, &at, "duration_us")?,
+        duration: SimDuration::from_micros(within(
+            &at,
+            "duration_us",
+            u64_field(value, &at, "duration_us")?,
+            MAX_DURATION_US,
+        )?),
     })
 }
 
@@ -165,12 +205,24 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
 /// `deadline_us`, `duration_us` (non-negative integers) and optional
 /// `jitter_us` / `max_lost`. Durations are whole microseconds.
 ///
+/// Sizes are bounded before anything is built: the request text by
+/// [`MAX_REQUEST_BYTES`], switch, host and link counts by
+/// [`MAX_SWITCHES`], [`MAX_HOSTS`] and [`MAX_LINKS`], `ts_count` by
+/// [`MAX_TS_COUNT`] and `duration_us` by [`MAX_DURATION_US`].
+///
 /// # Errors
 ///
 /// Lexical errors from the strict parser (trailing garbage and duplicate
 /// keys included) and structural errors naming the offending query index
-/// and field — unknown fields are rejected, not ignored.
+/// and field — unknown fields and out-of-bounds sizes are rejected, not
+/// ignored or clamped.
 pub fn parse_batch(text: &str) -> Result<Vec<QosQuery>, String> {
+    if text.len() > MAX_REQUEST_BYTES {
+        return Err(err(
+            "request",
+            format!("longer than the limit of {MAX_REQUEST_BYTES} bytes"),
+        ));
+    }
     let root = parse(text)?;
     if !matches!(root, Json::Obj(_)) {
         return Err(err("request", "the batch must be a JSON object"));
@@ -313,6 +365,48 @@ pub fn run_batch_text(text: &str, workers: usize) -> Result<String, String> {
     let queries = parse_batch(text)?;
     let engine = DseEngine::new();
     Ok(run_batch(&engine, &queries, workers).pretty())
+}
+
+/// Labelled copies of every unique query in a [`bench_family`] batch:
+/// distinct labels on one fingerprint exercise the answer-dedup path.
+pub const BENCH_COPIES: usize = 5;
+
+/// One family batch of the `dse --bench` workload: 20 unique queries
+/// over the three-switch `kind` preset (`ring`, `linear` or `star`),
+/// each repeated [`BENCH_COPIES`] times under distinct labels.
+#[must_use]
+pub fn bench_family(kind: &str) -> Vec<QosQuery> {
+    let mut queries = Vec::new();
+    for unique in 0..20u64 {
+        // Mild diversity per unique query: flow count, deadline and seed
+        // all move, and every fourth query adds a jitter target so the
+        // slot-capping path is on the benched workload.
+        let ts_count = 4 + 2 * (unique as u32 % 3);
+        let deadline_us = [3000, 4000, 6000, 4000][unique as usize % 4];
+        let jitter = (unique % 4 == 3).then(|| SimDuration::from_micros(130));
+        let base = QosQuery {
+            label: String::new(),
+            topology: TopologySpec::Named {
+                kind: kind.to_owned(),
+                switches: 3,
+                hosts: 2,
+            },
+            ts_count,
+            frame_bytes: 128,
+            period: SimDuration::from_millis(2),
+            seed: 100 + unique,
+            deadline: SimDuration::from_micros(deadline_us),
+            jitter,
+            max_lost: 0,
+            duration: SimDuration::from_millis(4),
+        };
+        for copy in 0..BENCH_COPIES {
+            let mut q = base.clone();
+            q.label = format!("{kind}/{unique}/{copy}");
+            queries.push(q);
+        }
+    }
+    queries
 }
 
 #[cfg(test)]

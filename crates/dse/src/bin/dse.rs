@@ -14,12 +14,15 @@
 //!   write `BENCH_9.json` at the repo root with queries/sec and cache
 //!   hit rates per family. CI smokes this and gates the queries/sec
 //!   geomean vs the pinned baselines at >= 0.95x; positional arguments
-//!   filter families by substring.
+//!   filter families by substring. The run exits 1 when a family's
+//!   simulation count, an exact counter, exceeds
+//!   `MAX_SIMS_PER_UNIQUE_QUERY` per unique query.
 
+use std::io::Read;
 use std::time::Instant;
 
-use tsn_dse::{parse_batch, run_batch, DseEngine, QosQuery, TopologySpec};
-use tsn_types::SimDuration;
+use tsn_dse::batch::MAX_REQUEST_BYTES;
+use tsn_dse::{bench_family, parse_batch, run_batch, DseEngine, BENCH_COPIES};
 
 /// Pinned queries/sec per family, recorded on this machine at
 /// `TSN_DSE_MS=8000` (commit that introduced BENCH_9.json). The CI gate
@@ -30,43 +33,11 @@ const BASELINE_QUERIES_PER_SEC: &[(&str, f64)] = &[
     ("dse/star", 6500.0),
 ];
 
-/// Labels every duplicated copy of a unique query distinctly, so the
-/// bench exercises the label-independent fingerprint dedup path.
-const COPIES_PER_QUERY: usize = 5;
-
-fn bench_family(kind: &str) -> Vec<QosQuery> {
-    let mut queries = Vec::new();
-    for unique in 0..20u64 {
-        // Mild diversity per unique query: flow count, deadline and seed
-        // all move, and every fourth query adds a jitter target so the
-        // slot-capping path is on the benched workload.
-        let ts_count = 4 + 2 * (unique as u32 % 3);
-        let deadline_us = [3000, 4000, 6000, 4000][unique as usize % 4];
-        let jitter = (unique % 4 == 3).then(|| SimDuration::from_micros(130));
-        let base = QosQuery {
-            label: String::new(),
-            topology: TopologySpec::Named {
-                kind: kind.to_owned(),
-                switches: 3,
-                hosts: 2,
-            },
-            ts_count,
-            frame_bytes: 128,
-            period: SimDuration::from_millis(2),
-            seed: 100 + unique,
-            deadline: SimDuration::from_micros(deadline_us),
-            jitter,
-            max_lost: 0,
-            duration: SimDuration::from_millis(4),
-        };
-        for copy in 0..COPIES_PER_QUERY {
-            let mut q = base.clone();
-            q.label = format!("{kind}/{unique}/{copy}");
-            queries.push(q);
-        }
-    }
-    queries
-}
+/// Candidate simulations a unique query may cost: the certify step's
+/// three (candidate, `queue_depth − 1`, `buffer_num − 1`). Unlike
+/// queries/sec this does not depend on the host, so a rise is a search
+/// regression.
+const MAX_SIMS_PER_UNIQUE_QUERY: u64 = 3;
 
 struct FamilyResult {
     name: String,
@@ -83,7 +54,7 @@ struct FamilyResult {
 
 fn run_family(name: &str, kind: &str, workers: usize, budget_ms: u64) -> FamilyResult {
     let queries = bench_family(kind);
-    let unique = queries.len() / COPIES_PER_QUERY;
+    let unique = queries.len() / BENCH_COPIES;
     let family_start = Instant::now();
     let mut best_ns = u64::MAX;
     let mut passes = 0u32;
@@ -211,26 +182,57 @@ fn run_bench(filters: &[String], workers: usize) {
         return;
     }
     write_bench_json(&results, budget_ms);
+    let mut over = false;
+    for r in &results {
+        let limit = MAX_SIMS_PER_UNIQUE_QUERY * r.unique as u64;
+        if r.sims > limit {
+            eprintln!(
+                "dse bench: {} ran {} simulations for {} unique queries \
+                 (limit {MAX_SIMS_PER_UNIQUE_QUERY} per query, {limit})",
+                r.name, r.sims, r.unique
+            );
+            over = true;
+        }
+    }
+    if over {
+        std::process::exit(1);
+    }
+}
+
+/// Reads at most one byte past `MAX_REQUEST_BYTES`, so an over-long
+/// request is refused by `parse_batch` without being held in memory.
+fn read_request(source: impl Read, name: &str) -> String {
+    let mut bytes = Vec::new();
+    if let Err(e) = source
+        .take(MAX_REQUEST_BYTES as u64 + 1)
+        .read_to_end(&mut bytes)
+    {
+        eprintln!("dse: cannot read {name}: {e}");
+        std::process::exit(2);
+    }
+    match String::from_utf8(bytes) {
+        Ok(text) => text,
+        // The cut may split a character; the length check still fires.
+        Err(e) if e.as_bytes().len() > MAX_REQUEST_BYTES => {
+            String::from_utf8_lossy(e.as_bytes()).into_owned()
+        }
+        Err(e) => {
+            eprintln!("dse: cannot read {name}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn run_batch_mode(input: Option<&str>, workers: usize) {
     let text = match input {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        Some(path) => match std::fs::File::open(path) {
+            Ok(file) => read_request(file, path),
             Err(e) => {
                 eprintln!("dse: cannot read {path}: {e}");
                 std::process::exit(2);
             }
         },
-        None => {
-            use std::io::Read as _;
-            let mut buf = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-                eprintln!("dse: cannot read stdin: {e}");
-                std::process::exit(2);
-            }
-            buf
-        }
+        None => read_request(std::io::stdin().lock(), "stdin"),
     };
     let queries = match parse_batch(&text) {
         Ok(q) => q,

@@ -16,13 +16,19 @@
 //!    table knobs (an entry per flow per hop is installed, so a smaller
 //!    table *must* fail to build). Queue depth and buffer pool are *not*
 //!    hard-pruned: the ITP occupancy is a planned model with sub-slot
-//!    arrival skew, so it only seeds their bisection windows and the
-//!    simulator has the final word.
-//! 2. **Per-knob bisection** over the monotone knobs (unicast/class/
-//!    meter tables, queue depth, buffer pool), each knob fixed at its
-//!    minimum before the next — feasibility is upward closed, so the
-//!    result is locally minimal: stepping any knob down one notch makes
-//!    a bound or the simulation fail.
+//!    arrival skew, so the simulator has the final word on them.
+//! 2. **Certify, then search.** The paper's guideline (4) sizes queue
+//!    depth from the ITP peak slot occupancy, so the engine first
+//!    probes that candidate: tables at their floors, one meter entry,
+//!    queue depth and buffer pool at the peak. It is the answer when its
+//!    simulation passes and every single-knob step-down fails (tables
+//!    and meter on their floors, `queue_depth − 1` and `buffer_num − 1`
+//!    on one simulation each) — at most three simulations. Otherwise
+//!    the engine confirms the derived configuration and bisects the
+//!    monotone knobs (unicast/class/meter tables, queue depth, buffer
+//!    pool) one at a time, then polishes single steps to a fixpoint.
+//!    Either way the result is locally minimal: stepping any knob down
+//!    one notch makes a bound or the simulation fail.
 //! 3. **Memoized candidate runs** on [`tsn_sim::PlanCache`]: CQF/ITP
 //!    plans are shared across queries, every candidate simulation is
 //!    keyed by `(query, config)`, and whole queries dedupe by
@@ -40,7 +46,7 @@ pub mod batch;
 pub mod query;
 pub mod search;
 
-pub use batch::{parse_batch, run_batch, run_batch_text};
+pub use batch::{bench_family, parse_batch, run_batch, run_batch_text, BENCH_COPIES};
 pub use query::{QosQuery, TopologySpec};
 pub use search::{
     check_optimality, step_down, DseEngine, EngineStats, Feasibility, Knob, PlannedQuery,

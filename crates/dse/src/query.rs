@@ -11,6 +11,11 @@ use tsn_types::{DataRate, FlowSet, SimDuration, TsnError, TsnResult};
 /// 1 Gbps throughout).
 pub const LINK_RATE: DataRate = DataRate::gbps(1);
 
+/// Most TS flows per query: the simulator tags flow `i` with VLAN
+/// `1 + i % 4000` (`tsn_sim::network::vlan_for`), and the exact table
+/// floors assume every flow owns its VLAN.
+pub const MAX_TS_COUNT: u32 = 4000;
+
 /// Where a query's network comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologySpec {
@@ -149,9 +154,19 @@ impl QosQuery {
     ///
     /// # Errors
     ///
-    /// Propagates workload validation (zero flows, too few hosts, bad
+    /// [`TsnError::InvalidParameter`] past [`MAX_TS_COUNT`] flows;
+    /// propagates workload validation (zero flows, too few hosts, bad
     /// frame size) as structured [`TsnError`]s.
     pub fn flows(&self, topology: &Topology) -> TsnResult<FlowSet> {
+        if self.ts_count > MAX_TS_COUNT {
+            return Err(TsnError::invalid_parameter(
+                "ts_count",
+                format!(
+                    "{} flows exceed the {MAX_TS_COUNT}-VLAN wheel",
+                    self.ts_count
+                ),
+            ));
+        }
         workloads::uniform_ts_flows(
             topology,
             self.ts_count,

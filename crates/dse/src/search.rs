@@ -1,5 +1,5 @@
-//! The search engine: analytic pruning, per-knob bisection, memoized
-//! candidate simulations.
+//! The search engine: analytic pruning, an ITP-peak certificate,
+//! per-knob bisection as the fallback, memoized candidate simulations.
 //!
 //! Hard pruning only uses bounds that are *provably* equivalent to a
 //! failure of the real pipeline:
@@ -16,8 +16,17 @@
 //!
 //! The ITP peak occupancy, by contrast, is a *planned* model with ±1 slot
 //! of arrival skew ([`ItpResult::recommended_queue_depth`] documents the
-//! slack), so queue depth and buffer pool are never bound-pruned — they
-//! bisect against the confirming simulation like every other knob.
+//! slack), so queue depth and buffer pool are never bound-pruned. The
+//! peak is a *hint*: [`DseEngine`] first probes
+//! [`PlannedQuery::peak_candidate`] (tables at their floors, one meter
+//! entry, queue depth and buffer pool at the peak) and returns it when
+//! its simulation passes and every single-knob step-down fails — the
+//! table and meter step-downs on their floors, `queue_depth − 1` and
+//! `buffer_num − 1` on one simulation each. That is the
+//! [`check_optimality`] certificate, so a certified answer is locally
+//! minimal by construction, in at most three simulations. On any miss
+//! the confirm → bisect → polish search runs on the same candidate memo,
+//! so no candidate is simulated twice.
 
 use std::sync::Arc;
 
@@ -227,6 +236,31 @@ impl PlannedQuery {
         }
     }
 
+    /// The certify step's candidate: `unicast_tbl`/`class_tbl` at their
+    /// exact floors, `meter_tbl` = 1, and `queue_depth` = `buffer_num` =
+    /// the ITP peak slot occupancy (the paper's guideline (4) sizing
+    /// without the one-slot skew margin), each clamped to `[1, derived]`
+    /// so the candidate never exceeds the derived upper bound.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `ResourceConfig` validation (a derived knob of 0).
+    pub fn peak_candidate(&self) -> TsnResult<ResourceConfig> {
+        let derived = &self.derived.resources;
+        let peak = self.itp.max_occupancy;
+        [
+            (Knob::UnicastTbl, self.floor(Knob::UnicastTbl)),
+            (Knob::ClassTbl, self.floor(Knob::ClassTbl)),
+            (Knob::MeterTbl, 1),
+            (Knob::QueueDepth, peak),
+            (Knob::BufferNum, peak),
+        ]
+        .into_iter()
+        .try_fold(derived.clone(), |cfg, (knob, target)| {
+            knob.with_value(&cfg, target.max(1).min(knob.value(derived)))
+        })
+    }
+
     /// Checks `cfg` against the analytic floors. `Err` names the first
     /// violated bound; such a candidate is rejected without simulation
     /// (and *would* fail it: `Network::build` errors when a table cannot
@@ -270,8 +304,9 @@ fn table_floors(requirements: &AppRequirements) -> (u32, u32) {
         for hop in route.switch_hops_iter() {
             unicast.entry(hop.node).or_default().insert((dst_mac, vlan));
             if !is_be {
-                // VLANs are unique per flow id (< 4000 flows), so every
-                // non-BE flow through a switch is one distinct stream key.
+                // VLANs are unique per flow id (at most `MAX_TS_COUNT`
+                // flows), so every non-BE flow through a switch is one
+                // distinct stream key.
                 *class.entry(hop.node).or_default() += 1;
             }
         }
@@ -509,11 +544,13 @@ impl DseEngine {
         }
     }
 
-    /// The uncached search: confirm the derived upper bound, bisect each
-    /// knob down to its minimum, then polish with single steps until no
-    /// knob can move — the returned config is locally minimal by
-    /// construction, which is exactly what the `dse-optimality` oracle
-    /// re-checks.
+    /// The uncached search. First the certify step: the ITP-peak
+    /// candidate is returned when it passes and every single-knob
+    /// step-down fails. On a miss, confirm the derived upper bound,
+    /// bisect each knob down to its minimum, then polish with single
+    /// steps until no knob can move. Either way the returned config is
+    /// locally minimal by construction, which is exactly what the
+    /// `dse-optimality` oracle re-checks.
     fn search(&self, query: &QosQuery) -> QueryStatus {
         let planned = self.plan(query);
         let planned = match planned.as_ref() {
@@ -526,17 +563,71 @@ impl DseEngine {
             }
         };
         let (mut sims, mut pruned) = (0u64, 0u64);
-        let mut cfg = planned.derived.resources.clone();
-        match self.feasibility_counted(planned, &cfg, &mut sims, &mut pruned) {
-            Feasibility::Feasible { .. } => {}
-            Feasibility::BoundFail(reason) | Feasibility::SimFail(reason) => {
-                return QueryStatus::Infeasible {
-                    stage: "confirm".to_owned(),
-                    reason: format!(
-                        "the guideline-derived configuration already misses a target: {reason}"
-                    ),
+        let (cfg, worst_latency_us) = match self.certify(planned, &mut sims, &mut pruned) {
+            Some(certified) => certified,
+            None => match self.descend(planned, &mut sims, &mut pruned) {
+                Ok(found) => found,
+                Err(reason) => {
+                    return QueryStatus::Infeasible {
+                        stage: "confirm".to_owned(),
+                        reason: format!(
+                            "the guideline-derived configuration already misses a target: {reason}"
+                        ),
+                    }
                 }
-            }
+            },
+        };
+        QueryStatus::Feasible(SearchOutcome {
+            cost: CostKey::of(&cfg),
+            config: cfg,
+            slot: planned.cqf.slot,
+            bound_worst_us: planned.cqf.worst_latency.as_micros_f64(),
+            observed_worst_us: worst_latency_us,
+            sims,
+            pruned,
+        })
+    }
+
+    /// The certify step: the [`PlannedQuery::peak_candidate`] and its
+    /// worst latency when its simulation passes and every single-knob
+    /// step-down fails — the [`check_optimality`] test, in at most three
+    /// simulations (the candidate, `queue_depth − 1`, `buffer_num − 1`;
+    /// the table and meter step-downs fail on their floors).
+    fn certify(
+        &self,
+        planned: &PlannedQuery,
+        sims: &mut u64,
+        pruned: &mut u64,
+    ) -> Option<(ResourceConfig, f64)> {
+        let candidate = planned.peak_candidate().ok()?;
+        let Feasibility::Feasible { worst_latency_us } =
+            self.feasibility_counted(planned, &candidate, sims, pruned)
+        else {
+            return None;
+        };
+        let minimal = KNOBS.iter().all(|&knob| {
+            step_down(&candidate, knob).is_none_or(|smaller| {
+                !self
+                    .feasibility_counted(planned, &smaller, sims, pruned)
+                    .is_feasible()
+            })
+        });
+        minimal.then_some((candidate, worst_latency_us))
+    }
+
+    /// The fallback search: confirm the derived upper bound (`Err` with
+    /// the reason when it misses a target), bisect each knob down to its
+    /// minimum, then polish with single steps to a fixpoint.
+    fn descend(
+        &self,
+        planned: &PlannedQuery,
+        sims: &mut u64,
+        pruned: &mut u64,
+    ) -> Result<(ResourceConfig, f64), String> {
+        let mut cfg = planned.derived.resources.clone();
+        match self.feasibility_counted(planned, &cfg, sims, pruned) {
+            Feasibility::Feasible { .. } => {}
+            Feasibility::BoundFail(reason) | Feasibility::SimFail(reason) => return Err(reason),
         }
 
         // Coordinate descent: bisect each knob over [1, current] with the
@@ -549,7 +640,7 @@ impl DseEngine {
                 let mid = lo + (hi - lo) / 2;
                 let feasible = match knob.with_value(&cfg, mid) {
                     Ok(candidate) => self
-                        .feasibility_counted(planned, &candidate, &mut sims, &mut pruned)
+                        .feasibility_counted(planned, &candidate, sims, pruned)
                         .is_feasible(),
                     Err(_) => false,
                 };
@@ -573,7 +664,7 @@ impl DseEngine {
             for knob in KNOBS {
                 while let Some(candidate) = step_down(&cfg, knob) {
                     if self
-                        .feasibility_counted(planned, &candidate, &mut sims, &mut pruned)
+                        .feasibility_counted(planned, &candidate, sims, pruned)
                         .is_feasible()
                     {
                         cfg = candidate;
@@ -589,19 +680,11 @@ impl DseEngine {
         }
 
         let Feasibility::Feasible { worst_latency_us } =
-            self.feasibility_counted(planned, &cfg, &mut sims, &mut pruned)
+            self.feasibility_counted(planned, &cfg, sims, pruned)
         else {
             unreachable!("the search only moves between feasible configurations");
         };
-        QueryStatus::Feasible(SearchOutcome {
-            cost: CostKey::of(&cfg),
-            config: cfg,
-            slot: planned.cqf.slot,
-            bound_worst_us: planned.cqf.worst_latency.as_micros_f64(),
-            observed_worst_us: worst_latency_us,
-            sims,
-            pruned,
-        })
+        Ok((cfg, worst_latency_us))
     }
 }
 

@@ -1,8 +1,12 @@
 //! Error paths of the customization pipeline under infeasible
 //! requirements: every rejection is a structured [`TsnError`] surfaced
 //! as an `infeasible` answer — never a panic, never a stringly bypass.
+//! Oversized requests are refused earlier, by `parse_batch`, with an
+//! error naming the query and field.
 
-use tsn_dse::{DseEngine, PlannedQuery, QosQuery, QueryStatus, TopologySpec};
+use tsn_dse::batch::{MAX_DURATION_US, MAX_HOSTS, MAX_LINKS, MAX_REQUEST_BYTES, MAX_SWITCHES};
+use tsn_dse::query::MAX_TS_COUNT;
+use tsn_dse::{parse_batch, DseEngine, PlannedQuery, QosQuery, QueryStatus, TopologySpec};
 use tsn_types::{SimDuration, TsnError};
 
 fn base_query() -> QosQuery {
@@ -119,4 +123,108 @@ fn infeasible_answers_are_cached_like_feasible_ones() {
     let stats = engine.stats();
     assert_eq!(stats.answers.misses, 1, "one search for two asks");
     assert_eq!(stats.answers.hits, 1);
+}
+
+#[test]
+fn ts_count_past_the_vlan_wheel_is_an_invalid_parameter() {
+    let mut query = base_query();
+    query.ts_count = MAX_TS_COUNT + 1;
+    match PlannedQuery::plan(&query) {
+        Err(TsnError::InvalidParameter { name, .. }) => assert_eq!(name, "ts_count"),
+        other => panic!("expected InvalidParameter, got {other:?}"),
+    }
+}
+
+/// A two-query request: a valid query, then one with the given topology,
+/// `ts_count` and `duration_us`, so a size error must name `queries[1]`.
+fn request(topology: &str, ts_count: u64, duration_us: u64) -> String {
+    format!(
+        r#"{{"queries": [
+          {{"label": "ok", "topology": {{"kind": "ring", "switches": 3, "hosts": 2}},
+            "ts_count": 4, "frame_bytes": 64, "period_us": 2000, "seed": 1,
+            "deadline_us": 4000, "duration_us": 4000}},
+          {{"label": "big", "topology": {topology}, "ts_count": {ts_count},
+            "frame_bytes": 64, "period_us": 2000, "seed": 1,
+            "deadline_us": 4000, "duration_us": {duration_us}}}
+        ]}}"#
+    )
+}
+
+const RING: &str = r#"{"kind": "ring", "switches": 3, "hosts": 2}"#;
+
+fn inline(switches: u64, hosts: u64, links: u64) -> String {
+    let names = |prefix: &str, n: u64| {
+        (0..n)
+            .map(|i| format!("\"{prefix}{i}\""))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let links = (0..links)
+        .map(|_| r#"["s0","h0"]"#)
+        .collect::<Vec<_>>()
+        .join(",");
+    format!(
+        r#"{{"switches": [{}], "hosts": [{}], "links": [{links}]}}"#,
+        names("s", switches),
+        names("h", hosts)
+    )
+}
+
+fn expect_bound_error(text: &str, field: &str) {
+    let e = parse_batch(text).expect_err("oversized request");
+    assert!(
+        e.starts_with("queries[1]:") && e.contains(&format!("{field:?}")) && e.contains("limit"),
+        "{e}"
+    );
+}
+
+#[test]
+fn oversized_queries_are_parse_errors_naming_the_query_and_field() {
+    // Both used to take the process down: an allocation failure (exit
+    // 134) and a flow generator that ran until it was killed.
+    expect_bound_error(
+        &request(
+            r#"{"kind": "ring", "switches": 100000000000, "hosts": 2}"#,
+            4,
+            4000,
+        ),
+        "switches",
+    );
+    expect_bound_error(&request(RING, 4_000_000_000, 4000), "ts_count");
+
+    let named_hosts = format!(
+        r#"{{"kind": "star", "switches": 3, "hosts": {}}}"#,
+        MAX_HOSTS + 1
+    );
+    expect_bound_error(&request(&named_hosts, 4, 4000), "hosts");
+    expect_bound_error(
+        &request(&inline(MAX_SWITCHES + 1, 2, 1), 4, 4000),
+        "switches",
+    );
+    expect_bound_error(&request(&inline(1, MAX_HOSTS + 1, 1), 4, 4000), "hosts");
+    expect_bound_error(&request(&inline(1, 2, MAX_LINKS + 1), 4, 4000), "links");
+    expect_bound_error(
+        &request(RING, u64::from(MAX_TS_COUNT) + 1, 4000),
+        "ts_count",
+    );
+    expect_bound_error(&request(RING, 4, MAX_DURATION_US + 1), "duration_us");
+
+    // Every limit is inclusive.
+    let at_limits = request(
+        &inline(MAX_SWITCHES, MAX_HOSTS, MAX_LINKS),
+        MAX_TS_COUNT.into(),
+        MAX_DURATION_US,
+    );
+    assert_eq!(parse_batch(&at_limits).expect("at the limits").len(), 2);
+}
+
+#[test]
+fn overlong_requests_are_refused_before_parsing() {
+    let padded = format!(
+        "{}{}",
+        request(RING, 4, 4000),
+        " ".repeat(MAX_REQUEST_BYTES)
+    );
+    let e = parse_batch(&padded).expect_err("too long");
+    assert!(e.starts_with("request:") && e.contains("limit"), "{e}");
 }

@@ -145,6 +145,8 @@ fi
 # queries/sec geomean vs the pinned baselines in BENCH_9.json (same
 # >= 0.95x rule as the other benches) and that the intra-batch dedup
 # actually happened (answer-cache hit rate exactly 0.8 by construction).
+# `dse --smoke` itself exits 1 when a family runs more than 3 candidate
+# simulations per unique query (an exact counter, host-independent).
 # The dse-optimality corpus pin (64 randomized queries re-checked in
 # both optimality directions) already replayed in the verify step above.
 # The tracked full-budget BENCH_9.json is restored afterwards.
