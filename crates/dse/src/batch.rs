@@ -10,6 +10,7 @@
 //! `tests/golden_batch.rs` against `scenarios/dse_batch_expected.json`).
 
 use tsn_experiments::json::{parse, Json};
+use tsn_experiments::limits;
 use tsn_sim::sweep::run_sweep;
 use tsn_sim::CacheStats;
 use tsn_types::SimDuration;
@@ -19,16 +20,12 @@ use crate::search::{DseEngine, QueryResult, QueryStatus, KNOBS};
 
 /// Longest request [`parse_batch`] accepts, in bytes.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
-/// Most switches a query's topology may declare (named count or inline
-/// names).
-pub const MAX_SWITCHES: u64 = 1024;
-/// Most hosts a query's topology may declare.
-pub const MAX_HOSTS: u64 = 4096;
 /// Most links an inline topology may list.
 pub const MAX_LINKS: u64 = 16384;
-/// Longest injection window a query may simulate, 1 s: every candidate
-/// simulation of the search runs the whole window.
-pub const MAX_DURATION_US: u64 = 1_000_000;
+/// Switch and host counts (named count or inline names), `ts_count` and
+/// `duration_us` share their limits with `customize` scenario files.
+/// Every candidate simulation of the search runs the whole window.
+pub use tsn_experiments::limits::{MAX_DURATION_US, MAX_HOSTS, MAX_SWITCHES};
 
 /// Context for parse errors: the query index (or "request" for the top
 /// level) plus the complaint.
@@ -55,13 +52,7 @@ fn u32_field(obj: &Json, at: &str, key: &str) -> Result<u32, String> {
 /// `count` checked against `max`: requests are bounded before anything is
 /// built from them.
 fn within(at: &str, key: &str, count: u64, max: u64) -> Result<u64, String> {
-    if count > max {
-        return Err(err(
-            at,
-            format!("field {key:?} holds {count}, above the limit of {max}"),
-        ));
-    }
-    Ok(count)
+    limits::within(key, count, max).map_err(|e| err(at, e))
 }
 
 fn micros_field(obj: &Json, at: &str, key: &str) -> Result<SimDuration, String> {

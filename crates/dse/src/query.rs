@@ -11,10 +11,8 @@ use tsn_types::{DataRate, FlowSet, SimDuration, TsnError, TsnResult};
 /// 1 Gbps throughout).
 pub const LINK_RATE: DataRate = DataRate::gbps(1);
 
-/// Most TS flows per query: the simulator tags flow `i` with VLAN
-/// `1 + i % 4000` (`tsn_sim::network::vlan_for`), and the exact table
-/// floors assume every flow owns its VLAN.
-pub const MAX_TS_COUNT: u32 = 4000;
+/// Most TS flows per query, shared with `customize` scenario files.
+pub use tsn_experiments::limits::MAX_TS_COUNT;
 
 /// Where a query's network comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use tsn_builder::{workloads, DeriveOptions, GateMode, TsnBuilder};
 use tsn_experiments::json::{self, Json};
+use tsn_experiments::limits::{within, MAX_DURATION_US, MAX_HOSTS, MAX_SWITCHES, MAX_TS_COUNT};
 use tsn_resource::AllocationPolicy;
 use tsn_sim::network::SyncSetup;
 use tsn_sim::sweep::{run_sweep, workers_from_env};
@@ -112,6 +113,18 @@ fn opt_u64(what: &str, value: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// A required integer no larger than `max`.
+fn bounded(what: &str, value: &Json, key: &str, max: u64) -> Result<u64, String> {
+    within(key, req_u64(what, value, key)?, max).map_err(|e| format!("{what}: {e}"))
+}
+
+fn opt_u32(what: &str, value: &Json, key: &str) -> Result<Option<u32>, String> {
+    opt_u64(what, value, key)?
+        .map(|v| within(key, v, u32::MAX.into()).map(|v| v as u32))
+        .transpose()
+        .map_err(|e| format!("{what}: {e}"))
+}
+
 fn opt_bool(what: &str, value: &Json, key: &str) -> Result<Option<bool>, String> {
     match value.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -136,8 +149,8 @@ fn parse_scenario(text: &str) -> Result<ScenarioFile, String> {
             .and_then(Json::as_str)
             .ok_or("topology: \"kind\" must be a string")?
             .to_owned(),
-        switches: req_u64("topology", topo, "switches")? as usize,
-        hosts: req_u64("topology", topo, "hosts")? as usize,
+        switches: bounded("topology", topo, "switches", MAX_SWITCHES)? as usize,
+        hosts: bounded("topology", topo, "hosts", MAX_HOSTS)? as usize,
     };
 
     let fl = root.get("flows").ok_or("scenario: missing \"flows\"")?;
@@ -147,8 +160,8 @@ fn parse_scenario(text: &str) -> Result<ScenarioFile, String> {
         &["ts_count", "frame_bytes", "seed", "rc_mbps", "be_mbps"],
     )?;
     let flows = FlowsSpec {
-        ts_count: req_u64("flows", fl, "ts_count")? as u32,
-        frame_bytes: opt_u64("flows", fl, "frame_bytes")?.unwrap_or(64) as u32,
+        ts_count: bounded("flows", fl, "ts_count", MAX_TS_COUNT.into())? as u32,
+        frame_bytes: opt_u32("flows", fl, "frame_bytes")?.unwrap_or(64),
         seed: opt_u64("flows", fl, "seed")?.unwrap_or(42),
         rc_mbps: opt_u64("flows", fl, "rc_mbps")?.unwrap_or(0),
         be_mbps: opt_u64("flows", fl, "be_mbps")?.unwrap_or(0),
@@ -167,8 +180,10 @@ fn parse_scenario(text: &str) -> Result<ScenarioFile, String> {
                 "frame_preemption",
             ],
         )?;
-        options.slot_us = opt_u64("options", opts, "slot_us")?;
-        options.queue_depth = opt_u64("options", opts, "queue_depth")?.map(|d| d as u32);
+        options.slot_us = opt_u64("options", opts, "slot_us")?
+            .map(|us| within("slot_us", us, MAX_DURATION_US).map_err(|e| format!("options: {e}")))
+            .transpose()?;
+        options.queue_depth = opt_u32("options", opts, "queue_depth")?;
         options.gate_mode = match opts.get("gate_mode") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
@@ -186,6 +201,8 @@ fn parse_scenario(text: &str) -> Result<ScenarioFile, String> {
     if let Some(r) = root.get("run") {
         check_fields("run", r, &["duration_ms", "simulate", "emit_hdl"])?;
         run.duration_ms = opt_u64("run", r, "duration_ms")?.unwrap_or(100);
+        within("duration_ms", run.duration_ms, MAX_DURATION_US / 1000)
+            .map_err(|e| format!("run: {e}"))?;
         run.simulate = opt_bool("run", r, "simulate")?.unwrap_or(true);
         run.emit_hdl = match r.get("emit_hdl") {
             None | Some(Json::Null) => None,

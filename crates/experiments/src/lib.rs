@@ -20,4 +20,5 @@
 //! run (the reports are identical either way).
 
 pub mod json;
+pub mod limits;
 pub mod util;

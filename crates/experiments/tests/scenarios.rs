@@ -76,3 +76,49 @@ fn duplicating_a_scenario_key_is_rejected() {
         );
     }
 }
+
+/// Runs `customize` on `scenario` written to a temporary file and
+/// returns its exit code and standard error.
+fn customize(name: &str, scenario: &str) -> (Option<i32>, String) {
+    let path =
+        std::env::temp_dir().join(format!("tsn-customize-{}-{name}.json", std::process::id()));
+    std::fs::write(&path, scenario).expect("scenario written");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_customize"))
+        .arg(&path)
+        .output()
+        .expect("customize runs");
+    let _ = std::fs::remove_file(&path);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn scenario(switches: &str, ts_count: &str) -> String {
+    format!(
+        r#"{{"topology": {{"kind": "ring", "switches": {switches}, "hosts": 3}},
+            "flows": {{"ts_count": {ts_count}}},
+            "run": {{"duration_ms": 1, "simulate": false}}}}"#
+    )
+}
+
+#[test]
+fn oversized_scenarios_are_rejected_naming_the_field() {
+    // Used to abort allocating 400 GB for the switch list.
+    let (code, stderr) = customize("switches", &scenario("100000000000", "4"));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("\"switches\" holds 100000000000, above the limit of 1024"),
+        "{stderr}"
+    );
+    // Used to be truncated to 1 flow by an `as u32` cast.
+    let (code, stderr) = customize("ts_count", &scenario("6", "4294967297"));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("\"ts_count\" holds 4294967297, above the limit of 4000"),
+        "{stderr}"
+    );
+    // A scenario within the limits still runs.
+    let (code, stderr) = customize("small", &scenario("6", "4"));
+    assert_eq!(code, Some(0), "{stderr}");
+}

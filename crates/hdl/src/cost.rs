@@ -11,9 +11,9 @@
 //! itself tied back to the Table III cost queries, this closes the loop:
 //! config → emitted Verilog → parsed cost → paper accounting.
 
-use crate::expr;
-use crate::lint::{default_env, instance_env};
-use crate::parse::ParsedModule;
+use crate::ast::{Dir, Item, Module};
+use crate::expr::{Env, Range};
+use crate::lint::{default_env, instance_env, width_of};
 use std::collections::BTreeMap;
 use tsn_resource::bram::{AllocationPolicy, BRAM18_BITS, BRAM36_BITS};
 use tsn_resource::{rtl, ResourceConfig};
@@ -91,9 +91,8 @@ const MAX_DEPTH: usize = 32;
 /// missing from `modules`, a width/depth expression does not resolve to
 /// a positive integer, or the hierarchy nests deeper than a generated
 /// design ever does (a cycle).
-pub fn cost_of(modules: &[ParsedModule], root: &str) -> TsnResult<HdlCost> {
-    let by_name: BTreeMap<&str, &ParsedModule> =
-        modules.iter().map(|m| (m.name.as_str(), m)).collect();
+pub fn cost_of(modules: &[Module], root: &str) -> TsnResult<HdlCost> {
+    let by_name: BTreeMap<&str, &Module> = modules.iter().map(|m| (m.name.as_str(), m)).collect();
     let Some(root_module) = by_name.get(root) else {
         return Err(TsnError::InvalidArtifact(format!(
             "root module {root} not found in the parsed design"
@@ -108,27 +107,18 @@ pub fn cost_of(modules: &[ParsedModule], root: &str) -> TsnResult<HdlCost> {
     Ok(cost)
 }
 
-fn resolve(
-    module: &str,
-    what: &str,
-    range: Option<&crate::parse::ParsedRange>,
-    env: &expr::Env,
-) -> TsnResult<u64> {
-    let width = match range {
-        None => 1,
-        Some(r) => expr::range_width(r, env).map_err(|e| {
-            TsnError::InvalidArtifact(format!("{module}: cannot resolve {what}: {e}"))
-        })?,
-    };
+fn resolve(module: &str, what: &str, range: Option<&Range>, env: &Env) -> TsnResult<u64> {
+    let width = width_of(range, env)
+        .map_err(|e| TsnError::InvalidArtifact(format!("{module}: cannot resolve {what}: {e}")))?;
     u64::try_from(width).map_err(|_| {
         TsnError::InvalidArtifact(format!("{module}: {what} resolved to negative {width}"))
     })
 }
 
 fn elaborate(
-    module: &ParsedModule,
-    by_name: &BTreeMap<&str, &ParsedModule>,
-    env: &expr::Env,
+    module: &Module,
+    by_name: &BTreeMap<&str, &Module>,
+    env: &Env,
     path: &str,
     depth: usize,
     cost: &mut HdlCost,
@@ -139,51 +129,39 @@ fn elaborate(
             module.name
         )));
     }
-    for mem in &module.memories {
-        let width_bits = resolve(
-            &module.name,
-            &format!("width of memory {}", mem.name),
-            mem.range.as_ref(),
-            env,
-        )?;
-        let entries = resolve(
-            &module.name,
-            &format!("depth of memory {}", mem.name),
-            Some(&mem.depth),
-            env,
-        )?;
-        cost.memories.push(MemoryInstance {
-            path: format!("{path}{}", mem.name),
-            module: module.name.clone(),
-            memory: mem.name.clone(),
-            entries,
-            width_bits,
-        });
+    let mut registers = Vec::new();
+    for item in &module.items {
+        match item {
+            Item::Memory { range, depth, name } => {
+                let what = |w: &str| format!("{w} of memory {name}");
+                let width_bits = resolve(&module.name, &what("width"), range.as_ref(), env)?;
+                cost.memories.push(MemoryInstance {
+                    path: format!("{path}{name}"),
+                    module: module.name.clone(),
+                    memory: name.clone(),
+                    entries: resolve(&module.name, &what("depth"), Some(depth), env)?,
+                    width_bits,
+                });
+            }
+            Item::Reg { range, name } => registers.push((name, range)),
+            _ => {}
+        }
     }
-    let registers = module.regs.iter().map(|r| (&r.name, &r.range)).chain(
-        module
-            .ports
-            .iter()
-            .filter(|p| p.dir == crate::ast::Dir::OutputReg)
-            .map(|p| (&p.name, &p.range)),
-    );
+    let output_regs = module.ports.iter().filter(|p| p.dir == Dir::OutputReg);
+    registers.extend(output_regs.map(|p| (&p.name, &p.range)));
     for (name, range) in registers {
-        let bits = resolve(
-            &module.name,
-            &format!("width of register {name}"),
-            range.as_ref(),
-            env,
-        )?;
+        let what = format!("width of register {name}");
+        let bits = resolve(&module.name, &what, range.as_ref(), env)?;
         cost.register_bits = cost.register_bits.saturating_add(bits);
     }
-    for inst in &module.instances {
+    for inst in module.instances() {
         let Some(child) = by_name.get(inst.module.as_str()) else {
             return Err(TsnError::InvalidArtifact(format!(
                 "{}: instance {} references unknown module {}",
                 module.name, inst.name, inst.module
             )));
         };
-        let child_env = instance_env(child, inst, env);
+        let child_env = instance_env(child, &inst.params, env);
         let child_path = format!("{path}{}.", inst.name);
         elaborate(child, by_name, &child_env, &child_path, depth + 1, cost)?;
     }
@@ -207,7 +185,7 @@ fn elaborate(
 /// # Errors
 ///
 /// Returns a diagnostic describing the first disagreement.
-pub fn check_agreement(cfg: &ResourceConfig, modules: &[ParsedModule]) -> Result<(), String> {
+pub fn check_agreement(cfg: &ResourceConfig, modules: &[Module]) -> Result<(), String> {
     let cost = cost_of(modules, "tsn_switch_top").map_err(|e| e.to_string())?;
 
     let mut parsed: Vec<(&str, u64, u64)> = cost
@@ -321,7 +299,7 @@ mod tests {
     use crate::parse::parse_modules;
     use crate::templates::generate;
 
-    fn parsed(cfg: &ResourceConfig) -> Vec<ParsedModule> {
+    fn parsed(cfg: &ResourceConfig) -> Vec<Module> {
         let bundle = generate(cfg).expect("generates");
         parse_modules(&bundle.concatenated()).expect("parses")
     }
@@ -388,7 +366,7 @@ mod tests {
         let modules = parsed(&cfg);
         assert!(cost_of(&modules, "nonexistent").is_err());
         // Drop dpram: packet_switch's tables can no longer elaborate.
-        let without: Vec<ParsedModule> = modules
+        let without: Vec<Module> = modules
             .iter()
             .filter(|m| m.name != "dpram")
             .cloned()

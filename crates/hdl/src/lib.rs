@@ -6,23 +6,28 @@
 //! synthesis time. This crate reproduces that synthesis stage and then
 //! closes the loop by parsing, linting and costing its own output:
 //!
-//! * [`ast`] — a small Verilog-2001 AST (modules, parameters, ports,
-//!   memories, instances, `always` blocks) with an emitter;
-//! * [`templates`] — generators for the five templates plus the shared
-//!   primitives (`dpram`, `meta_fifo`) and the `tsn_switch_top` that wires
-//!   one Gate Ctrl + Egress Sched per enabled TSN port;
+//! * [`ast`] — the one Verilog IR (modules, parameters, ports, nets,
+//!   memories, instances, `always`/`initial` blocks) and its renderer;
+//!   the templates build it and the parser returns it, and
+//!   `parse_modules(&m.render()) == vec![m]` for every template module;
+//! * [`expr`] — the integer expression trees that widths, depths,
+//!   parameter defaults and overrides are parsed into once, with checked
+//!   evaluation against a parameter environment;
+//! * [`templates`] — the five templates plus the shared primitives
+//!   (`dpram`, `meta_fifo`) and the `tsn_switch_top` that wires one
+//!   Gate Ctrl + Egress Sched per enabled TSN port, as IR
+//!   ([`templates::modules`]) and as rendered, validated files
+//!   ([`templates::generate`]);
 //! * [`validate`] — a lexical checker (balance, identifiers, duplicate
 //!   modules) every generated file must pass;
-//! * [`parse`] — a structural parser producing a module/port/parameter/
-//!   memory/instance IR rich enough to analyze;
-//! * [`expr`] — integer evaluation of the width/depth expressions the
-//!   parser keeps as text, against a parameter environment;
-//! * [`lint`] — structural checks over the parsed IR (width mismatches,
-//!   unused ports, undeclared identifiers, address-width/depth
-//!   violations, …); shipped bundles must lint clean;
-//! * [`cost`] — elaborates the parsed design into its memory map and
-//!   register count and demands bit-exact agreement with
-//!   `tsn_resource::rtl` (the `hdl-cost-agreement` oracle).
+//! * [`parse`] — a structural parser from Verilog text back into the IR,
+//!   borrowing source slices instead of re-rendering tokens;
+//! * [`lint`] — structural checks over the IR (width mismatches, unused
+//!   ports, undeclared identifiers, address-width/depth violations, …);
+//!   shipped bundles must lint clean;
+//! * [`cost`] — elaborates the IR into its memory map and register count
+//!   and demands bit-exact agreement with `tsn_resource::rtl` (the
+//!   `hdl-cost-agreement` oracle).
 //!
 //! # Example
 //!
@@ -50,11 +55,10 @@ pub mod parse;
 pub mod templates;
 pub mod validate;
 
-pub use ast::{Dir, Item, Module, Param, Port};
+pub use ast::{Dir, Instance, Item, Module, Param, Port};
 pub use cost::{check_agreement, cost_of, HdlCost, MemoryInstance};
+pub use expr::{Expr, Range};
 pub use lint::{lint_modules, LintFinding};
-pub use parse::{
-    parse_modules, ParsedInstance, ParsedMemory, ParsedModule, ParsedNet, ParsedPort, ParsedRange,
-};
-pub use templates::{generate, HdlBundle};
+pub use parse::parse_modules;
+pub use templates::{generate, modules, HdlBundle};
 pub use validate::check_source;

@@ -1,4 +1,4 @@
-//! Structural lints over the parsed Verilog IR.
+//! Structural lints over the Verilog IR.
 //!
 //! The rules encode what a synthesis front-end would reject or warn
 //! about in the narrow dialect `tsn-hdl` emits: width mismatches on
@@ -12,10 +12,13 @@
 //!
 //! [`lint_modules`] is a whole-design check: pass it every module of a
 //! bundle at once so instantiations can be bound against the modules
-//! they reference.
+//! they reference. Widths, depths and parameters are evaluated from the
+//! parsed [`crate::expr::Expr`] trees; connection text is only scanned
+//! for identifiers.
 
-use crate::expr::{self, Env};
-use crate::parse::{ParsedInstance, ParsedModule};
+use crate::ast::{text_idents, Dir, Item, Module, Param};
+use crate::expr::{Env, Expr, Range};
+use crate::validate::is_identifier;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -36,81 +39,99 @@ impl fmt::Display for LintFinding {
     }
 }
 
-/// Folds a module's parameter defaults (then localparams) into a value
-/// environment. Parameters whose defaults do not evaluate (they may
-/// reference enclosing-scope names) are simply absent from the result —
-/// width checks that need them degrade to "unresolved" rather than
-/// false findings.
+/// A module's parameter defaults, then its localparams, as a value
+/// environment.
 #[must_use]
-pub fn default_env(module: &ParsedModule) -> Env {
+pub fn default_env(module: &Module) -> Env<'_> {
+    instance_env(module, &[], &Env::new())
+}
+
+/// Resolves a module's parameters under an instantiation's `overrides`:
+/// each override is evaluated in the *parent* environment, remaining
+/// parameters fall back to their defaults and localparams follow, left
+/// to right, so each may reference earlier ones. Values that do not
+/// evaluate (they may reference enclosing-scope names) are simply absent
+/// from the result — width checks that need them degrade to
+/// "unresolved" rather than false findings.
+#[must_use]
+pub fn instance_env<'a>(
+    module: &'a Module,
+    overrides: &[(String, Expr)],
+    parent_env: &Env,
+) -> Env<'a> {
     let mut env = Env::new();
-    for (name, value) in module.params.iter().chain(&module.localparams) {
-        if let Ok(v) = expr::eval(value, &env) {
-            env.insert(name.clone(), v);
+    for Param { name, value } in &module.params {
+        let value = match overrides.iter().find(|(n, _)| n == name) {
+            Some((_, over)) => over.eval(parent_env),
+            None => value.eval(&env),
+        };
+        if let Ok(v) = value {
+            env.insert(name, v);
+        }
+    }
+    for (name, value) in module.localparams() {
+        if let Ok(v) = value.eval(&env) {
+            env.insert(name, v);
         }
     }
     env
 }
 
-/// Resolves a child module's parameters under an instantiation: each
-/// override is evaluated in the *parent* environment, remaining
-/// parameters fall back to their defaults (evaluated left to right, so
-/// defaults may reference earlier parameters).
-#[must_use]
-pub fn instance_env(child: &ParsedModule, inst: &ParsedInstance, parent_env: &Env) -> Env {
-    let mut env = Env::new();
-    for (name, default) in &child.params {
-        let value = match inst.params.iter().find(|(n, _)| n == name) {
-            Some((_, over)) => expr::eval(over, parent_env),
-            None => expr::eval(default, &env),
-        };
-        if let Ok(v) = value {
-            env.insert(name.clone(), v);
-        }
-    }
-    for (name, value) in &child.localparams {
-        if let Ok(v) = expr::eval(value, &env) {
-            env.insert(name.clone(), v);
-        }
-    }
-    env
+/// Bit width of an optional range: 1 when absent.
+pub(crate) fn width_of(range: Option<&Range>, env: &Env) -> Result<i64, String> {
+    range.map_or(Ok(1), |r| r.width(env))
 }
 
 /// Widths of every port, wire and reg of `module`, where resolvable in
 /// `env`. Scalar declarations have width 1.
-fn net_widths(module: &ParsedModule, env: &Env) -> BTreeMap<String, i64> {
-    let mut widths = BTreeMap::new();
-    let ranged = module
-        .ports
-        .iter()
-        .map(|p| (&p.name, &p.range))
-        .chain(module.wires.iter().map(|n| (&n.name, &n.range)))
-        .chain(module.regs.iter().map(|n| (&n.name, &n.range)));
-    for (name, range) in ranged {
-        let width = match range {
-            None => Ok(1),
-            Some(r) => expr::range_width(r, env),
-        };
-        if let Ok(w) = width {
-            widths.insert(name.clone(), w);
-        }
-    }
-    widths
+fn net_widths<'a>(module: &'a Module, env: &Env) -> BTreeMap<&'a str, i64> {
+    let nets = module.items.iter().filter_map(|item| match item {
+        Item::Wire { range, name } | Item::Reg { range, name } => Some((name, range)),
+        _ => None,
+    });
+    let ports = module.ports.iter().map(|p| (&p.name, &p.range));
+    ports
+        .chain(nets)
+        .filter_map(|(name, range)| Some((name.as_str(), width_of(range.as_ref(), env).ok()?)))
+        .collect()
 }
 
 /// Every name declared in a module's scope: ports, nets, memories,
 /// parameters and localparams.
-fn declared_names(module: &ParsedModule) -> BTreeSet<&str> {
+fn declared_names(module: &Module) -> BTreeSet<&str> {
+    let items = module.items.iter().filter_map(|item| match item {
+        Item::Wire { name, .. }
+        | Item::Reg { name, .. }
+        | Item::Memory { name, .. }
+        | Item::Localparam { name, .. } => Some(name.as_str()),
+        _ => None,
+    });
     module
         .ports
         .iter()
         .map(|p| p.name.as_str())
-        .chain(module.wires.iter().map(|n| n.name.as_str()))
-        .chain(module.regs.iter().map(|n| n.name.as_str()))
-        .chain(module.memories.iter().map(|m| m.name.as_str()))
-        .chain(module.params.iter().map(|(n, _)| n.as_str()))
-        .chain(module.localparams.iter().map(|(n, _)| n.as_str()))
+        .chain(module.params.iter().map(|p| p.name.as_str()))
+        .chain(items)
         .collect()
+}
+
+/// Bit width of a connection expression, where statically known.
+///
+/// Only two shapes resolve: a plain identifier (looked up in
+/// `net_widths`) and a sized literal like `4'b0101` (the size prefix).
+/// Everything else — slices, concatenations, arithmetic, unsized
+/// literals — returns `None`: Verilog implicitly resizes those, so the
+/// width lint must not judge them.
+fn connection_width(text: &str, net_widths: &BTreeMap<&str, i64>) -> Option<i64> {
+    if is_identifier(text) {
+        return net_widths.get(text).copied();
+    }
+    let literal = text.starts_with(|c: char| c.is_ascii_digit())
+        && text
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'');
+    let (size, _) = text.split_once('\'').filter(|_| literal)?;
+    size.parse::<i64>().ok().filter(|&s| s > 0)
 }
 
 fn duplicates<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
@@ -131,9 +152,8 @@ fn duplicates<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
 /// a module that is not is itself a finding (`unknown-module`) — except
 /// that nothing in the shipped bundles triggers it.
 #[must_use]
-pub fn lint_modules(modules: &[ParsedModule]) -> Vec<LintFinding> {
-    let by_name: BTreeMap<&str, &ParsedModule> =
-        modules.iter().map(|m| (m.name.as_str(), m)).collect();
+pub fn lint_modules(modules: &[Module]) -> Vec<LintFinding> {
+    let by_name: BTreeMap<&str, &Module> = modules.iter().map(|m| (m.name.as_str(), m)).collect();
     let mut findings = Vec::new();
     for module in modules {
         lint_module(module, &by_name, &mut findings);
@@ -142,8 +162,8 @@ pub fn lint_modules(modules: &[ParsedModule]) -> Vec<LintFinding> {
 }
 
 fn lint_module(
-    module: &ParsedModule,
-    by_name: &BTreeMap<&str, &ParsedModule>,
+    module: &Module,
+    by_name: &BTreeMap<&str, &Module>,
     findings: &mut Vec<LintFinding>,
 ) {
     let push = |findings: &mut Vec<LintFinding>, rule: &'static str, message: String| {
@@ -154,7 +174,7 @@ fn lint_module(
         });
     };
 
-    for name in duplicates(module.params.iter().map(|(n, _)| n.as_str())) {
+    for name in duplicates(module.params.iter().map(|p| p.name.as_str())) {
         push(
             findings,
             "duplicate-parameter",
@@ -169,9 +189,10 @@ fn lint_module(
         );
     }
 
+    let refs = module.references();
     for port in &module.ports {
-        if !module.body_refs.contains(&port.name) {
-            let what = if port.dir == crate::ast::Dir::Input {
+        if !refs.contains(port.name.as_str()) {
+            let what = if port.dir == Dir::Input {
                 "is never read"
             } else {
                 "is never driven"
@@ -185,12 +206,19 @@ fn lint_module(
     }
 
     let env = default_env(module);
-    check_addr_widths(&module.name, &module.params, &env, findings);
+    for (aw_name, aw, depth_name, depth) in pair_violations(&module.params, &env) {
+        let words = 1i64 << aw;
+        push(
+            findings,
+            "addr-width",
+            format!("{aw_name}={aw} addresses only {words} words but {depth_name}={depth}"),
+        );
+    }
 
     let widths = net_widths(module, &env);
     let scope = declared_names(module);
 
-    for inst in &module.instances {
+    for inst in module.instances() {
         for name in duplicates(inst.params.iter().map(|(n, _)| n.as_str())) {
             push(
                 findings,
@@ -208,25 +236,35 @@ fn lint_module(
 
         // Every identifier mentioned in override/connection expressions
         // must exist in the parent scope.
-        for (_, value) in inst.params.iter().chain(&inst.connections) {
-            for ident in expr::idents(value) {
-                if !scope.contains(ident.as_str()) {
-                    push(
-                        findings,
-                        "undeclared-identifier",
-                        format!(
-                            "instance {} references undeclared identifier {ident} in {value:?}",
-                            inst.name
-                        ),
-                    );
-                }
+        let overrides = inst.params.iter().map(|(_, value)| {
+            let mut idents = Vec::new();
+            value.idents(&mut idents);
+            (value.to_string(), idents)
+        });
+        let connections = inst.connections.iter().map(|(_, text)| {
+            let mut idents = Vec::new();
+            text_idents(text, &mut idents);
+            (text.clone(), idents)
+        });
+        for (text, idents) in overrides.chain(connections) {
+            let mut seen = BTreeSet::new();
+            let undeclared = idents.into_iter().filter(|name| !scope.contains(name));
+            for ident in undeclared.filter(|name| seen.insert(*name)) {
+                push(
+                    findings,
+                    "undeclared-identifier",
+                    format!(
+                        "instance {} references undeclared identifier {ident} in {text:?}",
+                        inst.name
+                    ),
+                );
             }
         }
 
         // Magic numbers: a literal override where the module already has
         // a parameter carrying that value.
         for (pname, value) in &inst.params {
-            let Ok(literal) = value.parse::<i64>() else {
+            let Expr::Num(literal) = *value else {
                 continue;
             };
             if literal <= 1 {
@@ -235,9 +273,9 @@ fn lint_module(
             let named = module
                 .params
                 .iter()
-                .chain(&module.localparams)
-                .filter_map(|(n, _)| env.get(n).map(|v| (n, *v)))
-                .find(|&(_, v)| v == literal);
+                .map(|p| (p.name.as_str(), &p.value))
+                .chain(module.localparams())
+                .find(|(n, _)| env.get(n) == Some(&literal));
             if let Some((name, _)) = named {
                 push(
                     findings,
@@ -263,7 +301,7 @@ fn lint_module(
         };
 
         for (pname, _) in &inst.params {
-            if !child.params.iter().any(|(n, _)| n == pname) {
+            if !child.params.iter().any(|p| &p.name == pname) {
                 push(
                     findings,
                     "unknown-parameter",
@@ -275,7 +313,7 @@ fn lint_module(
             }
         }
         for (cname, _) in &inst.connections {
-            if child.port(cname).is_none() {
+            if child.find_port(cname).is_none() {
                 push(
                     findings,
                     "unknown-port",
@@ -299,21 +337,29 @@ fn lint_module(
             }
         }
 
-        let child_env = instance_env(child, inst, &env);
-        check_addr_widths_instance(&module.name, inst, child, &child_env, findings);
+        let child_env = instance_env(child, &inst.params, &env);
+        for (aw_name, aw, depth_name, depth) in pair_violations(&child.params, &child_env) {
+            push(
+                findings,
+                "addr-width",
+                format!(
+                    "instance {} resolves {aw_name}={aw} ({} words) against {depth_name}={depth} in {}",
+                    inst.name,
+                    1i64 << aw,
+                    child.name
+                ),
+            );
+        }
 
         // Width agreement, where both sides resolve statically. Slices,
         // expressions and unsized literals are implicitly resized by
-        // Verilog and stay unjudged (see expr::connection_width).
+        // Verilog and stay unjudged (see connection_width).
         for (cname, value) in &inst.connections {
-            let Some(port) = child.port(cname) else {
+            let Some(port) = child.find_port(cname) else {
                 continue;
             };
-            let port_width = match &port.range {
-                None => Some(1),
-                Some(r) => expr::range_width(r, &child_env).ok(),
-            };
-            let (Some(pw), Some(cw)) = (port_width, expr::connection_width(value, &widths)) else {
+            let port_width = width_of(port.range.as_ref(), &child_env).ok();
+            let (Some(pw), Some(cw)) = (port_width, connection_width(value, &widths)) else {
                 continue;
             };
             if pw != cw {
@@ -333,9 +379,9 @@ fn lint_module(
 /// `X_AW`/`X_DEPTH` (and `ADDR_WIDTH`/`DEPTH`) parameter pairs must
 /// satisfy `2^aw >= depth`, else the address bus cannot reach every
 /// memory word.
-fn pair_violations(params: &[(String, String)], env: &Env) -> Vec<(String, i64, String, i64)> {
+fn pair_violations<'a>(params: &'a [Param], env: &Env) -> Vec<(&'a str, i64, String, i64)> {
     let mut out = Vec::new();
-    for (name, _) in params {
+    for Param { name, .. } in params {
         let depth_name = if name == "ADDR_WIDTH" {
             "DEPTH".to_owned()
         } else if let Some(prefix) = name.strip_suffix("_AW") {
@@ -343,56 +389,18 @@ fn pair_violations(params: &[(String, String)], env: &Env) -> Vec<(String, i64, 
         } else {
             continue;
         };
-        let (Some(&aw), Some(&depth)) = (env.get(name), env.get(&depth_name)) else {
+        let (Some(&aw), Some(&depth)) = (env.get(name.as_str()), env.get(depth_name.as_str()))
+        else {
             continue;
         };
         if !(0..63).contains(&aw) || depth < 0 {
             continue;
         }
         if (1i64 << aw) < depth {
-            out.push((name.clone(), aw, depth_name, depth));
+            out.push((name.as_str(), aw, depth_name, depth));
         }
     }
     out
-}
-
-fn check_addr_widths(
-    module: &str,
-    params: &[(String, String)],
-    env: &Env,
-    findings: &mut Vec<LintFinding>,
-) {
-    for (aw_name, aw, depth_name, depth) in pair_violations(params, env) {
-        findings.push(LintFinding {
-            module: module.to_owned(),
-            rule: "addr-width",
-            message: format!(
-                "{aw_name}={aw} addresses only {} words but {depth_name}={depth}",
-                1i64 << aw
-            ),
-        });
-    }
-}
-
-fn check_addr_widths_instance(
-    module: &str,
-    inst: &ParsedInstance,
-    child: &ParsedModule,
-    child_env: &Env,
-    findings: &mut Vec<LintFinding>,
-) {
-    for (aw_name, aw, depth_name, depth) in pair_violations(&child.params, child_env) {
-        findings.push(LintFinding {
-            module: module.to_owned(),
-            rule: "addr-width",
-            message: format!(
-                "instance {} resolves {aw_name}={aw} ({} words) against {depth_name}={depth} in {}",
-                inst.name,
-                1i64 << aw,
-                child.name
-            ),
-        });
-    }
 }
 
 #[cfg(test)]
@@ -544,6 +552,21 @@ mod tests {
         let findings = lint_src(src);
         assert_eq!(rules(&findings), vec!["magic-number"]);
         assert!(findings[0].message.contains("QUEUE_DEPTH"));
+    }
+
+    #[test]
+    fn connection_widths_resolve_only_safe_shapes() {
+        let nets = BTreeMap::from([("data_bus", 64)]);
+        assert_eq!(connection_width("data_bus", &nets), Some(64));
+        assert_eq!(connection_width("4'b0101", &nets), Some(4));
+        assert_eq!(connection_width("1'b0", &nets), Some(1));
+        // Implicitly resized shapes stay unjudged.
+        assert_eq!(connection_width("data_bus[9:0]", &nets), None);
+        assert_eq!(connection_width("0", &nets), None);
+        assert_eq!(connection_width("a&b", &nets), None);
+        assert_eq!(connection_width("{a,b}", &nets), None);
+        assert_eq!(connection_width("4'b01 + x", &nets), None);
+        assert_eq!(connection_width("missing", &nets), None);
     }
 
     #[test]

@@ -1,203 +1,80 @@
-//! A structural Verilog parser: enough of the grammar to read back what
-//! [`crate::templates`] emits and machine-check it.
+//! A structural Verilog parser: reads back what [`crate::templates`]
+//! emits into the same [`Module`] IR the templates built.
 //!
-//! This is deliberately not a full Verilog front-end — it recovers the
-//! *structure* a reviewer checks by eye, now rich enough for the
-//! [`crate::lint`] and [`crate::cost`] passes to work on: module names,
-//! parameter defaults, port directions/ranges, net and memory
-//! declarations with their width/depth expressions, `assign` statements,
-//! and module instantiations with their parameter overrides and named
-//! connections. Width expressions stay textual here; [`crate::expr`]
-//! evaluates them against a parameter environment.
+//! This is deliberately not a full Verilog front-end. It recovers module
+//! names, parameter defaults, port directions and ranges, net and memory
+//! declarations, `localparam`s, `assign`s, `always`/`initial` blocks,
+//! module instantiations and `//` comments. Width, depth, parameter and
+//! override expressions are parsed once into [`Expr`] trees; everything
+//! else is kept as a slice of the source text, so rendering a parsed
+//! module gives back the text it came from. A body statement outside
+//! these shapes becomes an [`Item::Raw`] holding its source text.
 //!
 //! Every public entry point returns [`TsnError::InvalidArtifact`] on
 //! malformed or truncated input — never a panic (pinned by the
 //! prefix-truncation tests below).
 
-use crate::ast::Dir;
-use std::collections::BTreeSet;
+use crate::ast::{Dir, Instance, Item, Module, Param, Port};
+use crate::expr::{Expr, Op, Range};
 use tsn_types::{TsnError, TsnResult};
 
-/// One token of the source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
-    Ident(String),
-    Number(String),
-    Sym(char),
+/// One token: a slice of the source and its byte offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tok<'a> {
+    pub(crate) text: &'a str,
+    start: usize,
 }
 
-/// Lexes a source fragment. `//` line comments and `/* … */` block
-/// comments (including multi-line ones) are skipped; an unterminated
-/// block comment silently swallows the rest of the input, which the
-/// structural checks downstream then report.
-pub(crate) fn lex(source: &str) -> Vec<Tok> {
-    let mut toks = Vec::new();
-    let mut chars = source.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '/' {
-            chars.next();
-            match chars.peek() {
-                Some(&'/') => {
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                Some(&'*') => {
-                    chars.next();
-                    let mut prev = ' ';
-                    for c in chars.by_ref() {
-                        if prev == '*' && c == '/' {
-                            break;
-                        }
-                        prev = c;
-                    }
-                }
-                _ => toks.push(Tok::Sym('/')),
-            }
-        } else if c.is_ascii_alphabetic() || c == '_' {
-            let mut ident = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_alphanumeric() || c == '_' || c == '$' {
-                    ident.push(c);
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            toks.push(Tok::Ident(ident));
-        } else if c.is_ascii_digit() {
-            let mut num = String::new();
-            while let Some(&c) = chars.peek() {
-                // Covers sized literals like 8'h00 and plain decimals.
-                if c.is_ascii_alphanumeric() || c == '\'' || c == '_' {
-                    num.push(c);
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            toks.push(Tok::Number(num));
-        } else {
-            toks.push(Tok::Sym(c));
-            chars.next();
+impl Tok<'_> {
+    pub(crate) fn is_ident(&self) -> bool {
+        self.text
+            .starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+    }
+
+    fn end(&self) -> usize {
+        self.start + self.text.len()
+    }
+}
+
+/// Lexes a source fragment into identifiers (letters, digits, `_`,
+/// `$`), numbers (a digit, then letters, digits, `_` and `'`, which
+/// covers sized literals like `8'h00`) and single-character symbols.
+/// `//` line comments and `/* … */` block comments are skipped; an
+/// unterminated block comment silently swallows the rest of the input,
+/// which the structural checks downstream then report.
+pub(crate) fn lex(source: &str) -> impl Iterator<Item = Tok<'_>> {
+    let bytes = source.as_bytes();
+    let mut i = 0;
+    std::iter::from_fn(move || loop {
+        let rest = source.get(i..)?;
+        let b = *bytes.get(i)?;
+        if b.is_ascii_whitespace() {
+            i += 1;
+            continue;
         }
-    }
-    toks
-}
-
-/// A `[msb:lsb]` range, both bounds kept as expression text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedRange {
-    /// Left (most-significant / first) bound expression.
-    pub msb: String,
-    /// Right (least-significant / second) bound expression.
-    pub lsb: String,
-}
-
-/// A parsed port.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedPort {
-    /// Direction.
-    pub dir: Dir,
-    /// The `[msb:lsb]` range, if declared; `None` means a scalar port.
-    pub range: Option<ParsedRange>,
-    /// Port name.
-    pub name: String,
-}
-
-impl ParsedPort {
-    /// `true` when the port carries a `[..:..]` range.
-    #[must_use]
-    pub fn has_range(&self) -> bool {
-        self.range.is_some()
-    }
-}
-
-/// A parsed `wire`/`reg` net declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedNet {
-    /// Width range, if declared; `None` means a 1-bit net.
-    pub range: Option<ParsedRange>,
-    /// Net name.
-    pub name: String,
-}
-
-/// A parsed memory (`reg [w] name [d];`) declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedMemory {
-    /// Element width range, if declared; `None` means 1-bit elements.
-    pub range: Option<ParsedRange>,
-    /// Depth range (e.g. `[0:DEPTH-1]`).
-    pub depth: ParsedRange,
-    /// Memory name.
-    pub name: String,
-}
-
-/// A parsed module instantiation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedInstance {
-    /// Name of the instantiated module.
-    pub module: String,
-    /// Instance name.
-    pub name: String,
-    /// `#(.NAME(expr))` parameter overrides, in order.
-    pub params: Vec<(String, String)>,
-    /// `.port(net-expr)` connections, in order.
-    pub connections: Vec<(String, String)>,
-}
-
-/// A parsed module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedModule {
-    /// Module name.
-    pub name: String,
-    /// `(parameter name, default expression)` pairs.
-    pub params: Vec<(String, String)>,
-    /// Ports, in declaration order.
-    pub ports: Vec<ParsedPort>,
-    /// `wire` declarations in the body.
-    pub wires: Vec<ParsedNet>,
-    /// Plain `reg` declarations in the body (memories excluded).
-    pub regs: Vec<ParsedNet>,
-    /// Memory (`reg [..] name [..];`) declarations.
-    pub memories: Vec<ParsedMemory>,
-    /// `localparam name = value;` pairs.
-    pub localparams: Vec<(String, String)>,
-    /// `assign lhs = rhs;` statements (lhs text, rhs text).
-    pub assigns: Vec<(String, String)>,
-    /// Module instantiations in the body.
-    pub instances: Vec<ParsedInstance>,
-    /// Every identifier mentioned anywhere in the body (declarations,
-    /// expressions, sensitivity lists, connections) minus keywords. The
-    /// unused-port lint checks ports against this set.
-    pub body_refs: BTreeSet<String>,
-}
-
-impl ParsedModule {
-    /// Looks a parameter's default expression up by name.
-    #[must_use]
-    pub fn param_default(&self, name: &str) -> Option<&str> {
-        self.params
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Looks a port up by name.
-    #[must_use]
-    pub fn port(&self, name: &str) -> Option<&ParsedPort> {
-        self.ports.iter().find(|p| p.name == name)
-    }
-
-    /// Looks a memory up by name.
-    #[must_use]
-    pub fn memory(&self, name: &str) -> Option<&ParsedMemory> {
-        self.memories.iter().find(|m| m.name == name)
-    }
+        if let Some(comment) = rest.strip_prefix("//") {
+            i += 2 + comment.find('\n').unwrap_or(comment.len());
+            continue;
+        }
+        if let Some(comment) = rest.strip_prefix("/*") {
+            i += 2 + comment.find("*/").map_or(comment.len(), |n| n + 2);
+            continue;
+        }
+        let run = |word: fn(u8) -> bool| rest.bytes().skip(1).take_while(|&c| word(c)).count() + 1;
+        let len = if b.is_ascii_alphabetic() || b == b'_' {
+            run(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'$')
+        } else if b.is_ascii_digit() {
+            run(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'')
+        } else {
+            rest.chars().next().map_or(1, char::len_utf8)
+        };
+        let tok = Tok {
+            text: &rest[..len],
+            start: i,
+        };
+        i += len;
+        return Some(tok);
+    })
 }
 
 pub(crate) const KEYWORDS: &[&str] = &[
@@ -223,155 +100,356 @@ pub(crate) const KEYWORDS: &[&str] = &[
     "integer",
 ];
 
-struct Parser {
-    toks: Vec<Tok>,
-    pos: usize,
+/// Most literals and identifiers one expression may hold: bounds the
+/// tree depth, so evaluating or dropping a tree cannot exhaust the
+/// stack.
+const MAX_EXPR_TERMS: usize = 256;
+
+/// The indent [`Module::render`] puts before each block body line.
+const BODY_INDENT: &str = "        ";
+
+fn invalid(message: impl Into<String>) -> TsnError {
+    TsnError::InvalidArtifact(message.into())
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+struct Parser<'a> {
+    src: &'a str,
+    toks: Vec<Tok<'a>>,
+    pos: usize,
+    /// Terms read by the expression being parsed.
+    terms: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let tok = self.peek();
         self.pos += 1;
-        t
+        tok
     }
 
-    fn eat_sym(&mut self, c: char) -> bool {
-        if self.peek() == Some(&Tok::Sym(c)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    fn eat(&mut self, text: &str) -> bool {
+        let hit = self.peek().is_some_and(|t| t.text == text);
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn expect_sym(&mut self, c: char, context: &str) -> TsnResult<()> {
-        if self.eat_sym(c) {
+    fn expect(&mut self, text: &str, context: &str) -> TsnResult<()> {
+        if self.eat(text) {
             Ok(())
         } else {
-            Err(TsnError::InvalidArtifact(format!(
-                "expected {c:?} in {context}, found {:?}",
-                self.peek()
+            Err(invalid(format!(
+                "expected {text:?} in {context}, found {:?}",
+                self.peek().map(|t| t.text)
             )))
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> TsnResult<String> {
+    fn ident(&mut self, what: &str) -> TsnResult<String> {
         match self.next() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => Err(TsnError::InvalidArtifact(format!(
-                "expected {what}, found {other:?}"
+            Some(tok) if tok.is_ident() => Ok(tok.text.to_owned()),
+            other => Err(invalid(format!(
+                "expected {what}, found {:?}",
+                other.map(|t| t.text)
             ))),
         }
     }
 
-    /// Collects tokens until one of `stops` appears at depth 0 (brackets
-    /// tracked), rendering them back to text. Running out of tokens ends
-    /// the scan: truncated input surfaces as a structured parse error at
-    /// the caller (which will miss its stop symbol), never as a panic.
-    fn text_until(&mut self, stops: &[char]) -> String {
-        let mut depth = 0i32;
-        let mut out = String::new();
-        let mut prev_word = false;
-        while let Some(tok) = self.peek() {
-            if depth == 0 {
-                if let Tok::Sym(c) = tok {
-                    if stops.contains(c) {
-                        break;
-                    }
-                }
-            }
-            let Some(tok) = self.next() else { break };
-            match tok {
-                Tok::Sym(c) => {
-                    match c {
-                        '(' | '[' | '{' => depth += 1,
-                        ')' | ']' | '}' => depth -= 1,
-                        _ => {}
-                    }
-                    out.push(c);
-                    prev_word = false;
-                }
-                Tok::Ident(s) | Tok::Number(s) => {
-                    // Space only between adjacent word tokens, so
-                    // `WIDTH-1` and `A*2` render back verbatim.
-                    if prev_word {
-                        out.push(' ');
-                    }
-                    out.push_str(&s);
-                    prev_word = true;
-                }
-            }
+    /// The source text of tokens `from..to`.
+    fn slice(&self, from: usize, to: usize) -> &'a str {
+        let to = to.min(self.toks.len());
+        if to <= from {
+            return "";
         }
-        out
+        &self.src[self.toks[from].start..self.toks[to - 1].end()]
     }
 
-    /// Parses an optional `[msb:lsb]` range in a declaration position.
-    fn parse_range(&mut self) -> TsnResult<Option<ParsedRange>> {
-        if !self.eat_sym('[') {
+    /// Skips tokens until one of `stops` appears at bracket depth 0 and
+    /// returns their source text. Running out of tokens ends the scan:
+    /// truncated input surfaces as a structured parse error at the
+    /// caller (which will miss its stop symbol), never as a panic.
+    fn text_until(&mut self, stops: &[&str]) -> String {
+        let (from, mut depth) = (self.pos, 0i32);
+        while let Some(tok) = self.peek() {
+            if depth == 0 && stops.contains(&tok.text) {
+                break;
+            }
+            match tok.text {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                _ => {}
+            }
+            self.pos += 1;
+        }
+        self.slice(from, self.pos).to_owned()
+    }
+
+    /// One whole expression.
+    fn value(&mut self) -> TsnResult<Expr> {
+        self.terms = 0;
+        self.sum()
+    }
+
+    fn sum(&mut self) -> TsnResult<Expr> {
+        let mut acc = self.product()?;
+        while let Some(op) = self.op(&[Op::Add, Op::Sub]) {
+            acc = Expr::Bin(op, Box::new(acc), Box::new(self.product()?));
+        }
+        Ok(acc)
+    }
+
+    fn product(&mut self) -> TsnResult<Expr> {
+        let mut acc = self.atom()?;
+        while let Some(op) = self.op(&[Op::Mul, Op::Div, Op::Rem]) {
+            acc = Expr::Bin(op, Box::new(acc), Box::new(self.atom()?));
+        }
+        Ok(acc)
+    }
+
+    fn op(&mut self, ops: &[Op]) -> Option<Op> {
+        let text = self.peek()?.text;
+        let op = *ops
+            .iter()
+            .find(|op| text.len() == 1 && text.starts_with(op.symbol()))?;
+        self.pos += 1;
+        Some(op)
+    }
+
+    fn atom(&mut self) -> TsnResult<Expr> {
+        self.terms += 1;
+        if self.terms > MAX_EXPR_TERMS {
+            return Err(invalid(format!(
+                "expression longer than {MAX_EXPR_TERMS} terms"
+            )));
+        }
+        let tok = self.next().ok_or_else(|| invalid("expression cut short"))?;
+        match tok.text {
+            "-" => Ok(Expr::Neg(Box::new(self.atom()?))),
+            "(" => {
+                let inner = self.sum()?;
+                self.expect(")", "expression")?;
+                Ok(inner)
+            }
+            text if tok.is_ident() => Ok(Expr::Ident(text.to_owned())),
+            text => text
+                .replace('_', "")
+                .parse()
+                .map(Expr::Num)
+                .map_err(|_| invalid(format!("{text:?} is not a plain integer expression"))),
+        }
+    }
+
+    /// An optional `[msb:lsb]` range.
+    fn range(&mut self) -> TsnResult<Option<Range>> {
+        if !self.eat("[") {
             return Ok(None);
         }
-        let msb = self.text_until(&[':', ']']);
-        self.expect_sym(':', "range")?;
-        let lsb = self.text_until(&[']']);
-        self.expect_sym(']', "range")?;
-        Ok(Some(ParsedRange { msb, lsb }))
+        let msb = self.value()?;
+        self.expect(":", "range")?;
+        let lsb = self.value()?;
+        self.expect("]", "range")?;
+        Ok(Some(Range { msb, lsb }))
     }
 
-    /// Parses a `.name(expr)` list terminated by `)` — shared by
-    /// parameter overrides and port connections. Tokens that are neither
-    /// `.name(expr)` nor commas (e.g. positional arguments) are skipped.
-    fn parse_named_list(&mut self, what: &str) -> TsnResult<Vec<(String, String)>> {
+    /// A `.name(value), …)` list, its opening `(` already consumed.
+    fn named_list<T>(
+        &mut self,
+        what: &str,
+        mut value: impl FnMut(&mut Self) -> TsnResult<T>,
+    ) -> TsnResult<Vec<(String, T)>> {
         let mut out = Vec::new();
+        if self.eat(")") {
+            return Ok(out);
+        }
         loop {
-            if self.eat_sym(')') {
+            self.expect(".", what)?;
+            let name = self.ident(what)?;
+            self.expect("(", what)?;
+            out.push((name, value(self)?));
+            self.expect(")", what)?;
+            if self.eat(")") {
                 return Ok(out);
             }
-            if self.eat_sym('.') {
-                let name = self.expect_ident(what)?;
-                self.expect_sym('(', what)?;
-                let value = self.text_until(&[')']);
-                self.expect_sym(')', what)?;
-                out.push((name, value));
-            } else if self.next().is_none() {
-                return Err(TsnError::InvalidArtifact(format!("unterminated {what}")));
+            self.expect(",", what)?;
+        }
+    }
+
+    /// A `begin … end` block whose `begin` ends its line and whose `end`
+    /// starts its line: the lines in between, body indent stripped.
+    fn block(&mut self) -> TsnResult<Vec<String>> {
+        self.expect("begin", "block")?;
+        let begin = self.toks[self.pos - 1];
+        let mut depth = 1;
+        let end = loop {
+            let tok = self.next().ok_or_else(|| invalid("unterminated block"))?;
+            match tok.text {
+                "begin" => depth += 1,
+                "end" if depth == 1 => break tok,
+                "end" => depth -= 1,
+                "endmodule" => return Err(invalid("block runs into endmodule")),
+                _ => {}
+            }
+        };
+        let after_begin = &self.src[begin.end()..];
+        let first = after_begin
+            .find('\n')
+            .filter(|&n| after_begin[..n].trim().is_empty());
+        let before_end = &self.src[..end.start];
+        let last = before_end
+            .rfind('\n')
+            .filter(|&n| before_end[n..].trim().is_empty());
+        match (first, last) {
+            (Some(first), Some(last)) if begin.end() + first <= last => {
+                let lines = &self.src[begin.end() + first + 1..=last];
+                Ok(lines
+                    .split_terminator('\n')
+                    .map(|line| line.strip_prefix(BODY_INDENT).unwrap_or(line.trim_start()))
+                    .map(str::to_owned)
+                    .collect())
+            }
+            _ => Err(invalid("block is not laid out one statement per line")),
+        }
+    }
+
+    /// `IDENT [#(.P(expr), …)] IDENT ( .p(text), … );`, the module name
+    /// already consumed.
+    fn instance(&mut self, module: &str) -> TsnResult<Instance> {
+        let mut inst = Instance::new(module, "");
+        if self.eat("#") {
+            self.expect("(", "parameter override")?;
+            inst.params = self.named_list("parameter override", Self::value)?;
+        }
+        inst.name = self.ident("instance name")?;
+        self.expect("(", "instance")?;
+        inst.connections = self.named_list("connection", |p| Ok(p.text_until(&[")"])))?;
+        self.expect(";", "instance")?;
+        Ok(inst)
+    }
+
+    /// One structured body item, or `Err` when the statement has none of
+    /// the IR's shapes.
+    fn item(&mut self) -> TsnResult<Item> {
+        let tok = self.next().ok_or_else(|| invalid("body cut short"))?;
+        Ok(match tok.text {
+            "wire" => {
+                let range = self.range()?;
+                let name = self.ident("wire name")?;
+                self.expect(";", "wire declaration")?;
+                Item::Wire { range, name }
+            }
+            "reg" => {
+                let range = self.range()?;
+                let name = self.ident("reg name")?;
+                let depth = self.range()?;
+                self.expect(";", "reg declaration")?;
+                match depth {
+                    Some(depth) => Item::Memory { range, depth, name },
+                    None => Item::Reg { range, name },
+                }
+            }
+            "localparam" => {
+                let name = self.ident("localparam name")?;
+                self.expect("=", "localparam")?;
+                let value = self.value()?;
+                self.expect(";", "localparam")?;
+                Item::Localparam { name, value }
+            }
+            "assign" => {
+                let lhs = self.text_until(&["="]);
+                self.expect("=", "assign")?;
+                let rhs = self.text_until(&[";"]);
+                self.expect(";", "assign")?;
+                Item::Assign { lhs, rhs }
+            }
+            "always" => {
+                self.expect("@", "always")?;
+                self.expect("(", "sensitivity list")?;
+                let sensitivity = self.text_until(&[")"]);
+                self.expect(")", "sensitivity list")?;
+                let body = self.block()?;
+                Item::Always { sensitivity, body }
+            }
+            "initial" => Item::Initial {
+                body: self.block()?,
+            },
+            module if tok.is_ident() && !KEYWORDS.contains(&module) => {
+                Item::Instance(self.instance(module)?)
+            }
+            _ => return Err(invalid("unstructured statement")),
+        })
+    }
+
+    /// The statement at the cursor as source text: up to its `;` or the
+    /// `end` closing its block, at bracket depth 0, or up to
+    /// `endmodule`.
+    fn raw(&mut self, module: &str) -> TsnResult<Item> {
+        let from = self.pos;
+        let (mut brackets, mut blocks) = (0i32, 0i32);
+        loop {
+            let tok = self
+                .peek()
+                .ok_or_else(|| invalid(format!("module {module} missing endmodule")))?;
+            if tok.text == "endmodule" && self.pos > from {
+                break;
+            }
+            self.pos += 1;
+            match tok.text {
+                "(" | "[" | "{" => brackets += 1,
+                ")" | "]" | "}" => brackets -= 1,
+                "begin" => blocks += 1,
+                "end" => blocks -= 1,
+                _ => {}
+            }
+            let closes = tok.text == ";" || (tok.text == "end" && blocks <= 0);
+            if closes && blocks <= 0 && brackets <= 0 {
+                break;
+            }
+        }
+        Ok(Item::Raw(self.slice(from, self.pos).to_owned()))
+    }
+
+    /// The `//` comments between the previous token and the next one.
+    fn comments(&self, items: &mut Vec<Item>) {
+        let from = self.pos.checked_sub(1).map_or(0, |p| self.toks[p].end());
+        let to = self.peek().map_or(self.src.len(), |t| t.start);
+        let mut rest = self.src.get(from..to).unwrap_or("");
+        while let Some(at) = rest.find('/') {
+            rest = &rest[at..];
+            if let Some(line) = rest.strip_prefix("//") {
+                let text = &line[..line.find('\n').unwrap_or(line.len())];
+                items.push(Item::Comment(
+                    text.strip_prefix(' ').unwrap_or(text).to_owned(),
+                ));
+                rest = &line[text.len()..];
+            } else if let Some(block) = rest.strip_prefix("/*") {
+                rest = block.find("*/").map_or("", |n| &block[n + 2..]);
+            } else {
+                rest = &rest[1..];
             }
         }
     }
 
-    fn parse_module(&mut self) -> TsnResult<ParsedModule> {
-        let name = self.expect_ident("module name")?;
-        let mut module = ParsedModule {
-            name,
-            params: Vec::new(),
-            ports: Vec::new(),
-            wires: Vec::new(),
-            regs: Vec::new(),
-            memories: Vec::new(),
-            localparams: Vec::new(),
-            assigns: Vec::new(),
-            instances: Vec::new(),
-            body_refs: BTreeSet::new(),
-        };
+    fn module(&mut self) -> TsnResult<Module> {
+        let mut module = Module::new(self.ident("module name")?);
 
         // #( parameter N = V, ... )
-        if self.eat_sym('#') {
-            self.expect_sym('(', "parameter list")?;
+        if self.eat("#") {
+            self.expect("(", "parameter list")?;
             loop {
-                match self.next() {
-                    Some(Tok::Ident(kw)) if kw == "parameter" => {
-                        let pname = self.expect_ident("parameter name")?;
-                        self.expect_sym('=', "parameter")?;
-                        let value = self.text_until(&[',', ')']);
-                        module.params.push((pname, value));
+                match self.next().map(|t| t.text) {
+                    Some("parameter") => {
+                        let name = self.ident("parameter name")?;
+                        self.expect("=", "parameter")?;
+                        let value = self.value()?;
+                        module.params.push(Param { name, value });
                     }
-                    Some(Tok::Sym(',')) => {}
-                    Some(Tok::Sym(')')) => break,
+                    Some(",") => {}
+                    Some(")") => break,
                     other => {
-                        return Err(TsnError::InvalidArtifact(format!(
+                        return Err(invalid(format!(
                             "unexpected token in parameter list: {other:?}"
                         )))
                     }
@@ -380,133 +458,46 @@ impl Parser {
         }
 
         // ( port declarations )
-        if !self.eat_sym('(') {
-            return Err(TsnError::InvalidArtifact(
-                "expected port list after module header".to_owned(),
-            ));
+        if !self.eat("(") {
+            return Err(invalid("expected port list after module header"));
         }
         loop {
-            match self.next() {
-                Some(Tok::Sym(')')) => break,
-                Some(Tok::Sym(',')) => {}
-                Some(Tok::Ident(dir_kw)) if ["input", "output"].contains(&dir_kw.as_str()) => {
-                    let mut dir = if dir_kw == "input" {
-                        Dir::Input
-                    } else {
-                        Dir::Output
+            match self.next().map(|t| t.text) {
+                Some(")") => break,
+                Some(",") => {}
+                Some(kw @ ("input" | "output")) => {
+                    let dir = match (kw, self.eat("reg")) {
+                        ("output", true) => Dir::OutputReg,
+                        ("output", false) => Dir::Output,
+                        _ => Dir::Input,
                     };
-                    // Optional `reg`.
-                    if self.peek() == Some(&Tok::Ident("reg".to_owned())) {
-                        self.pos += 1;
-                        if dir == Dir::Output {
-                            dir = Dir::OutputReg;
-                        }
-                    }
-                    let range = self.parse_range()?;
-                    let pname = self.expect_ident("port name")?;
-                    module.ports.push(ParsedPort {
-                        dir,
-                        range,
-                        name: pname,
-                    });
+                    let range = self.range()?;
+                    let name = self.ident("port name")?;
+                    module.ports.push(Port { dir, range, name });
                 }
-                other => {
-                    return Err(TsnError::InvalidArtifact(format!(
-                        "unexpected token in port list: {other:?}"
-                    )))
-                }
+                other => return Err(invalid(format!("unexpected token in port list: {other:?}"))),
             }
         }
-        self.expect_sym(';', "module header")?;
+        self.expect(";", "module header")?;
 
-        // Body: structured declarations, instances, endmodule.
-        let body_start = self.pos;
+        // Body: structured items, anything else as raw text, endmodule.
         loop {
-            match self.next() {
-                None => {
-                    return Err(TsnError::InvalidArtifact(format!(
-                        "module {} missing endmodule",
-                        module.name
-                    )))
-                }
-                Some(Tok::Ident(kw)) if kw == "endmodule" => break,
-                Some(Tok::Ident(kw)) if kw == "wire" => {
-                    let range = self.parse_range()?;
-                    let name = self.expect_ident("wire name")?;
-                    self.text_until(&[';']);
-                    self.expect_sym(';', "wire declaration")?;
-                    module.wires.push(ParsedNet { range, name });
-                }
-                Some(Tok::Ident(kw)) if kw == "reg" => {
-                    let range = self.parse_range()?;
-                    let name = self.expect_ident("reg name")?;
-                    let depth = self.parse_range()?;
-                    self.text_until(&[';']);
-                    self.expect_sym(';', "reg declaration")?;
-                    match depth {
-                        Some(depth) => module.memories.push(ParsedMemory { range, depth, name }),
-                        None => module.regs.push(ParsedNet { range, name }),
-                    }
-                }
-                Some(Tok::Ident(kw)) if kw == "localparam" => {
-                    let name = self.expect_ident("localparam name")?;
-                    self.expect_sym('=', "localparam")?;
-                    let value = self.text_until(&[';']);
-                    self.expect_sym(';', "localparam")?;
-                    module.localparams.push((name, value));
-                }
-                Some(Tok::Ident(kw)) if kw == "assign" => {
-                    let lhs = self.text_until(&['=']);
-                    self.expect_sym('=', "assign")?;
-                    let rhs = self.text_until(&[';']);
-                    self.expect_sym(';', "assign")?;
-                    module.assigns.push((lhs, rhs));
-                }
-                Some(Tok::Ident(ident)) if !KEYWORDS.contains(&ident.as_str()) => {
-                    // Candidate instantiation:
-                    //   IDENT [#(.P(v), …)] IDENT ( .p(n), … );
-                    // Anything that stops matching before the opening
-                    // `(` of the connection list backtracks (it was an
-                    // expression statement, not an instance).
-                    let saved = self.pos;
-                    let mut params = Vec::new();
-                    if self.eat_sym('#') {
-                        if !self.eat_sym('(') {
-                            self.pos = saved;
-                            continue;
-                        }
-                        params = self.parse_named_list("parameter override")?;
-                    }
-                    let Some(Tok::Ident(inst_name)) = self.peek().cloned() else {
-                        self.pos = saved;
-                        continue;
-                    };
+            self.comments(&mut module.items);
+            let from = self.pos;
+            match self.peek().map(|t| t.text) {
+                None => return Err(invalid(format!("module {} missing endmodule", module.name))),
+                Some("endmodule") => {
                     self.pos += 1;
-                    if !self.eat_sym('(') {
-                        self.pos = saved;
-                        continue;
-                    }
-                    let connections = self.parse_named_list("connection")?;
-                    self.expect_sym(';', "instance")?;
-                    module.instances.push(ParsedInstance {
-                        module: ident,
-                        name: inst_name,
-                        params,
-                        connections,
-                    });
+                    return Ok(module);
                 }
-                _ => {}
+                Some(_) => {}
             }
+            let item = self.item().or_else(|_| {
+                self.pos = from;
+                self.raw(&module.name)
+            })?;
+            module.items.push(item);
         }
-        // `self.pos - 1` points past the consumed `endmodule`.
-        for tok in &self.toks[body_start..self.pos.saturating_sub(1)] {
-            if let Tok::Ident(s) = tok {
-                if !KEYWORDS.contains(&s.as_str()) {
-                    module.body_refs.insert(s.clone());
-                }
-            }
-        }
-        Ok(module)
     }
 }
 
@@ -515,113 +506,164 @@ impl Parser {
 /// # Errors
 ///
 /// Returns [`TsnError::InvalidArtifact`] on structurally broken input
-/// (missing `endmodule`, malformed parameter/port lists, truncated
-/// declarations).
+/// (missing `endmodule`, malformed parameter/port lists, a width or
+/// parameter expression outside the [`Expr`] grammar).
 ///
 /// # Example
 ///
 /// ```
+/// use tsn_hdl::expr::Expr;
 /// use tsn_hdl::parse::parse_modules;
 ///
 /// let src = "module m #(\n parameter W = 8\n) (\n input clk,\n output [W-1:0] q\n);\nendmodule\n";
 /// let modules = parse_modules(src)?;
 /// assert_eq!(modules.len(), 1);
 /// assert_eq!(modules[0].name, "m");
-/// assert_eq!(modules[0].params, vec![("W".to_owned(), "8".to_owned())]);
+/// assert_eq!(modules[0].params[0].value, Expr::Num(8));
 /// assert_eq!(modules[0].ports.len(), 2);
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
-pub fn parse_modules(source: &str) -> TsnResult<Vec<ParsedModule>> {
+pub fn parse_modules(source: &str) -> TsnResult<Vec<Module>> {
     let mut parser = Parser {
-        toks: lex(source),
+        src: source,
+        toks: lex(source).collect(),
         pos: 0,
+        terms: 0,
     };
     let mut modules = Vec::new();
     while let Some(tok) = parser.next() {
-        if tok == Tok::Ident("module".to_owned()) {
-            modules.push(parser.parse_module()?);
+        if tok.text == "module" {
+            modules.push(parser.module()?);
         }
     }
     Ok(modules)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::ast::{Item, Module, Port};
-    use crate::templates::generate;
+    use crate::cost::cost_of;
+    use crate::lint::lint_modules;
+    use crate::templates::{generate, modules};
     use tsn_resource::ResourceConfig;
+
+    /// Parses one whole expression.
+    pub(crate) fn parse_expr(text: &str) -> TsnResult<Expr> {
+        let mut parser = Parser {
+            src: text,
+            toks: lex(text).collect(),
+            pos: 0,
+            terms: 0,
+        };
+        let value = parser.value()?;
+        match parser.peek() {
+            None => Ok(value),
+            Some(tok) => Err(invalid(format!("trailing {:?}", tok.text))),
+        }
+    }
+
+    fn items(build: impl FnOnce(&mut Module)) -> Vec<Item> {
+        let mut m = Module::new("m");
+        build(&mut m);
+        m.items
+    }
+
+    fn only(src: &str) -> Module {
+        let mut modules = parse_modules(src).expect("parses");
+        assert_eq!(modules.len(), 1);
+        modules.remove(0)
+    }
+
+    fn bits(msb: &str) -> Option<Range> {
+        Some(Range {
+            msb: parse_expr(msb).expect("parses"),
+            lsb: Expr::Num(0),
+        })
+    }
 
     #[test]
     fn parses_a_hand_written_module() {
         let src = "module demo #(\n    parameter WIDTH = 32,\n    parameter DEPTH = 16\n) (\n    input clk,\n    input [WIDTH-1:0] din,\n    output reg [WIDTH-1:0] dout\n);\n    reg [WIDTH-1:0] mem [0:DEPTH-1];\nendmodule\n";
-        let modules = parse_modules(src).expect("parses");
-        assert_eq!(modules.len(), 1);
-        let m = &modules[0];
+        let m = only(src);
         assert_eq!(m.name, "demo");
         assert_eq!(m.params.len(), 2);
-        assert_eq!(m.params[0], ("WIDTH".to_owned(), "32".to_owned()));
+        assert_eq!(m.params[0].name, "WIDTH");
+        assert_eq!(m.params[0].value, Expr::Num(32));
         assert_eq!(m.ports.len(), 3);
+        let mut want = Module::new("demo");
+        want.input(1, "clk").output_reg("WIDTH", "dout");
+        assert_eq!(m.ports[0], want.ports[0]);
+        assert_eq!(m.ports[2], want.ports[1]);
         assert_eq!(
-            m.ports[0],
-            ParsedPort {
-                dir: Dir::Input,
-                range: None,
-                name: "clk".into()
-            }
+            m.items,
+            items(|m| {
+                m.memory("WIDTH", "DEPTH", "mem");
+            })
         );
-        assert_eq!(m.ports[2].dir, Dir::OutputReg);
-        assert!(m.ports[2].has_range());
-        assert_eq!(
-            m.ports[2].range.as_ref().map(|r| r.msb.as_str()),
-            Some("WIDTH-1")
-        );
-        assert_eq!(m.memories.len(), 1);
-        let mem = m.memory("mem").expect("memory parsed");
-        assert_eq!(mem.depth.msb, "0");
-        assert_eq!(mem.depth.lsb, "DEPTH-1");
-        assert_eq!(mem.range.as_ref().map(|r| r.msb.as_str()), Some("WIDTH-1"));
+        assert_eq!(m.render(), src);
     }
 
     #[test]
     fn parses_instances_with_overrides_and_connections() {
         let src = "module top (\n    input clk\n);\n    fifo #(.DEPTH(12)) u_f (\n        .clk(clk),\n        .din(8'h00)\n    );\nendmodule\n";
-        let modules = parse_modules(src).expect("parses");
+        let m = only(src);
         assert_eq!(
-            modules[0].instances,
-            vec![ParsedInstance {
+            m.instances().collect::<Vec<_>>(),
+            vec![&Instance {
                 module: "fifo".into(),
                 name: "u_f".into(),
-                params: vec![("DEPTH".into(), "12".into())],
+                params: vec![("DEPTH".into(), Expr::Num(12))],
                 connections: vec![("clk".into(), "clk".into()), ("din".into(), "8'h00".into())],
             }]
         );
-        assert!(modules[0].body_refs.contains("fifo"));
-        assert!(modules[0].body_refs.contains("clk"));
+        assert!(m.references().contains("fifo"));
+        assert!(m.references().contains("clk"));
+        assert_eq!(m.render(), src);
     }
 
     #[test]
     fn parses_wires_regs_assigns_and_localparams() {
         let src = "module m (\n    input clk\n);\n    localparam LP = 7;\n    wire [LP-1:0] w;\n    reg r;\n    reg [3:0] counter;\n    assign w = counter + LP;\nendmodule\n";
-        let m = &parse_modules(src).expect("parses")[0];
-        assert_eq!(m.localparams, vec![("LP".to_owned(), "7".to_owned())]);
-        assert_eq!(m.wires.len(), 1);
-        assert_eq!(m.wires[0].name, "w");
+        let m = only(src);
+        let counter = Item::Reg {
+            range: bits("3"),
+            name: "counter".into(),
+        };
+        let want = items(|m| {
+            m.item(Item::Localparam {
+                name: "LP".into(),
+                value: Expr::Num(7),
+            })
+            .wire("LP", "w")
+            .reg(1, "r")
+            .item(counter)
+            .assign("w", "counter + LP");
+        });
+        assert_eq!(m.items, want);
+        assert!(m.references().contains("counter"));
+        assert_eq!(m.render(), src);
+    }
+
+    #[test]
+    fn comments_blocks_and_raw_statements_keep_their_text() {
+        let src = "module m (\n    input clk\n);\n    // a comment\n    always @(posedge clk) begin\n        if (x) begin\n            y <= 1; // tail\n        end\n    end\n    initial begin\n    end\n    always #4 clk = ~clk;\n    wire a, b;\nendmodule\n";
+        let m = only(src);
+        let want = items(|m| {
+            m.comment("a comment")
+                .clocked(&["if (x) begin", "    y <= 1; // tail", "end"])
+                .item(Item::Initial { body: vec![] })
+                .item(Item::Raw("always #4 clk = ~clk;".into()))
+                .item(Item::Raw("wire a, b;".into()));
+        });
+        assert_eq!(m.items, want);
+        assert_eq!(m.render(), src);
+        // A block not laid out one statement per line stays raw text.
+        let one_line =
+            "module m ( input clk );\n always @(posedge clk) begin x <= 1; end\nendmodule\n";
         assert_eq!(
-            m.wires[0].range.as_ref().map(|r| r.msb.as_str()),
-            Some("LP-1")
+            only(one_line).items,
+            vec![Item::Raw("always @(posedge clk) begin x <= 1; end".into())]
         );
-        assert_eq!(m.regs.len(), 2);
-        assert_eq!(
-            m.regs[0],
-            ParsedNet {
-                range: None,
-                name: "r".into()
-            }
-        );
-        assert_eq!(m.assigns.len(), 1);
-        assert_eq!(m.assigns[0].0, "w");
-        assert!(m.body_refs.contains("counter"));
     }
 
     #[test]
@@ -631,6 +673,7 @@ mod tests {
         let modules = parse_modules(src).expect("parses");
         assert_eq!(modules.len(), 1);
         assert_eq!(modules[0].name, "m");
+        assert!(modules[0].items.is_empty());
         // Inline form too.
         let src2 = "module /* not_the_name */ n ( input clk );\nendmodule\n";
         assert_eq!(parse_modules(src2).expect("parses")[0].name, "n");
@@ -642,27 +685,39 @@ mod tests {
     }
 
     #[test]
-    fn emitted_ast_round_trips() {
-        let mut m = Module::new("roundtrip");
-        m.param("A", 7)
-            .param("B", "A*2")
-            .port(Port::input("1", "clk"))
-            .port(Port::input("A", "d"))
-            .port(Port::output_reg("B", "q"))
-            .item(Item::Memory {
-                width: "A".into(),
-                depth: "B".into(),
-                name: "store".into(),
-            });
-        let parsed = parse_modules(&m.emit()).expect("parses");
-        assert_eq!(parsed.len(), 1);
-        let p = &parsed[0];
-        assert_eq!(p.name, "roundtrip");
-        assert_eq!(p.params.len(), 2);
-        assert_eq!(p.params[0].0, "A");
-        assert_eq!(p.ports.len(), 3);
-        assert_eq!(p.memories.len(), 1);
-        assert_eq!(p.memories[0].name, "store");
+    fn rejects_expressions_outside_the_grammar() {
+        for src in [
+            "module m #( parameter W = 8'h00 ) ( input clk ); endmodule",
+            "module m ( input [a[3]:0] clk ); endmodule",
+            "module m #( parameter W = 99999999999999999999 ) (); endmodule",
+        ] {
+            assert!(parse_modules(src).is_err(), "{src}");
+        }
+        let deep = format!(
+            "module m #( parameter W = {}1 ) (); endmodule",
+            "-".repeat(300)
+        );
+        assert!(parse_modules(&deep).is_err());
+        let long = format!(
+            "module m #( parameter W = 1{} ) (); endmodule",
+            "+1".repeat(300)
+        );
+        assert!(parse_modules(&long).is_err());
+    }
+
+    #[test]
+    fn every_template_module_round_trips() {
+        for ports in [1, 4] {
+            let mut cfg = ResourceConfig::new();
+            cfg.set_gate_tbl(2, 8, ports)
+                .expect("valid")
+                .set_buffers(96, ports)
+                .expect("valid");
+            for m in modules(&cfg) {
+                let text = m.render();
+                assert_eq!(parse_modules(&text).expect("parses"), vec![m], "{text}");
+            }
+        }
     }
 
     #[test]
@@ -694,7 +749,7 @@ mod tests {
         // one egress_sched per enabled port (1 for the default ring
         // config).
         let top = &all[7];
-        let count = |module: &str| top.instances.iter().filter(|i| i.module == module).count();
+        let count = |module: &str| top.instances().filter(|i| i.module == module).count();
         assert_eq!(count("time_sync"), 1);
         assert_eq!(count("packet_switch"), 1);
         assert_eq!(count("ingress_filter"), 1);
@@ -704,8 +759,7 @@ mod tests {
         // and connection lists.
         let gates = &all[5];
         let fifos: Vec<_> = gates
-            .instances
-            .iter()
+            .instances()
             .filter(|i| i.module == "meta_fifo")
             .collect();
         assert_eq!(fifos.len(), 8);
@@ -714,9 +768,14 @@ mod tests {
             assert_eq!(fifo.connections.len(), 8);
         }
         // Memories: GCLs in gate_ctrl, meter table in the filter.
-        assert!(gates.memory("in_gcl").is_some());
-        assert!(gates.memory("out_gcl").is_some());
-        assert!(all[4].memory("meter_tbl").is_some());
+        let has_memory = |m: &Module, want: &str| {
+            m.items
+                .iter()
+                .any(|item| matches!(item, Item::Memory { name, .. } if name == want))
+        };
+        assert!(has_memory(gates, "in_gcl"));
+        assert!(has_memory(gates, "out_gcl"));
+        assert!(has_memory(&all[4], "meter_tbl"));
     }
 
     #[test]
@@ -725,12 +784,12 @@ mod tests {
         cfg.set_queues(24, 8, 2).expect("valid");
         let bundle = generate(&cfg).expect("generates");
         let gates = parse_modules(bundle.file("gate_ctrl.v").expect("file")).expect("parses");
-        assert_eq!(gates[0].param_default("QUEUE_DEPTH"), Some("24"));
+        let depth = gates[0].params.iter().find(|p| p.name == "QUEUE_DEPTH");
+        assert_eq!(depth.map(|p| &p.value), Some(&Expr::Num(24)));
         let top = parse_modules(bundle.file("tsn_switch_top.v").expect("file")).expect("parses");
         assert_eq!(
             top[0]
-                .instances
-                .iter()
+                .instances()
                 .filter(|i| i.module == "gate_ctrl")
                 .count(),
             2,
@@ -774,13 +833,22 @@ mod tests {
             "module m ( input clk ); assign a",
             "module m ( input clk ); sub #( .W(8",
             "module m ( input clk ); sub u0 ( .a(b",
+            "module m ( input clk ); always @(posedge clk) begin",
+            "module m ( input clk ); initial begin\n end end end",
             ")))]]]}}}",
             "module ; ( ) # = , .",
             "/ // /// #(((",
             "module m ( input clk ); /* unterminated",
+            "module m ( input clk ); // é\u{2028}\n ü ; endmodule",
+            "module m #( parameter A = (-9223372036854775807-1)/-1 ) ( input clk ); endmodule",
+            "module m ( input clk ); reg [9223372036854775807:-9223372036854775807] r; endmodule",
         ];
         for src in cases {
-            let _ = parse_modules(src); // must return, never panic
+            // Parse, lint and cost must all return, never panic.
+            for module in parse_modules(src).iter().flatten() {
+                let modules = std::slice::from_ref(module);
+                let _ = (lint_modules(modules), cost_of(modules, &module.name));
+            }
         }
     }
 }

@@ -9,7 +9,8 @@
 //! priority encoder, token-bucket and credit arithmetic) are generated as
 //! complete RTL.
 
-use crate::ast::{Item, Module, Port};
+use crate::ast::{Instance, Item, Module};
+use crate::expr::Expr;
 use crate::validate::module_names;
 use std::collections::HashSet;
 use tsn_resource::ResourceConfig;
@@ -63,8 +64,26 @@ fn addr_width(depth: u32) -> u32 {
     clog2(depth).max(1)
 }
 
-/// Generates the complete per-switch HDL bundle for `config` and
-/// validates every file.
+/// The nine template modules for `config`, in file order, top module
+/// and testbench last. Each is emitted as `<name>.v`.
+#[must_use]
+pub fn modules(config: &ResourceConfig) -> Vec<Module> {
+    vec![
+        dpram(),
+        meta_fifo(),
+        time_sync(),
+        packet_switch(config),
+        ingress_filter(config),
+        gate_ctrl(config),
+        egress_sched(config),
+        top(config),
+        testbench(config),
+    ]
+}
+
+/// Generates the complete per-switch HDL bundle for `config` — every
+/// [`modules`] entry rendered into its own file — and validates every
+/// file.
 ///
 /// # Errors
 ///
@@ -72,20 +91,9 @@ fn addr_width(depth: u32) -> u32 {
 /// lexical validation (a generator bug), or propagates configuration
 /// errors.
 pub fn generate(config: &ResourceConfig) -> TsnResult<HdlBundle> {
-    let modules = vec![
-        ("dpram.v", dpram()),
-        ("meta_fifo.v", meta_fifo()),
-        ("time_sync.v", time_sync()),
-        ("packet_switch.v", packet_switch(config)),
-        ("ingress_filter.v", ingress_filter(config)),
-        ("gate_ctrl.v", gate_ctrl(config)),
-        ("egress_sched.v", egress_sched(config)),
-        ("tsn_switch_top.v", top(config)),
-        ("tsn_switch_tb.v", testbench(config)),
-    ];
-    let files: Vec<(String, String)> = modules
-        .into_iter()
-        .map(|(name, module)| (name.to_owned(), module.emit()))
+    let files: Vec<(String, String)> = modules(config)
+        .iter()
+        .map(|m| (format!("{}.v", m.name), m.render()))
         .collect();
     check_files(&files)?;
     Ok(HdlBundle { files })
@@ -111,6 +119,15 @@ fn check_files(files: &[(String, String)]) -> TsnResult<()> {
     Ok(())
 }
 
+/// A `dpram` table instance addressed by the `{prefix}_AW`/`{prefix}_DEPTH`
+/// pair and `width` parameter.
+fn table(name: &str, width: &str, prefix: &str, connections: &[(&str, &str)]) -> Instance {
+    let (depth, aw) = (format!("{prefix}_DEPTH"), format!("{prefix}_AW"));
+    Instance::new("dpram", name)
+        .params(&[("WIDTH", width), ("DEPTH", &depth), ("ADDR_WIDTH", &aw)])
+        .connect(connections)
+}
+
 /// Generic simple-dual-port RAM, the BRAM-inferrable primitive every
 /// table maps onto.
 fn dpram() -> Module {
@@ -118,27 +135,18 @@ fn dpram() -> Module {
     m.param("WIDTH", 32)
         .param("DEPTH", 1024)
         .param("ADDR_WIDTH", 10)
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "wr_en"))
-        .port(Port::input("ADDR_WIDTH", "wr_addr"))
-        .port(Port::input("WIDTH", "wr_data"))
-        .port(Port::input("ADDR_WIDTH", "rd_addr"))
-        .port(Port::output_reg("WIDTH", "rd_data"))
-        .item(Item::Comment(
-            "inferred block RAM; one 18Kb/36Kb primitive per instance".into(),
-        ))
-        .item(Item::Memory {
-            width: "WIDTH".into(),
-            depth: "DEPTH".into(),
-            name: "mem".into(),
-        })
-        .item(Item::Always {
-            sensitivity: "posedge clk".into(),
-            body: vec![
-                "if (wr_en) mem[wr_addr] <= wr_data;".into(),
-                "rd_data <= mem[rd_addr];".into(),
-            ],
-        });
+        .input(1, "clk")
+        .input(1, "wr_en")
+        .input("ADDR_WIDTH", "wr_addr")
+        .input("WIDTH", "wr_data")
+        .input("ADDR_WIDTH", "rd_addr")
+        .output_reg("WIDTH", "rd_data")
+        .comment("inferred block RAM; one 18Kb/36Kb primitive per instance")
+        .memory("WIDTH", "DEPTH", "mem")
+        .clocked(&[
+            "if (wr_en) mem[wr_addr] <= wr_data;",
+            "rd_data <= mem[rd_addr];",
+        ]);
     m
 }
 
@@ -148,61 +156,36 @@ fn meta_fifo() -> Module {
     m.param("WIDTH", 32)
         .param("DEPTH", 12)
         .param("ADDR_WIDTH", 4)
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "rst_n"))
-        .port(Port::input("1", "push"))
-        .port(Port::input("WIDTH", "din"))
-        .port(Port::input("1", "pop"))
-        .port(Port::output_reg("WIDTH", "dout"))
-        .port(Port::output("1", "full"))
-        .port(Port::output("1", "empty"))
-        .item(Item::Memory {
-            width: "WIDTH".into(),
-            depth: "DEPTH".into(),
-            name: "mem".into(),
-        })
-        .item(Item::Reg {
-            width: "ADDR_WIDTH+1".into(),
-            name: "wr_ptr".into(),
-        })
-        .item(Item::Reg {
-            width: "ADDR_WIDTH+1".into(),
-            name: "rd_ptr".into(),
-        })
-        .item(Item::Wire {
-            width: "ADDR_WIDTH+1".into(),
-            name: "level".into(),
-        })
-        .item(Item::Assign {
-            lhs: "level".into(),
-            rhs: "wr_ptr - rd_ptr".into(),
-        })
-        .item(Item::Assign {
-            lhs: "full".into(),
-            rhs: "level == DEPTH".into(),
-        })
-        .item(Item::Assign {
-            lhs: "empty".into(),
-            rhs: "level == 0".into(),
-        })
-        .item(Item::Always {
-            sensitivity: "posedge clk".into(),
-            body: vec![
-                "if (!rst_n) begin".into(),
-                "    wr_ptr <= 0;".into(),
-                "    rd_ptr <= 0;".into(),
-                "end else begin".into(),
-                "    if (push && !full) begin".into(),
-                "        mem[wr_ptr[ADDR_WIDTH-1:0]] <= din;".into(),
-                "        wr_ptr <= wr_ptr + 1;".into(),
-                "    end".into(),
-                "    if (pop && !empty) begin".into(),
-                "        dout <= mem[rd_ptr[ADDR_WIDTH-1:0]];".into(),
-                "        rd_ptr <= rd_ptr + 1;".into(),
-                "    end".into(),
-                "end".into(),
-            ],
-        });
+        .input(1, "clk")
+        .input(1, "rst_n")
+        .input(1, "push")
+        .input("WIDTH", "din")
+        .input(1, "pop")
+        .output_reg("WIDTH", "dout")
+        .output(1, "full")
+        .output(1, "empty")
+        .memory("WIDTH", "DEPTH", "mem")
+        .reg(Expr::from("ADDR_WIDTH") + 1, "wr_ptr")
+        .reg(Expr::from("ADDR_WIDTH") + 1, "rd_ptr")
+        .wire(Expr::from("ADDR_WIDTH") + 1, "level")
+        .assign("level", "wr_ptr - rd_ptr")
+        .assign("full", "level == DEPTH")
+        .assign("empty", "level == 0")
+        .clocked(&[
+            "if (!rst_n) begin",
+            "    wr_ptr <= 0;",
+            "    rd_ptr <= 0;",
+            "end else begin",
+            "    if (push && !full) begin",
+            "        mem[wr_ptr[ADDR_WIDTH-1:0]] <= din;",
+            "        wr_ptr <= wr_ptr + 1;",
+            "    end",
+            "    if (pop && !empty) begin",
+            "        dout <= mem[rd_ptr[ADDR_WIDTH-1:0]];",
+            "        rd_ptr <= rd_ptr + 1;",
+            "    end",
+            "end",
+        ]);
     m
 }
 
@@ -212,52 +195,33 @@ fn time_sync() -> Module {
     let mut m = Module::new("time_sync");
     m.param("TS_WIDTH", 64)
         .param("FRAC_WIDTH", 32)
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "rst_n"))
-        .port(Port::input("1", "corr_wr"))
-        .port(Port::input("TS_WIDTH", "corr_offset"))
-        .port(Port::input("FRAC_WIDTH", "corr_rate"))
-        .port(Port::output_reg("TS_WIDTH", "ptp_time"))
-        .item(Item::Comment(
-            "collection of clock time: free-running counter".into(),
-        ))
-        .item(Item::Reg {
-            width: "TS_WIDTH".into(),
-            name: "raw_time".into(),
-        })
-        .item(Item::Reg {
-            width: "TS_WIDTH".into(),
-            name: "offset_reg".into(),
-        })
-        .item(Item::Reg {
-            width: "FRAC_WIDTH".into(),
-            name: "rate_reg".into(),
-        })
-        .item(Item::Comment(
-            "calculation of correction time happens on the embedded CPU; the".into(),
-        ))
-        .item(Item::Comment(
-            "result is written through corr_wr (clock correction submodule)".into(),
-        ))
-        .item(Item::Always {
-            sensitivity: "posedge clk".into(),
-            body: vec![
-                "if (!rst_n) begin".into(),
-                "    raw_time <= 0;".into(),
-                "    offset_reg <= 0;".into(),
-                "    rate_reg <= 0;".into(),
-                "    ptp_time <= 0;".into(),
-                "end else begin".into(),
-                "    raw_time <= raw_time + 8; // 125 MHz -> 8 ns per cycle".into(),
-                "    if (corr_wr) begin".into(),
-                "        offset_reg <= corr_offset;".into(),
-                "        rate_reg <= corr_rate;".into(),
-                "    end".into(),
-                "    ptp_time <= raw_time + offset_reg + ((raw_time * rate_reg) >> FRAC_WIDTH);"
-                    .into(),
-                "end".into(),
-            ],
-        });
+        .input(1, "clk")
+        .input(1, "rst_n")
+        .input(1, "corr_wr")
+        .input("TS_WIDTH", "corr_offset")
+        .input("FRAC_WIDTH", "corr_rate")
+        .output_reg("TS_WIDTH", "ptp_time")
+        .comment("collection of clock time: free-running counter")
+        .reg("TS_WIDTH", "raw_time")
+        .reg("TS_WIDTH", "offset_reg")
+        .reg("FRAC_WIDTH", "rate_reg")
+        .comment("calculation of correction time happens on the embedded CPU; the")
+        .comment("result is written through corr_wr (clock correction submodule)")
+        .clocked(&[
+            "if (!rst_n) begin",
+            "    raw_time <= 0;",
+            "    offset_reg <= 0;",
+            "    rate_reg <= 0;",
+            "    ptp_time <= 0;",
+            "end else begin",
+            "    raw_time <= raw_time + 8; // 125 MHz -> 8 ns per cycle",
+            "    if (corr_wr) begin",
+            "        offset_reg <= corr_offset;",
+            "        rate_reg <= corr_rate;",
+            "    end",
+            "    ptp_time <= raw_time + offset_reg + ((raw_time * rate_reg) >> FRAC_WIDTH);",
+            "end",
+        ]);
     m
 }
 
@@ -273,90 +237,66 @@ fn packet_switch(config: &ResourceConfig) -> Module {
         .param("ENTRY_WIDTH", config.widths().switch_tbl_bits)
         .param("KEY_WIDTH", 60) // 48-bit dst MAC + 12-bit VID
         .param("PORT_WIDTH", 4)
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "rst_n"))
-        .port(Port::input("1", "lookup_valid"))
-        .port(Port::input("KEY_WIDTH", "lookup_key"))
-        .port(Port::input("1", "is_multicast"))
-        .port(Port::input("MULTICAST_AW", "mc_index"))
-        .port(Port::output_reg("1", "hit"))
-        .port(Port::output_reg("PORT_WIDTH", "out_port"))
-        .port(Port::input("1", "cfg_wr"))
-        .port(Port::input("UNICAST_AW", "cfg_addr"))
-        .port(Port::input("ENTRY_WIDTH", "cfg_data"))
-        .item(Item::Comment(
-            "lookup submodule: hash-indexed unicast table (Dst MAC + VID)".into(),
+        .input(1, "clk")
+        .input(1, "rst_n")
+        .input(1, "lookup_valid")
+        .input("KEY_WIDTH", "lookup_key")
+        .input(1, "is_multicast")
+        .input("MULTICAST_AW", "mc_index")
+        .output_reg(1, "hit")
+        .output_reg("PORT_WIDTH", "out_port")
+        .input(1, "cfg_wr")
+        .input("UNICAST_AW", "cfg_addr")
+        .input("ENTRY_WIDTH", "cfg_data")
+        .comment("lookup submodule: hash-indexed unicast table (Dst MAC + VID)")
+        .wire("UNICAST_AW", "hash_index")
+        .assign(
+            "hash_index",
+            "lookup_key[UNICAST_AW-1:0] ^ lookup_key[2*UNICAST_AW-1:UNICAST_AW]",
+        )
+        .wire("ENTRY_WIDTH", "unicast_entry")
+        .item(table(
+            "u_unicast_tbl",
+            "ENTRY_WIDTH",
+            "UNICAST",
+            &[
+                ("clk", "clk"),
+                ("wr_en", "cfg_wr"),
+                ("wr_addr", "cfg_addr"),
+                ("wr_data", "cfg_data"),
+                ("rd_addr", "hash_index"),
+                ("rd_data", "unicast_entry"),
+            ],
         ))
-        .item(Item::Wire {
-            width: "UNICAST_AW".into(),
-            name: "hash_index".into(),
-        })
-        .item(Item::Assign {
-            lhs: "hash_index".into(),
-            rhs: "lookup_key[UNICAST_AW-1:0] ^ lookup_key[2*UNICAST_AW-1:UNICAST_AW]".into(),
-        })
-        .item(Item::Wire {
-            width: "ENTRY_WIDTH".into(),
-            name: "unicast_entry".into(),
-        })
-        .item(Item::Instance {
-            module: "dpram".into(),
-            name: "u_unicast_tbl".into(),
-            params: vec![
-                ("WIDTH".into(), "ENTRY_WIDTH".into()),
-                ("DEPTH".into(), "UNICAST_DEPTH".into()),
-                ("ADDR_WIDTH".into(), "UNICAST_AW".into()),
+        .wire("ENTRY_WIDTH", "multicast_entry")
+        .item(table(
+            "u_multicast_tbl",
+            "ENTRY_WIDTH",
+            "MULTICAST",
+            &[
+                ("clk", "clk"),
+                ("wr_en", "1'b0"),
+                ("wr_addr", "mc_index"),
+                ("wr_data", "multicast_entry"),
+                ("rd_addr", "mc_index"),
+                ("rd_data", "multicast_entry"),
             ],
-            connections: vec![
-                ("clk".into(), "clk".into()),
-                ("wr_en".into(), "cfg_wr".into()),
-                ("wr_addr".into(), "cfg_addr".into()),
-                ("wr_data".into(), "cfg_data".into()),
-                ("rd_addr".into(), "hash_index".into()),
-                ("rd_data".into(), "unicast_entry".into()),
-            ],
-        })
-        .item(Item::Wire {
-            width: "ENTRY_WIDTH".into(),
-            name: "multicast_entry".into(),
-        })
-        .item(Item::Instance {
-            module: "dpram".into(),
-            name: "u_multicast_tbl".into(),
-            params: vec![
-                ("WIDTH".into(), "ENTRY_WIDTH".into()),
-                ("DEPTH".into(), "MULTICAST_DEPTH".into()),
-                ("ADDR_WIDTH".into(), "MULTICAST_AW".into()),
-            ],
-            connections: vec![
-                ("clk".into(), "clk".into()),
-                ("wr_en".into(), "1'b0".into()),
-                ("wr_addr".into(), "mc_index".into()),
-                ("wr_data".into(), "multicast_entry".into()),
-                ("rd_addr".into(), "mc_index".into()),
-                ("rd_data".into(), "multicast_entry".into()),
-            ],
-        })
-        .item(Item::Comment(
-            "entry layout: [KEY_WIDTH-1:0] stored key, then the out-port".into(),
         ))
-        .item(Item::Always {
-            sensitivity: "posedge clk".into(),
-            body: vec![
-                "if (!rst_n) begin".into(),
-                "    hit <= 1'b0;".into(),
-                "    out_port <= 0;".into(),
-                "end else if (lookup_valid) begin".into(),
-                "    if (is_multicast) begin".into(),
-                "        hit <= 1'b1;".into(),
-                "        out_port <= multicast_entry[PORT_WIDTH-1:0];".into(),
-                "    end else begin".into(),
-                "        hit <= unicast_entry[KEY_WIDTH-1:0] == lookup_key;".into(),
-                "        out_port <= unicast_entry[KEY_WIDTH+PORT_WIDTH-1:KEY_WIDTH];".into(),
-                "    end".into(),
-                "end".into(),
-            ],
-        });
+        .comment("entry layout: [KEY_WIDTH-1:0] stored key, then the out-port")
+        .clocked(&[
+            "if (!rst_n) begin",
+            "    hit <= 1'b0;",
+            "    out_port <= 0;",
+            "end else if (lookup_valid) begin",
+            "    if (is_multicast) begin",
+            "        hit <= 1'b1;",
+            "        out_port <= multicast_entry[PORT_WIDTH-1:0];",
+            "    end else begin",
+            "        hit <= unicast_entry[KEY_WIDTH-1:0] == lookup_key;",
+            "        out_port <= unicast_entry[KEY_WIDTH+PORT_WIDTH-1:KEY_WIDTH];",
+            "    end",
+            "end",
+        ]);
     m
 }
 
@@ -373,81 +313,54 @@ fn ingress_filter(config: &ResourceConfig) -> Module {
         .param("METER_AW", addr_width(meters))
         .param("METER_WIDTH", config.widths().meter_tbl_bits)
         .param("QUEUE_WIDTH", 3)
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "rst_n"))
-        .port(Port::input("1", "classify_valid"))
-        .port(Port::input("CLASS_AW", "class_index"))
-        .port(Port::input("16", "frame_bytes"))
-        .port(Port::output_reg("1", "accept"))
-        .port(Port::output_reg("QUEUE_WIDTH", "queue_id"))
-        .port(Port::input("1", "cfg_wr"))
-        .port(Port::input("CLASS_AW", "cfg_addr"))
-        .port(Port::input("CLASS_WIDTH", "cfg_data"))
-        .item(Item::Comment(
-            "classifier: (Src MAC, Dst MAC, VID, PRI) hashed upstream to class_index".into(),
+        .input(1, "clk")
+        .input(1, "rst_n")
+        .input(1, "classify_valid")
+        .input("CLASS_AW", "class_index")
+        .input(16, "frame_bytes")
+        .output_reg(1, "accept")
+        .output_reg("QUEUE_WIDTH", "queue_id")
+        .input(1, "cfg_wr")
+        .input("CLASS_AW", "cfg_addr")
+        .input("CLASS_WIDTH", "cfg_data")
+        .comment("classifier: (Src MAC, Dst MAC, VID, PRI) hashed upstream to class_index")
+        .wire("CLASS_WIDTH", "class_entry")
+        .item(table(
+            "u_class_tbl",
+            "CLASS_WIDTH",
+            "CLASS",
+            &[
+                ("clk", "clk"),
+                ("wr_en", "cfg_wr"),
+                ("wr_addr", "cfg_addr"),
+                ("wr_data", "cfg_data"),
+                ("rd_addr", "class_index"),
+                ("rd_data", "class_entry"),
+            ],
         ))
-        .item(Item::Wire {
-            width: "CLASS_WIDTH".into(),
-            name: "class_entry".into(),
-        })
-        .item(Item::Instance {
-            module: "dpram".into(),
-            name: "u_class_tbl".into(),
-            params: vec![
-                ("WIDTH".into(), "CLASS_WIDTH".into()),
-                ("DEPTH".into(), "CLASS_DEPTH".into()),
-                ("ADDR_WIDTH".into(), "CLASS_AW".into()),
-            ],
-            connections: vec![
-                ("clk".into(), "clk".into()),
-                ("wr_en".into(), "cfg_wr".into()),
-                ("wr_addr".into(), "cfg_addr".into()),
-                ("wr_data".into(), "cfg_data".into()),
-                ("rd_addr".into(), "class_index".into()),
-                ("rd_data".into(), "class_entry".into()),
-            ],
-        })
-        .item(Item::Comment(
-            "meter table: entry = {tokens[31:0], rate[23:0], burst[11:0]}".into(),
-        ))
-        .item(Item::Memory {
-            width: "METER_WIDTH".into(),
-            depth: "METER_DEPTH".into(),
-            name: "meter_tbl".into(),
-        })
-        .item(Item::Wire {
-            width: "METER_AW".into(),
-            name: "meter_id".into(),
-        })
-        .item(Item::Assign {
-            lhs: "meter_id".into(),
-            rhs: "class_entry[METER_AW-1:0]".into(),
-        })
-        .item(Item::Reg {
-            width: "32".into(),
-            name: "tokens".into(),
-        })
-        .item(Item::Always {
-            sensitivity: "posedge clk".into(),
-            body: vec![
-                "if (!rst_n) begin".into(),
-                "    accept <= 1'b0;".into(),
-                "    queue_id <= 0;".into(),
-                "    tokens <= 0;".into(),
-                "end else if (classify_valid) begin".into(),
-                "    // token-bucket police: refill then charge".into(),
-                "    tokens = meter_tbl[meter_id][31:0] + meter_tbl[meter_id][55:32];".into(),
-                "    if (tokens >= {16'd0, frame_bytes}) begin".into(),
-                "        meter_tbl[meter_id][31:0] <= tokens - {16'd0, frame_bytes};".into(),
-                "        accept <= 1'b1;".into(),
-                "    end else begin".into(),
-                "        meter_tbl[meter_id][31:0] <= tokens;".into(),
-                "        accept <= 1'b0;".into(),
-                "    end".into(),
-                "    queue_id <= class_entry[METER_AW+QUEUE_WIDTH-1:METER_AW];".into(),
-                "end".into(),
-            ],
-        });
+        .comment("meter table: entry = {tokens[31:0], rate[23:0], burst[11:0]}")
+        .memory("METER_WIDTH", "METER_DEPTH", "meter_tbl")
+        .wire("METER_AW", "meter_id")
+        .assign("meter_id", "class_entry[METER_AW-1:0]")
+        .reg(32, "tokens")
+        .clocked(&[
+            "if (!rst_n) begin",
+            "    accept <= 1'b0;",
+            "    queue_id <= 0;",
+            "    tokens <= 0;",
+            "end else if (classify_valid) begin",
+            "    // token-bucket police: refill then charge",
+            "    tokens = meter_tbl[meter_id][31:0] + meter_tbl[meter_id][55:32];",
+            "    if (tokens >= {16'd0, frame_bytes}) begin",
+            "        meter_tbl[meter_id][31:0] <= tokens - {16'd0, frame_bytes};",
+            "        accept <= 1'b1;",
+            "    end else begin",
+            "        meter_tbl[meter_id][31:0] <= tokens;",
+            "        accept <= 1'b0;",
+            "    end",
+            "    queue_id <= class_entry[METER_AW+QUEUE_WIDTH-1:METER_AW];",
+            "end",
+        ]);
     m
 }
 
@@ -466,111 +379,69 @@ fn gate_ctrl(config: &ResourceConfig) -> Module {
         .param("QUEUE_AW", addr_width(depth))
         .param("META_WIDTH", config.widths().queue_meta_bits)
         .param("SLOT_NS", 65_000)
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "rst_n"))
-        .port(Port::input("64", "ptp_time"))
-        .port(Port::input("1", "enq_valid"))
-        .port(Port::input("QUEUE_NUM", "enq_queue_onehot"))
-        .port(Port::input("META_WIDTH", "enq_meta"))
-        .port(Port::input("QUEUE_NUM", "deq_queue_onehot"))
-        .port(Port::output("META_WIDTH", "deq_meta"))
-        .port(Port::output("QUEUE_NUM", "in_gate_state"))
-        .port(Port::output("QUEUE_NUM", "out_gate_state"))
-        .port(Port::output("QUEUE_NUM", "queue_empty"))
-        .port(Port::output("QUEUE_NUM", "queue_full"))
-        .port(Port::input("1", "cfg_wr"))
-        .port(Port::input("GCL_AW", "cfg_addr"))
-        .port(Port::input("2*GATE_WIDTH", "cfg_data"))
-        .item(Item::Comment(
-            "update module: the current slot selects one In/Out GCL entry".into(),
-        ))
-        .item(Item::Memory {
-            width: "GATE_WIDTH".into(),
-            depth: "GCL_DEPTH".into(),
-            name: "in_gcl".into(),
-        })
-        .item(Item::Memory {
-            width: "GATE_WIDTH".into(),
-            depth: "GCL_DEPTH".into(),
-            name: "out_gcl".into(),
-        })
-        .item(Item::Wire {
-            width: "64".into(),
-            name: "slot_index".into(),
-        })
-        .item(Item::Assign {
-            lhs: "slot_index".into(),
-            rhs: "ptp_time / SLOT_NS".into(),
-        })
-        .item(Item::Wire {
-            width: "GCL_AW".into(),
-            name: "gcl_sel".into(),
-        })
-        .item(Item::Assign {
-            lhs: "gcl_sel".into(),
-            rhs: "slot_index % GCL_DEPTH".into(),
-        })
-        .item(Item::Assign {
-            lhs: "in_gate_state".into(),
-            rhs: "in_gcl[gcl_sel][QUEUE_NUM-1:0]".into(),
-        })
-        .item(Item::Assign {
-            lhs: "out_gate_state".into(),
-            rhs: "out_gcl[gcl_sel][QUEUE_NUM-1:0]".into(),
-        })
-        .item(Item::Always {
-            sensitivity: "posedge clk".into(),
-            body: vec![
-                "if (cfg_wr) begin".into(),
-                "    in_gcl[cfg_addr] <= cfg_data[GATE_WIDTH-1:0];".into(),
-                "    out_gcl[cfg_addr] <= cfg_data[2*GATE_WIDTH-1:GATE_WIDTH];".into(),
-                "end".into(),
-            ],
-        })
-        .item(Item::Comment(
-            "per-queue metadata FIFOs (one BRAM primitive each)".into(),
-        ))
-        .item(Item::Wire {
-            width: "QUEUE_NUM*META_WIDTH".into(),
-            name: "deq_meta_bus".into(),
-        });
+        .input(1, "clk")
+        .input(1, "rst_n")
+        .input(64, "ptp_time")
+        .input(1, "enq_valid")
+        .input("QUEUE_NUM", "enq_queue_onehot")
+        .input("META_WIDTH", "enq_meta")
+        .input("QUEUE_NUM", "deq_queue_onehot")
+        .output("META_WIDTH", "deq_meta")
+        .output("QUEUE_NUM", "in_gate_state")
+        .output("QUEUE_NUM", "out_gate_state")
+        .output("QUEUE_NUM", "queue_empty")
+        .output("QUEUE_NUM", "queue_full")
+        .input(1, "cfg_wr")
+        .input("GCL_AW", "cfg_addr")
+        .input(Expr::from(2) * "GATE_WIDTH", "cfg_data")
+        .comment("update module: the current slot selects one In/Out GCL entry")
+        .memory("GATE_WIDTH", "GCL_DEPTH", "in_gcl")
+        .memory("GATE_WIDTH", "GCL_DEPTH", "out_gcl")
+        .wire(64, "slot_index")
+        .assign("slot_index", "ptp_time / SLOT_NS")
+        .wire("GCL_AW", "gcl_sel")
+        .assign("gcl_sel", "slot_index % GCL_DEPTH")
+        .assign("in_gate_state", "in_gcl[gcl_sel][QUEUE_NUM-1:0]")
+        .assign("out_gate_state", "out_gcl[gcl_sel][QUEUE_NUM-1:0]")
+        .clocked(&[
+            "if (cfg_wr) begin",
+            "    in_gcl[cfg_addr] <= cfg_data[GATE_WIDTH-1:0];",
+            "    out_gcl[cfg_addr] <= cfg_data[2*GATE_WIDTH-1:GATE_WIDTH];",
+            "end",
+        ])
+        .comment("per-queue metadata FIFOs (one BRAM primitive each)")
+        .wire(Expr::from("QUEUE_NUM") * "META_WIDTH", "deq_meta_bus");
     for q in 0..queues {
-        m.item(Item::Instance {
-            module: "meta_fifo".into(),
-            name: format!("u_queue{q}"),
-            params: vec![
-                ("WIDTH".into(), "META_WIDTH".into()),
-                ("DEPTH".into(), "QUEUE_DEPTH".into()),
-                ("ADDR_WIDTH".into(), "QUEUE_AW".into()),
-            ],
-            connections: vec![
-                ("clk".into(), "clk".into()),
-                ("rst_n".into(), "rst_n".into()),
-                (
-                    "push".into(),
-                    format!("enq_valid & enq_queue_onehot[{q}] & in_gate_state[{q}]"),
-                ),
-                ("din".into(), "enq_meta".into()),
-                (
-                    "pop".into(),
-                    format!("deq_queue_onehot[{q}] & out_gate_state[{q}]"),
-                ),
-                (
-                    "dout".into(),
-                    format!("deq_meta_bus[{q}*META_WIDTH +: META_WIDTH]"),
-                ),
-                ("full".into(), format!("queue_full[{q}]")),
-                ("empty".into(), format!("queue_empty[{q}]")),
-            ],
-        });
+        m.item(
+            Instance::new("meta_fifo", format!("u_queue{q}"))
+                .params(&[
+                    ("WIDTH", "META_WIDTH"),
+                    ("DEPTH", "QUEUE_DEPTH"),
+                    ("ADDR_WIDTH", "QUEUE_AW"),
+                ])
+                .connect(&[
+                    ("clk", "clk"),
+                    ("rst_n", "rst_n"),
+                    (
+                        "push",
+                        &format!("enq_valid & enq_queue_onehot[{q}] & in_gate_state[{q}]"),
+                    ),
+                    ("din", "enq_meta"),
+                    (
+                        "pop",
+                        &format!("deq_queue_onehot[{q}] & out_gate_state[{q}]"),
+                    ),
+                    (
+                        "dout",
+                        &format!("deq_meta_bus[{q}*META_WIDTH +: META_WIDTH]"),
+                    ),
+                    ("full", &format!("queue_full[{q}]")),
+                    ("empty", &format!("queue_empty[{q}]")),
+                ]),
+        );
     }
-    m.item(Item::Comment(
-        "dequeue mux over the one-hot selected queue".into(),
-    ))
-    .item(Item::Assign {
-        lhs: "deq_meta".into(),
-        rhs: mux_expr(queues),
-    });
+    m.comment("dequeue mux over the one-hot selected queue")
+        .assign("deq_meta", mux_expr(queues));
     m
 }
 
@@ -595,47 +466,22 @@ fn egress_sched(config: &ResourceConfig) -> Module {
         .param("CBS_AW", addr_width(cbs))
         .param("CBS_WIDTH", config.widths().cbs_tbl_bits)
         .param("MAP_WIDTH", config.widths().cbs_map_bits)
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "rst_n"))
-        .port(Port::input("QUEUE_NUM", "queue_ready"))
-        .port(Port::input("QUEUE_NUM", "out_gate_state"))
-        .port(Port::output_reg("QUEUE_NUM", "grant_onehot"))
-        .port(Port::input("1", "cfg_wr"))
-        .port(Port::input("CBS_AW", "cfg_addr"))
-        .port(Port::input("CBS_WIDTH", "cfg_data"))
-        .item(Item::Comment(
-            "CBS map table: queue -> shaper; CBS table: {idleslope, sendslope}".into(),
-        ))
-        .item(Item::Memory {
-            width: "MAP_WIDTH".into(),
-            depth: "QUEUE_NUM".into(),
-            name: "cbs_map_tbl".into(),
-        })
-        .item(Item::Memory {
-            width: "CBS_WIDTH".into(),
-            depth: "CBS_DEPTH".into(),
-            name: "cbs_tbl".into(),
-        })
-        .item(Item::Memory {
-            width: "32".into(),
-            depth: "CBS_DEPTH".into(),
-            name: "credit".into(),
-        })
-        .item(Item::Always {
-            sensitivity: "posedge clk".into(),
-            body: vec!["if (cfg_wr) cbs_tbl[cfg_addr] <= cfg_data;".into()],
-        })
-        .item(Item::Wire {
-            width: "QUEUE_NUM".into(),
-            name: "eligible".into(),
-        })
-        .item(Item::Assign {
-            lhs: "eligible".into(),
-            rhs: "queue_ready & out_gate_state".into(),
-        })
-        .item(Item::Comment(
-            "strict priority: highest eligible queue index wins".into(),
-        ))
+        .input(1, "clk")
+        .input(1, "rst_n")
+        .input("QUEUE_NUM", "queue_ready")
+        .input("QUEUE_NUM", "out_gate_state")
+        .output_reg("QUEUE_NUM", "grant_onehot")
+        .input(1, "cfg_wr")
+        .input("CBS_AW", "cfg_addr")
+        .input("CBS_WIDTH", "cfg_data")
+        .comment("CBS map table: queue -> shaper; CBS table: {idleslope, sendslope}")
+        .memory("MAP_WIDTH", "QUEUE_NUM", "cbs_map_tbl")
+        .memory("CBS_WIDTH", "CBS_DEPTH", "cbs_tbl")
+        .memory(32, "CBS_DEPTH", "credit")
+        .clocked(&["if (cfg_wr) cbs_tbl[cfg_addr] <= cfg_data;"])
+        .wire("QUEUE_NUM", "eligible")
+        .assign("eligible", "queue_ready & out_gate_state")
+        .comment("strict priority: highest eligible queue index wins")
         .item(Item::Always {
             sensitivity: "posedge clk".into(),
             body: priority_encoder_body(queues),
@@ -668,16 +514,16 @@ fn top(config: &ResourceConfig) -> Module {
     m.param("PORT_NUM", ports)
         .param("META_WIDTH", config.widths().queue_meta_bits)
         .param("QUEUE_NUM", config.queue_num())
-        .port(Port::input("1", "clk"))
-        .port(Port::input("1", "rst_n"))
-        .port(Port::input("1", "rx_valid"))
-        .port(Port::input("60", "rx_key"))
-        .port(Port::input("16", "rx_bytes"))
-        .port(Port::output("PORT_NUM*META_WIDTH", "tx_meta"))
-        .port(Port::input("1", "cfg_wr"))
-        .port(Port::input("32", "cfg_addr"))
-        .port(Port::input("128", "cfg_data"))
-        .item(Item::Comment(format!(
+        .input(1, "clk")
+        .input(1, "rst_n")
+        .input(1, "rx_valid")
+        .input(60, "rx_key")
+        .input(16, "rx_bytes")
+        .output(Expr::from("PORT_NUM") * "META_WIDTH", "tx_meta")
+        .input(1, "cfg_wr")
+        .input(32, "cfg_addr")
+        .input(128, "cfg_data")
+        .comment(format!(
             "generated by tsn-builder: {} unicast, {} class, {} meters, gate {}x{}q, depth {}, {} buffers, {} port(s)",
             config.unicast_size(),
             config.class_size(),
@@ -687,143 +533,91 @@ fn top(config: &ResourceConfig) -> Module {
             config.queue_depth(),
             config.buffer_num(),
             ports,
-        )))
-        .item(Item::Wire {
-            width: "64".into(),
-            name: "ptp_time".into(),
-        })
-        .item(Item::Instance {
-            module: "time_sync".into(),
-            name: "u_time_sync".into(),
-            params: vec![],
-            connections: vec![
-                ("clk".into(), "clk".into()),
-                ("rst_n".into(), "rst_n".into()),
-                ("corr_wr".into(), "cfg_wr".into()),
-                ("corr_offset".into(), "cfg_data[63:0]".into()),
-                ("corr_rate".into(), "cfg_data[95:64]".into()),
-                ("ptp_time".into(), "ptp_time".into()),
-            ],
-        })
-        .item(Item::Wire {
-            width: "1".into(),
-            name: "lookup_hit".into(),
-        })
-        .item(Item::Wire {
-            width: "4".into(),
-            name: "lookup_port".into(),
-        })
-        .item(Item::Instance {
-            module: "packet_switch".into(),
-            name: "u_packet_switch".into(),
-            params: vec![],
-            connections: vec![
-                ("clk".into(), "clk".into()),
-                ("rst_n".into(), "rst_n".into()),
-                ("lookup_valid".into(), "rx_valid".into()),
-                ("lookup_key".into(), "rx_key".into()),
-                ("is_multicast".into(), "1'b0".into()),
-                ("mc_index".into(), "0".into()),
-                ("hit".into(), "lookup_hit".into()),
-                ("out_port".into(), "lookup_port".into()),
-                ("cfg_wr".into(), "cfg_wr".into()),
-                ("cfg_addr".into(), "cfg_addr[9:0]".into()),
-                ("cfg_data".into(), "cfg_data[71:0]".into()),
-            ],
-        })
-        .item(Item::Wire {
-            width: "1".into(),
-            name: "filter_accept".into(),
-        })
-        .item(Item::Wire {
-            width: "3".into(),
-            name: "filter_queue".into(),
-        })
-        .item(Item::Instance {
-            module: "ingress_filter".into(),
-            name: "u_ingress_filter".into(),
-            params: vec![],
-            connections: vec![
-                ("clk".into(), "clk".into()),
-                ("rst_n".into(), "rst_n".into()),
-                ("classify_valid".into(), "rx_valid".into()),
-                ("class_index".into(), "cfg_addr[9:0]".into()),
-                ("frame_bytes".into(), "rx_bytes".into()),
-                ("accept".into(), "filter_accept".into()),
-                ("queue_id".into(), "filter_queue".into()),
-                ("cfg_wr".into(), "cfg_wr".into()),
-                ("cfg_addr".into(), "cfg_addr[9:0]".into()),
-                ("cfg_data".into(), "cfg_data[116:0]".into()),
-            ],
-        });
+        ))
+        .wire(64, "ptp_time")
+        .item(Instance::new("time_sync", "u_time_sync").connect(&[
+            ("clk", "clk"),
+            ("rst_n", "rst_n"),
+            ("corr_wr", "cfg_wr"),
+            ("corr_offset", "cfg_data[63:0]"),
+            ("corr_rate", "cfg_data[95:64]"),
+            ("ptp_time", "ptp_time"),
+        ]))
+        .wire(1, "lookup_hit")
+        .wire(4, "lookup_port")
+        .item(Instance::new("packet_switch", "u_packet_switch").connect(&[
+            ("clk", "clk"),
+            ("rst_n", "rst_n"),
+            ("lookup_valid", "rx_valid"),
+            ("lookup_key", "rx_key"),
+            ("is_multicast", "1'b0"),
+            ("mc_index", "0"),
+            ("hit", "lookup_hit"),
+            ("out_port", "lookup_port"),
+            ("cfg_wr", "cfg_wr"),
+            ("cfg_addr", "cfg_addr[9:0]"),
+            ("cfg_data", "cfg_data[71:0]"),
+        ]))
+        .wire(1, "filter_accept")
+        .wire(3, "filter_queue")
+        .item(Instance::new("ingress_filter", "u_ingress_filter").connect(&[
+            ("clk", "clk"),
+            ("rst_n", "rst_n"),
+            ("classify_valid", "rx_valid"),
+            ("class_index", "cfg_addr[9:0]"),
+            ("frame_bytes", "rx_bytes"),
+            ("accept", "filter_accept"),
+            ("queue_id", "filter_queue"),
+            ("cfg_wr", "cfg_wr"),
+            ("cfg_addr", "cfg_addr[9:0]"),
+            ("cfg_data", "cfg_data[116:0]"),
+        ]));
     for p in 0..ports {
-        m.item(Item::Comment(format!("enabled TSN port {p}")))
-            .item(Item::Wire {
-                width: "QUEUE_NUM".into(),
-                name: format!("p{p}_in_gate"),
-            })
-            .item(Item::Wire {
-                width: "QUEUE_NUM".into(),
-                name: format!("p{p}_out_gate"),
-            })
-            .item(Item::Wire {
-                width: "QUEUE_NUM".into(),
-                name: format!("p{p}_empty"),
-            })
-            .item(Item::Wire {
-                width: "QUEUE_NUM".into(),
-                name: format!("p{p}_full"),
-            })
-            .item(Item::Wire {
-                width: "QUEUE_NUM".into(),
-                name: format!("p{p}_grant"),
-            })
-            .item(Item::Instance {
-                module: "gate_ctrl".into(),
-                name: format!("u_gate_ctrl{p}"),
-                params: vec![],
-                connections: vec![
-                    ("clk".into(), "clk".into()),
-                    ("rst_n".into(), "rst_n".into()),
-                    ("ptp_time".into(), "ptp_time".into()),
-                    (
-                        "enq_valid".into(),
-                        format!("rx_valid & filter_accept & lookup_hit & (lookup_port == {p})"),
-                    ),
-                    (
-                        "enq_queue_onehot".into(),
-                        "{{(QUEUE_NUM-1){1'b0}}, 1'b1} << filter_queue".into(),
-                    ),
-                    ("enq_meta".into(), "rx_key[META_WIDTH-1:0]".into()),
-                    ("deq_queue_onehot".into(), format!("p{p}_grant")),
-                    (
-                        "deq_meta".into(),
-                        format!("tx_meta[{p}*META_WIDTH +: META_WIDTH]"),
-                    ),
-                    ("in_gate_state".into(), format!("p{p}_in_gate")),
-                    ("out_gate_state".into(), format!("p{p}_out_gate")),
-                    ("queue_empty".into(), format!("p{p}_empty")),
-                    ("queue_full".into(), format!("p{p}_full")),
-                    ("cfg_wr".into(), "cfg_wr".into()),
-                    ("cfg_addr".into(), "cfg_addr[0:0]".into()),
-                    ("cfg_data".into(), "cfg_data[33:0]".into()),
-                ],
-            })
-            .item(Item::Instance {
-                module: "egress_sched".into(),
-                name: format!("u_egress_sched{p}"),
-                params: vec![],
-                connections: vec![
-                    ("clk".into(), "clk".into()),
-                    ("rst_n".into(), "rst_n".into()),
-                    ("queue_ready".into(), format!("~p{p}_empty")),
-                    ("out_gate_state".into(), format!("p{p}_out_gate")),
-                    ("grant_onehot".into(), format!("p{p}_grant")),
-                    ("cfg_wr".into(), "cfg_wr".into()),
-                    ("cfg_addr".into(), "cfg_addr[1:0]".into()),
-                    ("cfg_data".into(), "cfg_data[63:0]".into()),
-                ],
-            });
+        let net = |what: &str| format!("p{p}_{what}");
+        m.comment(format!("enabled TSN port {p}"));
+        for what in ["in_gate", "out_gate", "empty", "full", "grant"] {
+            m.wire("QUEUE_NUM", net(what));
+        }
+        m.item(
+            Instance::new("gate_ctrl", format!("u_gate_ctrl{p}")).connect(&[
+                ("clk", "clk"),
+                ("rst_n", "rst_n"),
+                ("ptp_time", "ptp_time"),
+                (
+                    "enq_valid",
+                    &format!("rx_valid & filter_accept & lookup_hit & (lookup_port == {p})"),
+                ),
+                (
+                    "enq_queue_onehot",
+                    "{{(QUEUE_NUM-1){1'b0}}, 1'b1} << filter_queue",
+                ),
+                ("enq_meta", "rx_key[META_WIDTH-1:0]"),
+                ("deq_queue_onehot", &net("grant")),
+                (
+                    "deq_meta",
+                    &format!("tx_meta[{p}*META_WIDTH +: META_WIDTH]"),
+                ),
+                ("in_gate_state", &net("in_gate")),
+                ("out_gate_state", &net("out_gate")),
+                ("queue_empty", &net("empty")),
+                ("queue_full", &net("full")),
+                ("cfg_wr", "cfg_wr"),
+                ("cfg_addr", "cfg_addr[0:0]"),
+                ("cfg_data", "cfg_data[33:0]"),
+            ]),
+        )
+        .item(
+            Instance::new("egress_sched", format!("u_egress_sched{p}")).connect(&[
+                ("clk", "clk"),
+                ("rst_n", "rst_n"),
+                ("queue_ready", &format!("~{}", net("empty"))),
+                ("out_gate_state", &net("out_gate")),
+                ("grant_onehot", &net("grant")),
+                ("cfg_wr", "cfg_wr"),
+                ("cfg_addr", "cfg_addr[1:0]"),
+                ("cfg_data", "cfg_data[63:0]"),
+            ]),
+        );
     }
     m
 }
@@ -833,90 +627,59 @@ fn top(config: &ResourceConfig) -> Module {
 /// whole design in any simulator and watch the datapath move.
 fn testbench(config: &ResourceConfig) -> Module {
     let mut m = Module::new("tsn_switch_tb");
-    m.item(Item::Comment(
-        "smoke testbench generated alongside the design".into(),
-    ))
-    .item(Item::Reg {
-        width: "1".into(),
-        name: "clk".into(),
-    })
-    .item(Item::Reg {
-        width: "1".into(),
-        name: "rst_n".into(),
-    })
-    .item(Item::Reg {
-        width: "1".into(),
-        name: "rx_valid".into(),
-    })
-    .item(Item::Reg {
-        width: "60".into(),
-        name: "rx_key".into(),
-    })
-    .item(Item::Reg {
-        width: "16".into(),
-        name: "rx_bytes".into(),
-    })
-    .item(Item::Reg {
-        width: "1".into(),
-        name: "cfg_wr".into(),
-    })
-    .item(Item::Reg {
-        width: "32".into(),
-        name: "cfg_addr".into(),
-    })
-    .item(Item::Reg {
-        width: "128".into(),
-        name: "cfg_data".into(),
-    })
-    .item(Item::Wire {
-        width: format!(
-            "{}*{}",
-            config.port_num().max(1),
-            config.widths().queue_meta_bits
-        ),
-        name: "tx_meta".into(),
-    })
-    .item(Item::Instance {
-        module: "tsn_switch_top".into(),
-        name: "dut".into(),
-        params: vec![],
-        connections: vec![
-            ("clk".into(), "clk".into()),
-            ("rst_n".into(), "rst_n".into()),
-            ("rx_valid".into(), "rx_valid".into()),
-            ("rx_key".into(), "rx_key".into()),
-            ("rx_bytes".into(), "rx_bytes".into()),
-            ("tx_meta".into(), "tx_meta".into()),
-            ("cfg_wr".into(), "cfg_wr".into()),
-            ("cfg_addr".into(), "cfg_addr".into()),
-            ("cfg_data".into(), "cfg_data".into()),
-        ],
-    })
-    .item(Item::Comment("125 MHz clock".into()))
-    .item(Item::Raw("always #4 clk = ~clk;".into()))
-    .item(Item::Initial {
-        body: vec![
-            "clk = 1'b0;".into(),
-            "rst_n = 1'b0;".into(),
-            "rx_valid = 1'b0;".into(),
-            "rx_key = 0;".into(),
-            "rx_bytes = 16'd64;".into(),
-            "cfg_wr = 1'b0;".into(),
-            "cfg_addr = 0;".into(),
-            "cfg_data = 0;".into(),
-            "#40 rst_n = 1'b1;".into(),
-            "// program one unicast entry".into(),
-            "#8 cfg_wr = 1'b1;".into(),
-            "cfg_addr = 32'd1;".into(),
-            "cfg_data = 128'h2a;".into(),
-            "#8 cfg_wr = 1'b0;".into(),
-            "// present one frame key".into(),
-            "#8 rx_valid = 1'b1;".into(),
-            "rx_key = 60'h2a;".into(),
-            "#8 rx_valid = 1'b0;".into(),
-            "#400 $finish;".into(),
-        ],
-    });
+    m.comment("smoke testbench generated alongside the design");
+    for (width, name) in [
+        (1, "clk"),
+        (1, "rst_n"),
+        (1, "rx_valid"),
+        (60, "rx_key"),
+        (16, "rx_bytes"),
+        (1, "cfg_wr"),
+        (32, "cfg_addr"),
+        (128, "cfg_data"),
+    ] {
+        m.reg(width, name);
+    }
+    let tx_width = Expr::from(config.port_num().max(1)) * config.widths().queue_meta_bits;
+    m.wire(tx_width, "tx_meta")
+        .item(Instance::new("tsn_switch_top", "dut").connect(&[
+            ("clk", "clk"),
+            ("rst_n", "rst_n"),
+            ("rx_valid", "rx_valid"),
+            ("rx_key", "rx_key"),
+            ("rx_bytes", "rx_bytes"),
+            ("tx_meta", "tx_meta"),
+            ("cfg_wr", "cfg_wr"),
+            ("cfg_addr", "cfg_addr"),
+            ("cfg_data", "cfg_data"),
+        ]))
+        .comment("125 MHz clock")
+        .item(Item::Raw("always #4 clk = ~clk;".into()))
+        .item(Item::Initial {
+            body: [
+                "clk = 1'b0;",
+                "rst_n = 1'b0;",
+                "rx_valid = 1'b0;",
+                "rx_key = 0;",
+                "rx_bytes = 16'd64;",
+                "cfg_wr = 1'b0;",
+                "cfg_addr = 0;",
+                "cfg_data = 0;",
+                "#40 rst_n = 1'b1;",
+                "// program one unicast entry",
+                "#8 cfg_wr = 1'b1;",
+                "cfg_addr = 32'd1;",
+                "cfg_data = 128'h2a;",
+                "#8 cfg_wr = 1'b0;",
+                "// present one frame key",
+                "#8 rx_valid = 1'b1;",
+                "rx_key = 60'h2a;",
+                "#8 rx_valid = 1'b0;",
+                "#400 $finish;",
+            ]
+            .map(str::to_owned)
+            .to_vec(),
+        });
     m
 }
 

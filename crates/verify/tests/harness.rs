@@ -41,10 +41,10 @@ fn buggy_depth_oracle(case: &ScenarioCase) -> Verdict {
         let got = gate
             .params
             .iter()
-            .find(|(p, _)| p == "QUEUE_DEPTH")
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default();
-        if got.parse::<u32>() != Ok(want_depth.max(1)) {
+            .find(|p| p.name == "QUEUE_DEPTH")
+            .map(|p| &p.value);
+        if got != Some(&tsn_hdl::Expr::Num(want_depth.max(1).into())) {
+            let got = got.map(ToString::to_string).unwrap_or_default();
             return Verdict::Fail(format!(
                 "gate_ctrl QUEUE_DEPTH = {got}, derived depth is {want_depth}"
             ));
@@ -163,4 +163,30 @@ fn planted_hdl_defects_are_caught_by_lint_and_cost() {
         findings.iter().any(|f| f.rule == "addr-width"),
         "planted address-width violation not caught: {findings:?}"
     );
+}
+
+/// `hdl-fixpoint` compares each module's parsed rendering against the
+/// emitted IR, so a one-token edit to a rendered memory depth — text
+/// that still lexes, parses and validates — fails the round trip and
+/// the diagnostic names the module.
+#[test]
+fn planted_depth_edit_fails_the_round_trip() {
+    let cfg = tsn_resource::ResourceConfig::new();
+    let modules = tsn_hdl::modules(&cfg);
+    for module in &modules {
+        let text = module.render();
+        oracles::hdl_round_trip(module, &text).expect("clean rendering round-trips");
+    }
+    let egress = modules
+        .iter()
+        .find(|m| m.name == "egress_sched")
+        .expect("egress_sched emitted");
+    let text = egress.render();
+    let planted = text.replace("cbs_tbl [0:CBS_DEPTH-1]", "cbs_tbl [0:CBS_DEPTH-2]");
+    assert_ne!(planted, text, "edit target must exist in the rendering");
+    tsn_hdl::check_source(&planted).expect("the edit still validates");
+    let err =
+        oracles::hdl_round_trip(egress, &planted).expect_err("edit must break the round trip");
+    assert!(err.starts_with("egress_sched:"), "{err}");
+    assert!(err.contains("CBS_DEPTH-2"), "{err}");
 }

@@ -15,10 +15,10 @@ use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 use tsn_builder_suite::hdl_presets::HDL_PRESETS;
-use tsn_hdl::{lint_modules, parse_modules, LintFinding, ParsedModule};
+use tsn_hdl::{lint_modules, parse_modules, LintFinding, Module};
 
 /// Parses every committed `.v` file under `dir` into one design.
-fn parse_tree(dir: &Path) -> Result<Vec<ParsedModule>, String> {
+fn parse_tree(dir: &Path) -> Result<Vec<Module>, String> {
     let mut names: Vec<String> = fs::read_dir(dir)
         .map_err(|e| format!("{}: unreadable ({e})", dir.display()))?
         .filter_map(|entry| {
