@@ -2,12 +2,10 @@
 //! behind `TSN_SCALE_1M=1`), tracking simulation throughput (events/sec)
 //! and peak RSS (`VmHWM`), plus the incremental-reconfiguration cases
 //! comparing [`NetworkTemplate::reconfigure`] against a from-scratch
-//! `Network::build` on the same plant. Writes `BENCH_7.json` (flow
-//! cases) and `BENCH_10.json` (reconfig cases) at the repo root; the
-//! recorded files are produced at the full `TSN_BENCH_MS=2000` budget
-//! and CI smokes the 10k cases against events/sec floors, a peak-RSS
-//! ceiling, the pinned events/sec baselines (geomean ≥ 0.95×) and a
-//! reconfigure-speedup floor.
+//! `Network::build` on the same plant. The two families are recorded
+//! and gated as [`tsn_bench::record::SCALE`] (`BENCH_7.json`) and
+//! [`tsn_bench::record::RECONFIG`] (`BENCH_10.json`); the opt-in 1M
+//! case is a probe that is neither recorded nor gated.
 //!
 //! Unlike the iteration benches, each case here is a single timed
 //! build + run: a 100k-flow plant takes seconds end to end, so medians
@@ -25,35 +23,12 @@ use std::fmt::Write as _;
 use std::hash::Hasher as _;
 use std::sync::Arc;
 use std::time::Instant;
-use tsn_bench::{fmt_ns, Runner};
+use tsn_bench::record::{num, RECONFIG, SCALE};
+use tsn_bench::{enforce, fmt_ns, Record, Runner};
 use tsn_builder::plant::{large_plant, LargePlant};
+use tsn_experiments::json::{Json, ToJson};
 use tsn_sim::network::{ConfigDelta, Network, NetworkTemplate};
 use tsn_sim::{EventQueueKind, SimReport};
-
-/// Pinned events/sec per flow case, recorded on this machine at
-/// `TSN_BENCH_MS=2000` and re-pinned (from 3.8M / 1.0M) when the
-/// hot-path flattening landed — quiet-host full-budget runs now measure
-/// ~6.8–7.2M / ~1.9–2.2M. The CI gate keeps the geomean of
-/// current/baseline ≥ 0.95.
-const BASELINE_EVENTS_PER_SEC: &[(&str, f64)] = &[
-    ("scale/flows/10k", 6_000_000.0),
-    ("scale/flows/100k", 1_800_000.0),
-];
-
-/// Pinned events/sec for the reconfigure-path runs (BENCH_10.json),
-/// recorded at `TSN_BENCH_MS=2000` when the incremental path landed
-/// (quiet-host full-budget runs: ~7.5M / ~2.7M; pins leave headroom for
-/// this host's scheduling noise).
-const BASELINE_RECONFIG_EVENTS_PER_SEC: &[(&str, f64)] = &[
-    ("reconfig/flows/10k", 5_500_000.0),
-    ("reconfig/flows/100k", 2_200_000.0),
-];
-
-/// The events/sec BENCH_7.json recorded at 10k/100k flows *before* the
-/// hot-path flattening — the fixed base the ≥ 1.4× acceptance target and
-/// the 10k→100k slowdown comparison are measured against.
-const BENCH7_PIN_10K: f64 = 4_041_109.0;
-const BENCH7_PIN_100K: f64 = 1_426_799.0;
 
 /// `VmHWM` (peak resident set) in bytes from `/proc/self/status`;
 /// `None` off Linux. Monotone over the process lifetime, so cases must
@@ -83,20 +58,12 @@ fn report_digest(report: &SimReport) -> u64 {
     sink.0.finish()
 }
 
-struct ScaleCase {
-    name: String,
-    flows: u32,
-    cells: usize,
-    build_ns: u64,
-    run_ns: u64,
-    events: u64,
-    events_per_sec: f64,
-    peak_rss_bytes: Option<u64>,
-    p99_us: f64,
-    determinism_checked: bool,
-}
+/// The record fields of one measured case.
+type Fields = Vec<(&'static str, Json)>;
 
-fn run_case(name: &str, flows: u32, repeats: u32, check_determinism: bool) -> ScaleCase {
+/// Measures one plant case, prints its line and returns its record
+/// fields.
+fn run_case(name: &str, flows: u32, repeats: u32, check_determinism: bool) -> Fields {
     // Best-of-`repeats`: one run is one measurement of ~10⁵–10⁶
     // scheduler operations, but wall-clock noise (cold caches, CI
     // neighbours) still moves a single run by tens of percent. The
@@ -158,9 +125,7 @@ fn run_case(name: &str, flows: u32, repeats: u32, check_determinism: bool) -> Sc
 
     assert_eq!(summary.ts_lost, 0, "{name}: plant loses TS frames");
     assert_eq!(summary.deadline_misses, 0, "{name}: plant misses deadlines");
-    let events = summary.events;
-    let events_per_sec = events as f64 / (run_ns as f64 / 1e9);
-    let p99_us = summary.p99_us;
+    let events_per_sec = summary.events as f64 / (run_ns as f64 / 1e9);
     let peak_rss = peak_rss_bytes();
     if flows <= 100_000 {
         if let Some(rss) = peak_rss {
@@ -176,18 +141,30 @@ fn run_case(name: &str, flows: u32, repeats: u32, check_determinism: bool) -> Sc
         check_byte_identity(&reference, summary.digest);
     }
 
-    ScaleCase {
-        name: name.to_owned(),
-        flows,
-        cells,
-        build_ns,
-        run_ns,
-        events,
-        events_per_sec,
-        peak_rss_bytes: peak_rss,
-        p99_us,
-        determinism_checked: check_determinism,
-    }
+    println!(
+        "{name:<24} build {:>10}  run {:>10}  {:>9} events  {events_per_sec:>12.0} events/sec  \
+         rss {:>8}  p99 {:.1}us{}",
+        fmt_ns(build_ns as f64),
+        fmt_ns(run_ns as f64),
+        summary.events,
+        peak_rss.map_or("n/a".into(), |b| format!("{}MiB", b >> 20)),
+        summary.p99_us,
+        if check_determinism {
+            "  [backends byte-identical]"
+        } else {
+            ""
+        },
+    );
+    vec![
+        ("flows", flows.to_json()),
+        ("cells", cells.to_json()),
+        ("build_ns", build_ns.to_json()),
+        ("run_ns", run_ns.to_json()),
+        ("events", summary.events.to_json()),
+        ("events_per_sec", num(events_per_sec, 0)),
+        ("peak_rss_bytes", peak_rss.to_json()),
+        ("p99_us", num(summary.p99_us, 1)),
+    ]
 }
 
 /// Re-runs the plant under the reference binary-heap event queue; the
@@ -205,25 +182,13 @@ fn check_byte_identity(plant: &LargePlant, baseline_digest: u64) {
     );
 }
 
-struct ReconfigCase {
-    name: String,
-    flows: u32,
-    template_build_ns: u64,
-    rebuild_ns: u64,
-    reconfigure_ns: u64,
-    speedup: f64,
-    run_ns: u64,
-    events: u64,
-    events_per_sec: f64,
-    byte_identical: bool,
-}
-
 /// Times a from-scratch `Network::build` against an incremental
 /// `NetworkTemplate::reconfigure` carrying a `ResourceConfig` delta (the
 /// DSE/sweep inner loop), then runs one reconfigured instance to both
 /// measure reconfigure-path throughput and prove its report digests
-/// identically to the from-scratch build's.
-fn run_reconfig_case(name: &str, flows: u32, repeats: u32) -> ReconfigCase {
+/// identically to the from-scratch build's. Prints its line and returns
+/// its record fields.
+fn run_reconfig_case(name: &str, flows: u32, repeats: u32) -> Fields {
     let plant = large_plant(flows).expect("plant builds");
     let template_start = Instant::now();
     let template = Arc::new(
@@ -290,155 +255,25 @@ fn run_reconfig_case(name: &str, flows: u32, repeats: u32) -> ReconfigCase {
             "{name}: reconfigure-path report diverged from the from-scratch build"
         );
     }
-    let byte_identical = true;
-    ReconfigCase {
-        name: name.to_owned(),
-        flows,
-        template_build_ns,
-        rebuild_ns,
-        reconfigure_ns,
-        speedup: rebuild_ns as f64 / reconfigure_ns as f64,
-        run_ns,
-        events,
-        events_per_sec: events as f64 / (run_ns as f64 / 1e9),
-        byte_identical,
-    }
-}
-
-fn write_bench7_json(cases: &[ScaleCase], budget_ms: u64) {
-    let baselines: std::collections::HashMap<&str, f64> =
-        BASELINE_EVENTS_PER_SEC.iter().copied().collect();
-    let mut entries = Vec::new();
-    let mut ratios = Vec::new();
-    for c in cases {
-        let baseline = baselines.get(c.name.as_str()).copied();
-        let ratio = baseline.map(|b| c.events_per_sec / b);
-        if let Some(r) = ratio {
-            ratios.push(r);
-        }
-        entries.push(format!(
-            "    {{\"name\": \"{}\", \"flows\": {}, \"cells\": {}, \"build_ns\": {}, \
-             \"run_ns\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"peak_rss_bytes\": {}, \"p99_us\": {:.1}, \"determinism_checked\": {}, \
-             \"baseline_events_per_sec\": {}, \"vs_baseline\": {}}}",
-            c.name,
-            c.flows,
-            c.cells,
-            c.build_ns,
-            c.run_ns,
-            c.events,
-            c.events_per_sec,
-            c.peak_rss_bytes.map_or("null".into(), |b| b.to_string()),
-            c.p99_us,
-            c.determinism_checked,
-            baseline.map_or("null".into(), |b| format!("{b:.0}")),
-            ratio.map_or("null".into(), |r| format!("{r:.3}")),
-        ));
-    }
-    let geomean = geomean_str(&ratios);
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"baseline\": \"same machine, TSN_BENCH_MS=2000\",\n  \
-         \"budget_ms\": {budget_ms},\n  \"events_per_sec_geomean_vs_baseline\": {geomean},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
+    let speedup = rebuild_ns as f64 / reconfigure_ns as f64;
+    let events_per_sec = events as f64 / (run_ns as f64 / 1e9);
+    println!(
+        "{name:<24} rebuild {:>10}  reconfigure {:>10}  speedup {speedup:>6.2}x  \
+         run {:>10}  {events_per_sec:>12.0} events/sec  [byte-identical]",
+        fmt_ns(rebuild_ns as f64),
+        fmt_ns(reconfigure_ns as f64),
+        fmt_ns(run_ns as f64),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} (events/sec geomean {geomean}x vs baseline)"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn geomean_str(ratios: &[f64]) -> String {
-    if ratios.is_empty() {
-        "null".to_owned()
-    } else {
-        let g = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-        format!("{g:.3}")
-    }
-}
-
-/// The DSE bench's recorded queries/sec geomean (BENCH_9.json), so the
-/// reconfigure summary records all three acceptance numbers in one
-/// place. `null` when the file is absent or unparsable.
-fn bench9_dse_geomean() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_9.json");
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return "null".to_owned();
-    };
-    text.lines()
-        .find_map(|l| {
-            let rest = l
-                .trim()
-                .strip_prefix("\"queries_per_sec_geomean_vs_baseline\":")?;
-            let value: f64 = rest.trim().trim_end_matches(',').parse().ok()?;
-            Some(format!("{value:.3}"))
-        })
-        .unwrap_or_else(|| "null".to_owned())
-}
-
-fn write_bench10_json(cases: &[ReconfigCase], budget_ms: u64) {
-    let baselines: std::collections::HashMap<&str, f64> =
-        BASELINE_RECONFIG_EVENTS_PER_SEC.iter().copied().collect();
-    let mut entries = Vec::new();
-    let mut ratios = Vec::new();
-    for c in cases {
-        let baseline = baselines.get(c.name.as_str()).copied();
-        let ratio = baseline.map(|b| c.events_per_sec / b);
-        if let Some(r) = ratio {
-            ratios.push(r);
-        }
-        entries.push(format!(
-            "    {{\"name\": \"{}\", \"flows\": {}, \"template_build_ns\": {}, \
-             \"rebuild_ns\": {}, \"reconfigure_ns\": {}, \"reconfigure_speedup\": {:.2}, \
-             \"run_ns\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"byte_identical\": {}, \"baseline_events_per_sec\": {}, \"vs_baseline\": {}}}",
-            c.name,
-            c.flows,
-            c.template_build_ns,
-            c.rebuild_ns,
-            c.reconfigure_ns,
-            c.speedup,
-            c.run_ns,
-            c.events,
-            c.events_per_sec,
-            c.byte_identical,
-            baseline.map_or("null".into(), |b| format!("{b:.0}")),
-            ratio.map_or("null".into(), |r| format!("{r:.3}")),
-        ));
-    }
-    let geomean = geomean_str(&ratios);
-    // Acceptance summary: the 100k events/sec vs the pre-flattening
-    // BENCH_7 pin, the 10k→100k per-event slowdown (BENCH_7 recorded
-    // 2.83× before the flattening), the 100k reconfigure speedup, and
-    // the DSE geomean cross-referenced from BENCH_9.json.
-    let case_100k = cases.iter().find(|c| c.flows == 100_000);
-    let vs_pin_100k = case_100k.map_or("null".to_owned(), |c| {
-        format!("{:.3}", c.events_per_sec / BENCH7_PIN_100K)
-    });
-    let speedup_100k = case_100k.map_or("null".to_owned(), |c| format!("{:.2}", c.speedup));
-    let slowdown = match (cases.iter().find(|c| c.flows == 10_000), case_100k) {
-        (Some(a), Some(b)) => format!("{:.2}", a.events_per_sec / b.events_per_sec),
-        _ => "null".to_owned(),
-    };
-    let bench7_slowdown = BENCH7_PIN_10K / BENCH7_PIN_100K;
-    let dse_geomean = bench9_dse_geomean();
-    let json = format!(
-        "{{\n  \"bench\": \"reconfig\",\n  \"baseline\": \"same machine, TSN_BENCH_MS=2000\",\n  \
-         \"budget_ms\": {budget_ms},\n  \"events_per_sec_geomean_vs_baseline\": {geomean},\n  \
-         \"events_per_sec_100k_vs_bench7_pin\": {vs_pin_100k},\n  \
-         \"reconfigure_speedup_100k\": {speedup_100k},\n  \
-         \"slowdown_10k_to_100k\": {slowdown},\n  \
-         \"bench7_slowdown_10k_to_100k\": {bench7_slowdown:.2},\n  \
-         \"dse_queries_per_sec_geomean_vs_baseline\": {dse_geomean},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} (reconfigure speedup at 100k: {speedup_100k}x)"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    vec![
+        ("flows", flows.to_json()),
+        ("template_build_ns", template_build_ns.to_json()),
+        ("rebuild_ns", rebuild_ns.to_json()),
+        ("reconfigure_ns", reconfigure_ns.to_json()),
+        ("reconfigure_speedup", num(speedup, 2)),
+        ("run_ns", run_ns.to_json()),
+        ("events", events.to_json()),
+        ("events_per_sec", num(events_per_sec, 0)),
+    ]
 }
 
 fn main() {
@@ -453,63 +288,25 @@ fn main() {
     if std::env::var("TSN_SCALE_1M").is_ok_and(|v| v == "1") {
         targets.push(("scale/flows/1m", 1_000_000, 1, false));
     }
-    let mut cases = Vec::new();
+    let mut scale = Record::new(&SCALE, runner.budget_ms());
     for (name, flows, repeats, check) in targets {
-        if !runner.selected(name) {
-            continue;
+        if runner.selected(name) {
+            let fields = run_case(name, flows, repeats, check);
+            // The 1M probe is neither determinism-checked nor recorded.
+            if check {
+                scale.case(name, fields);
+            }
         }
-        let case = run_case(name, flows, repeats, check);
-        println!(
-            "{:<24} build {:>10}  run {:>10}  {:>9} events  {:>12.0} events/sec  \
-             rss {:>8}  p99 {:.1}us{}",
-            case.name,
-            fmt_ns(case.build_ns as f64),
-            fmt_ns(case.run_ns as f64),
-            case.events,
-            case.events_per_sec,
-            case.peak_rss_bytes
-                .map_or("n/a".into(), |b| format!("{}MiB", b >> 20)),
-            case.p99_us,
-            if case.determinism_checked {
-                "  [backends byte-identical]"
-            } else {
-                ""
-            },
-        );
-        cases.push(case);
     }
 
-    let reconfig_targets: Vec<(&str, u32, u32)> = vec![
+    let mut reconfig = Record::new(&RECONFIG, runner.budget_ms());
+    for (name, flows, repeats) in [
         ("reconfig/flows/10k", 10_000, 5),
         ("reconfig/flows/100k", 100_000, 3),
-    ];
-    let mut reconfig_cases = Vec::new();
-    for (name, flows, repeats) in reconfig_targets {
-        if !runner.selected(name) {
-            continue;
+    ] {
+        if runner.selected(name) {
+            reconfig.case(name, run_reconfig_case(name, flows, repeats));
         }
-        let case = run_reconfig_case(name, flows, repeats);
-        println!(
-            "{:<24} rebuild {:>10}  reconfigure {:>10}  speedup {:>6.2}x  \
-             run {:>10}  {:>12.0} events/sec  [byte-identical]",
-            case.name,
-            fmt_ns(case.rebuild_ns as f64),
-            fmt_ns(case.reconfigure_ns as f64),
-            case.speedup,
-            fmt_ns(case.run_ns as f64),
-            case.events_per_sec,
-        );
-        reconfig_cases.push(case);
     }
-
-    if cases.is_empty() && reconfig_cases.is_empty() {
-        println!("scale: no case selected");
-        return;
-    }
-    if !cases.is_empty() {
-        write_bench7_json(&cases, runner.budget_ms());
-    }
-    if !reconfig_cases.is_empty() {
-        write_bench10_json(&reconfig_cases, runner.budget_ms());
-    }
+    enforce([scale.finish(), reconfig.finish()]);
 }

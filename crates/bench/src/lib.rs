@@ -13,13 +13,19 @@
 //! * `benches/simulation.rs` — end-to-end network runs behind Fig. 2 and
 //!   Fig. 7;
 //! * `benches/sweep.rs` — scenario-sweep scaling: one Fig. 7-style
-//!   8-scenario sweep at 1/2/4/… workers, reporting the speedup.
+//!   8-scenario sweep at 1/2/4/… workers, reporting the speedup;
+//! * `benches/scale.rs`, `benches/dse.rs` — the 10k/100k-flow plant,
+//!   its incremental reconfiguration, and the DSE service's batches.
 //!
 //! Filter by substring like criterion: `cargo bench -p tsn-bench --bench
 //! planning -- itp` runs only benchmarks whose name contains `itp`.
-//! `TSN_BENCH_MS` (default 200) sets the per-benchmark time budget.
+//! `TSN_BENCH_MS` (default 200) sets the time budget. The simulation,
+//! scale and DSE benches gate every run through [`record`].
 
 use std::time::Instant;
+
+pub mod record;
+pub use record::{enforce, Record};
 
 /// One benchmark's measurement.
 #[derive(Debug, Clone)]
@@ -34,8 +40,6 @@ pub struct BenchResult {
     pub median_ns: f64,
     /// Fastest sample's time per iteration, nanoseconds.
     pub min_ns: f64,
-    /// Mean time per iteration, nanoseconds.
-    pub mean_ns: f64,
 }
 
 /// Formats nanoseconds human-readably (ns/µs/ms/s).
@@ -122,7 +126,6 @@ impl Runner {
             samples: SAMPLES,
             median_ns: per_iter_ns[SAMPLES / 2],
             min_ns: per_iter_ns[0],
-            mean_ns: per_iter_ns.iter().sum::<f64>() / SAMPLES as f64,
         };
         println!(
             "{:<44} median {:>10}  min {:>10}  ({} x {} iters)",
@@ -141,12 +144,6 @@ impl Runner {
         let start = Instant::now();
         let value = f();
         (start.elapsed().as_nanos() as f64, value)
-    }
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::from_env()
     }
 }
 

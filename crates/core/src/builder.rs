@@ -58,12 +58,6 @@ impl TsnBuilder {
         })
     }
 
-    /// Wraps existing requirements.
-    #[must_use]
-    pub fn from_requirements(requirements: AppRequirements) -> Self {
-        TsnBuilder { requirements }
-    }
-
     /// The requirements being customized.
     #[must_use]
     pub fn requirements(&self) -> &AppRequirements {

@@ -126,12 +126,6 @@ impl AppRequirements {
             .max()
             .unwrap_or(0)
     }
-
-    /// Decomposes into its parts.
-    #[must_use]
-    pub fn into_parts(self) -> (Topology, FlowSet, SimDuration) {
-        (self.topology, self.flows, self.sync_precision)
-    }
 }
 
 #[cfg(test)]

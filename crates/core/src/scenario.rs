@@ -49,6 +49,14 @@ use tsn_sim::sweep::{run_sweep, PlanCache, SweepError};
 use tsn_topology::Topology;
 use tsn_types::{DataRate, SimDuration, TsnResult};
 
+/// Required synchronization precision every scenario is validated
+/// against.
+const SYNC_PRECISION: SimDuration = SimDuration::from_nanos(50);
+/// Link rate for CQF slot feasibility under [`ResourcePlan::Explicit`].
+const LINK_RATE: DataRate = DataRate::gbps(1);
+/// Injection-offset strategy under [`ResourcePlan::Explicit`].
+const STRATEGY: Strategy = Strategy::GreedyLeastLoaded;
+
 /// How a scenario gets its `ResourceConfig` (and CQF slot).
 #[derive(Debug, Clone)]
 pub enum ResourcePlan {
@@ -70,12 +78,6 @@ pub struct Scenario {
     pub topology: Topology,
     /// The workload.
     pub flows: FlowSet,
-    /// Required synchronization precision (validation input).
-    pub sync_precision: SimDuration,
-    /// Link rate used for CQF slot feasibility under [`ResourcePlan::Explicit`].
-    pub link_rate: DataRate,
-    /// Injection-offset strategy under [`ResourcePlan::Explicit`].
-    pub strategy: Strategy,
     /// Resource selection mode.
     pub plan: ResourcePlan,
     /// Simulation parameters (duration, sync, preemption, …).
@@ -98,9 +100,6 @@ impl Scenario {
             label: label.into(),
             topology,
             flows,
-            sync_precision: SimDuration::from_nanos(50),
-            link_rate: DataRate::gbps(1),
-            strategy: Strategy::GreedyLeastLoaded,
             plan: ResourcePlan::Explicit,
             config,
         }
@@ -119,26 +118,9 @@ impl Scenario {
             label: label.into(),
             topology,
             flows,
-            sync_precision: SimDuration::from_nanos(50),
-            link_rate: DataRate::gbps(1),
-            strategy: Strategy::GreedyLeastLoaded,
             plan: ResourcePlan::Derive(options),
             config,
         }
-    }
-
-    /// Overrides the injection-offset strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the required synchronization precision.
-    #[must_use]
-    pub fn with_sync_precision(mut self, precision: SimDuration) -> Self {
-        self.sync_precision = precision;
-        self
     }
 
     /// Arms fault injection ([`tsn_sim::FaultConfig`]) for this scenario.
@@ -177,8 +159,7 @@ fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
     hasher.finish()
 }
 
-type CqfKey = (u64, u64, SimDuration, DataRate);
-type ItpKey = (u64, u64, SimDuration, DataRate, Strategy);
+type PlanKey = (u64, u64, SimDuration);
 type DeriveKey = (u64, u64, u64);
 type TemplateKey = (u64, u64, u64);
 
@@ -190,8 +171,8 @@ type TemplateKey = (u64, u64, u64);
 /// sweeps to share plans between them.
 #[derive(Debug, Default)]
 pub struct SweepPlanner {
-    cqf: PlanCache<CqfKey, TsnResult<CqfPlan>>,
-    itp: PlanCache<ItpKey, TsnResult<ItpResult>>,
+    cqf: PlanCache<PlanKey, TsnResult<CqfPlan>>,
+    itp: PlanCache<PlanKey, TsnResult<ItpResult>>,
     derived: PlanCache<DeriveKey, TsnResult<DerivedConfig>>,
     /// Resident [`NetworkTemplate`]s, keyed on everything a
     /// [`ConfigDelta`] *cannot* change: sweep points that differ only in
@@ -242,7 +223,7 @@ impl SweepPlanner {
         let requirements = AppRequirements::new(
             scenario.topology.clone(),
             scenario.flows.clone(),
-            scenario.sync_precision,
+            SYNC_PRECISION,
         )?;
         let topo_fp = fingerprint(&scenario.topology);
         let flows_fp = fingerprint(&scenario.flows);
@@ -282,20 +263,13 @@ impl SweepPlanner {
             }
             ResourcePlan::Explicit => {
                 let slot = scenario.config.slot;
-                let cqf_key = (topo_fp, flows_fp, slot, scenario.link_rate);
-                let plan = self.cqf.get_or_compute(cqf_key, || {
-                    CqfPlan::with_slot(&requirements, slot, scenario.link_rate)
-                })?;
-                let itp_key = (
-                    topo_fp,
-                    flows_fp,
-                    slot,
-                    scenario.link_rate,
-                    scenario.strategy,
-                );
-                let planned = self.itp.get_or_compute(itp_key, || {
-                    itp::plan(&requirements, &plan, scenario.strategy)
-                })?;
+                let key = (topo_fp, flows_fp, slot);
+                let plan = self
+                    .cqf
+                    .get_or_compute(key, || CqfPlan::with_slot(&requirements, slot, LINK_RATE))?;
+                let planned = self
+                    .itp
+                    .get_or_compute(key, || itp::plan(&requirements, &plan, STRATEGY))?;
                 // Split the config into a template base (everything a
                 // ConfigDelta cannot change, with the delta-able knobs
                 // pinned to paper defaults) and the delta that restores

@@ -362,9 +362,10 @@ pub fn run_batch_text(text: &str, workers: usize) -> Result<String, String> {
 /// distinct labels on one fingerprint exercise the answer-dedup path.
 pub const BENCH_COPIES: usize = 5;
 
-/// One family batch of the `dse --bench` workload: 20 unique queries
-/// over the three-switch `kind` preset (`ring`, `linear` or `star`),
-/// each repeated [`BENCH_COPIES`] times under distinct labels.
+/// One family batch of the DSE bench (`cargo bench -p tsn-bench --bench
+/// dse`): 20 unique queries over the three-switch `kind` preset (`ring`,
+/// `linear` or `star`), each repeated [`BENCH_COPIES`] times under
+/// distinct labels.
 #[must_use]
 pub fn bench_family(kind: &str) -> Vec<QosQuery> {
     let mut queries = Vec::new();

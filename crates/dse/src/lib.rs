@@ -35,8 +35,8 @@
 //!    fingerprint, so a warm engine answers repeats from cache.
 //!
 //! The `dse` binary wraps this in a strict JSON batch interface (see
-//! [`batch`]) and a tracked benchmark (`BENCH_9.json`). The
-//! `dse-optimality` verify oracle adversarially re-checks both
+//! [`batch`]); the `dse` bench of `tsn-bench` tracks its throughput
+//! (`BENCH_9.json`). The `dse-optimality` verify oracle adversarially re-checks both
 //! directions of every answer via [`check_optimality`].
 
 #![forbid(unsafe_code)]

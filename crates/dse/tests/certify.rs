@@ -2,7 +2,7 @@
 //! probes the ITP-peak candidate and only falls back to bisection when
 //! that candidate is not locally minimal; the answers must equal those
 //! of the plain confirm → bisect → polish coordinate descent, kept here
-//! as the reference, on the `dse --bench` family batches and on random
+//! as the reference, on the DSE bench's family batches and on random
 //! `dse-optimality` oracle queries. The random cases must include
 //! fallbacks, so both paths of the search are compared.
 

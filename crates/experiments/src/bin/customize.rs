@@ -18,7 +18,9 @@ use std::fmt::Write as _;
 use std::path::Path;
 use tsn_builder::{workloads, DeriveOptions, GateMode, TsnBuilder};
 use tsn_experiments::json::{self, Json};
-use tsn_experiments::limits::{within, MAX_DURATION_US, MAX_HOSTS, MAX_SWITCHES, MAX_TS_COUNT};
+use tsn_experiments::limits::{
+    within, MAX_DURATION_US, MAX_HOSTS, MAX_RATE_MBPS, MAX_SWITCHES, MAX_TS_COUNT,
+};
 use tsn_resource::AllocationPolicy;
 use tsn_sim::network::SyncSetup;
 use tsn_sim::sweep::{run_sweep, workers_from_env};
@@ -118,6 +120,14 @@ fn bounded(what: &str, value: &Json, key: &str, max: u64) -> Result<u64, String>
     within(key, req_u64(what, value, key)?, max).map_err(|e| format!("{what}: {e}"))
 }
 
+/// An optional rate in Mb/s no larger than [`MAX_RATE_MBPS`]; 0 when
+/// absent.
+fn opt_rate(what: &str, value: &Json, key: &str) -> Result<u64, String> {
+    opt_u64(what, value, key)?
+        .map_or(Ok(0), |v| within(key, v, MAX_RATE_MBPS))
+        .map_err(|e| format!("{what}: {e}"))
+}
+
 fn opt_u32(what: &str, value: &Json, key: &str) -> Result<Option<u32>, String> {
     opt_u64(what, value, key)?
         .map(|v| within(key, v, u32::MAX.into()).map(|v| v as u32))
@@ -163,8 +173,8 @@ fn parse_scenario(text: &str) -> Result<ScenarioFile, String> {
         ts_count: bounded("flows", fl, "ts_count", MAX_TS_COUNT.into())? as u32,
         frame_bytes: opt_u32("flows", fl, "frame_bytes")?.unwrap_or(64),
         seed: opt_u64("flows", fl, "seed")?.unwrap_or(42),
-        rc_mbps: opt_u64("flows", fl, "rc_mbps")?.unwrap_or(0),
-        be_mbps: opt_u64("flows", fl, "be_mbps")?.unwrap_or(0),
+        rc_mbps: opt_rate("flows", fl, "rc_mbps")?,
+        be_mbps: opt_rate("flows", fl, "be_mbps")?,
     };
 
     let mut options = OptionsSpec::default();

@@ -12,6 +12,10 @@ pub const MAX_HOSTS: u64 = 4096;
 pub const MAX_TS_COUNT: u32 = 4000;
 /// Longest simulated window, 1 s.
 pub const MAX_DURATION_US: u64 = 1_000_000;
+/// Fastest background (RC or BE) rate one request may offer, 10 Gb/s:
+/// ten times the 1 Gb/s links, so any rate that saturates a port is
+/// expressible, while `DataRate::mbps` stays far from overflowing.
+pub const MAX_RATE_MBPS: u64 = 10_000;
 
 /// `value` of field `key` checked against `max`: a field-naming error
 /// when it is larger.

@@ -3,11 +3,11 @@
 use crate::json::{Json, ToJson};
 use std::path::PathBuf;
 use tsn_builder::ScenarioOutcome;
-use tsn_sim::network::{Network, SimConfig, SyncSetup};
+use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_sim::sweep::SweepError;
 use tsn_sim::SimReport;
 use tsn_topology::{LinkDirection, Topology};
-use tsn_types::{DataRate, FlowMap, FlowSet, NodeId, SimDuration, TrafficClass, TsnResult};
+use tsn_types::{DataRate, NodeId, SimDuration, TrafficClass, TsnResult};
 
 /// One measured point of a latency figure.
 #[derive(Debug, Clone)]
@@ -155,21 +155,6 @@ pub fn ring_with_analyzers(
         analyzers.push(analyzer);
     }
     Ok((topo, tester, analyzers))
-}
-
-/// Builds and runs a network with explicit offsets, panicking with a
-/// readable message on failure (a failed build is a broken experiment,
-/// not a user error).
-#[must_use]
-pub fn run_network(
-    topology: Topology,
-    flows: FlowSet,
-    offsets: &FlowMap<SimDuration>,
-    config: SimConfig,
-) -> SimReport {
-    Network::build(topology, flows, offsets, config)
-        .expect("experiment network must build")
-        .run()
 }
 
 /// The default measurement config used by the figures: 100 ms of

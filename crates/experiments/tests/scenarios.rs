@@ -118,7 +118,21 @@ fn oversized_scenarios_are_rejected_naming_the_field() {
         stderr.contains("\"ts_count\" holds 4294967297, above the limit of 4000"),
         "{stderr}"
     );
-    // A scenario within the limits still runs.
-    let (code, stderr) = customize("small", &scenario("6", "4"));
+    // Used to panic in debug builds and wrap in release builds inside
+    // `DataRate::mbps`.
+    for key in ["rc_mbps", "be_mbps"] {
+        let text = scenario("6", &format!("4, \"{key}\": 20000000000000"));
+        let (code, stderr) = customize(key, &text);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "\"{key}\" holds 20000000000000, above the limit of 10000"
+            )),
+            "{stderr}"
+        );
+    }
+    // A scenario within the limits, rates at theirs, still runs.
+    let at_limit = r#"4, "rc_mbps": 10000, "be_mbps": 10000"#;
+    let (code, stderr) = customize("small", &scenario("6", at_limit));
     assert_eq!(code, Some(0), "{stderr}");
 }

@@ -114,12 +114,6 @@ impl LatencyStats {
         }
     }
 
-    /// Jitter in microseconds.
-    #[must_use]
-    pub fn std_us(&self) -> f64 {
-        self.std_ns() / 1_000.0
-    }
-
     /// Smallest sample (`None` when empty).
     #[must_use]
     pub fn min(&self) -> Option<SimDuration> {

@@ -484,11 +484,7 @@ impl NetworkTemplate {
         config: SimConfig,
         gcls: GclSchedule,
     ) -> TsnResult<Self> {
-        // Guideline (5): gate-control hardware exists only on the egress
-        // ports the TS routes actually use — the same analysis that sized
-        // `port_num` during derivation. Other switch-to-switch ports stay
-        // ungated (always-open), like un-provisioned ports on the FPGA.
-        let enabled_ports = EnabledPorts::from_flows(&topology, &flows)?;
+        let (program, route_cache, enabled_ports) = compute_program(&topology, &flows)?;
         let switch_count = topology.switches().len();
         let mut port_kinds = Vec::with_capacity(topology.nodes().len());
         for node in topology.nodes() {
@@ -518,8 +514,6 @@ impl NetworkTemplate {
                 NodeKind::Host => port_kinds.push(Vec::new()),
             }
         }
-
-        let (program, route_cache) = compute_program(&topology, &flows)?;
 
         let faults_on = config.faults.enabled();
         let sync_seed = match &config.sync {
@@ -816,10 +810,16 @@ impl NetworkTemplate {
 /// link list for the fault engine. The route-cache capacity scales with
 /// the distinct-talker count so large plants don't thrash the fixed
 /// default.
+///
+/// The TS routes also give the enabled ports of guideline (5):
+/// gate-control hardware exists only on the egress ports they use — the
+/// same analysis that sized `port_num` during derivation. Other
+/// switch-to-switch ports stay ungated (always-open), like
+/// un-provisioned ports on the FPGA.
 fn compute_program(
     topology: &Topology,
     flows: &FlowSet,
-) -> TsnResult<(InstallProgram, crate::report::RouteCacheStats)> {
+) -> TsnResult<(InstallProgram, crate::report::RouteCacheStats, EnabledPorts)> {
     let mut is_talker = vec![false; topology.nodes().len()];
     let mut talkers = 0usize;
     for flow in flows.iter() {
@@ -831,42 +831,28 @@ fn compute_program(
     }
     let mut route_trees = RouteTreeCache::with_capacity(talkers);
     let mut programs = Vec::with_capacity(flows.len());
-    for flow in flows.iter() {
-        let src = flow.src();
-        let dst = flow.dst();
-        for node in [src, dst] {
-            if !topology
-                .node(node)
-                .map(tsn_topology::Node::is_host)
-                .unwrap_or(false)
-            {
-                return Err(TsnError::invalid_parameter(
-                    "flow",
-                    format!("{} endpoint {node} is not a host", flow.id()),
-                ));
-            }
-        }
-        let route = route_trees.route(topology, src, dst)?;
-        let mut hops = Vec::new();
-        for hop in route.switch_hops_iter() {
-            let egress = hop
-                .egress
-                .ok_or_else(|| TsnError::invalid_parameter("route", "switch hop without egress"))?;
-            hops.push((hop.node, egress));
-        }
-        let links: Box<[LinkId]> = route
-            .hops()
-            .iter()
-            .filter_map(|hop| {
-                let egress = hop.egress?;
-                topology.link_at(hop.node, egress).ok().map(Link::id)
-            })
-            .collect();
-        programs.push(FlowProgram {
-            flow: flow.id(),
-            hops: hops.into_boxed_slice(),
-            links,
-        });
+    let mut failure = None;
+    // One routing pass: each route becomes its flow's program and, for a
+    // TS flow, feeds the enabled-port analysis, then is dropped — no
+    // route outlives its flow.
+    let ts_routes = flows
+        .iter()
+        .map_while(
+            |flow| match flow_program(topology, &mut route_trees, flow) {
+                Ok((program, route)) => {
+                    programs.push(program);
+                    Some(flow.as_ts().map(|_| route))
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    None
+                }
+            },
+        )
+        .flatten();
+    let enabled_ports = EnabledPorts::from_routes(topology, ts_routes);
+    if let Some(e) = failure {
+        return Err(e);
     }
     let stats = crate::report::RouteCacheStats {
         hits: route_trees.hits(),
@@ -874,7 +860,49 @@ fn compute_program(
         evictions: route_trees.evictions(),
         capacity: route_trees.capacity(),
     };
-    Ok((InstallProgram { flows: programs }, stats))
+    Ok((InstallProgram { flows: programs }, stats, enabled_ports))
+}
+
+/// One flow's install program and the route it came from.
+fn flow_program(
+    topology: &Topology,
+    route_trees: &mut RouteTreeCache,
+    flow: &FlowSpec,
+) -> TsnResult<(FlowProgram, Route)> {
+    for node in [flow.src(), flow.dst()] {
+        if !topology
+            .node(node)
+            .map(tsn_topology::Node::is_host)
+            .unwrap_or(false)
+        {
+            return Err(TsnError::invalid_parameter(
+                "flow",
+                format!("{} endpoint {node} is not a host", flow.id()),
+            ));
+        }
+    }
+    let route = route_trees.route(topology, flow.src(), flow.dst())?;
+    let mut hops = Vec::new();
+    for hop in route.switch_hops_iter() {
+        let egress = hop
+            .egress
+            .ok_or_else(|| TsnError::invalid_parameter("route", "switch hop without egress"))?;
+        hops.push((hop.node, egress));
+    }
+    let links: Box<[LinkId]> = route
+        .hops()
+        .iter()
+        .filter_map(|hop| {
+            let egress = hop.egress?;
+            topology.link_at(hop.node, egress).ok().map(Link::id)
+        })
+        .collect();
+    let program = FlowProgram {
+        flow: flow.id(),
+        hops: hops.into_boxed_slice(),
+        links,
+    };
+    Ok((program, route))
 }
 
 /// The VLAN that distinguishes one flow from another on the wire (flows

@@ -133,32 +133,6 @@ where
         .collect()
 }
 
-/// Runs one [`crate::network::ConfigDelta`] per sweep point against a
-/// shared resident [`crate::network::NetworkTemplate`] and returns the
-/// reports **in input order**.
-///
-/// This is the incremental-reconfiguration form of [`run_sweep`]: the
-/// topology, routes, switch tables and pre-converged sync domain are
-/// planned once (when the template is built) and every point only pays
-/// [`crate::network::NetworkTemplate::reconfigure`] — per-switch state
-/// assembly — plus
-/// the run itself. A point whose delta is infeasible (e.g. tables
-/// shrunk below what the flows need) loses only its own slot, exactly
-/// like a failing scenario in [`run_sweep`].
-///
-/// Reports are byte-identical to building each point from scratch with
-/// [`crate::network::Network::build`] under the delta'd config (the
-/// `reconfigure-equivalence` verification oracle pins this).
-pub fn run_delta_sweep(
-    template: &Arc<crate::network::NetworkTemplate>,
-    deltas: &[crate::network::ConfigDelta],
-    workers: usize,
-) -> Vec<Result<crate::report::SimReport, SweepError>> {
-    run_sweep(deltas, workers, |_idx, delta| {
-        Ok(template.reconfigure(delta)?.run())
-    })
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()

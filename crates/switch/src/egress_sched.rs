@@ -277,24 +277,6 @@ impl EgressScheduler {
         }
     }
 
-    /// The earliest instant at which a currently credit-blocked,
-    /// backlogged queue becomes eligible again, or `None` if no queue is
-    /// credit-blocked. Used by event-driven simulators to avoid polling.
-    #[must_use]
-    pub fn next_credit_recovery(&self, gates: &GateCtrl, now: SimTime) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        for q in 0..self.cbs_map.len() {
-            let queue = QueueId::new(q as u8);
-            if gates.queue_len(queue) == 0 {
-                continue;
-            }
-            if let Some(ready) = self.queue_credit_recovery(queue, now) {
-                earliest = Some(earliest.map_or(ready, |e: SimTime| e.min(ready)));
-            }
-        }
-        earliest
-    }
-
     /// The instant `queue`'s shaper recovers to non-negative credit, or
     /// `None` if the queue is unshaped or already eligible. The caller is
     /// responsible for knowing the queue is backlogged.

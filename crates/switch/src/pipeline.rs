@@ -642,24 +642,10 @@ impl TsnSwitchCore {
         Some(p.gates.next_gate_change(now))
     }
 
-    /// Whether any queue of `port` holds frames.
-    #[must_use]
-    pub fn port_backlogged(&self, port: PortId) -> bool {
-        self.ports
-            .get(port.as_usize())
-            .is_some_and(|p| p.gates.total_buffered() > 0)
-    }
-
     /// Number of cabled ports.
     #[must_use]
     pub fn port_count(&self) -> usize {
         self.ports.len()
-    }
-
-    /// The role of a port.
-    #[must_use]
-    pub fn port_kind(&self, port: PortId) -> Option<PortKind> {
-        self.ports.get(port.as_usize()).map(|p| p.kind)
     }
 
     /// Data-plane statistics.

@@ -9,8 +9,9 @@
 
 use crate::graph::Topology;
 use crate::route::Route;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
-use tsn_types::{FlowSet, NodeId, PortId, TsnResult};
+use tsn_types::{NodeId, PortId};
 
 /// Per-switch sets of egress ports that carry TS traffic towards other
 /// switches.
@@ -19,16 +20,11 @@ use tsn_types::{FlowSet, NodeId, PortId, TsnResult};
 ///
 /// ```
 /// use tsn_topology::{presets, EnabledPorts};
-/// use tsn_types::{FlowSet, TsFlowSpec, FlowId, SimDuration};
 ///
 /// let topo = presets::ring(6, 3)?;
 /// let hosts = topo.hosts();
-/// let mut flows = FlowSet::new();
-/// flows.push(TsFlowSpec::new(
-///     FlowId::new(0), hosts[0], hosts[1],
-///     SimDuration::from_millis(10), SimDuration::from_millis(2), 64,
-/// )?.into());
-/// let enabled = EnabledPorts::from_flows(&topo, &flows)?;
+/// let route = topo.route(hosts[0], hosts[1])?;
+/// let enabled = EnabledPorts::from_routes(&topo, [&route]);
 /// assert_eq!(enabled.max_per_switch(), 1); // the paper's ring column
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
@@ -38,33 +34,15 @@ pub struct EnabledPorts {
 }
 
 impl EnabledPorts {
-    /// Analyses the routes of all TS flows in `flows` over `topology`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing errors ([`tsn_types::TsnError::NoRoute`],
-    /// [`tsn_types::TsnError::UnknownNode`]) for any flow.
-    pub fn from_flows(topology: &Topology, flows: &FlowSet) -> TsnResult<Self> {
-        let mut result = EnabledPorts::default();
-        // One BFS per distinct talker, shared across that talker's flows —
-        // tree extraction yields exactly the per-flow `route()` result.
-        let mut trees = crate::graph::RouteTreeCache::new();
-        for flow in flows.ts_flows() {
-            let route = trees.route(topology, flow.src(), flow.dst())?;
-            result.absorb_route(topology, &route);
-        }
-        Ok(result)
-    }
-
-    /// Analyses a set of precomputed routes (useful when the caller already
-    /// routed the flows).
-    pub fn from_routes<'a>(
+    /// Analyses the routes of the TS flows, as the caller resolved them
+    /// (borrowed, or owned and dropped one by one).
+    pub fn from_routes<R: Borrow<Route>>(
         topology: &Topology,
-        routes: impl IntoIterator<Item = &'a Route>,
+        routes: impl IntoIterator<Item = R>,
     ) -> Self {
         let mut result = EnabledPorts::default();
         for route in routes {
-            result.absorb_route(topology, route);
+            result.absorb_route(topology, route.borrow());
         }
         result
     }
@@ -132,39 +110,22 @@ impl EnabledPorts {
 mod tests {
     use super::*;
     use crate::presets;
-    use tsn_types::{FlowId, SimDuration, TsFlowSpec};
 
-    fn all_pairs_ts_flows(topology: &Topology) -> FlowSet {
+    /// The enabled ports of TS traffic between every ordered host pair.
+    fn all_pairs(topology: &Topology) -> EnabledPorts {
         let hosts = topology.hosts();
-        let mut flows = FlowSet::new();
-        let mut id = 0;
-        for &a in hosts {
-            for &b in hosts {
-                if a != b {
-                    flows.push(
-                        TsFlowSpec::new(
-                            FlowId::new(id),
-                            a,
-                            b,
-                            SimDuration::from_millis(10),
-                            SimDuration::from_millis(8),
-                            64,
-                        )
-                        .expect("valid flow")
-                        .into(),
-                    );
-                    id += 1;
-                }
-            }
-        }
-        flows
+        let routes: Vec<Route> = hosts
+            .iter()
+            .flat_map(|&a| hosts.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+            .map(|(a, b)| topology.route(a, b).expect("routes ok"))
+            .collect();
+        EnabledPorts::from_routes(topology, &routes)
     }
 
     #[test]
     fn star_enables_three_ports_on_the_core() {
         let topo = presets::star(3, 3).expect("builds");
-        let enabled =
-            EnabledPorts::from_flows(&topo, &all_pairs_ts_flows(&topo)).expect("routes ok");
+        let enabled = all_pairs(&topo);
         assert_eq!(enabled.max_per_switch(), 3, "paper Table III star column");
         // Child switches only ever send towards the core.
         let core = topo.switches()[0];
@@ -177,16 +138,14 @@ mod tests {
     #[test]
     fn linear_enables_two_ports_in_the_middle() {
         let topo = presets::linear(6, 2).expect("builds");
-        let enabled =
-            EnabledPorts::from_flows(&topo, &all_pairs_ts_flows(&topo)).expect("routes ok");
+        let enabled = all_pairs(&topo);
         assert_eq!(enabled.max_per_switch(), 2, "paper Table III linear column");
     }
 
     #[test]
     fn ring_enables_a_single_port_per_switch() {
         let topo = presets::ring(6, 3).expect("builds");
-        let enabled =
-            EnabledPorts::from_flows(&topo, &all_pairs_ts_flows(&topo)).expect("routes ok");
+        let enabled = all_pairs(&topo);
         assert_eq!(enabled.max_per_switch(), 1, "paper Table III ring column");
         // Every switch on a used path enables exactly its clockwise port.
         for (_, count) in enabled.iter() {
@@ -197,21 +156,8 @@ mod tests {
     #[test]
     fn empty_flow_set_enables_nothing() {
         let topo = presets::ring(3, 1).expect("builds");
-        let enabled = EnabledPorts::from_flows(&topo, &FlowSet::new()).expect("no routes needed");
+        let enabled = EnabledPorts::from_routes(&topo, &[]);
         assert_eq!(enabled.max_per_switch(), 0);
         assert_eq!(enabled.switch_count(), 0);
-    }
-
-    #[test]
-    fn from_routes_matches_from_flows() {
-        let topo = presets::star(3, 2).expect("builds");
-        let flows = all_pairs_ts_flows(&topo);
-        let routes: Vec<Route> = flows
-            .ts_flows()
-            .map(|f| topo.route(f.src(), f.dst()).expect("route"))
-            .collect();
-        let a = EnabledPorts::from_flows(&topo, &flows).expect("ok");
-        let b = EnabledPorts::from_routes(&topo, routes.iter());
-        assert_eq!(a, b);
     }
 }

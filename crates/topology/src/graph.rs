@@ -214,25 +214,6 @@ impl Topology {
         Ok(&self.links[link_id.index() as usize])
     }
 
-    /// The neighbours reachable *out of* `node`, as
-    /// `(egress port, remote end)` pairs, honouring link direction.
-    pub fn egress_neighbors(&self, node: NodeId) -> impl Iterator<Item = (PortId, LinkEnd)> + '_ {
-        self.ports
-            .get(node.as_usize())
-            .into_iter()
-            .flatten()
-            .enumerate()
-            .filter_map(move |(port_idx, link_id)| {
-                let link = &self.links[link_id.index() as usize];
-                if link.allows_egress_from(node) {
-                    link.peer_of(node)
-                        .map(|peer| (PortId::new(port_idx as u16), peer))
-                } else {
-                    None
-                }
-            })
-    }
-
     /// Computes a shortest path from `from` to `to` by hop count (BFS),
     /// honouring unidirectional links.
     ///

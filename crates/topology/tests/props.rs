@@ -102,33 +102,23 @@ fn routes_are_short() {
 #[test]
 fn enabled_ports_bounded_by_degree() {
     use tsn_topology::EnabledPorts;
-    use tsn_types::{FlowId, FlowSet, SimDuration, TsFlowSpec};
     let mut rng = SplitMix64::seed_from_u64(0xe4ab);
     let mut tested = 0;
     while tested < 32 {
         let topo = random_topology(&mut rng);
-        let flow_count = rng.gen_range_in(1, 16) as u32;
+        let flow_count = rng.gen_range_in(1, 16) as usize;
         let hosts = topo.hosts();
         if hosts.len() < 2 {
             continue;
         }
         tested += 1;
-        let mut flows = FlowSet::new();
-        for id in 0..flow_count {
-            flows.push(
-                TsFlowSpec::new(
-                    FlowId::new(id),
-                    hosts[id as usize % hosts.len()],
-                    hosts[(id as usize + 1) % hosts.len()],
-                    SimDuration::from_millis(10),
-                    SimDuration::from_millis(8),
-                    64,
-                )
-                .expect("valid flow")
-                .into(),
-            );
-        }
-        let enabled = EnabledPorts::from_flows(&topo, &flows).expect("analysis runs");
+        let routes: Vec<_> = (0..flow_count)
+            .map(|id| {
+                topo.route(hosts[id % hosts.len()], hosts[(id + 1) % hosts.len()])
+                    .expect("analysis runs")
+            })
+            .collect();
+        let enabled = EnabledPorts::from_routes(&topo, &routes);
         for (node, count) in enabled.iter() {
             assert!(count <= topo.port_count(node));
             assert!(
