@@ -15,7 +15,7 @@ use crate::requirements::AppRequirements;
 use crate::tas::TasSchedule;
 use tsn_resource::ResourceConfig;
 use tsn_topology::EnabledPorts;
-use tsn_types::{DataRate, SimDuration, TsnResult};
+use tsn_types::{DataRate, SimDuration, TsnError, TsnResult};
 
 /// Which gate-control program the switches run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +42,8 @@ pub struct DeriveOptions {
     /// Queues per port (the paper's prototype uses 8).
     pub queue_num: u32,
     /// Override the ITP-derived queue depth (the paper pins 12, computed
-    /// by the full optimizer of reference \[24\]).
+    /// by the full optimizer of reference \[24\]). At least 1, and small
+    /// enough that `queue_depth × queue_num` buffers fit in a `u32`.
     pub queue_depth_override: Option<u32>,
     /// Override the derived table size (the paper prints exactly 1024).
     pub table_size_override: Option<u32>,
@@ -169,7 +170,9 @@ pub fn derive_parameters(
 ///
 /// # Errors
 ///
-/// Propagates TAS synthesis and parameter validation errors.
+/// [`TsnError::InvalidParameter`] naming `queue_depth` for an override
+/// of 0 or one whose buffer count overflows; propagates TAS synthesis
+/// and parameter validation errors.
 pub fn derive_with_plans(
     requirements: &AppRequirements,
     options: &DeriveOptions,
@@ -178,8 +181,20 @@ pub fn derive_with_plans(
 ) -> TsnResult<DerivedConfig> {
     let queue_depth = options
         .queue_depth_override
-        .unwrap_or_else(|| itp.recommended_queue_depth())
-        .max(1);
+        .unwrap_or_else(|| itp.recommended_queue_depth().max(1));
+    // Every queue holds a frame, and the buffer count fits in a u32.
+    let buffers = Some(queue_depth)
+        .filter(|&depth| depth > 0)
+        .and_then(|depth| depth.checked_mul(options.queue_num))
+        .ok_or_else(|| {
+            TsnError::invalid_parameter(
+                "queue_depth",
+                format!(
+                    "{queue_depth} frames in each of {} queues is no valid buffer count",
+                    options.queue_num
+                ),
+            )
+        })?;
 
     // Guideline (5): enabled ports from the TS routes.
     let enabled_ports = EnabledPorts::from_routes(
@@ -233,7 +248,7 @@ pub fn derive_with_plans(
         .set_gate_tbl(gate_size, options.queue_num, port_num)?
         .set_cbs_tbl(rc_queue_count, rc_queue_count, port_num)?
         .set_queues(queue_depth, options.queue_num, port_num)?
-        .set_buffers(queue_depth * options.queue_num, port_num)?;
+        .set_buffers(buffers, port_num)?;
 
     Ok(DerivedConfig {
         resources,
@@ -360,6 +375,23 @@ mod tests {
         assert_eq!(full.resources, incremental.resources);
         assert_eq!(full.cqf, incremental.cqf);
         assert_eq!(full.itp, incremental.itp);
+    }
+
+    #[test]
+    fn queue_depth_overrides_of_zero_or_overflowing_buffers_are_rejected() {
+        let req = requirements(presets::ring(6, 3).expect("builds"), 4, 0);
+        for depth in [0, u32::MAX] {
+            let mut options = DeriveOptions::paper();
+            options.queue_depth_override = Some(depth);
+            match derive_parameters(&req, &options) {
+                Err(TsnError::InvalidParameter { name, .. }) => assert_eq!(name, "queue_depth"),
+                other => panic!("depth {depth}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+        let mut options = DeriveOptions::paper();
+        options.queue_depth_override = Some(1);
+        let derived = derive_parameters(&req, &options).expect("depth 1 derives");
+        assert_eq!(derived.resources.buffer_num(), 8);
     }
 
     #[test]

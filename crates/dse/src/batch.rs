@@ -9,8 +9,7 @@
 //! the response bytes are identical for any worker count (pinned by
 //! `tests/golden_batch.rs` against `scenarios/dse_batch_expected.json`).
 
-use tsn_experiments::json::{parse, Json};
-use tsn_experiments::limits;
+use tsn_experiments::json::{parse, Fields, Json};
 use tsn_sim::sweep::run_sweep;
 use tsn_sim::CacheStats;
 use tsn_types::SimDuration;
@@ -27,104 +26,50 @@ pub const MAX_LINKS: u64 = 16384;
 /// Every candidate simulation of the search runs the whole window.
 pub use tsn_experiments::limits::{MAX_DURATION_US, MAX_HOSTS, MAX_SWITCHES};
 
-/// Context for parse errors: the query index (or "request" for the top
-/// level) plus the complaint.
-fn err(at: &str, message: impl AsRef<str>) -> String {
-    format!("{at}: {}", message.as_ref())
-}
+/// Fields of a named preset topology.
+const NAMED_FIELDS: &[&str] = &["kind", "switches", "hosts"];
+/// Fields of an inline topology.
+const INLINE_FIELDS: &[&str] = &["switches", "hosts", "links"];
 
-fn require<'a>(obj: &'a Json, at: &str, key: &str) -> Result<&'a Json, String> {
-    obj.get(key)
-        .ok_or_else(|| err(at, format!("missing required field {key:?}")))
-}
-
-fn u64_field(obj: &Json, at: &str, key: &str) -> Result<u64, String> {
-    require(obj, at, key)?
-        .as_u64()
-        .ok_or_else(|| err(at, format!("field {key:?} must be a non-negative integer")))
-}
-
-fn u32_field(obj: &Json, at: &str, key: &str) -> Result<u32, String> {
-    u32::try_from(u64_field(obj, at, key)?)
-        .map_err(|_| err(at, format!("field {key:?} does not fit in 32 bits")))
-}
-
-/// `count` checked against `max`: requests are bounded before anything is
-/// built from them.
-fn within(at: &str, key: &str, count: u64, max: u64) -> Result<u64, String> {
-    limits::within(key, count, max).map_err(|e| err(at, e))
-}
-
-fn micros_field(obj: &Json, at: &str, key: &str) -> Result<SimDuration, String> {
-    Ok(SimDuration::from_micros(u64_field(obj, at, key)?))
-}
-
-fn str_field(obj: &Json, at: &str, key: &str) -> Result<String, String> {
-    Ok(require(obj, at, key)?
-        .as_str()
-        .ok_or_else(|| err(at, format!("field {key:?} must be a string")))?
-        .to_owned())
-}
-
-fn reject_unknown(obj: &Json, at: &str, allowed: &[&str]) -> Result<(), String> {
-    for key in obj.keys() {
-        if !allowed.contains(&key) {
-            return Err(err(
-                at,
-                format!("unknown field {key:?} (allowed: {})", allowed.join(", ")),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn parse_topology(value: &Json, at: &str) -> Result<TopologySpec, String> {
-    if !matches!(value, Json::Obj(_)) {
-        return Err(err(at, "field \"topology\" must be an object"));
-    }
-    if value.get("kind").is_some() {
-        reject_unknown(value, at, &["kind", "switches", "hosts"])?;
-        let count = |key: &str, max: u64| -> Result<usize, String> {
-            Ok(within(at, key, u64_field(value, at, key)?, max)? as usize)
-        };
+/// The query's `topology` member. A `kind` selects the named form; its
+/// errors, like every topology error, carry the query's context `at`.
+fn parse_topology(query: &Fields<'_>, at: &str) -> Result<TopologySpec, String> {
+    let named = query.get("topology").and_then(|t| t.get("kind")).is_some();
+    let allowed = if named { NAMED_FIELDS } else { INLINE_FIELDS };
+    let topo = query.object("topology", at, allowed)?;
+    if named {
         return Ok(TopologySpec::Named {
-            kind: str_field(value, at, "kind")?,
-            switches: count("switches", MAX_SWITCHES)?,
-            hosts: count("hosts", MAX_HOSTS)?,
+            kind: topo.req("kind")?,
+            switches: topo.within("switches", MAX_SWITCHES)? as usize,
+            hosts: topo.within("hosts", MAX_HOSTS)? as usize,
         });
     }
-    reject_unknown(value, at, &["switches", "hosts", "links"])?;
+    let array = |key: &str, max: u64| -> Result<&[Json], String> {
+        let items: &[Json] = topo.req(key)?;
+        topo.limit(key, items.len() as u64, max)?;
+        Ok(items)
+    };
     let names = |key: &str, max: u64| -> Result<Vec<String>, String> {
-        let Some(Json::Arr(items)) = value.get(key) else {
-            return Err(err(
-                at,
-                format!("inline topology field {key:?} must be an array"),
-            ));
-        };
-        within(at, key, items.len() as u64, max)?;
-        items
+        array(key, max)?
             .iter()
             .map(|item| {
                 item.as_str()
                     .map(str::to_owned)
-                    .ok_or_else(|| err(at, format!("{key:?} entries must be strings")))
+                    .ok_or_else(|| topo.error(format!("{key:?} entries must be strings")))
             })
             .collect()
     };
-    let Some(Json::Arr(raw_links)) = value.get("links") else {
-        return Err(err(at, "inline topology field \"links\" must be an array"));
-    };
-    within(at, "links", raw_links.len() as u64, MAX_LINKS)?;
+    let raw_links = array("links", MAX_LINKS)?;
     let mut links = Vec::with_capacity(raw_links.len());
     for link in raw_links {
         let Json::Arr(pair) = link else {
-            return Err(err(at, "each link must be a two-element array"));
+            return Err(topo.error("each link must be a two-element array"));
         };
         let [a, b] = pair.as_slice() else {
-            return Err(err(at, "each link must name exactly two endpoints"));
+            return Err(topo.error("each link must name exactly two endpoints"));
         };
         let (Some(a), Some(b)) = (a.as_str(), b.as_str()) else {
-            return Err(err(at, "link endpoints must be strings"));
+            return Err(topo.error("link endpoints must be strings"));
         };
         links.push((a.to_owned(), b.to_owned()));
     }
@@ -151,39 +96,19 @@ const QUERY_FIELDS: &[&str] = &[
 
 fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
     let at = format!("queries[{index}]");
-    if !matches!(value, Json::Obj(_)) {
-        return Err(err(&at, "each query must be an object"));
-    }
-    reject_unknown(value, &at, QUERY_FIELDS)?;
-    let jitter = match value.get("jitter_us") {
-        None => None,
-        Some(_) => Some(micros_field(value, &at, "jitter_us")?),
-    };
-    let max_lost = match value.get("max_lost") {
-        None => 0,
-        Some(_) => u64_field(value, &at, "max_lost")?,
-    };
+    let q = Fields::new(value, &at, QUERY_FIELDS)?;
+    let micros = |key: &str| q.req(key).map(SimDuration::from_micros);
     Ok(QosQuery {
-        label: str_field(value, &at, "label")?,
-        topology: parse_topology(require(value, &at, "topology")?, &at)?,
-        ts_count: within(
-            &at,
-            "ts_count",
-            u64_field(value, &at, "ts_count")?,
-            MAX_TS_COUNT.into(),
-        )? as u32,
-        frame_bytes: u32_field(value, &at, "frame_bytes")?,
-        period: micros_field(value, &at, "period_us")?,
-        seed: u64_field(value, &at, "seed")?,
-        deadline: micros_field(value, &at, "deadline_us")?,
-        jitter,
-        max_lost,
-        duration: SimDuration::from_micros(within(
-            &at,
-            "duration_us",
-            u64_field(value, &at, "duration_us")?,
-            MAX_DURATION_US,
-        )?),
+        label: q.req("label")?,
+        topology: parse_topology(&q, &at)?,
+        ts_count: q.within("ts_count", MAX_TS_COUNT.into())? as u32,
+        frame_bytes: q.req("frame_bytes")?,
+        period: micros("period_us")?,
+        seed: q.req("seed")?,
+        deadline: micros("deadline_us")?,
+        jitter: q.opt("jitter_us")?.map(SimDuration::from_micros),
+        max_lost: q.opt("max_lost")?.unwrap_or(0),
+        duration: SimDuration::from_micros(q.within("duration_us", MAX_DURATION_US)?),
     })
 }
 
@@ -194,7 +119,9 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
 /// or an inline `{"switches": [names], "hosts": [names], "links":
 /// [[a, b], ...]}`), `ts_count`, `frame_bytes`, `period_us`, `seed`,
 /// `deadline_us`, `duration_us` (non-negative integers) and optional
-/// `jitter_us` / `max_lost`. Durations are whole microseconds.
+/// `jitter_us` / `max_lost`; `null` on an optional field means absent.
+/// Durations are whole microseconds. Fields are read through
+/// [`tsn_experiments::json::Fields`], the reader `customize` shares.
 ///
 /// Sizes are bounded before anything is built: the request text by
 /// [`MAX_REQUEST_BYTES`], switch, host and link counts by
@@ -209,20 +136,15 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
 /// ignored or clamped.
 pub fn parse_batch(text: &str) -> Result<Vec<QosQuery>, String> {
     if text.len() > MAX_REQUEST_BYTES {
-        return Err(err(
-            "request",
-            format!("longer than the limit of {MAX_REQUEST_BYTES} bytes"),
+        return Err(format!(
+            "request: longer than the limit of {MAX_REQUEST_BYTES} bytes"
         ));
     }
     let root = parse(text)?;
-    if !matches!(root, Json::Obj(_)) {
-        return Err(err("request", "the batch must be a JSON object"));
-    }
-    reject_unknown(&root, "request", &["queries"])?;
-    let Some(Json::Arr(raw)) = root.get("queries") else {
-        return Err(err("request", "field \"queries\" must be an array"));
-    };
-    raw.iter()
+    let request = Fields::new(&root, "request", &["queries"])?;
+    let queries: &[Json] = request.req("queries")?;
+    queries
+        .iter()
         .enumerate()
         .map(|(index, value)| parse_query(value, index))
         .collect()

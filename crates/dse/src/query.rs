@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use tsn_builder::workloads;
-use tsn_topology::{presets, Topology};
+use tsn_topology::presets::Preset;
+use tsn_topology::Topology;
 use tsn_types::{DataRate, FlowSet, SimDuration, TsnError, TsnResult};
 
 /// Link rate of every queried network (the paper's evaluation uses
@@ -51,15 +52,7 @@ impl TopologySpec {
                 kind,
                 switches,
                 hosts,
-            } => match kind.as_str() {
-                "ring" => presets::ring(*switches, *hosts),
-                "linear" => presets::linear(*switches, *hosts),
-                "star" => presets::star(*switches, *hosts),
-                other => Err(TsnError::invalid_parameter(
-                    "topology.kind",
-                    format!("unknown topology name {other:?} (expected ring, linear or star)"),
-                )),
-            },
+            } => kind.parse::<Preset>()?.build(*switches, *hosts),
             TopologySpec::Inline {
                 switches,
                 hosts,

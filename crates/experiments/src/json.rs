@@ -1,6 +1,7 @@
 //! Minimal JSON support for the experiment regenerators: a value tree,
-//! a pretty printer for `results/<name>.json`, and a small strict parser
-//! for the `customize` scenario files.
+//! a pretty printer for `results/<name>.json`, a small strict parser,
+//! and [`Fields`], the one field reader of the JSON front ends
+//! (`customize` scenario files and `dse` batch requests).
 //!
 //! Local on purpose — the workspace builds offline, so the usual
 //! serde/serde_json stack is not available. Only what the experiments
@@ -72,24 +73,6 @@ impl Json {
                 Some(*n as u64)
             }
             _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The object's member names, for unknown-field checks.
-    #[must_use]
-    pub fn keys(&self) -> Vec<&str> {
-        match self {
-            Json::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
-            _ => Vec::new(),
         }
     }
 
@@ -265,6 +248,7 @@ pub const MAX_DEPTH: usize = 128;
 /// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -279,6 +263,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open around `pos`.
@@ -401,7 +386,7 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(format!("unterminated string at byte {}", self.pos)),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -435,11 +420,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 character. `pos` only advances
+                    // over ASCII bytes and whole characters, so it sits
+                    // on a boundary of the `&str` input; slicing from it
+                    // is O(1), where re-validating the rest as UTF-8 made
+                    // long strings quadratic.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -458,10 +448,174 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        let text = &self.text[start..self.pos]; // ASCII only, so on boundaries
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    }
+}
+
+/// A type [`Fields`] reads out of one member, and what the member must
+/// be to hold one.
+pub trait FieldValue<'a>: Sized {
+    /// The expected JSON, for the error message.
+    const EXPECTED: &'static str;
+    /// The member as `Self`, if it is one exactly.
+    fn from_json(value: &'a Json) -> Option<Self>;
+}
+
+impl FieldValue<'_> for u64 {
+    const EXPECTED: &'static str = "a non-negative integer";
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_u64()
+    }
+}
+
+impl FieldValue<'_> for u32 {
+    const EXPECTED: &'static str = "a non-negative integer below 2^32";
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_u64().and_then(|v| u32::try_from(v).ok())
+    }
+}
+
+impl FieldValue<'_> for bool {
+    const EXPECTED: &'static str = "a boolean";
+    fn from_json(value: &Json) -> Option<Self> {
+        match value {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl FieldValue<'_> for String {
+    const EXPECTED: &'static str = "a string";
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_str().map(str::to_owned)
+    }
+}
+
+impl<'a> FieldValue<'a> for &'a [Json] {
+    const EXPECTED: &'static str = "an array";
+    fn from_json(value: &'a Json) -> Option<Self> {
+        match value {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+/// An object's members.
+impl<'a> FieldValue<'a> for &'a [(String, Json)] {
+    const EXPECTED: &'static str = "a JSON object";
+    fn from_json(value: &'a Json) -> Option<Self> {
+        match value {
+            Json::Obj(members) => Some(members),
+            _ => None,
+        }
+    }
+}
+
+/// The strict reader over one object of a request, shared by the
+/// `customize` scenario files and the `dse` batches.
+///
+/// - The view carries its error context (`"queries[3]"`, `"flows"`),
+///   and every error reads `context: complaint`, naming the field:
+///   `missing required field "k"`, `field "k" must be a string`,
+///   `field "k" holds 5, above the limit of 4`, `unknown field "k"
+///   (allowed: ...)` or `must be a JSON object`.
+/// - Fields outside the allowed list are rejected when the view is made,
+///   so a typo fails loudly instead of silently using a default.
+/// - `null` on an optional field means the field is absent; on a
+///   required one, it is missing.
+/// - Bounded reads go through [`crate::limits::within`].
+#[derive(Debug, Clone, Copy)]
+pub struct Fields<'a> {
+    at: &'a str,
+    members: &'a [(String, Json)],
+}
+
+impl<'a> Fields<'a> {
+    /// Views `value` under the error context `at`; errors unless it is an
+    /// object with no member outside `allowed`.
+    pub fn new(value: &'a Json, at: &'a str, allowed: &[&str]) -> Result<Self, String> {
+        let members = FieldValue::from_json(value)
+            .ok_or_else(|| format!("{at}: must be {}", <&[(String, Json)]>::EXPECTED))?;
+        Fields::of(members, at, allowed)
+    }
+
+    fn of(members: &'a [(String, Json)], at: &'a str, allowed: &[&str]) -> Result<Self, String> {
+        let fields = Fields { at, members };
+        match members.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            Some((key, _)) => Err(fields.error(format!(
+                "unknown field {key:?} (allowed: {})",
+                allowed.join(", ")
+            ))),
+            None => Ok(fields),
+        }
+    }
+
+    /// `message` prefixed with the view's context.
+    #[must_use]
+    pub fn error(&self, message: impl std::fmt::Display) -> String {
+        format!("{}: {message}", self.at)
+    }
+
+    /// Member `key` as written, `null` included; `None` when absent.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&'a Json> {
+        self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Optional member `key`, `None` when absent or `null`; errors when
+    /// it is of another type.
+    pub fn opt<T: FieldValue<'a>>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(value) => T::from_json(value)
+                .map(Some)
+                .ok_or_else(|| self.error(format!("field {key:?} must be {}", T::EXPECTED))),
+        }
+    }
+
+    /// Required member `key`; errors when it is missing, `null` or of
+    /// another type.
+    pub fn req<T: FieldValue<'a>>(&self, key: &str) -> Result<T, String> {
+        self.opt(key)?
+            .ok_or_else(|| self.error(format!("missing required field {key:?}")))
+    }
+
+    /// `value` of field `key`; errors when it is above `max`.
+    pub fn limit(&self, key: &str, value: u64, max: u64) -> Result<u64, String> {
+        crate::limits::within(key, value, max).map_err(|e| self.error(e))
+    }
+
+    /// Required integer member `key`, at most `max`.
+    pub fn within(&self, key: &str, max: u64) -> Result<u64, String> {
+        self.limit(key, self.req(key)?, max)
+    }
+
+    /// Optional integer member `key`, at most `max`.
+    pub fn opt_within(&self, key: &str, max: u64) -> Result<Option<u64>, String> {
+        let value = self.opt(key)?;
+        value.map(|v| self.limit(key, v, max)).transpose()
+    }
+
+    /// Required object member `key`, viewed as [`Fields::new`] does under
+    /// the context `at`.
+    pub fn object(&self, key: &str, at: &'a str, allowed: &[&str]) -> Result<Fields<'a>, String> {
+        Fields::of(self.req(key)?, at, allowed)
+    }
+
+    /// Optional object member `key`, as [`Fields::object`]; absent or
+    /// `null`, it reads as an empty object, whose fields are all absent.
+    pub fn object_or_empty(
+        &self,
+        key: &str,
+        at: &'a str,
+        allowed: &[&str],
+    ) -> Result<Fields<'a>, String> {
+        Fields::of(self.opt(key)?.unwrap_or_default(), at, allowed)
     }
 }
 
@@ -535,13 +689,70 @@ mod tests {
         let v = parse(r#"{"a": 3, "b": "x", "c": true, "d": 1.5}"#).expect("parses");
         assert_eq!(v.get("a").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("b").and_then(Json::as_str), Some("x"));
-        assert_eq!(v.get("c").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("d").and_then(Json::as_f64), Some(1.5));
         assert_eq!(
             v.get("d").and_then(Json::as_u64),
             None,
             "1.5 is not integral"
         );
-        assert_eq!(v.keys(), vec!["a", "b", "c", "d"]);
+    }
+
+    #[test]
+    fn fields_read_typed_members_and_name_their_context() {
+        let v = parse(r#"{"n": 3, "s": "x", "b": true, "z": null, "a": [1], "o": {"k": 1}}"#)
+            .expect("parses");
+        let all = ["n", "s", "b", "z", "a", "o", "absent"];
+        let f = Fields::new(&v, "flows", &all).expect("object with known fields");
+        assert_eq!(f.req::<u64>("n"), Ok(3));
+        assert_eq!(f.req::<u32>("n"), Ok(3));
+        assert_eq!(f.req::<String>("s").as_deref(), Ok("x"));
+        assert_eq!(f.req::<bool>("b"), Ok(true));
+        assert_eq!(f.req::<&[Json]>("a").map(<[Json]>::len), Ok(1));
+        assert_eq!(f.within("n", 3), Ok(3));
+        assert_eq!(f.opt_within("absent", 0), Ok(None));
+        let o = f.object("o", "options", &["k"]).expect("nested object");
+        assert_eq!(o.req::<u64>("k"), Ok(1));
+        // `null` on an optional field means absent; on a required one it
+        // is missing.
+        assert_eq!(f.opt::<u64>("z"), Ok(None));
+        let empty = f.object_or_empty("z", "run", &[]).expect("null object");
+        assert_eq!(empty.opt::<u64>("n"), Ok(None));
+        assert!(f.object("z", "run", &[]).is_err());
+        assert_eq!(
+            f.req::<u64>("z"),
+            Err("flows: missing required field \"z\"".to_owned())
+        );
+        assert_eq!(
+            f.req::<u64>("s"),
+            Err("flows: field \"s\" must be a non-negative integer".to_owned())
+        );
+        assert_eq!(
+            f.within("n", 2),
+            Err("flows: field \"n\" holds 3, above the limit of 2".to_owned())
+        );
+        assert_eq!(
+            f.object("n", "x", &[]).map(|_| ()),
+            Err("flows: field \"n\" must be a JSON object".to_owned())
+        );
+        let e = f
+            .object("o", "options", &[])
+            .map(|_| ())
+            .expect_err("k unknown");
+        assert_eq!(e, "options: unknown field \"k\" (allowed: )");
+        let e = Fields::new(&v, "request", &["n"]).expect_err("s unknown");
+        assert_eq!(e, "request: unknown field \"s\" (allowed: n)");
+        let e = Fields::new(&Json::Num(1.0), "queries[0]", &[]).expect_err("not an object");
+        assert_eq!(e, "queries[0]: must be a JSON object");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each character used to re-validate the rest of the input.
+        let text = format!("[\"{}\"]", "é".repeat(1 << 20));
+        let Ok(Json::Arr(items)) = parse(&text) else {
+            panic!("parses");
+        };
+        assert_eq!(items[0].as_str().map(str::len), Some(2 << 20));
+        assert!(parse("\"abc").expect_err("open").contains("at byte 4"));
     }
 }

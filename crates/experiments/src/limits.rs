@@ -1,6 +1,9 @@
 //! Size limits shared by the JSON front ends that build a network from
 //! a request: `customize` scenario files and `dse` batch queries. Both
-//! reject a request above these before building anything from it.
+//! read their fields through [`crate::json::Fields`], whose bounded reads
+//! apply [`within`], so a request above these is rejected before
+//! anything is built from it. Preset names resolve in one table,
+//! `tsn_topology::presets::Preset`.
 
 /// Most switches a topology may declare.
 pub const MAX_SWITCHES: u64 = 1024;

@@ -131,6 +131,18 @@ fn oversized_scenarios_are_rejected_naming_the_field() {
             "{stderr}"
         );
     }
+    // Used to panic in debug builds ("attempt to multiply with
+    // overflow") and wrap to 4294967288 buffers in release builds.
+    let text = scenario("6", "4").replace(
+        r#""run":"#,
+        r#""options": {"queue_depth": 4294967295}, "run":"#,
+    );
+    let (code, stderr) = customize("queue_depth", &text);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("queue_depth") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
     // A scenario within the limits, rates at theirs, still runs.
     let at_limit = r#"4, "rc_mbps": 10000, "be_mbps": 10000"#;
     let (code, stderr) = customize("small", &scenario("6", at_limit));

@@ -202,7 +202,6 @@ pub struct Network {
     /// therefore skip every per-frame fault check.
     fault: Option<FaultEngine>,
     config: SimConfig,
-    events_processed: u64,
     /// Per-event-type counters and suppression instrumentation.
     stats: EventStats,
     /// TS deadline per flow, precomputed at build so the hot delivery
@@ -796,7 +795,6 @@ impl NetworkTemplate {
             sync_domain: self.sync_seed.clone(),
             fault,
             config,
-            events_processed: 0,
             stats,
             deadlines: Arc::clone(&self.deadlines),
             scratch: Vec::new(),
@@ -1142,7 +1140,6 @@ impl Network {
         if let Some(domain) = &mut self.sync_domain {
             domain.run_until(at);
         }
-        self.events_processed += 1;
         self.handle(at, event);
         true
     }
@@ -1809,7 +1806,7 @@ impl Network {
             max_queue_high_water: max_high_water,
             host_overflow_drops: host_overflow,
             sync_worst_error_ns,
-            events_processed: self.events_processed,
+            events_processed: events.total(),
             events,
             degradation,
             ended_at: self.now,

@@ -197,7 +197,7 @@ pub struct SimReport {
     /// Worst absolute gPTP error across switches at the end of the run
     /// (0 for perfect sync).
     pub sync_worst_error_ns: f64,
-    /// Events the simulator processed.
+    /// Events the simulator processed: always `events.total()`.
     pub events_processed: u64,
     /// Event-core instrumentation (per-type counts, suppression,
     /// scheduler high-water mark).

@@ -11,6 +11,69 @@ use tsn_types::{DataRate, TsnError, TsnResult};
 /// Link rate used by all presets (matches the paper's 1 Gbps testbed).
 pub const PRESET_RATE: DataRate = DataRate::gbps(1);
 
+/// The paper's three evaluation presets by name: the one mapping from a
+/// request's `"ring"`/`"linear"`/`"star"` to its builder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preset {
+    /// [`linear`]: a chain, valid from 1 switch.
+    Linear,
+    /// [`ring`]: valid from 3 switches.
+    Ring,
+    /// [`star`]: `switches` counts the children (plus a core).
+    Star,
+}
+
+impl Preset {
+    /// Every preset.
+    pub const ALL: [Preset; 3] = [Preset::Linear, Preset::Ring, Preset::Star];
+
+    /// The preset's name in requests and corpus files.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Preset::Linear => "linear",
+            Preset::Ring => "ring",
+            Preset::Star => "star",
+        }
+    }
+
+    /// Builds the preset with `switches` switches (children for
+    /// [`Preset::Star`]) and `hosts` hosts.
+    ///
+    /// # Errors
+    ///
+    /// The preset builder's validation errors.
+    pub fn build(self, switches: usize, hosts: usize) -> TsnResult<Topology> {
+        match self {
+            Preset::Linear => linear(switches, hosts),
+            Preset::Ring => ring(switches, hosts),
+            Preset::Star => star(switches, hosts),
+        }
+    }
+}
+
+impl std::str::FromStr for Preset {
+    type Err = TsnError;
+
+    /// The preset called `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`TsnError::InvalidParameter`] named `topology.kind` for any other
+    /// name.
+    fn from_str(name: &str) -> TsnResult<Self> {
+        Preset::ALL
+            .into_iter()
+            .find(|preset| preset.name() == name)
+            .ok_or_else(|| {
+                TsnError::invalid_parameter(
+                    "topology.kind",
+                    format!("unknown topology name {name:?} (expected ring, linear or star)"),
+                )
+            })
+    }
+}
+
 fn check_counts(switches: usize, hosts: usize) -> TsnResult<()> {
     if switches == 0 {
         return Err(TsnError::invalid_parameter(
@@ -313,6 +376,22 @@ fn attach_hosts(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn presets_parse_from_their_names_and_build() {
+        for preset in Preset::ALL {
+            assert_eq!(preset.name().parse::<Preset>(), Ok(preset));
+            let topo = preset.build(3, 2).expect("builds");
+            assert_eq!(topo.hosts().len(), 2);
+        }
+        match "moebius".parse::<Preset>() {
+            Err(TsnError::InvalidParameter { name, reason }) => {
+                assert_eq!(name, "topology.kind");
+                assert!(reason.contains("moebius"), "{reason}");
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
 
     #[test]
     fn ring_matches_paper_shape() {

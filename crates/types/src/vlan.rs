@@ -154,6 +154,10 @@ mod tests {
             Err(TsnError::InvalidVlanId(4095))
         ));
         assert!(VlanId::new(u16::MAX).is_err());
+        // Exhaustive: exactly 1..=4094 is legal.
+        for vid in 0..=u16::MAX {
+            assert_eq!(VlanId::new(vid).is_ok(), (1..=4094).contains(&vid), "{vid}");
+        }
     }
 
     #[test]
@@ -170,6 +174,10 @@ mod tests {
             assert!(Pcp::new(v).is_ok());
         }
         assert!(matches!(Pcp::new(8), Err(TsnError::InvalidPcp(8))));
+        // Exhaustive: exactly 0..=7 is legal.
+        for pcp in 0..=u8::MAX {
+            assert_eq!(Pcp::new(pcp).is_ok(), pcp <= 7, "{pcp}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 
 use tsn_builder::workloads::{self, FRAME_SIZES};
 use tsn_sim::network::{SimConfig, SyncSetup};
-use tsn_topology::{presets, Topology};
-use tsn_types::{FlowSet, SimDuration, SplitMix64, TsnResult};
+use tsn_topology::presets::Preset;
+use tsn_topology::Topology;
+use tsn_types::{FlowSet, SimDuration, SplitMix64, TsnError, TsnResult};
 
 use crate::corpus::{field_u64, CaseCodec};
 use crate::shrink::{shrink_u64, Shrink};
@@ -19,43 +20,13 @@ pub const MAX_FLOWS: u64 = 24;
 /// Generated simulation window, in milliseconds.
 pub const DURATION_MS: (u64, u64) = (4, 12);
 
-/// The topology preset family. `Linear` is the shrinking floor: it is
-/// the only preset that exists at two switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoKind {
-    /// `presets::linear` — a chain, valid from 1 switch.
-    Linear,
-    /// `presets::ring` — valid from 3 switches.
-    Ring,
-    /// `presets::star` — `switches` counts the children (plus a core).
-    Star,
-}
-
-impl TopoKind {
-    /// Smallest `switches` value this preset accepts (hosts need 2).
-    #[must_use]
-    pub fn min_switches(self) -> u64 {
-        match self {
-            TopoKind::Linear | TopoKind::Star => 2,
-            TopoKind::Ring => 3,
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            TopoKind::Linear => "linear",
-            TopoKind::Ring => "ring",
-            TopoKind::Star => "star",
-        }
-    }
-
-    fn from_str(raw: &str) -> Result<Self, String> {
-        match raw {
-            "linear" => Ok(TopoKind::Linear),
-            "ring" => Ok(TopoKind::Ring),
-            "star" => Ok(TopoKind::Star),
-            other => Err(format!("unknown topology kind {other:?}")),
-        }
+/// Smallest `switches` value a case of `topo` takes: the preset's own
+/// floor, and 2 for the two hosts every case has. [`Preset::Linear`]
+/// is the shrinking floor.
+fn min_switches(topo: Preset) -> u64 {
+    match topo {
+        Preset::Linear | Preset::Star => 2,
+        Preset::Ring => 3,
     }
 }
 
@@ -64,8 +35,8 @@ impl TopoKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioCase {
     /// Preset family.
-    pub topo: TopoKind,
-    /// Switch count (children count for [`TopoKind::Star`]).
+    pub topo: Preset,
+    /// Switch count (children count for [`Preset::Star`]).
     pub switches: u64,
     /// Host count, `2..=switches`.
     pub hosts: u64,
@@ -87,9 +58,9 @@ impl ScenarioCase {
     #[must_use]
     pub fn generate(rng: &mut SplitMix64) -> Self {
         let topo = match rng.gen_range(3) {
-            0 => TopoKind::Linear,
-            1 => TopoKind::Ring,
-            _ => TopoKind::Star,
+            0 => Preset::Linear,
+            1 => Preset::Ring,
+            _ => Preset::Star,
         };
         let case = ScenarioCase {
             topo,
@@ -109,7 +80,7 @@ impl ScenarioCase {
     /// applied after generation and after every shrink step.
     #[must_use]
     pub fn normalized(mut self) -> Self {
-        self.switches = self.switches.clamp(self.topo.min_switches(), MAX_SWITCHES);
+        self.switches = self.switches.clamp(min_switches(self.topo), MAX_SWITCHES);
         self.hosts = self.hosts.clamp(2, self.switches);
         self.flows = self.flows.clamp(1, MAX_FLOWS);
         self.frame_idx = self.frame_idx.min(FRAME_SIZES.len() as u64 - 1);
@@ -124,18 +95,13 @@ impl ScenarioCase {
         FRAME_SIZES[self.frame_idx as usize]
     }
 
-    /// Builds the topology preset.
+    /// Builds the case's preset.
     ///
     /// # Errors
     ///
     /// Propagates preset validation (none for normalized cases).
     pub fn topology(&self) -> TsnResult<Topology> {
-        let (switches, hosts) = (self.switches as usize, self.hosts as usize);
-        match self.topo {
-            TopoKind::Linear => presets::linear(switches, hosts),
-            TopoKind::Ring => presets::ring(switches, hosts),
-            TopoKind::Star => presets::star(switches, hosts),
-        }
+        self.topo.build(self.switches as usize, self.hosts as usize)
     }
 
     /// Builds the IEC 60802-style TS flow set for `topology`.
@@ -174,12 +140,12 @@ impl Shrink for ScenarioCase {
                 out.push(candidate);
             }
         };
-        if self.topo != TopoKind::Linear {
+        if self.topo != Preset::Linear {
             let mut c = self.clone();
-            c.topo = TopoKind::Linear;
+            c.topo = Preset::Linear;
             push(c);
         }
-        for s in shrink_u64(self.switches, TopoKind::Linear.min_switches()) {
+        for s in shrink_u64(self.switches, min_switches(Preset::Linear)) {
             let mut c = self.clone();
             c.switches = s;
             push(c);
@@ -221,7 +187,7 @@ impl Shrink for ScenarioCase {
 impl CaseCodec for ScenarioCase {
     fn to_fields(&self) -> Vec<(String, String)> {
         vec![
-            ("topo".to_owned(), self.topo.as_str().to_owned()),
+            ("topo".to_owned(), self.topo.name().to_owned()),
             ("switches".to_owned(), self.switches.to_string()),
             ("hosts".to_owned(), self.hosts.to_string()),
             ("flows".to_owned(), self.flows.to_string()),
@@ -239,7 +205,7 @@ impl CaseCodec for ScenarioCase {
             .map(|(_, v)| v.as_str())
             .ok_or("missing field \"topo\"")?;
         let case = ScenarioCase {
-            topo: TopoKind::from_str(topo_raw)?,
+            topo: topo_raw.parse().map_err(|e: TsnError| e.to_string())?,
             switches: field_u64(fields, "switches")?,
             hosts: field_u64(fields, "hosts")?,
             flows: field_u64(fields, "flows")?,
@@ -295,7 +261,7 @@ mod tests {
             Some("always".into())
         });
         let c = shrunk.case;
-        assert_eq!(c.topo, TopoKind::Linear);
+        assert_eq!(c.topo, Preset::Linear);
         assert_eq!(c.switches, 2);
         assert_eq!(c.hosts, 2);
         assert_eq!(c.flows, 1);

@@ -25,7 +25,7 @@ pub mod props;
 pub mod runner;
 pub mod shrink;
 
-pub use case::{ScenarioCase, TopoKind};
+pub use case::ScenarioCase;
 pub use corpus::{CaseCodec, CorpusEntry};
 pub use gen::{Gen, Range};
 pub use runner::{CaseFailure, PropertyReport, ReplayStats, Runner, Verdict};

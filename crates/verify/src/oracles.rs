@@ -626,12 +626,7 @@ pub fn dse_query(case: &ScenarioCase) -> tsn_dse::QosQuery {
     tsn_dse::QosQuery {
         label: "verify".into(),
         topology: tsn_dse::TopologySpec::Named {
-            kind: match case.topo {
-                crate::case::TopoKind::Linear => "linear",
-                crate::case::TopoKind::Ring => "ring",
-                crate::case::TopoKind::Star => "star",
-            }
-            .into(),
+            kind: case.topo.name().into(),
             switches: case.switches as usize,
             hosts: case.hosts as usize,
         },
@@ -873,7 +868,7 @@ mod tests {
     #[test]
     fn every_oracle_passes_a_known_good_case() {
         let case = ScenarioCase {
-            topo: crate::case::TopoKind::Ring,
+            topo: tsn_topology::presets::Preset::Ring,
             switches: 3,
             hosts: 2,
             flows: 6,

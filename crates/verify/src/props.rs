@@ -3,8 +3,9 @@
 //!
 //! Each property is a [`ParamSpec`] (named integer fields with generation
 //! ranges that double as shrinking floors) plus an oracle over the drawn
-//! [`ParamCase`]. The root integration test drives them through
-//! [`crate::runner::Runner`], and the original master seeds live on as
+//! [`ParamCase`]. The root integration test `tests/properties.rs` runs
+//! every family through [`crate::runner::Runner`] at its full legacy
+//! case count, and the original master seeds live on as
 //! seed-pin corpus entries (`legacy_seed`/`legacy_cases`), so the exact
 //! input families the repo has always tested stay tested — now with
 //! minimization when one fails.
@@ -772,27 +773,6 @@ fn quantile_rank_error(case: &ParamCase) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_property_passes_its_legacy_family() {
-        // Mirrors what CI replays from the corpus seed pins, so a
-        // property regression is caught even without the corpus files.
-        for prop in PROPERTIES {
-            let runner = crate::runner::Runner::new(prop.legacy_cases.min(64), prop.legacy_seed);
-            let report = runner.run(
-                prop.name,
-                &|rng: &mut SplitMix64| prop.spec.generate(rng),
-                |case| (prop.oracle)(case),
-            );
-            assert!(
-                report.passed(),
-                "{}: {:?}",
-                prop.name,
-                report.failure.map(|f| f.shrunk.message)
-            );
-            assert_eq!(report.discarded, 0, "{} discards nothing", prop.name);
-        }
-    }
 
     #[test]
     fn param_cases_round_trip_and_shrink_within_floors() {

@@ -1,16 +1,17 @@
 //! Property-style tests over the core data structures and invariants,
 //! driven by the `tsn-verify` runner: each test replays its historical
-//! seed family through the shrinking harness, so a failure is minimized
-//! to a smallest counterexample and can be pinned into `verify/corpus/`
-//! (where the same seed families are already committed as regression
-//! entries replayed by `verify` and CI).
+//! seed family at its full case count through the shrinking harness, so
+//! a failure is minimized to a smallest counterexample and can be pinned
+//! into `verify/corpus/` (where the same seed families are committed as
+//! regression entries replayed by `verify` and CI). This is the one
+//! runner of the families, one test per entry of
+//! `tsn_verify::props::PROPERTIES`.
 //!
 //! The properties themselves live in `tsn_verify::props` — one oracle
 //! per invariant, shared between these tests, the `verify` CLI and the
-//! corpus replay. Only the exhaustive (non-randomized) checks stay
-//! inline here.
+//! corpus replay.
 
-use tsn_types::{Pcp, SplitMix64, VlanId};
+use tsn_types::SplitMix64;
 use tsn_verify::props::property_by_name;
 use tsn_verify::runner::Runner;
 
@@ -111,14 +112,23 @@ fn latency_stats_merge_matches_single_pass() {
     check("latency-merge");
 }
 
-/// VLAN and PCP validation accept exactly their legal ranges. Exhaustive
-/// over the full input space, so no randomized runner is involved.
+/// The fat-tree builder produces the Clos arithmetic, with every host
+/// pair at most 5 switch hops apart.
 #[test]
-fn vlan_pcp_validation() {
-    for vid in 0..u16::MAX {
-        assert_eq!(VlanId::new(vid).is_ok(), (1..=4094).contains(&vid));
-    }
-    for pcp in 0..=255u8 {
-        assert_eq!(Pcp::new(pcp).is_ok(), pcp <= 7);
-    }
+fn fat_tree_shape() {
+    check("fat-tree-shape");
+}
+
+/// The multi-ring builder produces its switch, host and link counts,
+/// with bounded routes.
+#[test]
+fn multi_ring_shape() {
+    check("multi-ring-shape");
+}
+
+/// The log2 histogram sketch lands every quantile within one bucket of
+/// the exact order statistic.
+#[test]
+fn quantile_rank_error() {
+    check("quantile-rank-error");
 }
