@@ -25,7 +25,7 @@ use tsn_resource::AllocationPolicy;
 use tsn_sim::network::SyncSetup;
 use tsn_sim::sweep::{run_sweep, workers_from_env};
 use tsn_topology::presets::Preset;
-use tsn_types::{DataRate, SimDuration, TsnError};
+use tsn_types::{DataRate, SimDuration};
 
 /// A parsed scenario file: the topology and flows Section II.A says are
 /// known in advance, the derivation options, and what to run.
@@ -161,13 +161,16 @@ fn main() {
         }
         Some(_) => {
             // Every path on the command line is one sweep entry; reports
-            // print in argument order once all scenarios finish.
+            // print in argument order once all scenarios finish. A
+            // scenario's own error is a sweep success, so its message
+            // reaches stderr with its one context; only panics come back
+            // as sweep errors.
             let results = run_sweep(&args, workers_from_env(), |_idx, path| {
-                run_scenario(path).map_err(|e| TsnError::invalid_parameter("scenario", e))
+                Ok(run_scenario(path))
             });
             let mut failed = false;
             for (path, result) in args.iter().zip(results) {
-                match result {
+                match result.map_err(|e| e.to_string()).and_then(|r| r) {
                     Ok((text, lost_frames)) => {
                         if args.len() > 1 {
                             println!("==== {path} ====");

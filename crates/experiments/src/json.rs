@@ -437,11 +437,11 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads the whole run of number characters, so the error quotes
+    /// the token, then holds it to the JSON grammar before `f64::parse`
+    /// (which alone would accept `01`, `1.` and the like).
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
@@ -449,10 +449,42 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = &self.text[start..self.pos]; // ASCII only, so on boundaries
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(n) if is_json_number(text.as_bytes()) => Ok(Json::Num(n)),
+            _ => Err(format!("bad number {text:?} at byte {start}")),
+        }
     }
+}
+
+/// Whether `text` is exactly one JSON number (RFC 8259 §6):
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(text: &[u8]) -> bool {
+    let digits_from = |i: usize| i + text[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    i = match text.get(i) {
+        Some(b'0') => i + 1,
+        Some(b'1'..=b'9') => digits_from(i + 1),
+        _ => return false,
+    };
+    if text.get(i) == Some(&b'.') {
+        let end = digits_from(i + 1);
+        if end == i + 1 {
+            return false;
+        }
+        i = end;
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let end = digits_from(i);
+        if end == i {
+            return false;
+        }
+        i = end;
+    }
+    i == text.len()
 }
 
 /// A type [`Fields`] reads out of one member, and what the member must
@@ -653,6 +685,38 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("true false").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("-12.5", -12.5),
+            ("0.25", 0.25),
+            ("1e3", 1e3),
+            ("1E+2", 1e2),
+            ("25e-1", 2.5),
+            ("-0.5e-0", -0.5),
+        ] {
+            assert_eq!(parse(text), Ok(Json::Num(value)), "{text}");
+        }
+        for text in [
+            "01", "1.", "-", "1e", "00", "-.5", "1.e3", "1e+", "--1", "1-", "1.2.3", "-01",
+        ] {
+            let err = parse(text).expect_err(text);
+            assert!(
+                err.starts_with("bad number") && err.ends_with("at byte 0"),
+                "{text}: {err}"
+            );
+        }
+        let err = parse(r#"{"seed": 01}"#).expect_err("leading zero");
+        assert_eq!(err, r#"bad number "01" at byte 9"#);
+        // Signs and dots that cannot start a number are not numbers.
+        for text in ["+1", ".5"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
     }
 
     #[test]

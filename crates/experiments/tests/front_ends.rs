@@ -306,6 +306,44 @@ fn every_truncation_of_a_committed_file_is_a_lexical_error() {
     }
 }
 
+/// `base` with the member at `path` spelled as the raw number text
+/// `number`, which the printer would never write.
+fn with_raw_number(base: &str, path: &[&str], number: &str) -> String {
+    const MARK: f64 = 987_654_321.0;
+    let root = parse(base).expect("the base document parses");
+    let text = with_member(&root, path, &Json::Num(MARK)).pretty();
+    assert_eq!(text.matches("987654321").count(), 1, "marker is unique");
+    text.replace("987654321", number)
+}
+
+#[test]
+fn numbers_outside_the_json_grammar_are_lexical_errors() {
+    let bad = ["01", "1.", "-", "1e", "00"];
+    let scenario = read_scenario("ring_demo.json");
+    let texts: Vec<String> = bad
+        .iter()
+        .map(|n| with_raw_number(&scenario, &["flows", "seed"], n))
+        .collect();
+    for (n, error) in bad.iter().zip(customize_errors("numbers", &texts)) {
+        // One context after the path: nothing stacked around it.
+        let (_, message) = error.split_once(".json: ").expect("path prefix");
+        let expected = format!("bad scenario file: bad number {n:?} at byte");
+        assert!(message.starts_with(&expected), "scenario seed {n}: {error}");
+    }
+
+    let batch = read_scenario("dse_batch.json");
+    for n in bad {
+        let text = with_raw_number(&batch, &["queries", "0", "seed"], n);
+        match tsn_dse::parse_batch(&text) {
+            Ok(_) => panic!("batch seed {n} was accepted"),
+            Err(e) => assert!(
+                e.contains(&format!("bad number {n:?} at byte")),
+                "batch seed {n}: {e}"
+            ),
+        }
+    }
+}
+
 /// Runs `customize` with `args` in `dir` and returns its stdout; it
 /// must exit 0.
 fn customize_ok(dir: &Path, args: &[&str]) -> String {

@@ -3,9 +3,12 @@
 //! Models the analyzer box of the paper's testbed (Fig. 6): every
 //! delivered frame is matched against its injection record; the paper
 //! reports average latency, jitter as the standard deviation of latency,
-//! and packet loss. On top of the paper's mean/std, [`LatencyStats`]
-//! keeps a fixed-bucket log2 histogram so tail quantiles (p50/p99/p999)
-//! are available in O(1) memory per flow at 100k–1M-flow scale.
+//! and packet loss. Each flow keeps only its [`LatencyMoments`] (count,
+//! Welford mean/std, min, max): five scalars, no heap, so per-flow
+//! jitter costs O(1) memory at 100k–1M-flow scale. Tail quantiles
+//! (p50/p99/p999) come from one fixed-bucket log2 histogram per traffic
+//! class, the granularity the reports ask for; [`Analyzer::class_latency`]
+//! returns both as a [`LatencyStats`].
 //!
 //! The analyzer stores per-flow state in dense `FlowId`-indexed parallel
 //! vectors (SoA) rather than a keyed map: the per-frame hot path is one
@@ -44,31 +47,36 @@ pub fn hist_bucket_bounds(bucket: usize) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Streaming latency statistics: Welford mean/std plus a fixed-bucket
-/// log2 histogram for tail quantiles.
+/// Streaming latency moments: count, Welford mean/std, min and max.
 ///
-/// The histogram is allocated lazily on the first sample, so flows that
-/// never deliver cost nothing beyond the struct itself. Bucket counts are
-/// integers, so merging histograms is exact and associative — unlike the
-/// float Welford state, histogram-derived quantiles are immune to merge
-/// order.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct LatencyStats {
+/// This is what the analyzer keeps per flow: five scalars, no heap. It
+/// has no histogram and therefore no quantiles — tail quantiles live in
+/// the per-class histogram that [`Analyzer::class_latency`] attaches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LatencyMoments {
     count: u64,
     mean_ns: f64,
     m2: f64,
     min_ns: u64,
     max_ns: u64,
-    hist: Option<Box<[u64; HIST_BUCKETS]>>,
 }
 
-impl LatencyStats {
-    /// Creates empty statistics.
+impl Default for LatencyMoments {
+    fn default() -> Self {
+        LatencyMoments::new()
+    }
+}
+
+impl LatencyMoments {
+    /// Creates empty moments.
     #[must_use]
-    pub fn new() -> Self {
-        LatencyStats {
+    pub const fn new() -> Self {
+        LatencyMoments {
+            count: 0,
+            mean_ns: 0.0,
+            m2: 0.0,
             min_ns: u64::MAX,
-            ..LatencyStats::default()
+            max_ns: 0,
         }
     }
 
@@ -82,7 +90,6 @@ impl LatencyStats {
         self.m2 += delta * (x - self.mean_ns);
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-        self.hist.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]))[hist_bucket(ns)] += 1;
     }
 
     /// Number of samples.
@@ -126,10 +133,105 @@ impl LatencyStats {
         (self.count > 0).then(|| SimDuration::from_nanos(self.max_ns))
     }
 
+    /// Merges another block into this one with Chan's parallel update.
+    /// Float merging is not associative, so callers that need
+    /// reproducible bits merge in a fixed order.
+    pub fn merge(&mut self, other: &LatencyMoments) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        let n1 = self.count as f64;
+        let n2 = other.count as f64;
+        let delta = other.mean_ns - self.mean_ns;
+        let total = n1 + n2;
+        self.mean_ns += delta * n2 / total;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.count += other.count;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+}
+
+/// Streaming latency statistics: [`LatencyMoments`] plus a fixed-bucket
+/// log2 histogram for tail quantiles.
+///
+/// The analyzer keeps one histogram per traffic class, not per flow, and
+/// hands it out through [`Analyzer::class_latency`]. Bucket counts are
+/// integers, so merging histograms is exact and associative — unlike the
+/// float Welford state, histogram-derived quantiles are immune to merge
+/// order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LatencyStats {
+    moments: LatencyMoments,
+    hist: [u64; HIST_BUCKETS],
+}
+
+impl Default for LatencyStats {
+    fn default() -> Self {
+        LatencyStats::new()
+    }
+}
+
+impl LatencyStats {
+    /// Creates empty statistics.
+    #[must_use]
+    pub const fn new() -> Self {
+        LatencyStats {
+            moments: LatencyMoments::new(),
+            hist: [0; HIST_BUCKETS],
+        }
+    }
+
+    /// Records one latency sample.
+    pub fn record(&mut self, latency: SimDuration) {
+        self.moments.record(latency);
+        self.hist[hist_bucket(latency.as_nanos())] += 1;
+    }
+
+    /// Number of samples.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.moments.count()
+    }
+
+    /// Mean latency in nanoseconds (0 when empty).
+    #[must_use]
+    pub fn mean_ns(&self) -> f64 {
+        self.moments.mean_ns()
+    }
+
+    /// Mean latency in microseconds.
+    #[must_use]
+    pub fn mean_us(&self) -> f64 {
+        self.moments.mean_us()
+    }
+
+    /// Population standard deviation in nanoseconds.
+    #[must_use]
+    pub fn std_ns(&self) -> f64 {
+        self.moments.std_ns()
+    }
+
+    /// Smallest sample (`None` when empty).
+    #[must_use]
+    pub fn min(&self) -> Option<SimDuration> {
+        self.moments.min()
+    }
+
+    /// Largest sample (`None` when empty).
+    #[must_use]
+    pub fn max(&self) -> Option<SimDuration> {
+        self.moments.max()
+    }
+
     /// The histogram bucket counts, if any sample was recorded.
     #[must_use]
     pub fn histogram(&self) -> Option<&[u64; HIST_BUCKETS]> {
-        self.hist.as_deref()
+        (self.count() > 0).then_some(&self.hist)
     }
 
     /// Estimates the `q`-quantile (`0 < q <= 1`) from the histogram.
@@ -140,13 +242,18 @@ impl LatencyStats {
     /// a rank error of less than one bucket.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        let hist = self.hist.as_deref()?;
-        if self.count == 0 {
+        let LatencyMoments {
+            count,
+            min_ns,
+            max_ns,
+            ..
+        } = self.moments;
+        if count == 0 {
             return None;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
-        for (bucket, &n) in hist.iter().enumerate() {
+        for (bucket, &n) in self.hist.iter().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -154,12 +261,12 @@ impl LatencyStats {
                 let (lo, hi) = hist_bucket_bounds(bucket);
                 let into = rank - seen; // 1..=n
                 let est = lo + (u128::from(hi - lo) * u128::from(into) / u128::from(n + 1)) as u64;
-                return Some(SimDuration::from_nanos(est.clamp(self.min_ns, self.max_ns)));
+                return Some(SimDuration::from_nanos(est.clamp(min_ns, max_ns)));
             }
             seen += n;
         }
         // Unreachable when counters are consistent; fall back to max.
-        Some(SimDuration::from_nanos(self.max_ns))
+        Some(SimDuration::from_nanos(max_ns))
     }
 
     /// Median latency (`None` when empty).
@@ -181,29 +288,11 @@ impl LatencyStats {
     }
 
     /// Merges another stats block into this one. Histogram counts add
-    /// exactly; the Welford state uses Chan's parallel update.
+    /// exactly; the moments use Chan's parallel update.
     pub fn merge(&mut self, other: &LatencyStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean_ns - self.mean_ns;
-        let total = n1 + n2;
-        self.mean_ns += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-        if let Some(theirs) = other.hist.as_deref() {
-            let ours = self.hist.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
-            for (o, t) in ours.iter_mut().zip(theirs) {
-                *o += t;
-            }
+        self.moments.merge(&other.moments);
+        for (o, t) in self.hist.iter_mut().zip(&other.hist) {
+            *o += t;
         }
     }
 }
@@ -222,8 +311,9 @@ pub struct FlowRecord<'a> {
     pub received: u64,
     /// Frames that arrived after their deadline (TS flows only).
     pub deadline_misses: u64,
-    /// Latency statistics over received frames.
-    pub latency: &'a LatencyStats,
+    /// Latency moments over received frames (no quantiles: the
+    /// histogram is kept per class, see [`Analyzer::class_latency`]).
+    pub latency: &'a LatencyMoments,
 }
 
 impl FlowRecord<'_> {
@@ -257,7 +347,7 @@ impl FlowRecord<'_> {
 /// assert_eq!(record.lost(), 0);
 /// assert_eq!(record.latency.mean_us(), 130.0);
 /// ```
-#[derive(Default, Clone)]
+#[derive(Clone)]
 pub struct Analyzer {
     // Dense FlowId-indexed SoA arenas. `class[i]` doubles as the
     // "tracked" marker: None slots are untouched holes (flow ids are
@@ -266,8 +356,17 @@ pub struct Analyzer {
     injected: Vec<u64>,
     received: Vec<u64>,
     misses: Vec<u64>,
-    latency: Vec<LatencyStats>,
+    latency: Vec<LatencyMoments>,
+    // One latency histogram per class, indexed by `TrafficClass as
+    // usize`; its only reader merges per class anyway.
+    class_hist: [[u64; HIST_BUCKETS]; TrafficClass::ALL.len()],
     tracked: usize,
+}
+
+impl Default for Analyzer {
+    fn default() -> Self {
+        Analyzer::with_flow_capacity(0)
+    }
 }
 
 impl Analyzer {
@@ -288,13 +387,15 @@ impl Analyzer {
             injected: vec![0; flows],
             received: vec![0; flows],
             misses: vec![0; flows],
-            latency: vec![LatencyStats::new(); flows],
+            latency: vec![LatencyMoments::new(); flows],
+            class_hist: [[0; HIST_BUCKETS]; TrafficClass::ALL.len()],
             tracked: 0,
         }
     }
 
     /// Ensures the arenas cover `flow` and the slot is marked tracked;
-    /// returns the slot index.
+    /// returns the slot index. A flow keeps the class it was first
+    /// seen with.
     fn touch(&mut self, flow: FlowId, class: TrafficClass) -> usize {
         let idx = flow.as_usize();
         if idx >= self.class.len() {
@@ -302,7 +403,7 @@ impl Analyzer {
             self.injected.resize(idx + 1, 0);
             self.received.resize(idx + 1, 0);
             self.misses.resize(idx + 1, 0);
-            self.latency.resize(idx + 1, LatencyStats::new());
+            self.latency.resize(idx + 1, LatencyMoments::new());
         }
         if self.class[idx].is_none() {
             self.class[idx] = Some(class);
@@ -331,6 +432,10 @@ impl Analyzer {
         self.received[idx] += 1;
         let latency = arrived.saturating_since(injected_at);
         self.latency[idx].record(latency);
+        // Bin under the flow's tracked class, so the class histogram
+        // counts exactly the samples `class_latency` merges moments of.
+        let tracked = self.class[idx].unwrap_or(class);
+        self.class_hist[tracked as usize][hist_bucket(latency.as_nanos())] += 1;
         if let Some(deadline) = deadline {
             if latency > deadline {
                 self.misses[idx] += 1;
@@ -376,14 +481,19 @@ impl Analyzer {
             .filter(move |r| r.class == class)
     }
 
-    /// Aggregated latency statistics over every flow of `class`.
+    /// Aggregated latency statistics over every flow of `class`: the
+    /// per-flow moments merged in flow-id order (so the float bits are
+    /// reproducible) plus the class histogram for tail quantiles.
     #[must_use]
     pub fn class_latency(&self, class: TrafficClass) -> LatencyStats {
-        let mut agg = LatencyStats::new();
+        let mut moments = LatencyMoments::new();
         for record in self.records_of(class) {
-            agg.merge(record.latency);
+            moments.merge(record.latency);
         }
-        agg
+        LatencyStats {
+            moments,
+            hist: self.class_hist[class as usize],
+        }
     }
 
     /// Mean of the per-flow latency standard deviations over `class` —
@@ -432,10 +542,11 @@ impl Analyzer {
 
 // Manual impls: trailing untouched arena slots are representation, not
 // state — analyzers that tracked the same flows must compare (and print)
-// identically regardless of how far their arenas grew.
+// identically regardless of how far their arenas grew. The class
+// histograms are state: they carry the tail quantiles.
 impl PartialEq for Analyzer {
     fn eq(&self, other: &Self) -> bool {
-        if self.tracked != other.tracked {
+        if self.tracked != other.tracked || self.class_hist != other.class_hist {
             return false;
         }
         self.iter().zip(other.iter()).all(|((ida, a), (idb, b))| {
@@ -451,7 +562,10 @@ impl PartialEq for Analyzer {
 
 impl core::fmt::Debug for Analyzer {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
+        f.debug_map()
+            .entries(self.iter())
+            .entry(&"class_hist", &self.class_hist)
+            .finish()
     }
 }
 
@@ -651,6 +765,36 @@ mod tests {
         assert_eq!(ts.mean_us(), 200.0);
         assert_eq!(an.class_latency(TrafficClass::BestEffort).count(), 1);
         assert_eq!(an.flow_count(), 4);
+    }
+
+    #[test]
+    fn class_latency_matches_a_single_stream() {
+        // Flows 0..5 interleaved: the class view must equal one stream
+        // over the same samples, histogram and tail quantiles included.
+        let mut an = Analyzer::with_flow_capacity(5);
+        let mut whole = LatencyStats::new();
+        for i in 0..200u64 {
+            let flow = FlowId::new((i % 5) as u32);
+            let ns = 1_000 + i * i * 37;
+            an.note_delivered(
+                flow,
+                TrafficClass::TimeSensitive,
+                SimTime::ZERO,
+                SimTime::from_nanos(ns),
+                None,
+            );
+            whole.record(SimDuration::from_nanos(ns));
+        }
+        let ts = an.class_latency(TrafficClass::TimeSensitive);
+        assert_eq!(ts.histogram(), whole.histogram());
+        assert_eq!(ts.count(), whole.count());
+        assert_eq!((ts.min(), ts.max()), (whole.min(), whole.max()));
+        assert_eq!(ts.p99(), whole.p99());
+        assert_eq!(ts.p999(), whole.p999());
+        assert!(an
+            .class_latency(TrafficClass::BestEffort)
+            .histogram()
+            .is_none());
     }
 
     #[test]

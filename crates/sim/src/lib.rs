@@ -51,7 +51,8 @@ pub mod report;
 pub mod sweep;
 
 pub use analyzer::{
-    hist_bucket, hist_bucket_bounds, Analyzer, FlowRecord, LatencyStats, HIST_BUCKETS,
+    hist_bucket, hist_bucket_bounds, Analyzer, FlowRecord, LatencyMoments, LatencyStats,
+    HIST_BUCKETS,
 };
 pub use event::EventQueueKind;
 pub use fault::{FaultConfig, FlowDegradation, LinkFaultProfile, LinkFlap, LinkOutage};

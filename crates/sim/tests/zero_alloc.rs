@@ -8,8 +8,10 @@
 //! **zero** heap allocations.
 //!
 //! Warmup is adaptive rather than a fixed step count. One-time
-//! allocations front-load (each flow's lazy latency histogram on first
-//! delivery, host/gate queue rings growing to their working set), but
+//! allocations front-load (host/gate queue rings start empty and grow to
+//! their working set; a flow's first delivery allocates nothing, since
+//! per-flow records are pre-sized moments and the latency histograms are
+//! per class, see `analyzer_alloc.rs`), but
 //! the calendar queue's per-bucket capacities keep being probed as slot
 //! aliasing shifts phase across rotations, so the time-to-quiet is
 //! scenario-dependent: the test steps in 10k-event windows until one is

@@ -322,6 +322,10 @@ pub enum GateDrop {
 }
 
 /// A metadata queue with a hardware depth limit.
+///
+/// `depth` bounds occupancy; the ring itself starts empty and grows to
+/// the queue's working set, so a queue that never receives a frame
+/// holds no frame buffer.
 #[derive(Debug, Clone, Default)]
 struct GatedQueue {
     frames: VecDeque<EthernetFrame>,
@@ -333,7 +337,7 @@ struct GatedQueue {
 impl GatedQueue {
     fn new(depth: usize) -> Self {
         GatedQueue {
-            frames: VecDeque::with_capacity(depth.min(1024)),
+            frames: VecDeque::new(),
             depth,
             overflow_drops: 0,
             high_water: 0,
@@ -740,6 +744,22 @@ mod tests {
         assert_eq!(gc.overflow_drops(), 1);
         assert_eq!(gc.high_water(QueueId::new(6)), 2);
         assert_eq!(gc.total_buffered(), 2);
+    }
+
+    #[test]
+    fn queues_start_without_a_buffer_and_still_bound_depth() {
+        let depth = 3;
+        let mut gc = GateCtrl::cqf(QueueLayout::standard8(), depth, SLOT).expect("valid");
+        assert!(gc.queues.iter().all(|q| q.frames.capacity() == 0));
+        for seq in 0..depth as u64 {
+            gc.enqueue(QueueId::new(6), ts_frame(seq), SimTime::ZERO)
+                .expect("fits");
+        }
+        assert_eq!(
+            gc.enqueue(QueueId::new(6), ts_frame(depth as u64), SimTime::ZERO),
+            Err(GateDrop::QueueOverflow)
+        );
+        assert_eq!(gc.queue_len(QueueId::new(6)), depth);
     }
 
     #[test]

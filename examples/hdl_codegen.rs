@@ -26,9 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fs::create_dir_all(out_dir)?;
         let mut written = 0;
         for (name, source) in bundle.files() {
-            if preset.skip.contains(&name.as_str()) {
-                continue;
-            }
             // Belt and braces: every file must re-validate before it is
             // written out.
             check_source(source).map_err(|e| TsnError::InvalidArtifact(format!("{name}: {e}")))?;

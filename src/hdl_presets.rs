@@ -16,9 +16,6 @@ use tsn_types::{SimDuration, TsnResult};
 pub struct HdlPreset {
     /// Directory the bundle is committed under (repo-relative).
     pub dir: &'static str,
-    /// Bundle files deliberately not committed (the star tree
-    /// historically omits the testbench).
-    pub skip: &'static [&'static str],
     /// Emits the bundle.
     pub bundle: fn() -> TsnResult<HdlBundle>,
 }
@@ -27,17 +24,14 @@ pub struct HdlPreset {
 pub const HDL_PRESETS: &[HdlPreset] = &[
     HdlPreset {
         dir: "generated_hdl",
-        skip: &[],
         bundle: linear_bundle,
     },
     HdlPreset {
         dir: "generated_hdl_star",
-        skip: &["tsn_switch_tb.v"],
         bundle: star_bundle,
     },
     HdlPreset {
         dir: "generated_hdl_ring",
-        skip: &[],
         bundle: ring_bundle,
     },
 ];

@@ -20,13 +20,10 @@ fn assert_tree_matches(preset: &HdlPreset) {
         preset.dir
     );
 
-    // Every emitted file (minus the deliberate skips) must be committed
+    // Every emitted file, testbench included, must be committed
     // byte-identically…
     let mut compared = 0;
     for (name, source) in bundle.files() {
-        if preset.skip.contains(&name.as_str()) {
-            continue;
-        }
         let path = dir.join(name);
         let committed = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{}: unreadable ({e})", path.display()));

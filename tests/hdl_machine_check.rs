@@ -148,5 +148,5 @@ fn committed_trees_round_trip_byte_for_byte() {
             files += 1;
         }
     }
-    assert_eq!(files, 26, "the three committed trees hold 26 Verilog files");
+    assert_eq!(files, 27, "the three committed trees hold 27 Verilog files");
 }
