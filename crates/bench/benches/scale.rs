@@ -28,7 +28,7 @@ use tsn_bench::{enforce, fmt_ns, Record, Runner};
 use tsn_builder::plant::{large_plant, LargePlant};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_sim::network::{ConfigDelta, Network, NetworkTemplate};
-use tsn_sim::{EventQueueKind, SimReport};
+use tsn_sim::SimReport;
 
 /// `VmHWM` (peak resident set) in bytes from `/proc/self/status`;
 /// `None` off Linux. Monotone over the process lifetime, so cases must
@@ -172,9 +172,12 @@ fn run_case(name: &str, flows: u32, repeats: u32, check_determinism: bool) -> Fi
 /// variant runs after the baseline report is dropped, so the peak-RSS
 /// cost of the check is one extra resident plant, not a second report.
 fn check_byte_identity(plant: &LargePlant, baseline_digest: u64) {
-    let mut variant = plant.clone();
-    variant.config.event_queue = EventQueueKind::BinaryHeap;
-    let report = variant.into_network().expect("network builds").run();
+    let report = plant
+        .clone()
+        .into_network()
+        .expect("network builds")
+        .with_reference_queue()
+        .run();
     assert_eq!(
         report_digest(&report),
         baseline_digest,

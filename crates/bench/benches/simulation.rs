@@ -130,13 +130,10 @@ fn main() {
             &tsn_builder::derive::DeriveOptions::paper(),
         )
         .expect("derivation succeeds");
-        let mut config = sim_config();
-        config.slot = derived.cqf.slot;
-        config.resources = derived.resources;
-        config.aggregate_switch_tbl = derived.aggregate_switch_tbl;
-        let offsets = derived.itp.offsets;
         results.extend(runner.bench(&format!("sim_multi/{label}"), || {
-            let report = Network::build(topo.clone(), flows.clone(), &offsets, config.clone())
+            let report = derived
+                .template(topo.clone(), flows.clone(), sim_config())
+                .and_then(|template| template.instantiate())
                 .expect("network builds")
                 .run();
             assert_eq!(report.ts_lost(), 0);

@@ -22,12 +22,12 @@ fn main() {
         .unwrap_or(1);
     let heap = std::env::args().nth(3).as_deref() == Some("heap");
     for _ in 0..reps {
-        let mut plant = large_plant(flows).expect("plant builds");
-        if heap {
-            plant.config.event_queue = tsn_sim::EventQueueKind::BinaryHeap;
-        }
+        let plant = large_plant(flows).expect("plant builds");
         let t0 = Instant::now();
-        let net = plant.into_network().expect("network builds");
+        let mut net = plant.into_network().expect("network builds");
+        if heap {
+            net = net.with_reference_queue();
+        }
         let build = t0.elapsed();
         let t0 = Instant::now();
         let report = net.run();

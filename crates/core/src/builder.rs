@@ -116,52 +116,26 @@ impl Customization {
     }
 
     /// Synthesizes the scenario into a runnable simulated network with
-    /// the derived resources, slot and injection offsets.
+    /// the derived resources, slot, injection offsets and gate schedule
+    /// ([`DerivedConfig::template`] over the paper's defaults).
     ///
     /// # Errors
     ///
     /// Propagates network-assembly errors (they indicate a derivation
     /// bug: the derived resources must always fit their own scenario).
     pub fn synthesize_network(&self, duration: SimDuration, sync: SyncSetup) -> TsnResult<Network> {
-        self.synthesize_network_configured(duration, sync, |_| {})
-    }
-
-    /// As [`Customization::synthesize_network`], with a hook to adjust
-    /// the final [`SimConfig`] (e.g. enable frame preemption) before the
-    /// network is built. The derived slot, resources, offsets and gate
-    /// schedule are applied first.
-    ///
-    /// # Errors
-    ///
-    /// As [`Customization::synthesize_network`].
-    pub fn synthesize_network_configured(
-        &self,
-        duration: SimDuration,
-        sync: SyncSetup,
-        configure: impl FnOnce(&mut SimConfig),
-    ) -> TsnResult<Network> {
-        let mut config = SimConfig::paper_defaults();
-        config.slot = self.derived.cqf.slot;
-        config.resources = self.derived.resources.clone();
-        config.duration = duration;
-        config.sync = sync;
-        config.aggregate_switch_tbl = self.derived.aggregate_switch_tbl;
-        configure(&mut config);
-        match &self.derived.tas {
-            None => Network::build(
+        let base = SimConfig {
+            duration,
+            sync,
+            ..SimConfig::paper_defaults()
+        };
+        self.derived
+            .template(
                 self.requirements.topology().clone(),
                 self.requirements.flows().clone(),
-                &self.derived.itp.offsets,
-                config,
-            ),
-            Some(schedule) => Network::build_with_schedule(
-                self.requirements.topology().clone(),
-                self.requirements.flows().clone(),
-                &self.derived.itp.offsets,
-                config,
-                &tsn_sim::GclSchedule::from_map(schedule.gcls()),
-            ),
-        }
+                base,
+            )?
+            .instantiate()
     }
 
     /// Emits the per-switch Verilog bundle (the synthesis stage of

@@ -14,8 +14,9 @@ use crate::itp::{self, ItpResult, Strategy};
 use crate::requirements::AppRequirements;
 use crate::tas::TasSchedule;
 use tsn_resource::ResourceConfig;
-use tsn_topology::EnabledPorts;
-use tsn_types::{DataRate, SimDuration, TsnError, TsnResult};
+use tsn_sim::network::{GclSchedule, NetworkTemplate, SimConfig};
+use tsn_topology::{EnabledPorts, Topology};
+use tsn_types::{DataRate, FlowSet, SimDuration, TsnError, TsnResult};
 
 /// Which gate-control program the switches run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,6 +116,39 @@ pub struct DerivedConfig {
     pub tas: Option<TasSchedule>,
     /// Whether the switch table uses aggregated per-destination entries.
     pub aggregate_switch_tbl: bool,
+}
+
+impl DerivedConfig {
+    /// The synthesis step of Fig. 1: injects this derivation into the
+    /// simulated templates. `base` supplies what a derivation does not
+    /// decide (duration, sync, preemption, faults); the derived slot,
+    /// resources, aggregation mode, injection offsets and, under
+    /// [`GateMode::Tas`], the gate schedule replace the rest. Every
+    /// network built from a derivation comes from here, so no caller can
+    /// drop part of it.
+    ///
+    /// # Errors
+    ///
+    /// As [`NetworkTemplate::with_schedule`]; resource shortfalls surface
+    /// at [`NetworkTemplate::instantiate`].
+    pub fn template(
+        &self,
+        topology: Topology,
+        flows: FlowSet,
+        base: SimConfig,
+    ) -> TsnResult<NetworkTemplate> {
+        let config = SimConfig {
+            slot: self.cqf.slot,
+            resources: self.resources.clone(),
+            aggregate_switch_tbl: self.aggregate_switch_tbl,
+            ..base
+        };
+        let gcls = self
+            .tas
+            .as_ref()
+            .map_or_else(GclSchedule::new, |tas| GclSchedule::from_map(tas.gcls()));
+        NetworkTemplate::with_schedule(topology, flows, &self.itp.offsets, config, gcls)
+    }
 }
 
 /// Runs the full derivation pipeline for a scenario.

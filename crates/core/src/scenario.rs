@@ -43,7 +43,7 @@ use crate::requirements::AppRequirements;
 use std::hash::{DefaultHasher, Hasher};
 use std::sync::Arc;
 use tsn_resource::ResourceConfig;
-use tsn_sim::network::{ConfigDelta, Network, NetworkTemplate, SimConfig};
+use tsn_sim::network::{ConfigDelta, NetworkTemplate, SimConfig};
 use tsn_sim::report::SimReport;
 use tsn_sim::sweep::{run_sweep, PlanCache, SweepError};
 use tsn_topology::Topology;
@@ -64,8 +64,9 @@ pub enum ResourcePlan {
     /// the ITP injection offsets are planned.
     Explicit,
     /// Run the full TSN-Builder derivation (`derive_parameters`) with
-    /// these options; the derived slot, resources, aggregation mode and
-    /// injection offsets replace whatever the `SimConfig` carries.
+    /// these options; [`DerivedConfig::template`] applies the derived
+    /// slot, resources, aggregation mode, injection offsets and gate
+    /// schedule over the scenario's `SimConfig`.
     Derive(DeriveOptions),
 }
 
@@ -234,25 +235,13 @@ impl SweepPlanner {
                 let derived = self
                     .derived
                     .get_or_compute(key, || derive_parameters(&requirements, options))?;
-                let mut config = scenario.config.clone();
-                config.slot = derived.cqf.slot;
-                config.resources = derived.resources.clone();
-                config.aggregate_switch_tbl = derived.aggregate_switch_tbl;
-                let network = match &derived.tas {
-                    None => Network::build(
+                let network = derived
+                    .template(
                         scenario.topology.clone(),
                         scenario.flows.clone(),
-                        &derived.itp.offsets,
-                        config,
-                    ),
-                    Some(schedule) => Network::build_with_schedule(
-                        scenario.topology.clone(),
-                        scenario.flows.clone(),
-                        &derived.itp.offsets,
-                        config,
-                        &tsn_sim::GclSchedule::from_map(schedule.gcls()),
-                    ),
-                }?;
+                        scenario.config.clone(),
+                    )?
+                    .instantiate()?;
                 Ok(ScenarioOutcome {
                     label: scenario.label.clone(),
                     resources: derived.resources.clone(),
@@ -340,7 +329,7 @@ pub fn run_scenarios(
 mod tests {
     use super::*;
     use crate::workloads;
-    use tsn_sim::network::SyncSetup;
+    use tsn_sim::network::{Network, SyncSetup};
     use tsn_topology::presets;
 
     fn small_config() -> SimConfig {

@@ -2,14 +2,15 @@
 //!
 //! Reads a strict-JSON request (`{"queries": [...]}`, see
 //! `tsn_dse::parse_batch`) from a file argument or stdin and prints the
-//! response. `--workers N` sizes the pool; the response bytes are
-//! identical for every worker count. The service's benchmark is
-//! `cargo bench -p tsn-bench --bench dse`.
+//! response. `--workers N` (at most `limits::MAX_WORKERS`) sizes the
+//! pool; the response bytes are identical for every worker count. The
+//! service's benchmark is `cargo bench -p tsn-bench --bench dse`.
 
 use std::io::Read;
 
 use tsn_dse::batch::MAX_REQUEST_BYTES;
 use tsn_dse::{parse_batch, run_batch, DseEngine};
+use tsn_experiments::limits;
 
 /// Reads at most one byte past `MAX_REQUEST_BYTES`, so an over-long
 /// request is refused by `parse_batch` without being held in memory.
@@ -42,14 +43,17 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&w| w >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("dse: --workers needs a positive integer");
+                workers = match args.next().as_deref().map(limits::workers) {
+                    Some(Ok(w)) => w,
+                    Some(Err(e)) => {
+                        eprintln!("dse: --workers: {e}");
                         std::process::exit(2);
-                    });
+                    }
+                    None => {
+                        eprintln!("dse: --workers needs a value");
+                        std::process::exit(2);
+                    }
+                };
             }
             "--help" | "-h" => {
                 println!(

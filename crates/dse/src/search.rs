@@ -200,16 +200,15 @@ impl PlannedQuery {
         // `simulate` call swaps in only its ResourceConfig via
         // `reconfigure`. Base resources are the derived upper bound, so
         // `template.instantiate()` alone reproduces the confirming run.
-        let mut config = SimConfig::paper_defaults();
-        config.slot = cqf.slot;
-        config.resources = derived.resources.clone();
-        config.duration = query.duration;
-        config.sync = SyncSetup::Perfect;
-        let template = Arc::new(NetworkTemplate::new(
+        let base = SimConfig {
+            duration: query.duration,
+            sync: SyncSetup::Perfect,
+            ..SimConfig::paper_defaults()
+        };
+        let template = Arc::new(derived.template(
             requirements.topology().clone(),
             requirements.flows().clone(),
-            &itp.offsets,
-            config,
+            base,
         )?);
 
         Ok(PlannedQuery {

@@ -2,7 +2,8 @@
 //! requirements: every rejection is a structured [`TsnError`] surfaced
 //! as an `infeasible` answer — never a panic, never a stringly bypass.
 //! Oversized requests are refused earlier, by `parse_batch`, with an
-//! error naming the query and field.
+//! error naming the query and field, and the `dse` binary refuses a
+//! worker count outside `1..=MAX_WORKERS` before reading anything.
 
 use tsn_dse::batch::{MAX_DURATION_US, MAX_HOSTS, MAX_LINKS, MAX_REQUEST_BYTES, MAX_SWITCHES};
 use tsn_dse::query::MAX_TS_COUNT;
@@ -227,4 +228,23 @@ fn overlong_requests_are_refused_before_parsing() {
     );
     let e = parse_batch(&padded).expect_err("too long");
     assert!(e.starts_with("request:") && e.contains("limit"), "{e}");
+}
+
+#[test]
+fn out_of_range_worker_counts_exit_2_before_reading_the_request() {
+    for workers in ["0", "257", "100000", "many"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dse"))
+            .args(["--workers", workers])
+            .output()
+            .expect("dse runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{workers}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "worker count {workers:?} is not a whole number in 1..=256"
+            )),
+            "{workers}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{workers}: no response is printed");
+    }
 }

@@ -10,10 +10,10 @@
 
 use tsn_builder::{run_scenarios, workloads, DeriveOptions, Scenario};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{dump_json, expect_outcomes};
 use tsn_resource::{AllocationPolicy, UsageReport};
 use tsn_sim::network::{SimConfig, SyncSetup};
-use tsn_sim::sweep::workers_from_env;
 use tsn_topology::presets;
 use tsn_types::SimDuration;
 

@@ -19,11 +19,11 @@ use std::path::Path;
 use tsn_builder::{workloads, DeriveOptions, GateMode, TsnBuilder};
 use tsn_experiments::json::{self, Fields, Json};
 use tsn_experiments::limits::{
-    MAX_DURATION_US, MAX_HOSTS, MAX_RATE_MBPS, MAX_SWITCHES, MAX_TS_COUNT,
+    workers_from_env, MAX_DURATION_US, MAX_HOSTS, MAX_RATE_MBPS, MAX_SWITCHES, MAX_TS_COUNT,
 };
 use tsn_resource::AllocationPolicy;
-use tsn_sim::network::SyncSetup;
-use tsn_sim::sweep::{run_sweep, workers_from_env};
+use tsn_sim::network::SimConfig;
+use tsn_sim::sweep::run_sweep;
 use tsn_topology::presets::Preset;
 use tsn_types::{DataRate, SimDuration};
 
@@ -155,8 +155,12 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("--sample") => {
             let path = Path::new("scenarios/sample.json");
-            std::fs::create_dir_all("scenarios").expect("can create scenarios/");
-            std::fs::write(path, sample_json().pretty()).expect("can write the sample");
+            let written = std::fs::create_dir_all("scenarios")
+                .and_then(|()| std::fs::write(path, sample_json().pretty()));
+            if let Err(e) = written {
+                eprintln!("customize: cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
             println!("wrote {}", path.display());
         }
         Some(_) => {
@@ -271,16 +275,22 @@ fn run_scenario(path: &str) -> Result<(String, bool), String> {
 
     let mut lost_frames = false;
     if scenario.simulate {
-        let preemption = scenario.frame_preemption;
-        let report = customization
-            .synthesize_network_configured(
-                SimDuration::from_millis(scenario.duration_ms),
-                SyncSetup::default(),
-                |config| config.frame_preemption = preemption,
+        let base = SimConfig {
+            duration: SimDuration::from_millis(scenario.duration_ms),
+            frame_preemption: scenario.frame_preemption,
+            ..SimConfig::paper_defaults()
+        };
+        let requirements = customization.requirements();
+        let report = derived
+            .template(
+                requirements.topology().clone(),
+                requirements.flows().clone(),
+                base,
             )
+            .and_then(|template| template.instantiate())
             .map_err(|e| format!("synthesis: {e}"))?
             .run();
-        if preemption {
+        if scenario.frame_preemption {
             writeln!(
                 out,
                 "(frame preemption on: {} preemptions)",

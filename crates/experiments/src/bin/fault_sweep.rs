@@ -16,9 +16,9 @@
 
 use tsn_builder::{Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{dump_json, expect_outcomes};
 use tsn_sim::network::{SimConfig, SyncSetup};
-use tsn_sim::sweep::workers_from_env;
 use tsn_sim::{FaultConfig, LinkFaultProfile, LinkFlap, LinkOutage};
 use tsn_switch::time_sync::SyncConfig;
 use tsn_topology::{LinkId, Topology};

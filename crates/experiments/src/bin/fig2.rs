@@ -12,11 +12,11 @@
 
 use tsn_builder::{cqf::PAPER_SLOT, workloads, Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
     dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
 };
 use tsn_resource::{baseline, ResourceConfig};
-use tsn_sim::sweep::workers_from_env;
 use tsn_types::{DataRate, SimDuration, TrafficClass};
 
 struct Series {

@@ -8,11 +8,11 @@
 //! sweep.
 
 use tsn_builder::{cqf, run_scenarios, workloads, Scenario};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
     dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
 };
 use tsn_resource::ResourceConfig;
-use tsn_sim::sweep::workers_from_env;
 use tsn_types::SimDuration;
 
 fn main() {

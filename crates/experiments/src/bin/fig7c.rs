@@ -10,11 +10,11 @@
 //! derive-and-simulate scenarios run in parallel through the sweep.
 
 use tsn_builder::{run_scenarios, workloads, DeriveOptions, Scenario};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
     dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
 };
 use tsn_resource::ResourceConfig;
-use tsn_sim::sweep::workers_from_env;
 use tsn_types::SimDuration;
 
 const SLOTS_US: [u64; 4] = [33, 65, 130, 195];

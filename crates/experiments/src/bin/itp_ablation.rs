@@ -9,9 +9,10 @@
 
 use tsn_builder::{cqf::PAPER_SLOT, itp, workloads, AppRequirements, CqfPlan};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::dump_json;
 use tsn_resource::{AllocationPolicy, ResourceConfig};
-use tsn_sim::sweep::{run_sweep, workers_from_env};
+use tsn_sim::sweep::run_sweep;
 use tsn_topology::presets;
 use tsn_types::{DataRate, SimDuration};
 

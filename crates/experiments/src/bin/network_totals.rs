@@ -14,9 +14,10 @@
 
 use tsn_builder::{workloads, AppRequirements, DeriveOptions, PerSwitchConfig};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::dump_json;
 use tsn_resource::{baseline, AllocationPolicy};
-use tsn_sim::sweep::{run_sweep, workers_from_env};
+use tsn_sim::sweep::run_sweep;
 use tsn_topology::presets;
 use tsn_types::SimDuration;
 

@@ -13,11 +13,11 @@
 
 use tsn_builder::{cqf, workloads, Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
     dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
 };
 use tsn_resource::ResourceConfig;
-use tsn_sim::sweep::workers_from_env;
 use tsn_types::{BeFlowSpec, DataRate, FlowId, RcFlowSpec, SimDuration};
 
 const LOADS_MBPS: [u64; 5] = [0, 100, 200, 300, 400];

@@ -7,8 +7,9 @@
 //! sweep runner.
 
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::dump_json;
-use tsn_sim::sweep::{run_sweep, workers_from_env};
+use tsn_sim::sweep::run_sweep;
 use tsn_switch::time_sync::{ClockModel, SyncConfig, SyncDomain};
 use tsn_types::{SimDuration, SimTime};
 

@@ -11,11 +11,11 @@
 
 use tsn_builder::{cqf::PAPER_SLOT, workloads, Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
     dump_json, expect_outcomes, figure_config, ring_with_analyzers, QosPoint,
 };
 use tsn_resource::{baseline, AllocationPolicy, ResourceConfig};
-use tsn_sim::sweep::workers_from_env;
 use tsn_types::SimDuration;
 
 struct CaseResult {

@@ -9,9 +9,10 @@
 
 use tsn_builder::{workloads, DeriveOptions, TsnBuilder};
 use tsn_experiments::json::{Json, ToJson};
+use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::dump_json;
 use tsn_resource::{baseline, AllocationPolicy, ResourceConfig, UsageReport};
-use tsn_sim::sweep::{run_sweep, workers_from_env};
+use tsn_sim::sweep::run_sweep;
 use tsn_topology::presets;
 use tsn_types::SimDuration;
 

@@ -374,3 +374,23 @@ fn the_committed_ring_scenario_and_the_sample_run_through_customize() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(stdout.contains("== simulation (100ms) =="), "{stdout}");
 }
+
+#[test]
+fn the_sample_reports_an_unwritable_directory_instead_of_panicking() {
+    let dir = std::env::temp_dir().join(format!("tsn-sample-blocked-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("scenarios"), "a plain file, not a directory").expect("blocker");
+    let out = Command::new(env!("CARGO_BIN_EXE_customize"))
+        .arg("--sample")
+        .current_dir(&dir)
+        .output()
+        .expect("customize runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("customize: cannot write scenarios/sample.json: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -105,16 +105,6 @@ impl Ord for Scheduled {
     }
 }
 
-/// Which priority-queue implementation backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EventQueueKind {
-    /// Bucketed calendar queue (the default).
-    #[default]
-    Calendar,
-    /// The original `BinaryHeap` — the reference for equivalence tests.
-    BinaryHeap,
-}
-
 /// Smallest number of buckets a calendar keeps.
 const MIN_BUCKETS: usize = 64;
 /// Initial bucket width: 2^10 ns ≈ 1 µs, a reasonable guess for frame
@@ -352,7 +342,13 @@ pub struct EventQueue {
 
 impl Default for EventQueue {
     fn default() -> Self {
-        EventQueue::with_kind(EventQueueKind::Calendar)
+        EventQueue {
+            backend: Backend::Calendar(CalendarQueue::new()),
+            next_seq: 0,
+            scheduled_total: 0,
+            len: 0,
+            high_water: 0,
+        }
     }
 }
 
@@ -363,29 +359,20 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Creates an empty queue with an explicit backend.
+    /// Moves every pending event, `(time, seq)` key included, onto the
+    /// reference `BinaryHeap` backend. Counters and sequence numbers
+    /// carry over, so the queue pops — and a run reports — exactly as
+    /// the calendar would have: the differential reference for it.
     #[must_use]
-    pub fn with_kind(kind: EventQueueKind) -> Self {
-        let backend = match kind {
-            EventQueueKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-            EventQueueKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-        };
-        EventQueue {
-            backend,
-            next_seq: 0,
-            scheduled_total: 0,
-            len: 0,
-            high_water: 0,
+    pub fn into_reference(mut self) -> Self {
+        if let Backend::Calendar(cal) = &mut self.backend {
+            let mut heap = BinaryHeap::with_capacity(self.len);
+            while let Some(s) = cal.pop() {
+                heap.push(s);
+            }
+            self.backend = Backend::Heap(heap);
         }
-    }
-
-    /// Which backend this queue runs.
-    #[must_use]
-    pub fn kind(&self) -> EventQueueKind {
-        match self.backend {
-            Backend::Calendar(_) => EventQueueKind::Calendar,
-            Backend::Heap(_) => EventQueueKind::BinaryHeap,
-        }
+        self
     }
 
     /// Schedules `event` at time `at`.
@@ -459,8 +446,7 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_order() {
-        for kind in [EventQueueKind::Calendar, EventQueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_kind(kind);
+        for mut q in [EventQueue::new(), EventQueue::new().into_reference()] {
             q.schedule(SimTime::from_micros(30), kick(3));
             q.schedule(SimTime::from_micros(10), kick(1));
             q.schedule(SimTime::from_micros(20), kick(2));
@@ -473,8 +459,7 @@ mod tests {
 
     #[test]
     fn equal_times_pop_in_fifo_order() {
-        for kind in [EventQueueKind::Calendar, EventQueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_kind(kind);
+        for mut q in [EventQueue::new(), EventQueue::new().into_reference()] {
             let t = SimTime::from_micros(7);
             for n in 0..5 {
                 q.schedule(t, kick(n));
@@ -491,8 +476,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        for kind in [EventQueueKind::Calendar, EventQueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_kind(kind);
+        for mut q in [EventQueue::new(), EventQueue::new().into_reference()] {
             q.schedule(SimTime::from_micros(1), kick(0));
             assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
             assert_eq!(q.len(), 1);
@@ -553,8 +537,8 @@ mod tests {
     #[test]
     fn calendar_matches_reference_heap_over_randomized_ops() {
         let mut rng = SplitMix64::seed_from_u64(0xC0FFEE);
-        let mut cal = EventQueue::with_kind(EventQueueKind::Calendar);
-        let mut heap = EventQueue::with_kind(EventQueueKind::BinaryHeap);
+        let mut cal = EventQueue::new();
+        let mut heap = EventQueue::new().into_reference();
         // A loosely advancing clock so schedules mimic a simulation:
         // mostly near-future, occasionally far ahead, with plenty of
         // exact ties.
@@ -597,5 +581,26 @@ mod tests {
             }
         }
         assert_eq!(cal.scheduled_total(), heap.scheduled_total());
+    }
+
+    #[test]
+    fn a_queue_moved_to_the_reference_keeps_its_order_and_counters() {
+        let mut cal = EventQueue::new();
+        for n in 0..50u32 {
+            cal.schedule(SimTime::from_nanos(u64::from(n % 7) * 1_000), kick(n));
+        }
+        cal.pop();
+        let mut heap = cal.clone().into_reference();
+        assert_eq!(heap.high_water(), cal.high_water());
+        for n in 50..60u32 {
+            let at = SimTime::from_nanos(u64::from(n % 3) * 1_000);
+            cal.schedule(at, kick(n));
+            heap.schedule(at, kick(n));
+        }
+        while let Some(event) = cal.pop() {
+            assert_eq!(heap.pop(), Some(event));
+        }
+        assert!(heap.is_empty());
+        assert_eq!(heap.scheduled_total(), cal.scheduled_total());
     }
 }

@@ -54,7 +54,6 @@ pub use analyzer::{
     hist_bucket, hist_bucket_bounds, Analyzer, FlowRecord, LatencyMoments, LatencyStats,
     HIST_BUCKETS,
 };
-pub use event::EventQueueKind;
 pub use fault::{FaultConfig, FlowDegradation, LinkFaultProfile, LinkFlap, LinkOutage};
 pub use host::{Generator, Host};
 pub use network::{

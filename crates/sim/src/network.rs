@@ -9,7 +9,7 @@
 //! then executes the discrete-event loop and returns a [`SimReport`].
 
 use crate::analyzer::Analyzer;
-use crate::event::{Event, EventQueue, EventQueueKind};
+use crate::event::{Event, EventQueue};
 use crate::fault::{FaultConfig, FaultEngine, WireEffect};
 use crate::host::{Generator, Host};
 use crate::report::{DegradationReport, EventStats, SimReport};
@@ -81,11 +81,6 @@ pub struct SimConfig {
     /// interrupt in-flight preemptable (RC/BE) frames at fragment
     /// boundaries, on switch egress ports and host NICs alike.
     pub frame_preemption: bool,
-    /// Which future-event-list implementation drives the run. Both
-    /// backends realize the identical `(time, seq)` total order, so
-    /// reports are byte-identical; the calendar queue is the fast
-    /// default, the binary heap the reference.
-    pub event_queue: EventQueueKind,
     /// Fault injection (link outages/flaps, wire loss/corruption, clock
     /// perturbation). [`FaultConfig::none`] — the default — adds zero
     /// work and zero PRNG draws, so fault-free runs are byte-identical
@@ -108,7 +103,6 @@ impl SimConfig {
             aggregate_switch_tbl: false,
             per_switch_resources: HashMap::new(),
             frame_preemption: false,
-            event_queue: EventQueueKind::default(),
             faults: FaultConfig::none(),
         }
     }
@@ -280,26 +274,6 @@ impl GclSchedule {
         GclSchedule::default()
     }
 
-    /// Installs (or replaces) the In/Out GCL pair of one egress port.
-    pub fn set(
-        &mut self,
-        node: NodeId,
-        port: PortId,
-        in_gcl: GateControlList,
-        out_gcl: GateControlList,
-    ) {
-        match self
-            .entries
-            .binary_search_by(|e| (e.0, e.1).cmp(&(node, port)))
-        {
-            Ok(i) => {
-                self.entries[i].2 = in_gcl;
-                self.entries[i].3 = out_gcl;
-            }
-            Err(i) => self.entries.insert(i, (node, port, in_gcl, out_gcl)),
-        }
-    }
-
     /// Converts a keyed map (e.g. a synthesized TAS schedule) into the
     /// dense sorted form. Deterministic regardless of the map's hash
     /// iteration order.
@@ -311,18 +285,6 @@ impl GclSchedule {
             .collect();
         entries.sort_by_key(|e| (e.0, e.1));
         GclSchedule { entries }
-    }
-
-    /// Number of overridden ports.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no port is overridden.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The overrides of one node, as a contiguous sorted slice.
@@ -413,7 +375,7 @@ struct InstanceSeed {
 /// pre-converged sync domain and the flow-install program stay alive
 /// across instantiations, so evaluating a new [`ResourceConfig`] (or
 /// slot, offsets, table mode) costs one [`NetworkTemplate::reconfigure`]
-/// instead of a full [`Network::build_with_schedule`] — no topology/flow
+/// instead of a full [`Network::build`] — no topology/flow
 /// clones, no per-talker BFS, no port-role derivation, no gPTP warmup.
 ///
 /// Every instantiation produces a [`Network`] whose run is byte-identical
@@ -447,7 +409,7 @@ impl std::fmt::Debug for NetworkTemplate {
         f.debug_struct("NetworkTemplate")
             .field("nodes", &self.topology.nodes().len())
             .field("flows", &self.flows.len())
-            .field("gcl_overrides", &self.gcls.len())
+            .field("gcl_overrides", &self.gcls.entries.len())
             .finish_non_exhaustive()
     }
 }
@@ -698,8 +660,7 @@ impl NetworkTemplate {
         let faults_on = config.faults.enabled();
         let fault = faults_on.then(|| FaultEngine::new(config.faults.clone(), &self.topology));
         let horizon = SimTime::ZERO + config.duration + config.drain;
-        let queue = EventQueue::with_kind(config.event_queue);
-        let mut network = self.assemble(config, roles, queue, fault);
+        let mut network = self.assemble(config, roles, EventQueue::new(), fault);
         network.apply_program(&self.program, offsets)?;
         // The link up/down timeline is pre-generated from the fault seed
         // at build, so it is identical whatever the run does.
@@ -940,26 +901,6 @@ impl Network {
         NetworkTemplate::new(topology, flows, offsets, config)?.instantiate()
     }
 
-    /// As [`Network::build`], with explicit per-port gate-control lists —
-    /// the hook for synthesized 802.1Qbv (TAS) schedules. Ports not named
-    /// in `gcls` keep their role-derived default (CQF on switch-facing
-    /// TSN ports, always-open on edge ports).
-    ///
-    /// # Errors
-    ///
-    /// As [`Network::build`], plus gate-table capacity violations when a
-    /// supplied GCL is longer than the provisioned `gate_size`.
-    pub fn build_with_schedule(
-        topology: Topology,
-        flows: FlowSet,
-        offsets: &FlowMap<SimDuration>,
-        config: SimConfig,
-        gcls: &GclSchedule,
-    ) -> TsnResult<Self> {
-        NetworkTemplate::with_schedule(topology, flows, offsets, config, gcls.clone())?
-            .instantiate()
-    }
-
     /// Replays the precomputed install program: programs forwarding /
     /// classification / meter / shaper state on every switch and attaches
     /// the host generators, in exactly the order a from-scratch install
@@ -1116,6 +1057,16 @@ impl Network {
                 self.topology.link_at(hop.node, egress).ok().map(Link::id)
             })
             .collect()
+    }
+
+    /// Moves the pending events onto the reference `BinaryHeap` event
+    /// queue ([`EventQueue::into_reference`]). Both backends realize the
+    /// same `(time, seq)` order, so the run's report is byte-identical
+    /// to the calendar queue's; differential tests compare the two.
+    #[must_use]
+    pub fn with_reference_queue(mut self) -> Self {
+        self.queue = std::mem::take(&mut self.queue).into_reference();
+        self
     }
 
     /// Runs the event loop to completion and returns the report.

@@ -32,18 +32,16 @@ pub struct EventStats {
     pub link_transitions: u64,
     /// Most events simultaneously pending in the scheduler.
     pub queue_high_water: usize,
-    /// Route-cache effectiveness during flow installation. Excluded from
-    /// equality and `Debug` (cache sizing must not perturb goldens);
-    /// read the fields directly.
+    /// Route-cache effectiveness during flow installation. Every build
+    /// of the same topology and flows routes the same way, so it counts
+    /// the same in every run of a scenario.
     pub route_cache: RouteCacheStats,
 }
 
 /// How well the per-talker BFS route cache served flow installation:
 /// hits/misses/evictions plus the capacity it ran with (scaled to the
-/// scenario's talker count). Diagnostics only — it compares equal to
-/// everything and renders a constant `Debug` string, so cache-capacity
-/// tuning can never break report byte-identity.
-#[derive(Clone, Copy, Default)]
+/// scenario's talker count).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouteCacheStats {
     /// Routes served from a cached talker tree.
     pub hits: u64,
@@ -53,24 +51,6 @@ pub struct RouteCacheStats {
     pub evictions: u64,
     /// The capacity the cache ran with.
     pub capacity: usize,
-}
-
-impl PartialEq for RouteCacheStats {
-    /// Always equal: install diagnostics must not break report
-    /// byte-identity across cache-capacity choices.
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for RouteCacheStats {}
-
-impl fmt::Debug for RouteCacheStats {
-    /// Constant rendering, for the same reason `PartialEq` is constant:
-    /// golden tests compare `Debug` output across engines.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RouteCacheStats(..)")
-    }
 }
 
 impl EventStats {

@@ -13,9 +13,7 @@
 //!    guarantee extends to faulted runs).
 
 use tsn_sim::network::{Network, SimConfig};
-use tsn_sim::{
-    run_sweep, EventQueueKind, FaultConfig, LinkFaultProfile, LinkFlap, LinkOutage, SimReport,
-};
+use tsn_sim::{run_sweep, FaultConfig, LinkFaultProfile, LinkFlap, LinkOutage, SimReport};
 use tsn_topology::LinkId;
 use tsn_types::{
     BeFlowSpec, DataRate, FlowId, FlowMap, FlowSet, RcFlowSpec, SimDuration, TsFlowSpec,
@@ -121,7 +119,6 @@ fn base_config() -> SimConfig {
     let mut config = SimConfig::paper_defaults();
     config.duration = SimDuration::from_millis(20);
     config.drain = SimDuration::from_millis(10);
-    config.event_queue = EventQueueKind::Calendar;
     config.frame_preemption = false;
     config
 }
@@ -133,7 +130,7 @@ fn run_with(config: SimConfig) -> SimReport {
         .run()
 }
 
-fn run_redundant(mut config: SimConfig) -> SimReport {
+fn build_redundant(mut config: SimConfig) -> Network {
     // The diamond's switches have two switch-facing ports; the paper's
     // single-ring default provisions only one TSN port.
     config
@@ -141,9 +138,11 @@ fn run_redundant(mut config: SimConfig) -> SimReport {
         .set_queues(12, 8, 2)
         .expect("valid queue geometry");
     let (topo, flows) = redundant_scenario();
-    Network::build(topo, flows, &FlowMap::new(), config)
-        .expect("network builds")
-        .run()
+    Network::build(topo, flows, &FlowMap::new(), config).expect("network builds")
+}
+
+fn run_redundant(config: SimConfig) -> SimReport {
+    build_redundant(config).run()
 }
 
 /// A mid-intensity fault mix exercising all three families: a scheduled
@@ -297,9 +296,9 @@ fn faulted_runs_are_deterministic_per_seed() {
 #[test]
 fn event_queue_backends_agree_under_faults() {
     let calendar = run_redundant(faulty_config(3));
-    let mut heap_config = faulty_config(3);
-    heap_config.event_queue = EventQueueKind::BinaryHeap;
-    let heap = run_redundant(heap_config);
+    let heap = build_redundant(faulty_config(3))
+        .with_reference_queue()
+        .run();
     assert_eq!(
         calendar, heap,
         "both backends pop the same order, so fault draws align"

@@ -5,7 +5,6 @@
 //! `(time, seq)` total order, so any divergence is a scheduler bug.
 
 use tsn_sim::network::{Network, SimConfig};
-use tsn_sim::{EventQueueKind, SimReport};
 use tsn_types::{
     BeFlowSpec, DataRate, FlowId, FlowMap, FlowSet, RcFlowSpec, SimDuration, TsFlowSpec,
 };
@@ -58,23 +57,20 @@ fn fixed_scenario() -> (tsn_topology::Topology, FlowSet) {
     (topo, flows)
 }
 
-fn run_with(kind: EventQueueKind, preemption: bool) -> SimReport {
+fn build(preemption: bool) -> Network {
     let (topo, flows) = fixed_scenario();
     let mut config = SimConfig::paper_defaults();
     config.duration = SimDuration::from_millis(20);
     config.drain = SimDuration::from_millis(10);
-    config.event_queue = kind;
     config.frame_preemption = preemption;
-    Network::build(topo, flows, &FlowMap::new(), config)
-        .expect("network builds")
-        .run()
+    Network::build(topo, flows, &FlowMap::new(), config).expect("network builds")
 }
 
 #[test]
 fn calendar_and_heap_reports_are_byte_identical() {
     for preemption in [false, true] {
-        let calendar = run_with(EventQueueKind::Calendar, preemption);
-        let heap = run_with(EventQueueKind::BinaryHeap, preemption);
+        let calendar = build(preemption).run();
+        let heap = build(preemption).with_reference_queue().run();
         assert_eq!(
             calendar, heap,
             "reports diverge between schedulers (preemption={preemption})"
@@ -90,14 +86,14 @@ fn calendar_and_heap_reports_are_byte_identical() {
 
 #[test]
 fn repeated_runs_are_byte_identical() {
-    let first = run_with(EventQueueKind::Calendar, false);
-    let second = run_with(EventQueueKind::Calendar, false);
+    let first = build(false).run();
+    let second = build(false).run();
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
 }
 
 #[test]
 fn fixed_scenario_still_meets_qos_and_counts_events() {
-    let report = run_with(EventQueueKind::Calendar, false);
+    let report = build(false).run();
     assert_eq!(report.ts_lost(), 0, "paper invariant: zero TS loss");
     // The per-type counters must account for every processed event.
     assert_eq!(report.events.total(), report.events_processed);

@@ -22,26 +22,24 @@
 //!    simulation meets the QoS targets *and* stepping any monotone knob
 //!    down one notch makes a bound or the simulation fail.
 //! 8. [`reconfigure_equivalence`] — applying a random [`ConfigDelta`] to
-//!    a resident [`NetworkTemplate`] must produce a report byte-identical
-//!    (including the `Debug` rendering) to building the delta'd
-//!    configuration from scratch — the incremental-reconfiguration path
-//!    vs. the full-rebuild path.
+//!    a resident [`NetworkTemplate`](tsn_sim::NetworkTemplate) must
+//!    produce a report byte-identical (including the `Debug` rendering)
+//!    to building the delta'd configuration from scratch — the
+//!    incremental-reconfiguration path vs. the full-rebuild path.
 //!
 //! Verdict policy: anything that stops a case *before* a validated
 //! configuration exists (preset/workload/planning infeasibility on random
 //! inputs) is a [`Verdict::Discard`]; once derivation or planning
 //! succeeded, every downstream error is a [`Verdict::Fail`].
 
-use std::sync::Arc;
 use tsn_builder::cqf::latency_bounds;
 use tsn_builder::derive::{derive_parameters, DeriveOptions, DerivedConfig};
 use tsn_builder::requirements::AppRequirements;
 use tsn_hdl::{Expr, Module};
 use tsn_resource::config::EntryWidths;
 use tsn_resource::ResourceConfig;
-use tsn_sim::network::{ConfigDelta, Network, NetworkTemplate};
-use tsn_sim::report::SimReport;
-use tsn_sim::{EventQueueKind, FaultConfig, LinkOutage};
+use tsn_sim::network::{ConfigDelta, Network};
+use tsn_sim::{FaultConfig, LinkOutage};
 use tsn_topology::{LinkId, Topology};
 use tsn_types::FlowMap;
 use tsn_types::{
@@ -92,29 +90,18 @@ pub fn prepare(case: &ScenarioCase) -> Result<(Topology, FlowSet, DerivedConfig)
     Ok((topology, flows, derived))
 }
 
-/// Runs the derived configuration and returns its report. Build or run
+/// Builds the derived configuration over the case's base config. Build
 /// errors after a successful derivation are failures.
-pub fn run_derived(
+pub fn build_derived(
     case: &ScenarioCase,
     topology: &Topology,
     flows: &FlowSet,
     derived: &DerivedConfig,
-    resources: &ResourceConfig,
-    queue: EventQueueKind,
-) -> Result<SimReport, Verdict> {
-    let mut config = case.base_config();
-    config.slot = derived.cqf.slot;
-    config.resources = resources.clone();
-    config.aggregate_switch_tbl = derived.aggregate_switch_tbl;
-    config.event_queue = queue;
-    let network = Network::build(
-        topology.clone(),
-        flows.clone(),
-        &derived.itp.offsets,
-        config,
-    )
-    .map_err(|e| Verdict::Fail(format!("post-derive network build failed: {e}")))?;
-    Ok(network.run())
+) -> Result<Network, Verdict> {
+    derived
+        .template(topology.clone(), flows.clone(), case.base_config())
+        .and_then(|template| template.instantiate())
+        .map_err(|e| Verdict::Fail(format!("post-derive network build failed: {e}")))
 }
 
 /// Oracle 1 — simulator vs. analytic model: on a successfully derived
@@ -126,15 +113,8 @@ pub fn sim_vs_analytic(case: &ScenarioCase) -> Verdict {
         Ok(x) => x,
         Err(v) => return v,
     };
-    let report = match run_derived(
-        case,
-        &topology,
-        &flows,
-        &derived,
-        &derived.resources,
-        EventQueueKind::Calendar,
-    ) {
-        Ok(r) => r,
+    let report = match build_derived(case, &topology, &flows, &derived) {
+        Ok(network) => network.run(),
         Err(v) => return v,
     };
     if report.ts_lost() != 0 {
@@ -261,26 +241,16 @@ pub fn qos_invariance(case: &ScenarioCase) -> Verdict {
     if inflated == derived.resources {
         return Verdict::Pass;
     }
-    let baseline = match run_derived(
-        case,
-        &topology,
-        &flows,
-        &derived,
-        &derived.resources,
-        EventQueueKind::Calendar,
-    ) {
-        Ok(r) => r,
+    let baseline = match build_derived(case, &topology, &flows, &derived) {
+        Ok(network) => network.run(),
         Err(v) => return v,
     };
-    let grown = match run_derived(
-        case,
-        &topology,
-        &flows,
-        &derived,
-        &inflated,
-        EventQueueKind::Calendar,
-    ) {
-        Ok(r) => r,
+    let inflated = DerivedConfig {
+        resources: inflated,
+        ..derived
+    };
+    let grown = match build_derived(case, &topology, &flows, &inflated) {
+        Ok(network) => network.run(),
         Err(v) => return v,
     };
     if baseline != grown {
@@ -301,17 +271,16 @@ pub fn backend_equivalence(case: &ScenarioCase) -> Verdict {
         Ok(x) => x,
         Err(v) => return v,
     };
-    let mut reports = Vec::new();
-    for queue in [EventQueueKind::Calendar, EventQueueKind::BinaryHeap] {
-        match run_derived(case, &topology, &flows, &derived, &derived.resources, queue) {
-            Ok(r) => reports.push(r),
-            Err(v) => return v,
-        }
-    }
-    if reports[0] != reports[1] {
+    let (calendar, heap) = match (
+        build_derived(case, &topology, &flows, &derived),
+        build_derived(case, &topology, &flows, &derived),
+    ) {
+        (Ok(calendar), Ok(heap)) => (calendar.run(), heap.with_reference_queue().run()),
+        (Err(v), _) | (_, Err(v)) => return v,
+    };
+    if calendar != heap {
         return Verdict::Fail(format!(
-            "event-queue backends disagree: calendar [{}] vs heap [{}]",
-            reports[0], reports[1]
+            "event-queue backends disagree: calendar [{calendar}] vs heap [{heap}]"
         ));
     }
     Verdict::Pass
@@ -478,9 +447,6 @@ pub fn fault_monotonicity(case: &ScenarioCase) -> Verdict {
     let mut failures = Vec::new();
     for level in 0..FAULT_LEVELS {
         let mut config = case.base_config();
-        config.slot = derived.cqf.slot;
-        config.resources = derived.resources.clone();
-        config.aggregate_switch_tbl = derived.aggregate_switch_tbl;
         if level > 0 {
             config.faults = FaultConfig {
                 seed: case.wl_seed,
@@ -492,12 +458,10 @@ pub fn fault_monotonicity(case: &ScenarioCase) -> Verdict {
                 ..FaultConfig::none()
             };
         }
-        let report = match Network::build(
-            topology.clone(),
-            flows.clone(),
-            &derived.itp.offsets,
-            config,
-        ) {
+        let report = match derived
+            .template(topology.clone(), flows.clone(), config)
+            .and_then(|template| template.instantiate())
+        {
             Ok(network) => network.run(),
             Err(e) => return Verdict::Fail(format!("level {level}: network build failed: {e}")),
         };
@@ -695,9 +659,9 @@ fn random_delta(case: &ScenarioCase, derived: &DerivedConfig) -> TsnResult<Confi
 }
 
 /// Oracle 8 — reconfigure equivalence: build a resident
-/// [`NetworkTemplate`] from the derived configuration, apply a random
-/// [`ConfigDelta`] (resources / slot / aggregation / offsets, each with
-/// an independent coin), and cross-check against a from-scratch
+/// [`NetworkTemplate`](tsn_sim::NetworkTemplate) from the derived
+/// configuration, apply a random [`ConfigDelta`] (resources / slot /
+/// aggregation / offsets, each with an independent coin), and cross-check against a from-scratch
 /// [`Network::build`] under the identical effective config. The two
 /// paths must agree *exactly*: byte-identical `Debug`-rendered reports
 /// when both succeed, the same error when both reject the delta, and
@@ -707,17 +671,8 @@ pub fn reconfigure_equivalence(case: &ScenarioCase) -> Verdict {
         Ok(x) => x,
         Err(v) => return v,
     };
-    let mut base = case.base_config();
-    base.slot = derived.cqf.slot;
-    base.resources = derived.resources.clone();
-    base.aggregate_switch_tbl = derived.aggregate_switch_tbl;
-    let template = match NetworkTemplate::new(
-        topology.clone(),
-        flows.clone(),
-        &derived.itp.offsets,
-        base.clone(),
-    ) {
-        Ok(t) => Arc::new(t),
+    let template = match derived.template(topology.clone(), flows.clone(), case.base_config()) {
+        Ok(t) => t,
         Err(e) => return Verdict::Fail(format!("post-derive template build failed: {e}")),
     };
     let delta = match random_delta(case, &derived) {
@@ -725,7 +680,7 @@ pub fn reconfigure_equivalence(case: &ScenarioCase) -> Verdict {
         Err(e) => return Verdict::Fail(format!("inflating a derived config failed: {e}")),
     };
 
-    let mut scratch_config = base;
+    let mut scratch_config = template.config().clone();
     if let Some(resources) = &delta.resources {
         scratch_config.resources = resources.clone();
     }

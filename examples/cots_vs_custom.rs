@@ -13,8 +13,9 @@
 //! ```
 
 use tsn_builder::{workloads, DeriveOptions, TsnBuilder};
+use tsn_experiments::limits::workers_from_env;
 use tsn_resource::{baseline, AllocationPolicy, UsageReport};
-use tsn_sim::sweep::{run_sweep, workers_from_env};
+use tsn_sim::sweep::run_sweep;
 use tsn_topology::presets;
 use tsn_types::{SimDuration, TsnError};
 

@@ -16,6 +16,10 @@ run() {
 
 run cargo build --release --workspace --all-targets
 run cargo test -q --workspace
+
+# The benchmark harness is its own workspace on the library API; a
+# change to that API which breaks it fails here, not in a bench run.
+run cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --check
 

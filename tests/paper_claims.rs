@@ -188,12 +188,13 @@ fn per_switch_sizing_is_lossless() -> Result<(), TsnError> {
     )?;
     let cfg = PerSwitchConfig::derive(&requirements, &DeriveOptions::paper())?;
 
-    let mut sim = SimConfig::paper_defaults();
-    sim.duration = SimDuration::from_millis(40);
-    sim.sync = SyncSetup::Perfect;
-    sim.resources = cfg.uniform.resources.clone();
-    sim.per_switch_resources = cfg.per_switch.clone().into_iter().collect();
-    let report = Network::build(topo, flows, &cfg.uniform.itp.offsets, sim)?.run();
+    let sim = SimConfig {
+        duration: SimDuration::from_millis(40),
+        sync: SyncSetup::Perfect,
+        per_switch_resources: cfg.per_switch.clone().into_iter().collect(),
+        ..SimConfig::paper_defaults()
+    };
+    let report = cfg.uniform.template(topo, flows, sim)?.instantiate()?.run();
     assert_eq!(
         report.ts_lost(),
         0,

@@ -3,9 +3,11 @@
 //! ("entries = time slots within a scheduling cycle"), with the same QoS
 //! and added off-schedule protection.
 
-use tsn_builder::{workloads, DeriveOptions, GateMode, TsnBuilder};
+use tsn_builder::{
+    run_scenarios, workloads, DeriveOptions, DerivedConfig, GateMode, Scenario, TsnBuilder,
+};
 use tsn_resource::AllocationPolicy;
-use tsn_sim::network::SyncSetup;
+use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_topology::presets;
 use tsn_types::{DataRate, SimDuration, TsnError};
 
@@ -72,6 +74,58 @@ fn tas_network_is_lossless_like_cqf() -> Result<(), TsnError> {
         (0.0..=80_000.0).contains(&delta),
         "TAS mean within one slot above CQF, delta {delta} ns"
     );
+    Ok(())
+}
+
+/// The sweep's TAS path: a derived TAS scenario simulates the
+/// synthesized schedule exactly as the `Customization` façade does.
+#[test]
+fn swept_tas_scenarios_report_like_the_facade() -> Result<(), TsnError> {
+    let topo = presets::ring(6, 3)?;
+    let mut flows = workloads::iec60802_ts_flows(&topo, 64, 5)?;
+    flows.extend(workloads::background_flows(
+        &topo,
+        DataRate::mbps(200),
+        DataRate::mbps(200),
+        9000,
+    )?);
+    let duration = SimDuration::from_millis(30);
+    let config = SimConfig {
+        duration,
+        sync: SyncSetup::Perfect,
+        ..SimConfig::paper_defaults()
+    };
+
+    let customization = TsnBuilder::new(topo.clone(), flows.clone(), SimDuration::from_nanos(50))?
+        .derive(&tas_options())?;
+    let facade = customization
+        .synthesize_network(duration, SyncSetup::Perfect)?
+        .run();
+    let scenario = Scenario::derived(
+        "tas",
+        topo.clone(),
+        flows.clone(),
+        tas_options(),
+        config.clone(),
+    );
+    let swept = run_scenarios(&[scenario], 1)
+        .remove(0)
+        .expect("the TAS scenario runs")
+        .report;
+    assert_eq!(swept, facade);
+    assert_eq!(format!("{swept:?}"), format!("{facade:?}"));
+    assert_eq!(swept.ts_lost(), 0);
+
+    // The schedule is what makes these reports TAS: the same derivation
+    // without it reports differently, so the equality above covers it.
+    let unscheduled = DerivedConfig {
+        tas: None,
+        ..customization.derived().clone()
+    }
+    .template(topo, flows, config)?
+    .instantiate()?
+    .run();
+    assert_ne!(format!("{unscheduled:?}"), format!("{facade:?}"));
     Ok(())
 }
 
