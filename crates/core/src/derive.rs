@@ -14,7 +14,7 @@ use crate::itp::{self, ItpResult, Strategy};
 use crate::requirements::AppRequirements;
 use crate::tas::TasSchedule;
 use tsn_resource::ResourceConfig;
-use tsn_sim::network::{GclSchedule, NetworkTemplate, SimConfig};
+use tsn_sim::network::{ConfigDelta, GclSchedule, NetworkTemplate, SimConfig};
 use tsn_topology::{EnabledPorts, Topology};
 use tsn_types::{DataRate, FlowSet, SimDuration, TsnError, TsnResult};
 
@@ -119,12 +119,29 @@ pub struct DerivedConfig {
 }
 
 impl DerivedConfig {
+    /// Everything this derivation decides short of a TAS schedule — the
+    /// slot, resources, aggregation mode and injection offsets — as a
+    /// delta over any template: sweeps that derive several points over
+    /// one topology and flow set reconfigure one resident template with
+    /// it. [`DerivedConfig::template`] applies the same knobs.
+    #[must_use]
+    pub fn delta(&self) -> ConfigDelta {
+        ConfigDelta {
+            resources: Some(self.resources.clone()),
+            per_switch_resources: None,
+            slot: Some(self.cqf.slot),
+            aggregate_switch_tbl: Some(self.aggregate_switch_tbl),
+            offsets: Some(self.itp.offsets.clone()),
+        }
+    }
+
     /// The synthesis step of Fig. 1: injects this derivation into the
     /// simulated templates. `base` supplies what a derivation does not
     /// decide (duration, sync, preemption, faults); the derived slot,
     /// resources, aggregation mode, injection offsets and, under
     /// [`GateMode::Tas`], the gate schedule replace the rest. Every
-    /// network built from a derivation comes from here, so no caller can
+    /// network built from a derivation comes from here or, on a sweep's
+    /// shared template, from [`DerivedConfig::delta`], so no caller can
     /// drop part of it.
     ///
     /// # Errors
@@ -137,12 +154,8 @@ impl DerivedConfig {
         flows: FlowSet,
         base: SimConfig,
     ) -> TsnResult<NetworkTemplate> {
-        let config = SimConfig {
-            slot: self.cqf.slot,
-            resources: self.resources.clone(),
-            aggregate_switch_tbl: self.aggregate_switch_tbl,
-            ..base
-        };
+        let mut config = base;
+        self.delta().apply(&mut config);
         let gcls = self
             .tas
             .as_ref()

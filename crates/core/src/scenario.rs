@@ -47,7 +47,7 @@ use tsn_sim::network::{ConfigDelta, NetworkTemplate, SimConfig};
 use tsn_sim::report::SimReport;
 use tsn_sim::sweep::{run_sweep, PlanCache, SweepError};
 use tsn_topology::Topology;
-use tsn_types::{DataRate, SimDuration, TsnResult};
+use tsn_types::{DataRate, FlowMap, SimDuration, TsnResult};
 
 /// Required synchronization precision every scenario is validated
 /// against.
@@ -235,13 +235,31 @@ impl SweepPlanner {
                 let derived = self
                     .derived
                     .get_or_compute(key, || derive_parameters(&requirements, options))?;
-                let network = derived
-                    .template(
-                        scenario.topology.clone(),
-                        scenario.flows.clone(),
-                        scenario.config.clone(),
+                let network = if derived.tas.is_some() {
+                    // A synthesized gate schedule is part of the template.
+                    derived
+                        .template(
+                            scenario.topology.clone(),
+                            scenario.flows.clone(),
+                            scenario.config.clone(),
+                        )?
+                        .instantiate()?
+                } else {
+                    // The derived knobs replace the scenario's; its
+                    // per-switch overrides stay, as in `template`.
+                    let (base, split) = split_config(&scenario.config);
+                    let delta = ConfigDelta {
+                        per_switch_resources: split.per_switch_resources,
+                        ..derived.delta()
+                    };
+                    self.resident_template(
+                        scenario,
+                        (topo_fp, flows_fp),
+                        base,
+                        &derived.itp.offsets,
                     )?
-                    .instantiate()?;
+                    .reconfigure(&delta)?
+                };
                 Ok(ScenarioOutcome {
                     label: scenario.label.clone(),
                     resources: derived.resources.clone(),
@@ -259,40 +277,12 @@ impl SweepPlanner {
                 let planned = self
                     .itp
                     .get_or_compute(key, || itp::plan(&requirements, &plan, STRATEGY))?;
-                // Split the config into a template base (everything a
-                // ConfigDelta cannot change, with the delta-able knobs
-                // pinned to paper defaults) and the delta that restores
-                // this scenario's knobs. Points that differ only in the
-                // knobs share one resident template.
-                let defaults = SimConfig::paper_defaults();
-                let mut base = scenario.config.clone();
-                let delta = ConfigDelta {
-                    resources: Some(std::mem::replace(
-                        &mut base.resources,
-                        defaults.resources.clone(),
-                    )),
-                    per_switch_resources: Some(std::mem::replace(
-                        &mut base.per_switch_resources,
-                        defaults.per_switch_resources.clone(),
-                    )),
-                    slot: Some(std::mem::replace(&mut base.slot, defaults.slot)),
-                    aggregate_switch_tbl: Some(std::mem::replace(
-                        &mut base.aggregate_switch_tbl,
-                        defaults.aggregate_switch_tbl,
-                    )),
-                    offsets: Some(planned.offsets.clone()),
-                };
-                let template_key = (topo_fp, flows_fp, fingerprint(&base));
-                let template = self.templates.get_or_compute(template_key, || {
-                    NetworkTemplate::new(
-                        scenario.topology.clone(),
-                        scenario.flows.clone(),
-                        &planned.offsets,
-                        base.clone(),
-                    )
-                    .map(Arc::new)
-                })?;
-                let report = template.reconfigure(&delta)?.run();
+                let (base, mut delta) = split_config(&scenario.config);
+                delta.offsets = Some(planned.offsets.clone());
+                let report = self
+                    .resident_template(scenario, (topo_fp, flows_fp), base, &planned.offsets)?
+                    .reconfigure(&delta)?
+                    .run();
                 Ok(ScenarioOutcome {
                     label: scenario.label.clone(),
                     resources: scenario.config.resources.clone(),
@@ -302,6 +292,30 @@ impl SweepPlanner {
                 })
             }
         }
+    }
+
+    /// The resident template for `scenario`'s topology and flows over
+    /// `base` (a [`split_config`] base): built on first use, shared by
+    /// every later point that differs only in what a [`ConfigDelta`]
+    /// restores. `offsets` only seed the build; every caller's delta
+    /// carries its own.
+    fn resident_template(
+        &self,
+        scenario: &Scenario,
+        (topo_fp, flows_fp): (u64, u64),
+        base: SimConfig,
+        offsets: &FlowMap<SimDuration>,
+    ) -> TsnResult<Arc<NetworkTemplate>> {
+        let key = (topo_fp, flows_fp, fingerprint(&base));
+        self.templates.get_or_compute(key, || {
+            NetworkTemplate::new(
+                scenario.topology.clone(),
+                scenario.flows.clone(),
+                offsets,
+                base,
+            )
+            .map(Arc::new)
+        })
     }
 
     /// Runs every scenario across at most `workers` threads; results are
@@ -314,6 +328,29 @@ impl SweepPlanner {
     ) -> Vec<Result<ScenarioOutcome, SweepError>> {
         run_sweep(scenarios, workers, |_idx, scenario| self.run_one(scenario))
     }
+}
+
+/// Splits `config` into a template base — everything a [`ConfigDelta`]
+/// cannot change, with the delta-able knobs pinned to paper defaults —
+/// and the delta restoring `config`'s knobs (offsets left to the
+/// caller). Points that differ only in the knobs share one template.
+fn split_config(config: &SimConfig) -> (SimConfig, ConfigDelta) {
+    let defaults = SimConfig::paper_defaults();
+    let mut base = config.clone();
+    let delta = ConfigDelta {
+        resources: Some(std::mem::replace(&mut base.resources, defaults.resources)),
+        per_switch_resources: Some(std::mem::replace(
+            &mut base.per_switch_resources,
+            defaults.per_switch_resources,
+        )),
+        slot: Some(std::mem::replace(&mut base.slot, defaults.slot)),
+        aggregate_switch_tbl: Some(std::mem::replace(
+            &mut base.aggregate_switch_tbl,
+            defaults.aggregate_switch_tbl,
+        )),
+        offsets: None,
+    };
+    (base, delta)
 }
 
 /// Runs a scenario sweep with a fresh [`SweepPlanner`]. See the module
@@ -469,6 +506,48 @@ mod tests {
                 format!("{scratch:?}"),
                 "reconfigured sweep point must match a from-scratch build"
             );
+        }
+    }
+
+    #[test]
+    fn derived_sweeps_share_one_template() {
+        // Fig. 7(c)'s shape: derived points over one topology and flow
+        // set at different slots. One template serves every point, and
+        // each report equals the derivation's own template build.
+        let topo = presets::ring(3, 2).expect("builds");
+        let flows = workloads::iec60802_ts_flows(&topo, 8, 7).expect("workload");
+        let scenarios: Vec<Scenario> = [33u64, 65, 130]
+            .into_iter()
+            .map(|slot| {
+                let mut options = DeriveOptions::automatic();
+                options.slot = Some(SimDuration::from_micros(slot));
+                Scenario::derived(
+                    format!("slot={slot}"),
+                    topo.clone(),
+                    flows.clone(),
+                    options,
+                    small_config(),
+                )
+            })
+            .collect();
+        let planner = SweepPlanner::new();
+        let outcomes = planner.run(&scenarios, 2);
+        assert_eq!(planner.template_misses(), 1, "one shared template");
+        assert_eq!(planner.template_hits(), 2);
+        for (scenario, outcome) in scenarios.iter().zip(outcomes) {
+            let outcome = outcome.expect("scenario runs");
+            let derived = outcome.derived.as_ref().expect("derived");
+            let own = derived
+                .template(
+                    scenario.topology.clone(),
+                    scenario.flows.clone(),
+                    scenario.config.clone(),
+                )
+                .and_then(|t| t.instantiate())
+                .expect("builds")
+                .run();
+            assert_eq!(outcome.report, own, "{}", scenario.label);
+            assert_eq!(format!("{:?}", outcome.report), format!("{own:?}"));
         }
     }
 

@@ -32,7 +32,9 @@
 //! 3. **Memoized candidate runs** on [`tsn_sim::PlanCache`]: CQF/ITP
 //!    plans are shared across queries, every candidate simulation is
 //!    keyed by `(query, config)`, and whole queries dedupe by
-//!    fingerprint, so a warm engine answers repeats from cache.
+//!    fingerprint, so a warm engine answers repeats from cache. Each
+//!    candidate run patches the query's resident template and stops at
+//!    its first certain failure.
 //!
 //! The `dse` binary wraps this in a strict JSON batch interface (see
 //! [`batch`]); the `dse` bench of `tsn-bench` tracks its throughput

@@ -39,7 +39,7 @@ use tsn_sim::network::{mac_for, vlan_for, ConfigDelta, NetworkTemplate, SimConfi
 use tsn_sim::{CacheStats, PlanCache};
 use tsn_types::{SimDuration, TsnError, TsnResult};
 
-use crate::query::{fingerprint, QosQuery, LINK_RATE};
+use crate::query::{QosQuery, LINK_RATE};
 
 /// One monotone search knob of the Table II parameter space. The
 /// behavioural parameters (queue count, port count, the CQF gate program)
@@ -418,7 +418,7 @@ pub struct EngineStats {
 #[derive(Debug, Default)]
 pub struct DseEngine {
     plans: PlanCache<u64, Arc<TsnResult<PlannedQuery>>>,
-    candidates: PlanCache<(u64, u64), Feasibility>,
+    candidates: PlanCache<(u64, ResourceConfig), Feasibility>,
     answers: PlanCache<u64, QueryStatus>,
 }
 
@@ -449,8 +449,23 @@ impl DseEngine {
 
     /// Evaluates one candidate with bounds first, then the memoized
     /// simulation: bound-rejected candidates never reach the simulator.
+    ///
+    /// A candidate's simulation stops at the first event that makes it
+    /// certain to miss a target ([`tsn_sim::Network::run_bounded`]), so
+    /// its verdict equals [`DseEngine::simulate`]'s while a failing run
+    /// costs only the events up to its first loss or miss. The derived
+    /// configuration runs in full: its failure reason is the
+    /// confirm-stage answer a caller reads.
     pub fn feasibility(&self, planned: &PlannedQuery, cfg: &ResourceConfig) -> Feasibility {
         self.feasibility_counted(planned, cfg, &mut 0, &mut 0)
+    }
+
+    /// Every `(query fingerprint, candidate)` pair this engine simulated,
+    /// in no particular order: the candidates whose memoized verdicts the
+    /// searches read.
+    #[must_use]
+    pub fn simulated_candidates(&self) -> Vec<(u64, ResourceConfig)> {
+        self.candidates.keys()
     }
 
     fn feasibility_counted(
@@ -464,22 +479,31 @@ impl DseEngine {
             *pruned += 1;
             return Feasibility::BoundFail(reason);
         }
-        let key = (planned.fingerprint, fingerprint(cfg));
+        let key = (planned.fingerprint, cfg.clone());
         self.candidates.get_or_compute(key, || {
             *sims += 1;
-            Self::simulate(planned, cfg)
+            let stop_early = *cfg != planned.derived.resources;
+            Self::evaluate(planned, cfg, stop_early)
         })
     }
 
-    /// Builds and runs the candidate network, uncached and without the
-    /// bound pre-check — the raw ground truth the floors are validated
-    /// against (see `tests/properties.rs`).
+    /// Builds and runs the candidate network to the end, uncached and
+    /// without the bound pre-check — the raw ground truth the floors and
+    /// the search's early-stopped runs are validated against (see
+    /// `tests/properties.rs`).
     #[must_use]
     pub fn simulate(planned: &PlannedQuery, cfg: &ResourceConfig) -> Feasibility {
+        Self::evaluate(planned, cfg, false)
+    }
+
+    /// Builds the candidate network and checks its run against every
+    /// target; with `stop_early` the run ends at its first certain
+    /// failure, whose reason then names what was seen up to that event.
+    fn evaluate(planned: &PlannedQuery, cfg: &ResourceConfig, stop_early: bool) -> Feasibility {
         // Incremental path: the planned template keeps topology, routes
         // and the install program resident; only the candidate's
-        // resource knobs are applied. Byte-identical to a from-scratch
-        // `Network::build` with the same effective config.
+        // resource knobs are patched in. Byte-identical to a
+        // from-scratch `Network::build` with the same effective config.
         let network = match planned
             .template
             .reconfigure(&ConfigDelta::resources(cfg.clone()))
@@ -487,9 +511,27 @@ impl DseEngine {
             Ok(network) => network,
             Err(e) => return Feasibility::SimFail(format!("network build: {e}")),
         };
-        let report = network.run();
-
         let query = &planned.query;
+        let report = if stop_early {
+            match network.run_bounded(query.max_lost) {
+                Ok(report) => report,
+                Err(stop) if stop.ts_lost > query.max_lost => {
+                    return Feasibility::SimFail(format!(
+                        "lost {} TS frames by {}, target allows {}",
+                        stop.ts_lost, stop.at, query.max_lost
+                    ))
+                }
+                Err(stop) => {
+                    return Feasibility::SimFail(format!(
+                        "{} delivered TS frames missed the {} deadline by {}",
+                        stop.ts_deadline_misses, query.deadline, stop.at
+                    ))
+                }
+            }
+        } else {
+            network.run()
+        };
+
         if report.ts_lost() > query.max_lost {
             return Feasibility::SimFail(format!(
                 "lost {} TS frames, target allows {}",
@@ -818,6 +860,23 @@ mod tests {
         );
         assert!(outcome.sims > 0, "the confirmation alone is one simulation");
         check_optimality(&engine, &query(), &outcome.config).expect("both directions hold");
+    }
+
+    #[test]
+    fn every_candidate_simulation_is_patched() {
+        let engine = DseEngine::new();
+        let QueryStatus::Feasible(outcome) = engine.answer(&query()).status else {
+            panic!("feasible query");
+        };
+        let planned = engine.plan(&query());
+        let planned = planned.as_ref().as_ref().expect("plans");
+        assert_eq!(
+            planned.template.reconfigure_stats(),
+            tsn_sim::ReconfigureStats {
+                patched: outcome.sims,
+                replayed: 0
+            }
+        );
     }
 
     #[test]

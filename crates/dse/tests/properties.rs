@@ -9,8 +9,17 @@
 //!    derived starting point, feasibility flips from feasible to
 //!    infeasible at most once — the upward-closure assumption the
 //!    per-knob bisection rests on.
+//! 3. **Early stops never change a verdict**: the search's candidate
+//!    runs end at their first certain failure, yet each verdict equals
+//!    the full run's, and the confirm-stage reason is the full run's.
 
-use tsn_dse::{DseEngine, Knob, PlannedQuery, KNOBS};
+use std::collections::HashMap;
+
+use tsn_dse::{
+    bench_family, DseEngine, Feasibility, Knob, PlannedQuery, QosQuery, QueryStatus, TopologySpec,
+    KNOBS,
+};
+use tsn_types::SimDuration;
 use tsn_verify::case::ScenarioCase;
 use tsn_verify::oracles::dse_query;
 use tsn_verify::runner::{Runner, Verdict};
@@ -162,4 +171,82 @@ fn answers_respect_their_floors() {
         }
     }
     assert!(feasible > 0, "no random case was feasible");
+}
+
+/// Early-stop soundness: every candidate the engine simulated — its
+/// runs stop at the first certain failure — has the verdict of the
+/// full run `DseEngine::simulate` gives, on the bench families and on
+/// random oracle queries.
+#[test]
+fn early_stopped_verdicts_match_full_runs() {
+    let mut rng = tsn_types::SplitMix64::seed_from_u64(0xd5e4);
+    let mut queries: Vec<QosQuery> = ["ring", "linear", "star"]
+        .into_iter()
+        .flat_map(bench_family)
+        .collect();
+    queries.extend((0..100).map(|_| dse_query(&ScenarioCase::generate(&mut rng))));
+    let engine = DseEngine::new();
+    let mut by_fingerprint = HashMap::new();
+    for query in &queries {
+        engine.answer(query);
+        by_fingerprint.insert(query.fingerprint(), query);
+    }
+    let (mut feasible, mut infeasible) = (0, 0);
+    for (fingerprint, cfg) in engine.simulated_candidates() {
+        let planned = engine.plan(by_fingerprint[&fingerprint]);
+        let planned = planned.as_ref().as_ref().expect("simulated queries plan");
+        let searched = engine.feasibility(planned, &cfg);
+        let full = DseEngine::simulate(planned, &cfg);
+        assert_eq!(
+            searched.is_feasible(),
+            full.is_feasible(),
+            "{}: {cfg:?}: search saw {searched:?}, the full run {full:?}",
+            planned.query.label
+        );
+        if full.is_feasible() {
+            feasible += 1;
+        } else {
+            infeasible += 1;
+        }
+    }
+    assert!(feasible > 0 && infeasible > 0, "{feasible} / {infeasible}");
+}
+
+/// The derived configuration is the one candidate whose failure reason
+/// a caller reads (the confirm stage); it runs in full, so the reason
+/// counts the whole run's misses, as it always has.
+#[test]
+fn confirm_stage_reasons_come_from_full_runs() {
+    // 32 full-size frames per 250 us overload the ring's links.
+    let query = QosQuery {
+        label: "overloaded".into(),
+        topology: TopologySpec::Named {
+            kind: "ring".into(),
+            switches: 3,
+            hosts: 2,
+        },
+        ts_count: 32,
+        frame_bytes: 1500,
+        period: SimDuration::from_micros(250),
+        seed: 5,
+        deadline: SimDuration::from_micros(100),
+        jitter: None,
+        max_lost: 0,
+        duration: SimDuration::from_millis(4),
+    };
+    let QueryStatus::Infeasible { stage, reason } = DseEngine::new().answer(&query).status else {
+        panic!("an overloaded ring cannot meet its targets");
+    };
+    assert_eq!(stage, "confirm");
+    assert_eq!(
+        reason,
+        "the guideline-derived configuration already misses a target: \
+         64 delivered TS frames missed the 100us deadline"
+    );
+    let planned = PlannedQuery::plan(&query).expect("plans");
+    let Feasibility::SimFail(full) = DseEngine::simulate(&planned, &planned.derived.resources)
+    else {
+        panic!("the derived configuration fails");
+    };
+    assert!(reason.ends_with(&full), "{reason} vs {full}");
 }

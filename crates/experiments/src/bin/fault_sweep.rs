@@ -209,7 +209,15 @@ impl ToJson for LevelPoint {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--smoke" => true,
+        _ => {
+            eprintln!("usage: fault_sweep [--smoke]");
+            std::process::exit(2);
+        }
+    };
     let (duration, seeds): (SimDuration, &[u64]) = if smoke {
         (SimDuration::from_millis(16), &[42])
     } else {

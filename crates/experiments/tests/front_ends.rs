@@ -394,3 +394,28 @@ fn the_sample_reports_an_unwritable_directory_instead_of_panicking() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn fault_sweep_rejects_unknown_arguments_before_sweeping() {
+    let dir = std::env::temp_dir().join(format!("tsn-fault-argv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for args in [
+        &["--smok"][..],
+        &["--smoke", "--smoke"],
+        &["smoke"],
+        &["--smoke", "x"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fault_sweep"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("fault_sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr, "usage: fault_sweep [--smoke]\n", "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: a sweep started");
+    }
+    let wrote_results = dir.join("results").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!wrote_results, "no sweep ran, so no results were written");
+}

@@ -57,7 +57,8 @@ pub use analyzer::{
 pub use fault::{FaultConfig, FlowDegradation, LinkFaultProfile, LinkFlap, LinkOutage};
 pub use host::{Generator, Host};
 pub use network::{
-    mac_for, vlan_for, ConfigDelta, GclSchedule, Network, NetworkTemplate, SimConfig, SyncSetup,
+    mac_for, vlan_for, CertainFailure, ConfigDelta, GclSchedule, Network, NetworkTemplate,
+    ReconfigureStats, SimConfig, SyncSetup,
 };
 pub use report::{DegradationReport, EventStats, RouteCacheStats, SimReport};
 pub use sweep::{run_sweep, CacheStats, PlanCache, SweepError};

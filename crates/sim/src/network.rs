@@ -14,6 +14,7 @@ use crate::fault::{FaultConfig, FaultEngine, WireEffect};
 use crate::host::{Generator, Host};
 use crate::report::{DegradationReport, EventStats, SimReport};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tsn_resource::ResourceConfig;
 use tsn_switch::gate_ctrl::GateControlList;
@@ -207,6 +208,33 @@ pub struct Network {
     /// for the whole run instead of one per arriving frame).
     scratch: Vec<tsn_switch::pipeline::Disposition>,
     now: SimTime,
+    /// Unicast TS frames destroyed so far (drops, dead or lossy wires,
+    /// FCS discards). Bumped only on those branches; each is one frame
+    /// of the final `ts_lost`, which [`Network::run_bounded`] relies on.
+    ts_dropped: u64,
+}
+
+/// What destroying `frame` adds to the run's final
+/// [`SimReport::ts_lost`]: a unicast TS frame exists in one copy, so
+/// once dropped it can never be delivered. A multicast copy may be one
+/// of several, so it counts nothing.
+fn ts_loss(frame: &EthernetFrame) -> u64 {
+    u64::from(frame.class() == TrafficClass::TimeSensitive && !frame.is_multicast())
+}
+
+/// Where a [`Network::run_bounded`] run stopped. Both tallies are lower
+/// bounds on the full run's, so at least one of its targets is already
+/// missed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CertainFailure {
+    /// Simulation time of the deciding event.
+    pub at: SimTime,
+    /// Events processed, the deciding one included.
+    pub events: u64,
+    /// TS frames lost so far (unicast drops).
+    pub ts_lost: u64,
+    /// Delivered TS frames that missed their deadline so far.
+    pub ts_deadline_misses: u64,
 }
 
 /// A flat `(node, port)`-indexed arena: one contiguous allocation with a
@@ -354,6 +382,23 @@ impl ConfigDelta {
             && self.aggregate_switch_tbl.is_none()
             && self.offsets.is_none()
     }
+
+    /// Writes the delta's config knobs into `config` (the offsets are
+    /// not part of a [`SimConfig`]; callers pass them separately).
+    pub fn apply(&self, config: &mut SimConfig) {
+        if let Some(resources) = &self.resources {
+            config.resources = resources.clone();
+        }
+        if let Some(per_switch) = &self.per_switch_resources {
+            config.per_switch_resources = per_switch.clone();
+        }
+        if let Some(slot) = self.slot {
+            config.slot = slot;
+        }
+        if let Some(aggregate) = self.aggregate_switch_tbl {
+            config.aggregate_switch_tbl = aggregate;
+        }
+    }
 }
 
 /// A fully-instantiated network image cached inside a [`NetworkTemplate`]:
@@ -402,6 +447,19 @@ pub struct NetworkTemplate {
     /// building it failed (base config not instantiable) so the replay
     /// path is taken without retrying.
     seed: OnceLock<Option<InstanceSeed>>,
+    /// [`NetworkTemplate::reconfigure`] calls served by the patch path.
+    patched: AtomicU64,
+    /// [`NetworkTemplate::reconfigure`] calls that replayed the installs.
+    replayed: AtomicU64,
+}
+
+/// How many [`NetworkTemplate::reconfigure`] calls took each path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReconfigureStats {
+    /// Served by re-provisioning a clone of the cached image.
+    pub patched: u64,
+    /// Served by replaying the install program.
+    pub replayed: u64,
 }
 
 impl std::fmt::Debug for NetworkTemplate {
@@ -536,6 +594,8 @@ impl NetworkTemplate {
             sync_seed,
             route_cache,
             seed: OnceLock::new(),
+            patched: AtomicU64::new(0),
+            replayed: AtomicU64::new(0),
         })
     }
 
@@ -555,6 +615,15 @@ impl NetworkTemplate {
     #[must_use]
     pub fn flows(&self) -> &Arc<FlowSet> {
         &self.flows
+    }
+
+    /// Which path each [`NetworkTemplate::reconfigure`] call so far took.
+    #[must_use]
+    pub fn reconfigure_stats(&self) -> ReconfigureStats {
+        ReconfigureStats {
+            patched: self.patched.load(Ordering::Relaxed),
+            replayed: self.replayed.load(Ordering::Relaxed),
+        }
     }
 
     /// Instantiates a runnable [`Network`] with the template's own config
@@ -581,31 +650,22 @@ impl NetworkTemplate {
     /// below what the flows need).
     pub fn reconfigure(&self, delta: &ConfigDelta) -> TsnResult<Network> {
         let mut config = self.config.clone();
-        if let Some(resources) = &delta.resources {
-            config.resources = resources.clone();
-        }
-        if let Some(per_switch) = &delta.per_switch_resources {
-            config.per_switch_resources = per_switch.clone();
-        }
-        if let Some(slot) = delta.slot {
-            config.slot = slot;
-        }
-        if let Some(aggregate) = delta.aggregate_switch_tbl {
-            config.aggregate_switch_tbl = aggregate;
-        }
-        // Resources-only deltas (the DSE/sweep inner loop) take the
-        // capacity-patching fast path: adopt a clone of the cached
-        // instantiation image under the new resources instead of
-        // replaying every install. `slot`/`aggregate_switch_tbl`/
+        delta.apply(&mut config);
+        // Resources-only deltas (every DSE candidate, the sweep inner
+        // loop) take the capacity-patching fast path: adopt a clone of
+        // the cached instantiation image under the new resources instead
+        // of replaying every install. `slot`/`aggregate_switch_tbl`/
         // `offsets` change what the replay programs, so those deltas —
         // and any resources the image cannot adopt — fall through to
         // the replay, which is byte-identical to a from-scratch build
         // by construction.
         if delta.slot.is_none() && delta.aggregate_switch_tbl.is_none() && delta.offsets.is_none() {
             if let Some(network) = self.instantiate_patched(&config) {
+                self.patched.fetch_add(1, Ordering::Relaxed);
                 return Ok(network);
             }
         }
+        self.replayed.fetch_add(1, Ordering::Relaxed);
         let offsets = delta.offsets.as_ref().unwrap_or(&self.offsets);
         self.instantiate_with(config, offsets)
     }
@@ -684,11 +744,17 @@ impl NetworkTemplate {
     /// effective resources in place, skipping the per-flow-hop install
     /// replay entirely.
     ///
+    /// Every Table II knob but `queue_num` is a capacity here: tables,
+    /// meters, shapers, gate tables, `port_num`, and `queue_depth` and
+    /// `buffer_num`, which only bound occupancy (the seed's queues are
+    /// empty), so any resources-only delta that keeps the queue layout
+    /// is patched.
+    ///
     /// Returns `None` — and the caller falls back to the replay path,
     /// which reproduces a from-scratch build (including its exact
     /// errors) — when the base config is not instantiable, or any switch
-    /// rejects the new resources ([`TsnSwitchCore::reprovision`]: a
-    /// structural knob changed, or installed state no longer fits a
+    /// rejects the new resources ([`TsnSwitchCore::reprovision`]:
+    /// `queue_num` changed, or installed state no longer fits a
     /// capacity).
     ///
     /// Only sound for deltas that leave `slot`, `aggregate_switch_tbl`
@@ -760,6 +826,7 @@ impl NetworkTemplate {
             deadlines: Arc::clone(&self.deadlines),
             scratch: Vec::new(),
             now: SimTime::ZERO,
+            ts_dropped: 0,
         }
     }
 }
@@ -1075,6 +1142,30 @@ impl Network {
         self.finish()
     }
 
+    /// Runs the event loop until the verdict of the full run is certain:
+    /// more than `max_lost` TS frames are lost, or a delivered TS frame
+    /// missed its deadline. Losses and misses only accumulate, so from
+    /// that event on the full run's report would fail the same
+    /// [`SimReport::ts_lost`] / [`SimReport::ts_deadline_misses`] check.
+    ///
+    /// # Errors
+    ///
+    /// Where the run stopped, when it did. A run that never gets there
+    /// returns the report [`Network::run`] gives.
+    pub fn run_bounded(mut self, max_lost: u64) -> Result<SimReport, CertainFailure> {
+        while self.step() {
+            if self.ts_dropped > max_lost || self.analyzer.deadline_misses() > 0 {
+                return Err(CertainFailure {
+                    at: self.now,
+                    events: self.stats.total(),
+                    ts_lost: self.ts_dropped,
+                    ts_deadline_misses: self.analyzer.deadline_misses(),
+                });
+            }
+        }
+        Ok(self.finish())
+    }
+
     /// Advances the event loop by exactly one event. Returns
     /// `false` once the event list is exhausted or the horizon passed —
     /// then [`Network::finish`] yields the report. Exposed so harnesses
@@ -1279,6 +1370,7 @@ impl Network {
             if engine.is_down(link.id()) {
                 engine.frames_lost_on_dead_links += 1;
                 engine.note_flow_loss(frame.flow());
+                self.ts_dropped += ts_loss(&frame);
                 let kick = self.kick_for(node, port);
                 self.queue.schedule(now, kick);
                 return;
@@ -1403,6 +1495,7 @@ impl Network {
                 WireEffect::Lost => {
                     engine.frames_lost_to_wire += 1;
                     engine.note_flow_loss(active.frame.flow());
+                    self.ts_dropped += ts_loss(&active.frame);
                     delivered = None;
                 }
                 WireEffect::Corrupted => {
@@ -1466,6 +1559,9 @@ impl Network {
         }
         if outcome.queued {
             self.queue.schedule(now, Event::HostKick { node });
+        } else if outcome.class == TrafficClass::TimeSensitive {
+            // NIC queue overflow; host generators send unicast only.
+            self.ts_dropped += 1;
         }
     }
 
@@ -1539,6 +1635,7 @@ impl Network {
                     engine.fcs_drops_host += 1;
                     engine.note_flow_loss(frame.flow());
                 }
+                self.ts_dropped += ts_loss(&frame);
                 return;
             }
             let deadline = self.deadlines.get(frame.flow()).copied();
@@ -1568,19 +1665,20 @@ impl Network {
         };
         core.receive_into(frame, corrected, &mut scratch);
         for d in &scratch {
-            if let tsn_switch::pipeline::Disposition::Enqueued { port, .. } = d {
-                let port = *port;
-                // A busy port needs no kick: its pending TxComplete will
-                // service the backlog. Under frame preemption the kick
-                // stays, so an arriving express frame can interrupt the
-                // in-flight preemptable segment.
-                if now < *self.busy_until.at(node.as_usize(), port.as_usize())
-                    && !self.config.frame_preemption
-                {
-                    self.stats.kicks_suppressed += 1;
-                } else {
-                    self.queue.schedule(now, Event::PortKick { node, port });
-                }
+            let tsn_switch::pipeline::Disposition::Enqueued { port, .. } = *d else {
+                self.ts_dropped += ts_loss(&frame);
+                continue;
+            };
+            // A busy port needs no kick: its pending TxComplete will
+            // service the backlog. Under frame preemption the kick
+            // stays, so an arriving express frame can interrupt the
+            // in-flight preemptable segment.
+            if now < *self.busy_until.at(node.as_usize(), port.as_usize())
+                && !self.config.frame_preemption
+            {
+                self.stats.kicks_suppressed += 1;
+            } else {
+                self.queue.schedule(now, Event::PortKick { node, port });
             }
         }
         self.scratch = scratch;

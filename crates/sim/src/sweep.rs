@@ -210,6 +210,17 @@ impl<K: Eq + Hash + Clone, V: Clone> PlanCache<K, V> {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Every key looked up so far, in no particular order.
+    #[must_use]
+    pub fn keys(&self) -> Vec<K> {
+        self.cells
+            .lock()
+            .expect("plan cache lock")
+            .keys()
+            .cloned()
+            .collect()
+    }
+
     /// Number of distinct keys computed so far.
     #[must_use]
     pub fn len(&self) -> usize {

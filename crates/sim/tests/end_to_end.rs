@@ -2,8 +2,9 @@
 //! zero TS loss, background-traffic immunity, resource-shortfall failure
 //! modes, determinism.
 
-use tsn_sim::network::{Network, SimConfig, SyncSetup};
-use tsn_sim::SimReport;
+use tsn_sim::network::{ConfigDelta, Network, NetworkTemplate, SimConfig, SyncSetup};
+use tsn_sim::{ReconfigureStats, SimReport};
+use tsn_switch::stats::DropReason;
 use tsn_topology::{presets, Topology};
 use tsn_types::{
     BeFlowSpec, DataRate, FlowId, FlowMap, FlowSet, RcFlowSpec, SimDuration, TrafficClass,
@@ -178,24 +179,32 @@ fn background_traffic_does_not_move_ts_latency() {
     );
 }
 
-#[test]
-fn undersized_queue_depth_loses_ts_frames() {
-    // Table I's mechanism: burst > queue_depth within one slot drops.
+/// 16 TS flows, all injected at offset 0, all landing in the same slot.
+fn burst() -> (Topology, FlowSet) {
     let topo = presets::ring(4, 2).expect("ring builds");
     let hosts = topo.hosts();
     let mut flows = FlowSet::new();
-    // 16 flows, all injected at offset 0, all landing in the same slot.
     for id in 0..16 {
         flows.push(ts_flow(id, hosts[0], hosts[1]).into());
     }
-    let mut config = short_config();
+    (topo, flows)
+}
+
+fn with_depth_and_buffers(mut config: SimConfig, depth: u32, buffers: u32) -> SimConfig {
     config
         .resources
-        .set_queues(2, 8, 1)
+        .set_queues(depth, 8, 1)
         .expect("valid")
-        .set_buffers(96, 1)
+        .set_buffers(buffers, 1)
         .expect("valid");
-    let report = run(topo, flows, config);
+    config
+}
+
+#[test]
+fn undersized_queue_depth_loses_ts_frames() {
+    // Table I's mechanism: burst > queue_depth within one slot drops.
+    let (topo, flows) = burst();
+    let report = run(topo, flows, with_depth_and_buffers(short_config(), 2, 96));
     assert!(
         report.ts_lost() > 0,
         "depth 2 cannot absorb a 16-frame slot burst"
@@ -205,23 +214,70 @@ fn undersized_queue_depth_loses_ts_frames() {
 
 #[test]
 fn adequate_queue_depth_absorbs_the_same_burst() {
-    let topo = presets::ring(4, 2).expect("ring builds");
-    let hosts = topo.hosts();
-    let mut flows = FlowSet::new();
-    for id in 0..16 {
-        flows.push(ts_flow(id, hosts[0], hosts[1]).into());
-    }
-    let mut config = short_config();
-    config
-        .resources
-        .set_queues(16, 8, 1)
-        .expect("valid")
-        .set_buffers(128, 1)
-        .expect("valid");
-    let report = run(topo, flows, config);
+    let (topo, flows) = burst();
+    let report = run(topo, flows, with_depth_and_buffers(short_config(), 16, 128));
     assert_eq!(report.ts_lost(), 0);
     assert!(report.max_queue_high_water <= 16);
     assert!(report.max_queue_high_water >= 8, "burst really queued up");
+}
+
+#[test]
+fn shrunk_depth_and_buffers_patch_like_a_fresh_build() {
+    // The design-space search's lossy regime: a resources-only delta that
+    // shrinks the depth, the buffer pool or both below the burst takes
+    // the patch path and still reports exactly like a from-scratch build.
+    let (topo, flows) = burst();
+    let base = with_depth_and_buffers(short_config(), 16, 128);
+    let template = NetworkTemplate::new(topo.clone(), flows.clone(), &FlowMap::new(), base.clone())
+        .expect("template builds");
+    for (depth, buffers, reason) in [
+        (2, 128, DropReason::QueueOverflow),
+        (16, 3, DropReason::BufferExhausted),
+        (2, 3, DropReason::QueueOverflow),
+    ] {
+        let shrunk = with_depth_and_buffers(base.clone(), depth, buffers);
+        let patched = template
+            .reconfigure(&ConfigDelta::resources(shrunk.resources.clone()))
+            .expect("reconfigures")
+            .run();
+        let built = run(topo.clone(), flows.clone(), shrunk);
+        assert!(
+            built.ts_lost() > 0,
+            "depth {depth}, buffers {buffers}: lossy"
+        );
+        assert!(built.switch_stats.drops(reason) > 0, "{reason:?} drops");
+        assert_eq!(patched, built, "depth {depth}, buffers {buffers}");
+        assert_eq!(format!("{patched:?}"), format!("{built:?}"));
+    }
+    assert_eq!(
+        template.reconfigure_stats(),
+        ReconfigureStats {
+            patched: 3,
+            replayed: 0
+        }
+    );
+}
+
+#[test]
+fn bounded_runs_stop_at_the_first_certain_failure() {
+    let (topo, flows) = burst();
+    let build = |depth| {
+        let config = with_depth_and_buffers(short_config(), depth, 128);
+        Network::build(topo.clone(), flows.clone(), &FlowMap::new(), config).expect("builds")
+    };
+    let lossy = build(2).run();
+    let stop = build(2)
+        .run_bounded(0)
+        .expect_err("a lost frame decides the verdict");
+    assert_eq!(stop.ts_lost, 1, "stops at the first drop");
+    assert!(stop.events < lossy.events_processed);
+    assert!(stop.at < lossy.ended_at);
+    // Tolerating every loss of the full run leaves nothing to stop for.
+    let tolerant = build(2).run_bounded(lossy.ts_lost());
+    assert_eq!(tolerant.expect("nothing to stop for"), lossy);
+    let lossless = build(16).run();
+    let bounded = build(16).run_bounded(0).expect("a lossless run completes");
+    assert_eq!(format!("{bounded:?}"), format!("{lossless:?}"));
 }
 
 #[test]

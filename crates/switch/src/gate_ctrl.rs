@@ -591,6 +591,22 @@ impl GateCtrl {
         self.queues.first().map_or(0, |q| q.depth)
     }
 
+    /// Re-provisions every queue's metadata capacity in place. Depth only
+    /// bounds occupancy (the rings grow on demand), so a port with the
+    /// new depth behaves exactly like one built with it. Returns `false`,
+    /// changing nothing, for a zero depth or one below a queue's current
+    /// occupancy.
+    #[must_use]
+    pub fn set_queue_depth(&mut self, depth: usize) -> bool {
+        if depth == 0 || self.queues.iter().any(|q| q.frames.len() > depth) {
+            return false;
+        }
+        for q in &mut self.queues {
+            q.depth = depth;
+        }
+        true
+    }
+
     /// The ingress GCL.
     #[must_use]
     pub fn in_gcl(&self) -> &GateControlList {

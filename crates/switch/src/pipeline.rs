@@ -313,19 +313,21 @@ impl TsnSwitchCore {
     /// Adopts this (fully programmed) data plane under a new resource
     /// configuration without replaying a single install — the
     /// incremental-reconfiguration fast path. Table capacities, the CBS
-    /// table sizes and the buffer pool are re-provisioned in place; the
-    /// programmed entries, meters, shapers and gate schedules are kept.
+    /// table sizes, the per-queue depth and the buffer pool are
+    /// re-provisioned in place; the programmed entries, meters, shapers
+    /// and gate schedules are kept. Depth and buffer pool only bound
+    /// occupancy, so adopting them is exact.
     ///
     /// Returns `false` when `res` is not adoptable and the caller must
     /// fall back to a from-scratch build instead:
     ///
-    /// * a *structural* knob differs (`queue_num` changes the queue
-    ///   layout, `queue_depth` the per-queue capacity — both change run
-    ///   behavior, not just a capacity check), or
-    /// * a *capacity* no longer fits what is already installed (tables,
-    ///   meters, shapers, GCL lengths vs `gate_size`, TSN ports vs
-    ///   `port_num`) — a from-scratch build would have rejected an
-    ///   install, and only the replay reproduces that error exactly.
+    /// * the *structural* knob differs (`queue_num` changes the queue
+    ///   layout, not just a capacity check), or
+    /// * a *capacity* no longer fits what is already installed or held
+    ///   (tables, meters, shapers, GCL lengths vs `gate_size`, TSN ports
+    ///   vs `port_num`, queue occupancy vs `queue_depth`) — a
+    ///   from-scratch build would have rejected an install, and only the
+    ///   replay reproduces that error exactly.
     ///
     /// On `false` the core may be left partially re-provisioned; callers
     /// operate on a clone and discard it on that path.
@@ -340,11 +342,7 @@ impl TsnSwitchCore {
             return false;
         }
         let structural_ok = layout_for(res.queue_num())
-            .is_ok_and(|layout| self.ports.iter().all(|p| *p.gates.layout() == layout))
-            && self
-                .ports
-                .iter()
-                .all(|p| p.gates.queue_depth() == res.queue_depth() as usize);
+            .is_ok_and(|layout| self.ports.iter().all(|p| *p.gates.layout() == layout));
         if !structural_ok {
             return false;
         }
@@ -371,6 +369,7 @@ impl TsnSwitchCore {
             if !port
                 .sched
                 .reprovision(res.cbs_map_size() as usize, res.cbs_size() as usize)
+                || !port.gates.set_queue_depth(res.queue_depth() as usize)
             {
                 return false;
             }
@@ -848,6 +847,47 @@ mod tests {
             }]
         );
         assert_eq!(sw.max_queue_high_water(), 2);
+    }
+
+    #[test]
+    fn reprovision_adopts_a_queue_depth_down_to_the_occupancy() {
+        let mut resources = tsn_resource::ResourceConfig::new();
+        resources
+            .set_queues(4, 8, 1)
+            .expect("valid")
+            .set_buffers(96, 1)
+            .expect("valid");
+        let with_depth = |depth: u32| {
+            let mut res = resources.clone();
+            res.set_queues(depth, 8, 1).expect("valid");
+            res
+        };
+        let spec = SwitchSpec::new(&resources, vec![PortKind::Tsn], SLOT);
+        let mut sw = TsnSwitchCore::new(&spec).expect("valid spec");
+        let dst = MacAddr::station(9);
+        sw.add_unicast(dst, VlanId::DEFAULT, PortId::new(0))
+            .expect("fits");
+        let depth = |sw: &TsnSwitchCore| sw.gates(PortId::new(0)).expect("port").queue_depth();
+
+        assert!(sw.reprovision(&with_depth(9)), "a larger depth is adopted");
+        assert_eq!(depth(&sw), 9);
+        assert!(sw.reprovision(&with_depth(2)), "a smaller depth is adopted");
+        assert_eq!(depth(&sw), 2);
+        // The adopted depth is enforced like a built one.
+        for seq in 0..2 {
+            assert!(sw.receive(ts_frame(dst, seq), SimTime::ZERO)[0].is_enqueued());
+        }
+        assert_eq!(
+            sw.receive(ts_frame(dst, 2), SimTime::ZERO),
+            vec![Disposition::Dropped {
+                port: Some(PortId::new(0)),
+                reason: DropReason::QueueOverflow
+            }]
+        );
+        // Two frames are held: depth 1 is below the occupancy.
+        assert!(!sw.reprovision(&with_depth(1)));
+        assert_eq!(depth(&sw), 2, "a refused depth changes nothing");
+        assert!(sw.reprovision(&with_depth(2)));
     }
 
     #[test]

@@ -633,7 +633,11 @@ pub fn dse_optimality(case: &ScenarioCase) -> Verdict {
 /// Draws the random [`ConfigDelta`] (and nothing else) for
 /// [`reconfigure_equivalence`]: an independent coin per delta-able knob,
 /// so the sweep covers the empty delta, single-knob deltas and compound
-/// ones. The stream is decorrelated from the workload seed.
+/// ones. A last coin shrinks `queue_depth` toward 1, to at most the ITP
+/// peak slot occupancy, and `buffer_num` to at most twice that: the
+/// lossy regime the design-space search walks. It is drawn after the
+/// others, so every earlier draw is what it always was. The stream is
+/// decorrelated from the workload seed.
 fn random_delta(case: &ScenarioCase, derived: &DerivedConfig) -> TsnResult<ConfigDelta> {
     let mut rng = SplitMix64::seed_from_u64(case.wl_seed ^ 0x7265_6366_6771_7521);
     let mut delta = ConfigDelta::default();
@@ -655,13 +659,30 @@ fn random_delta(case: &ScenarioCase, derived: &DerivedConfig) -> TsnResult<Confi
             .collect();
         delta.offsets = Some(shifted);
     }
+    if rng.gen_range(4) == 0 {
+        let mut shrunk = delta
+            .resources
+            .take()
+            .unwrap_or_else(|| derived.resources.clone());
+        // At or below the planned peak slot occupancy, where the
+        // derivation's margin is gone and frames start to drop.
+        let peak = u64::from(derived.itp.max_occupancy.max(1));
+        let depth = 1 + rng.gen_range(peak) as u32;
+        let buffers = 1 + rng.gen_range(2 * peak) as u32;
+        let (queues, ports) = (shrunk.queue_num(), shrunk.port_num());
+        shrunk
+            .set_queues(depth, queues, ports)?
+            .set_buffers(buffers, ports)?;
+        delta.resources = Some(shrunk);
+    }
     Ok(delta)
 }
 
 /// Oracle 8 — reconfigure equivalence: build a resident
 /// [`NetworkTemplate`](tsn_sim::NetworkTemplate) from the derived
 /// configuration, apply a random [`ConfigDelta`] (resources / slot /
-/// aggregation / offsets, each with an independent coin), and cross-check against a from-scratch
+/// aggregation / offsets, each with an independent coin, and a shrunk
+/// depth and buffer pool), and cross-check against a from-scratch
 /// [`Network::build`] under the identical effective config. The two
 /// paths must agree *exactly*: byte-identical `Debug`-rendered reports
 /// when both succeed, the same error when both reject the delta, and
@@ -681,15 +702,7 @@ pub fn reconfigure_equivalence(case: &ScenarioCase) -> Verdict {
     };
 
     let mut scratch_config = template.config().clone();
-    if let Some(resources) = &delta.resources {
-        scratch_config.resources = resources.clone();
-    }
-    if let Some(slot) = delta.slot {
-        scratch_config.slot = slot;
-    }
-    if let Some(aggregate) = delta.aggregate_switch_tbl {
-        scratch_config.aggregate_switch_tbl = aggregate;
-    }
+    delta.apply(&mut scratch_config);
     let offsets = delta
         .offsets
         .clone()
@@ -787,6 +800,40 @@ mod tests {
         assert!(saw_multicast_zero, "multicast=0 corner never drawn");
         assert!(saw_cbs_zero, "cbs=0 corner never drawn");
         assert!(saw_custom_widths, "custom-width corner never drawn");
+    }
+
+    /// The last draw of `random_delta` reaches the lossy regime: some
+    /// shrunk deltas drop TS frames, and the patched template still
+    /// reports exactly like a from-scratch build there.
+    #[test]
+    fn reconfigure_equivalence_covers_lossy_deltas() {
+        let mut rng = SplitMix64::seed_from_u64(0x105e);
+        let mut lossy = 0;
+        for _ in 0..48 {
+            let case = ScenarioCase::generate(&mut rng);
+            let Ok((topology, flows, derived)) = prepare(&case) else {
+                continue;
+            };
+            let delta = random_delta(&case, &derived).expect("draws");
+            let Some(resources) = &delta.resources else {
+                continue;
+            };
+            if resources.queue_depth() >= derived.resources.queue_depth() {
+                continue;
+            }
+            let mut config = case.base_config();
+            derived.delta().apply(&mut config);
+            delta.apply(&mut config);
+            let offsets = delta.offsets.as_ref().unwrap_or(&derived.itp.offsets);
+            let Ok(network) = Network::build(topology, flows, offsets, config) else {
+                continue;
+            };
+            if network.run().ts_lost() > 0 {
+                lossy += 1;
+                assert_eq!(reconfigure_equivalence(&case), Verdict::Pass, "{case:?}");
+            }
+        }
+        assert!(lossy > 0, "no shrunk delta lost a frame");
     }
 
     #[test]
