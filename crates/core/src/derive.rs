@@ -122,8 +122,9 @@ impl DerivedConfig {
     /// Everything this derivation decides short of a TAS schedule — the
     /// slot, resources, aggregation mode and injection offsets — as a
     /// delta over any template: sweeps that derive several points over
-    /// one topology and flow set reconfigure one resident template with
-    /// it. [`DerivedConfig::template`] applies the same knobs.
+    /// one topology and flow set reconfigure one resident template, built
+    /// with [`DerivedConfig::schedule`], with it.
+    /// [`DerivedConfig::template`] applies the same knobs.
     #[must_use]
     pub fn delta(&self) -> ConfigDelta {
         ConfigDelta {
@@ -135,14 +136,23 @@ impl DerivedConfig {
         }
     }
 
+    /// The synthesized TAS gate schedule, empty under [`GateMode::Cqf`]
+    /// (every port keeps its role-derived CQF program).
+    #[must_use]
+    pub fn schedule(&self) -> GclSchedule {
+        self.tas
+            .as_ref()
+            .map_or_else(GclSchedule::new, |tas| GclSchedule::from_map(tas.gcls()))
+    }
+
     /// The synthesis step of Fig. 1: injects this derivation into the
     /// simulated templates. `base` supplies what a derivation does not
     /// decide (duration, sync, preemption, faults); the derived slot,
     /// resources, aggregation mode, injection offsets and, under
     /// [`GateMode::Tas`], the gate schedule replace the rest. Every
     /// network built from a derivation comes from here or, on a sweep's
-    /// shared template, from [`DerivedConfig::delta`], so no caller can
-    /// drop part of it.
+    /// shared template, from [`DerivedConfig::schedule`] and
+    /// [`DerivedConfig::delta`], so no caller can drop part of it.
     ///
     /// # Errors
     ///
@@ -156,11 +166,7 @@ impl DerivedConfig {
     ) -> TsnResult<NetworkTemplate> {
         let mut config = base;
         self.delta().apply(&mut config);
-        let gcls = self
-            .tas
-            .as_ref()
-            .map_or_else(GclSchedule::new, |tas| GclSchedule::from_map(tas.gcls()));
-        NetworkTemplate::with_schedule(topology, flows, &self.itp.offsets, config, gcls)
+        NetworkTemplate::with_schedule(topology, flows, &self.itp.offsets, config, self.schedule())
     }
 }
 

@@ -40,20 +40,18 @@ use crate::cqf::CqfPlan;
 use crate::derive::{derive_parameters, DeriveOptions, DerivedConfig};
 use crate::itp::{self, ItpResult, Strategy};
 use crate::requirements::AppRequirements;
-use std::hash::{DefaultHasher, Hasher};
 use std::sync::Arc;
 use tsn_resource::ResourceConfig;
-use tsn_sim::network::{ConfigDelta, NetworkTemplate, SimConfig};
+use tsn_sim::network::{ConfigDelta, GclSchedule, NetworkTemplate, SimConfig};
 use tsn_sim::report::SimReport;
-use tsn_sim::sweep::{run_sweep, PlanCache, SweepError};
+use tsn_sim::sweep::{fingerprint, run_sweep, PlanCache, SweepError};
+use tsn_topology::presets::PRESET_RATE;
 use tsn_topology::Topology;
-use tsn_types::{DataRate, FlowMap, SimDuration, TsnResult};
+use tsn_types::{FlowMap, SimDuration, TsnResult};
 
 /// Required synchronization precision every scenario is validated
 /// against.
 const SYNC_PRECISION: SimDuration = SimDuration::from_nanos(50);
-/// Link rate for CQF slot feasibility under [`ResourcePlan::Explicit`].
-const LINK_RATE: DataRate = DataRate::gbps(1);
 /// Injection-offset strategy under [`ResourcePlan::Explicit`].
 const STRATEGY: Strategy = Strategy::GreedyLeastLoaded;
 
@@ -151,18 +149,9 @@ pub struct ScenarioOutcome {
     pub report: SimReport,
 }
 
-/// In-process fingerprint of a value's structure, used as a memo key.
-/// Debug output is deterministic and complete for the plain-data types
-/// fingerprinted here (topology, flow set, derive options).
-fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    hasher.write(format!("{value:?}").as_bytes());
-    hasher.finish()
-}
-
 type PlanKey = (u64, u64, SimDuration);
 type DeriveKey = (u64, u64, u64);
-type TemplateKey = (u64, u64, u64);
+type TemplateKey = (u64, u64, u64, u64);
 
 /// The shared planning caches for one sweep (or one long-lived session).
 ///
@@ -235,31 +224,22 @@ impl SweepPlanner {
                 let derived = self
                     .derived
                     .get_or_compute(key, || derive_parameters(&requirements, options))?;
-                let network = if derived.tas.is_some() {
-                    // A synthesized gate schedule is part of the template.
-                    derived
-                        .template(
-                            scenario.topology.clone(),
-                            scenario.flows.clone(),
-                            scenario.config.clone(),
-                        )?
-                        .instantiate()?
-                } else {
-                    // The derived knobs replace the scenario's; its
-                    // per-switch overrides stay, as in `template`.
-                    let (base, split) = split_config(&scenario.config);
-                    let delta = ConfigDelta {
-                        per_switch_resources: split.per_switch_resources,
-                        ..derived.delta()
-                    };
-                    self.resident_template(
+                // The derived knobs replace the scenario's; its
+                // per-switch overrides stay, as in `template`.
+                let (base, split) = split_config(&scenario.config);
+                let delta = ConfigDelta {
+                    per_switch_resources: split.per_switch_resources,
+                    ..derived.delta()
+                };
+                let network = self
+                    .resident_template(
                         scenario,
                         (topo_fp, flows_fp),
                         base,
                         &derived.itp.offsets,
+                        derived.schedule(),
                     )?
-                    .reconfigure(&delta)?
-                };
+                    .reconfigure(&delta)?;
                 Ok(ScenarioOutcome {
                     label: scenario.label.clone(),
                     resources: derived.resources.clone(),
@@ -273,14 +253,20 @@ impl SweepPlanner {
                 let key = (topo_fp, flows_fp, slot);
                 let plan = self
                     .cqf
-                    .get_or_compute(key, || CqfPlan::with_slot(&requirements, slot, LINK_RATE))?;
+                    .get_or_compute(key, || CqfPlan::with_slot(&requirements, slot, PRESET_RATE))?;
                 let planned = self
                     .itp
                     .get_or_compute(key, || itp::plan(&requirements, &plan, STRATEGY))?;
                 let (base, mut delta) = split_config(&scenario.config);
                 delta.offsets = Some(planned.offsets.clone());
                 let report = self
-                    .resident_template(scenario, (topo_fp, flows_fp), base, &planned.offsets)?
+                    .resident_template(
+                        scenario,
+                        (topo_fp, flows_fp),
+                        base,
+                        &planned.offsets,
+                        GclSchedule::new(),
+                    )?
                     .reconfigure(&delta)?
                     .run();
                 Ok(ScenarioOutcome {
@@ -295,24 +281,26 @@ impl SweepPlanner {
     }
 
     /// The resident template for `scenario`'s topology and flows over
-    /// `base` (a [`split_config`] base): built on first use, shared by
-    /// every later point that differs only in what a [`ConfigDelta`]
-    /// restores. `offsets` only seed the build; every caller's delta
-    /// carries its own.
+    /// `base` (a [`split_config`] base) and gate schedule `gcls`: built
+    /// on first use, shared by every later point that differs only in
+    /// what a [`ConfigDelta`] restores. `offsets` only seed the build;
+    /// every caller's delta carries its own.
     fn resident_template(
         &self,
         scenario: &Scenario,
         (topo_fp, flows_fp): (u64, u64),
         base: SimConfig,
         offsets: &FlowMap<SimDuration>,
+        gcls: GclSchedule,
     ) -> TsnResult<Arc<NetworkTemplate>> {
-        let key = (topo_fp, flows_fp, fingerprint(&base));
+        let key = (topo_fp, flows_fp, fingerprint(&base), fingerprint(&gcls));
         self.templates.get_or_compute(key, || {
-            NetworkTemplate::new(
+            NetworkTemplate::with_schedule(
                 scenario.topology.clone(),
                 scenario.flows.clone(),
                 offsets,
                 base,
+                gcls,
             )
             .map(Arc::new)
         })
@@ -530,12 +518,44 @@ mod tests {
                 )
             })
             .collect();
+        for outcome in assert_shares_one_template(&scenarios) {
+            assert!(outcome.derived.expect("derived").tas.is_none());
+        }
+
+        // TAS points at one slot synthesize one gate schedule, so queue
+        // depths over it reconfigure one scheduled template too.
+        let tas: Vec<Scenario> = [None, Some(8), Some(16)]
+            .into_iter()
+            .map(|depth| {
+                let mut options = DeriveOptions::paper();
+                options.gate_mode = crate::derive::GateMode::Tas;
+                options.queue_depth_override = depth;
+                Scenario::derived(
+                    format!("tas depth={depth:?}"),
+                    topo.clone(),
+                    flows.clone(),
+                    options,
+                    small_config(),
+                )
+            })
+            .collect();
+        for outcome in assert_shares_one_template(&tas) {
+            assert!(outcome.derived.expect("derived").tas.is_some());
+        }
+    }
+
+    /// Runs `scenarios` on one planner: one template miss serves them
+    /// all, and each report equals its derivation's own template build.
+    fn assert_shares_one_template(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
         let planner = SweepPlanner::new();
-        let outcomes = planner.run(&scenarios, 2);
+        let outcomes = planner.run(scenarios, 2);
         assert_eq!(planner.template_misses(), 1, "one shared template");
-        assert_eq!(planner.template_hits(), 2);
-        for (scenario, outcome) in scenarios.iter().zip(outcomes) {
-            let outcome = outcome.expect("scenario runs");
+        assert_eq!(planner.template_hits(), scenarios.len() as u64 - 1);
+        let outcomes: Vec<ScenarioOutcome> = outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("scenario runs"))
+            .collect();
+        for (scenario, outcome) in scenarios.iter().zip(&outcomes) {
             let derived = outcome.derived.as_ref().expect("derived");
             let own = derived
                 .template(
@@ -549,6 +569,7 @@ mod tests {
             assert_eq!(outcome.report, own, "{}", scenario.label);
             assert_eq!(format!("{:?}", outcome.report), format!("{own:?}"));
         }
+        outcomes
     }
 
     #[test]

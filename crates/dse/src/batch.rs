@@ -9,7 +9,7 @@
 //! the response bytes are identical for any worker count (pinned by
 //! `tests/golden_batch.rs` against `scenarios/dse_batch_expected.json`).
 
-use tsn_experiments::json::{parse, Fields, Json};
+use tsn_experiments::json::{parse, read_topology, Fields, Json};
 use tsn_sim::sweep::run_sweep;
 use tsn_sim::CacheStats;
 use tsn_types::SimDuration;
@@ -19,66 +19,11 @@ use crate::search::{DseEngine, QueryResult, QueryStatus, KNOBS};
 
 /// Longest request [`parse_batch`] accepts, in bytes.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
-/// Most links an inline topology may list.
-pub const MAX_LINKS: u64 = 16384;
-/// Switch and host counts (named count or inline names), `ts_count` and
-/// `duration_us` share their limits with `customize` scenario files.
-/// Every candidate simulation of the search runs the whole window.
-pub use tsn_experiments::limits::{MAX_DURATION_US, MAX_HOSTS, MAX_SWITCHES};
-
-/// Fields of a named preset topology.
-const NAMED_FIELDS: &[&str] = &["kind", "switches", "hosts"];
-/// Fields of an inline topology.
-const INLINE_FIELDS: &[&str] = &["switches", "hosts", "links"];
-
-/// The query's `topology` member. A `kind` selects the named form; its
-/// errors, like every topology error, carry the query's context `at`.
-fn parse_topology(query: &Fields<'_>, at: &str) -> Result<TopologySpec, String> {
-    let named = query.get("topology").and_then(|t| t.get("kind")).is_some();
-    let allowed = if named { NAMED_FIELDS } else { INLINE_FIELDS };
-    let topo = query.object("topology", at, allowed)?;
-    if named {
-        return Ok(TopologySpec::Named {
-            kind: topo.req("kind")?,
-            switches: topo.within("switches", MAX_SWITCHES)? as usize,
-            hosts: topo.within("hosts", MAX_HOSTS)? as usize,
-        });
-    }
-    let array = |key: &str, max: u64| -> Result<&[Json], String> {
-        let items: &[Json] = topo.req(key)?;
-        topo.limit(key, items.len() as u64, max)?;
-        Ok(items)
-    };
-    let names = |key: &str, max: u64| -> Result<Vec<String>, String> {
-        array(key, max)?
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| topo.error(format!("{key:?} entries must be strings")))
-            })
-            .collect()
-    };
-    let raw_links = array("links", MAX_LINKS)?;
-    let mut links = Vec::with_capacity(raw_links.len());
-    for link in raw_links {
-        let Json::Arr(pair) = link else {
-            return Err(topo.error("each link must be a two-element array"));
-        };
-        let [a, b] = pair.as_slice() else {
-            return Err(topo.error("each link must name exactly two endpoints"));
-        };
-        let (Some(a), Some(b)) = (a.as_str(), b.as_str()) else {
-            return Err(topo.error("link endpoints must be strings"));
-        };
-        links.push((a.to_owned(), b.to_owned()));
-    }
-    Ok(TopologySpec::Inline {
-        switches: names("switches", MAX_SWITCHES)?,
-        hosts: names("hosts", MAX_HOSTS)?,
-        links,
-    })
-}
+/// Switch, host and link counts (named count or inline names),
+/// `ts_count` and `duration_us` share their limits with `customize`
+/// scenario files. Every candidate simulation of the search runs the
+/// whole window.
+pub use tsn_experiments::limits::{MAX_DURATION_US, MAX_HOSTS, MAX_LINKS, MAX_SWITCHES};
 
 /// Field names a query object may carry.
 const QUERY_FIELDS: &[&str] = &[
@@ -100,7 +45,7 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
     let micros = |key: &str| q.req(key).map(SimDuration::from_micros);
     Ok(QosQuery {
         label: q.req("label")?,
-        topology: parse_topology(&q, &at)?,
+        topology: read_topology(&q, &at)?,
         ts_count: q.within("ts_count", MAX_TS_COUNT.into())? as u32,
         frame_bytes: q.req("frame_bytes")?,
         period: micros("period_us")?,
@@ -121,7 +66,8 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
 /// `deadline_us`, `duration_us` (non-negative integers) and optional
 /// `jitter_us` / `max_lost`; `null` on an optional field means absent.
 /// Durations are whole microseconds. Fields are read through
-/// [`tsn_experiments::json::Fields`], the reader `customize` shares.
+/// [`tsn_experiments::json::Fields`] and the topology through
+/// [`read_topology`], the readers `customize` shares.
 ///
 /// Sizes are bounded before anything is built: the request text by
 /// [`MAX_REQUEST_BYTES`], switch, host and link counts by

@@ -1,99 +1,14 @@
 //! The query model: QoS targets over a named or inline topology.
 
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-
 use tsn_builder::workloads;
-use tsn_topology::presets::Preset;
+use tsn_sim::sweep::fingerprint;
 use tsn_topology::Topology;
-use tsn_types::{DataRate, FlowSet, SimDuration, TsnError, TsnResult};
-
-/// Link rate of every queried network (the paper's evaluation uses
-/// 1 Gbps throughout).
-pub const LINK_RATE: DataRate = DataRate::gbps(1);
+use tsn_types::{FlowSet, SimDuration, TsnError, TsnResult};
 
 /// Most TS flows per query, shared with `customize` scenario files.
 pub use tsn_experiments::limits::MAX_TS_COUNT;
-
-/// Where a query's network comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopologySpec {
-    /// One of the preset generators (`ring`, `linear`, `star`).
-    Named {
-        /// Preset name.
-        kind: String,
-        /// Switch count (ring/linear) or child-switch count (star).
-        switches: usize,
-        /// Total host count, spread across the switches by the preset.
-        hosts: usize,
-    },
-    /// An explicit node/link list, built with [`Topology::new`].
-    Inline {
-        /// Switch names, in id order.
-        switches: Vec<String>,
-        /// Host names, in id order.
-        hosts: Vec<String>,
-        /// Links as `(a, b)` name pairs, all at [`LINK_RATE`].
-        links: Vec<(String, String)>,
-    },
-}
-
-impl TopologySpec {
-    /// Materializes the topology.
-    ///
-    /// # Errors
-    ///
-    /// [`TsnError::InvalidParameter`] for an unknown preset name, a
-    /// duplicate node name or a link naming an undeclared node;
-    /// propagates preset validation.
-    pub fn build(&self) -> TsnResult<Topology> {
-        match self {
-            TopologySpec::Named {
-                kind,
-                switches,
-                hosts,
-            } => kind.parse::<Preset>()?.build(*switches, *hosts),
-            TopologySpec::Inline {
-                switches,
-                hosts,
-                links,
-            } => {
-                let mut topo = Topology::new();
-                let mut by_name = BTreeMap::new();
-                for name in switches {
-                    let id = topo.add_switch(name.clone());
-                    if by_name.insert(name.clone(), id).is_some() {
-                        return Err(TsnError::invalid_parameter(
-                            "topology.switches",
-                            format!("duplicate node name {name:?}"),
-                        ));
-                    }
-                }
-                for name in hosts {
-                    let id = topo.add_host(name.clone());
-                    if by_name.insert(name.clone(), id).is_some() {
-                        return Err(TsnError::invalid_parameter(
-                            "topology.hosts",
-                            format!("duplicate node name {name:?}"),
-                        ));
-                    }
-                }
-                for (a, b) in links {
-                    let missing = |name: &str| {
-                        TsnError::invalid_parameter(
-                            "topology.links",
-                            format!("link endpoint {name:?} is not a declared node"),
-                        )
-                    };
-                    let &na = by_name.get(a).ok_or_else(|| missing(a))?;
-                    let &nb = by_name.get(b).ok_or_else(|| missing(b))?;
-                    topo.connect(na, nb, LINK_RATE)?;
-                }
-                Ok(topo)
-            }
-        }
-    }
-}
+/// A query's network: the topology description every front end reads.
+pub use tsn_topology::presets::TopologySpec;
 
 /// One design-space-search query: a uniform QoS target over a generated
 /// TS flow set.
@@ -169,14 +84,6 @@ impl QosQuery {
     }
 }
 
-/// Hashes any `Debug` value — the same cheap structural-identity idiom
-/// the sweep planner uses for its memo keys.
-pub(crate) fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    format!("{value:?}").hash(&mut hasher);
-    hasher.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,61 +105,6 @@ mod tests {
             max_lost: 0,
             duration: SimDuration::from_millis(5),
         }
-    }
-
-    #[test]
-    fn named_presets_build_and_unknown_names_are_structured_errors() {
-        let q = query();
-        let topo = q.topology.build().expect("ring builds");
-        assert_eq!(topo.hosts().len(), 2, "preset hosts are a total count");
-        let bad = TopologySpec::Named {
-            kind: "torus".into(),
-            switches: 3,
-            hosts: 2,
-        };
-        match bad.build() {
-            Err(TsnError::InvalidParameter { name, reason }) => {
-                assert_eq!(name, "topology.kind");
-                assert!(reason.contains("torus"), "{reason}");
-            }
-            other => panic!("expected InvalidParameter, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn inline_topologies_build_and_validate_node_names() {
-        let spec = TopologySpec::Inline {
-            switches: vec!["s0".into(), "s1".into()],
-            hosts: vec!["h0".into(), "h1".into()],
-            links: vec![
-                ("h0".into(), "s0".into()),
-                ("s0".into(), "s1".into()),
-                ("s1".into(), "h1".into()),
-            ],
-        };
-        let topo = spec.build().expect("inline builds");
-        assert_eq!(topo.hosts().len(), 2);
-        assert_eq!(topo.switches().len(), 2);
-
-        let dangling = TopologySpec::Inline {
-            switches: vec!["s0".into()],
-            hosts: vec!["h0".into()],
-            links: vec![("h0".into(), "sX".into())],
-        };
-        assert!(matches!(
-            dangling.build(),
-            Err(TsnError::InvalidParameter { .. })
-        ));
-
-        let duped = TopologySpec::Inline {
-            switches: vec!["n".into()],
-            hosts: vec!["n".into()],
-            links: vec![],
-        };
-        assert!(matches!(
-            duped.build(),
-            Err(TsnError::InvalidParameter { .. })
-        ));
     }
 
     #[test]

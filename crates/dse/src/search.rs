@@ -37,9 +37,10 @@ use tsn_builder::requirements::AppRequirements;
 use tsn_resource::{CostKey, ResourceConfig};
 use tsn_sim::network::{mac_for, vlan_for, ConfigDelta, NetworkTemplate, SimConfig, SyncSetup};
 use tsn_sim::{CacheStats, PlanCache};
+use tsn_topology::presets::PRESET_RATE;
 use tsn_types::{SimDuration, TsnError, TsnResult};
 
-use crate::query::{QosQuery, LINK_RATE};
+use crate::query::QosQuery;
 
 /// One monotone search knob of the Table II parameter space. The
 /// behavioural parameters (queue count, port count, the CQF gate program)
@@ -173,7 +174,7 @@ impl PlannedQuery {
         let flows = query.flows(&topology)?;
         let requirements = AppRequirements::new(topology, flows, SimDuration::from_nanos(50))?;
 
-        let mut cqf = CqfPlan::choose_slot(&requirements, LINK_RATE)?;
+        let mut cqf = CqfPlan::choose_slot(&requirements, PRESET_RATE)?;
         if let Some(jitter) = query.jitter {
             // Eq. (1) gives `L_max − L_min = 2·slot`, so a jitter target
             // caps the slot at `jitter/2` (whole µs, like the planner).
@@ -185,7 +186,7 @@ impl PlannedQuery {
                 )));
             }
             if cqf.slot > cap {
-                cqf = CqfPlan::with_slot(&requirements, cap, LINK_RATE)?;
+                cqf = CqfPlan::with_slot(&requirements, cap, PRESET_RATE)?;
             }
         }
         let itp = itp::plan(&requirements, &cqf, Strategy::GreedyLeastLoaded)?;

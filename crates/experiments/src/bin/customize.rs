@@ -10,30 +10,31 @@
 //! The scenario file captures exactly what Section II.A says is known in
 //! advance — topology, flows, precision — and the tool answers with the
 //! Table II parameters, the Table III-style BRAM report, a simulation of
-//! the scenario, and (optionally) the Verilog bundle. Several scenario
-//! files run as one parallel sweep (`TSN_SWEEP_WORKERS` overrides the
-//! worker count); reports print in argument order.
+//! the scenario, and (optionally) the Verilog bundle. Its `topology` is
+//! the one `dse` queries carry, read by the same
+//! [`tsn_experiments::json::read_topology`]: a named preset (`{"kind":
+//! "ring", "switches": 6, "hosts": 3}`) or inline node and link lists
+//! (`{"switches": [...], "hosts": [...], "links": [[a, b], ...]}`).
+//! Several scenario files run as one parallel sweep (`TSN_SWEEP_WORKERS`
+//! overrides the worker count); reports print in argument order. Any
+//! other flag than a lone `--sample` prints the usage line and exits 2.
 
 use std::fmt::Write as _;
 use std::path::Path;
 use tsn_builder::{workloads, DeriveOptions, GateMode, TsnBuilder};
-use tsn_experiments::json::{self, Fields, Json};
-use tsn_experiments::limits::{
-    workers_from_env, MAX_DURATION_US, MAX_HOSTS, MAX_RATE_MBPS, MAX_SWITCHES, MAX_TS_COUNT,
-};
+use tsn_experiments::json::{self, read_topology, Fields, Json};
+use tsn_experiments::limits::{workers_from_env, MAX_DURATION_US, MAX_RATE_MBPS, MAX_TS_COUNT};
 use tsn_resource::AllocationPolicy;
 use tsn_sim::network::SimConfig;
 use tsn_sim::sweep::run_sweep;
-use tsn_topology::presets::Preset;
+use tsn_topology::presets::TopologySpec;
 use tsn_types::{DataRate, SimDuration};
 
 /// A parsed scenario file: the topology and flows Section II.A says are
 /// known in advance, the derivation options, and what to run.
 #[derive(Debug)]
 struct ScenarioFile {
-    preset: Preset,
-    switches: usize,
-    hosts: usize,
+    topology: TopologySpec,
     ts_count: u32,
     frame_bytes: u32,
     seed: u64,
@@ -54,7 +55,6 @@ struct ScenarioFile {
 fn parse_scenario(text: &str) -> Result<ScenarioFile, String> {
     let root = json::parse(text)?;
     let root = Fields::new(&root, "scenario", &["topology", "flows", "options", "run"])?;
-    let topo = root.object("topology", "topology", &["kind", "switches", "hosts"])?;
     let flows = root.object(
         "flows",
         "flows",
@@ -88,12 +88,7 @@ fn parse_scenario(text: &str) -> Result<ScenarioFile, String> {
     };
 
     Ok(ScenarioFile {
-        preset: topo
-            .req::<String>("kind")?
-            .parse()
-            .map_err(|e| topo.error(e))?,
-        switches: topo.within("switches", MAX_SWITCHES)? as usize,
-        hosts: topo.within("hosts", MAX_HOSTS)? as usize,
+        topology: read_topology(&root, "topology")?,
         ts_count: flows.within("ts_count", MAX_TS_COUNT.into())? as u32,
         frame_bytes: flows.opt("frame_bytes")?.unwrap_or(64),
         seed: flows.opt("seed")?.unwrap_or(42),
@@ -152,55 +147,49 @@ fn sample_json() -> Json {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--sample") => {
-            let path = Path::new("scenarios/sample.json");
-            let written = std::fs::create_dir_all("scenarios")
-                .and_then(|()| std::fs::write(path, sample_json().pretty()));
-            if let Err(e) = written {
-                eprintln!("customize: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("wrote {}", path.display());
+    if args == ["--sample"] {
+        let path = Path::new("scenarios/sample.json");
+        let written = std::fs::create_dir_all("scenarios")
+            .and_then(|()| std::fs::write(path, sample_json().pretty()));
+        if let Err(e) = written {
+            eprintln!("customize: cannot write {}: {e}", path.display());
+            std::process::exit(1);
         }
-        Some(_) => {
-            // Every path on the command line is one sweep entry; reports
-            // print in argument order once all scenarios finish. A
-            // scenario's own error is a sweep success, so its message
-            // reaches stderr with its one context; only panics come back
-            // as sweep errors.
-            let results = run_sweep(&args, workers_from_env(), |_idx, path| {
-                Ok(run_scenario(path))
-            });
-            let mut failed = false;
-            for (path, result) in args.iter().zip(results) {
-                match result.map_err(|e| e.to_string()).and_then(|r| r) {
-                    Ok((text, lost_frames)) => {
-                        if args.len() > 1 {
-                            println!("==== {path} ====");
-                        }
-                        print!("{text}");
-                        if lost_frames {
-                            eprintln!(
-                                "warning: {path} lost TS frames — resources are under-provisioned"
-                            );
-                            failed = true;
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        failed = true;
-                    }
+        println!("wrote {}", path.display());
+        return;
+    }
+    if args.is_empty() || args.iter().any(|arg| arg.starts_with('-')) {
+        eprintln!("usage: customize <scenario.json>... | customize --sample");
+        std::process::exit(2);
+    }
+    // Every path on the command line is one sweep entry; reports print
+    // in argument order once all scenarios finish. A scenario's own
+    // error is a sweep success, so its message reaches stderr with its
+    // one context; only panics come back as sweep errors.
+    let results = run_sweep(&args, workers_from_env(), |_idx, path| {
+        Ok(run_scenario(path))
+    });
+    let mut failed = false;
+    for (path, result) in args.iter().zip(results) {
+        match result.map_err(|e| e.to_string()).and_then(|r| r) {
+            Ok((text, lost_frames)) => {
+                if args.len() > 1 {
+                    println!("==== {path} ====");
+                }
+                print!("{text}");
+                if lost_frames {
+                    eprintln!("warning: {path} lost TS frames — resources are under-provisioned");
+                    failed = true;
                 }
             }
-            if failed {
-                std::process::exit(1);
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                failed = true;
             }
         }
-        None => {
-            eprintln!("usage: customize <scenario.json>... | customize --sample");
-            std::process::exit(2);
-        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -211,8 +200,8 @@ fn run_scenario(path: &str) -> Result<(String, bool), String> {
     let scenario = parse_scenario(&text).map_err(|e| format!("bad scenario file: {e}"))?;
 
     let topology = scenario
-        .preset
-        .build(scenario.switches, scenario.hosts)
+        .topology
+        .build()
         .map_err(|e| format!("topology: {e}"))?;
 
     let mut flows = workloads::ts_flows_sized(

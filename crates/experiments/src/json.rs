@@ -1,13 +1,17 @@
 //! Minimal JSON support for the experiment regenerators: a value tree,
 //! a pretty printer for `results/<name>.json`, a small strict parser,
-//! and [`Fields`], the one field reader of the JSON front ends
-//! (`customize` scenario files and `dse` batch requests).
+//! [`Fields`], the one field reader of the JSON front ends (`customize`
+//! scenario files and `dse` batch requests), and [`read_topology`], the
+//! one reader of their `topology` objects.
 //!
 //! Local on purpose — the workspace builds offline, so the usual
 //! serde/serde_json stack is not available. Only what the experiments
 //! need is implemented: objects keep insertion order, numbers are `f64`
 //! (integers up to 2^53 round-trip exactly), and the parser rejects
 //! anything outside the JSON grammar instead of guessing.
+
+use crate::limits::{MAX_HOSTS, MAX_LINKS, MAX_SWITCHES};
+use tsn_topology::presets::TopologySpec;
 
 /// A JSON value. Object members keep their insertion order, so emitted
 /// files are stable and diffable.
@@ -649,6 +653,69 @@ impl<'a> Fields<'a> {
     ) -> Result<Fields<'a>, String> {
         Fields::of(self.opt(key)?.unwrap_or_default(), at, allowed)
     }
+}
+
+/// Fields of a named preset topology.
+const NAMED_FIELDS: &[&str] = &["kind", "switches", "hosts"];
+/// Fields of an inline topology.
+const INLINE_FIELDS: &[&str] = &["switches", "hosts", "links"];
+
+/// The `topology` member of `parent`, as either front end writes it: a
+/// named preset `{"kind", "switches", "hosts"}` (a `kind` selects this
+/// form) or an inline `{"switches": [names], "hosts": [names], "links":
+/// [[a, b], ...]}`. Every error carries the caller's context `at`.
+/// Counts are bounded by [`crate::limits`]; the preset name is left to
+/// [`TopologySpec::build`].
+///
+/// # Errors
+///
+/// A missing or malformed member, a field of the other form, or a count
+/// above its limit.
+pub fn read_topology<'a>(parent: &Fields<'a>, at: &'a str) -> Result<TopologySpec, String> {
+    let named = parent.get("topology").and_then(|t| t.get("kind")).is_some();
+    let allowed = if named { NAMED_FIELDS } else { INLINE_FIELDS };
+    let topo = parent.object("topology", at, allowed)?;
+    if named {
+        return Ok(TopologySpec::Named {
+            kind: topo.req("kind")?,
+            switches: topo.within("switches", MAX_SWITCHES)? as usize,
+            hosts: topo.within("hosts", MAX_HOSTS)? as usize,
+        });
+    }
+    let array = |key: &str, max: u64| -> Result<&[Json], String> {
+        let items: &[Json] = topo.req(key)?;
+        topo.limit(key, items.len() as u64, max)?;
+        Ok(items)
+    };
+    let names = |key: &str, max: u64| -> Result<Vec<String>, String> {
+        array(key, max)?
+            .iter()
+            .map(|item| {
+                item.as_str()
+                    .map(str::to_owned)
+                    .ok_or_else(|| topo.error(format!("{key:?} entries must be strings")))
+            })
+            .collect()
+    };
+    let raw_links = array("links", MAX_LINKS)?;
+    let mut links = Vec::with_capacity(raw_links.len());
+    for link in raw_links {
+        let Json::Arr(pair) = link else {
+            return Err(topo.error("each link must be a two-element array"));
+        };
+        let [a, b] = pair.as_slice() else {
+            return Err(topo.error("each link must name exactly two endpoints"));
+        };
+        let (Some(a), Some(b)) = (a.as_str(), b.as_str()) else {
+            return Err(topo.error("link endpoints must be strings"));
+        };
+        links.push((a.to_owned(), b.to_owned()));
+    }
+    Ok(TopologySpec::Inline {
+        switches: names("switches", MAX_SWITCHES)?,
+        hosts: names("hosts", MAX_HOSTS)?,
+        links,
+    })
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 pub const MAX_SWITCHES: u64 = 1024;
 /// Most hosts a topology may declare.
 pub const MAX_HOSTS: u64 = 4096;
+/// Most links an inline topology may list.
+pub const MAX_LINKS: u64 = 16384;
 /// Most TS flows one request may ask for: the simulator tags flow `i`
 /// with VLAN `1 + i % 4000` (`tsn_sim::network::vlan_for`), and the
 /// exact table floors assume every flow owns its VLAN.

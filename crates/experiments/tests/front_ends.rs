@@ -47,12 +47,17 @@ const fn field(
 
 use Kind::{Arr, Bool, Int, Obj, Str};
 
-/// Every field of the scenario schema.
+/// Every field of the scenario schema. The array rows are the inline
+/// topology's; they break [`inline_scenario`], every other row breaks
+/// `ring_demo.json`.
 const SCENARIO: &[Field] = &[
     field(&["topology"], Obj, true, "scenario"),
     field(&["topology", "kind"], Str, true, "topology"),
     field(&["topology", "switches"], Int, true, "topology"),
     field(&["topology", "hosts"], Int, true, "topology"),
+    field(&["topology", "switches"], Arr, true, "topology"),
+    field(&["topology", "hosts"], Arr, true, "topology"),
+    field(&["topology", "links"], Arr, true, "topology"),
     field(&["flows"], Obj, true, "scenario"),
     field(&["flows", "ts_count"], Int, true, "flows"),
     field(&["flows", "frame_bytes"], Int, false, "flows"),
@@ -133,6 +138,22 @@ fn read_scenario(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
+/// The paper's star preset (`{"kind": "star", "switches": 3, "hosts":
+/// 3}`) spelled as inline nodes and links, in the preset's build order.
+const INLINE_STAR: &str = r#"{
+  "switches": ["core", "sw1", "sw2", "sw3"],
+  "hosts": ["host0", "host1", "host2"],
+  "links": [["core", "sw1"], ["core", "sw2"], ["core", "sw3"],
+            ["host0", "sw1"], ["host1", "sw2"], ["host2", "sw3"]]
+}"#;
+
+/// `ring_demo.json` with its topology replaced by [`INLINE_STAR`].
+fn inline_scenario() -> Json {
+    let root = parse(&read_scenario("ring_demo.json")).expect("parses");
+    let star = parse(INLINE_STAR).expect("parses");
+    with_member(&root, &["topology"], &star)
+}
+
 /// `root` with the member at `path` set to `value` (added if absent).
 fn with_member(root: &Json, path: &[&str], value: &Json) -> Json {
     let Some((head, rest)) = path.split_first() else {
@@ -176,9 +197,8 @@ impl Garbage {
     }
 }
 
-/// The garbage documents for every field of `schema` over `base`.
-fn garbage(base: &str, schema: &[Field]) -> Vec<Garbage> {
-    let root = parse(base).expect("the base document parses");
+/// The garbage documents for every field of `schema` over `root`.
+fn garbage<'a>(root: &Json, schema: impl IntoIterator<Item = &'a Field>) -> Vec<Garbage> {
     let mut out = Vec::new();
     for f in schema {
         let wrong_type = if f.kind == Bool {
@@ -204,7 +224,7 @@ fn garbage(base: &str, schema: &[Field]) -> Vec<Garbage> {
         for (what, value) in values {
             out.push(Garbage {
                 label: format!("{} = {what}", f.path.join(".")),
-                text: with_member(&root, f.path, &value).pretty(),
+                text: with_member(root, f.path, &value).pretty(),
                 context: format!("{}: ", f.context),
                 field: named.clone(),
             });
@@ -260,13 +280,17 @@ fn customize_errors(tag: &str, documents: &[String]) -> Vec<String> {
 
 #[test]
 fn every_garbage_field_is_an_error_naming_its_context() {
-    let cases = garbage(&read_scenario("ring_demo.json"), SCENARIO);
+    let (inline, named): (Vec<&Field>, Vec<&Field>) = SCENARIO.iter().partition(|f| f.kind == Arr);
+    let ring_demo = parse(&read_scenario("ring_demo.json")).expect("parses");
+    let mut cases = garbage(&ring_demo, named);
+    cases.extend(garbage(&inline_scenario(), inline));
     let texts: Vec<String> = cases.iter().map(|case| case.text.clone()).collect();
     for (case, error) in cases.iter().zip(customize_errors("fields", &texts)) {
         case.check(&error);
     }
 
-    for case in garbage(&read_scenario("dse_batch.json"), BATCH) {
+    let batch = parse(&read_scenario("dse_batch.json")).expect("parses");
+    for case in garbage(&batch, BATCH) {
         match tsn_dse::parse_batch(&case.text) {
             Ok(_) => panic!("{} was accepted", case.label),
             Err(e) => {
@@ -418,4 +442,64 @@ fn fault_sweep_rejects_unknown_arguments_before_sweeping() {
     let wrote_results = dir.join("results").exists();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!wrote_results, "no sweep ran, so no results were written");
+}
+
+#[test]
+fn an_inline_topology_runs_through_customize_like_its_preset() {
+    let dir = std::env::temp_dir().join(format!("tsn-inline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = parse(r#"{"duration_ms": 10, "simulate": true}"#).expect("parses");
+    let base = with_member(&inline_scenario(), &["run"], &run);
+    let named = parse(r#"{"kind": "star", "switches": 3, "hosts": 3}"#).expect("parses");
+    let mut stdouts = Vec::new();
+    for (name, scenario) in [
+        ("inline.json", base.clone()),
+        ("named.json", with_member(&base, &["topology"], &named)),
+    ] {
+        std::fs::write(dir.join(name), scenario.pretty()).expect("scenario written");
+        stdouts.push(customize_ok(&dir, &[name]));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        stdouts[0].contains("== derived customization =="),
+        "{}",
+        stdouts[0]
+    );
+    assert!(
+        stdouts[0].contains("== simulation (10ms) =="),
+        "{}",
+        stdouts[0]
+    );
+    assert_eq!(stdouts[0], stdouts[1], "the inline star is the star preset");
+}
+
+#[test]
+fn customize_rejects_unknown_flags_before_running_a_scenario() {
+    let dir = std::env::temp_dir().join(format!("tsn-customize-argv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let ring = scenario_path("ring_demo.json");
+    let ring = ring.to_str().expect("UTF-8 path");
+    for args in [
+        &["--smaple"][..],
+        &[ring, "--verbose"],
+        &["--sample", ring],
+        &["--sample", "--sample"],
+        &["-h"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_customize"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("customize runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr, "usage: customize <scenario.json>... | customize --sample\n",
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: a scenario ran");
+    }
+    let wrote_sample = dir.join("scenarios").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!wrote_sample, "no sample was written");
 }

@@ -373,16 +373,6 @@ impl ConfigDelta {
         }
     }
 
-    /// `true` when the delta changes nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.resources.is_none()
-            && self.per_switch_resources.is_none()
-            && self.slot.is_none()
-            && self.aggregate_switch_tbl.is_none()
-            && self.offsets.is_none()
-    }
-
     /// Writes the delta's config knobs into `config` (the offsets are
     /// not part of a [`SimConfig`]; callers pass them separately).
     pub fn apply(&self, config: &mut SimConfig) {

@@ -32,7 +32,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -129,6 +129,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "panic payload of unknown type".to_owned()
     }
+}
+
+/// Structural identity for [`PlanCache`] keys: a hash of the value's
+/// `Debug` text, deterministic and complete for the plain data keyed on.
+#[must_use]
+pub fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    format!("{value:?}").hash(&mut hasher);
+    hasher.finish()
 }
 
 /// A concurrent memo-cache for shared planning work.

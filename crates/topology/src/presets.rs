@@ -2,7 +2,10 @@
 //!
 //! All presets use 1 Gbps links (the paper's testbed rate) and attach at
 //! most one host per switch. Hosts model the TSNNic traffic generators and
-//! the TSN analyzer of Fig. 6.
+//! the TSN analyzer of Fig. 6. [`TopologySpec`] is how a request names
+//! one of them, or lists its own nodes and links instead.
+
+use std::collections::BTreeMap;
 
 use crate::graph::{Topology, DEFAULT_PROPAGATION};
 use crate::link::LinkDirection;
@@ -71,6 +74,82 @@ impl std::str::FromStr for Preset {
                     format!("unknown topology name {name:?} (expected ring, linear or star)"),
                 )
             })
+    }
+}
+
+/// A request's network, as every JSON front end describes it: a named
+/// [`Preset`] or an explicit node/link list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TopologySpec {
+    /// One of the preset generators (`ring`, `linear`, `star`).
+    Named {
+        /// Preset name, resolved by [`TopologySpec::build`].
+        kind: String,
+        /// Switch count (ring/linear) or child-switch count (star).
+        switches: usize,
+        /// Total host count, spread across the switches by the preset.
+        hosts: usize,
+    },
+    /// An explicit node/link list, built with [`Topology::new`].
+    Inline {
+        /// Switch names, in id order.
+        switches: Vec<String>,
+        /// Host names, in id order.
+        hosts: Vec<String>,
+        /// Bidirectional links as `(a, b)` name pairs, all at
+        /// [`PRESET_RATE`].
+        links: Vec<(String, String)>,
+    },
+}
+
+impl TopologySpec {
+    /// Materializes the topology.
+    ///
+    /// # Errors
+    ///
+    /// [`TsnError::InvalidParameter`] for an unknown preset name, a
+    /// duplicate node name or a link naming an undeclared node;
+    /// propagates preset validation.
+    pub fn build(&self) -> TsnResult<Topology> {
+        match self {
+            TopologySpec::Named {
+                kind,
+                switches,
+                hosts,
+            } => kind.parse::<Preset>()?.build(*switches, *hosts),
+            TopologySpec::Inline {
+                switches,
+                hosts,
+                links,
+            } => {
+                let mut topo = Topology::new();
+                let mut by_name = BTreeMap::new();
+                let nodes = switches.iter().map(|name| (name, true));
+                for (name, switch) in nodes.chain(hosts.iter().map(|name| (name, false))) {
+                    let (field, id) = if switch {
+                        ("topology.switches", topo.add_switch(name.clone()))
+                    } else {
+                        ("topology.hosts", topo.add_host(name.clone()))
+                    };
+                    if by_name.insert(name, id).is_some() {
+                        let reason = format!("duplicate node name {name:?}");
+                        return Err(TsnError::invalid_parameter(field, reason));
+                    }
+                }
+                let node = |name: &String| {
+                    by_name.get(name).copied().ok_or_else(|| {
+                        TsnError::invalid_parameter(
+                            "topology.links",
+                            format!("link endpoint {name:?} is not a declared node"),
+                        )
+                    })
+                };
+                for (a, b) in links {
+                    topo.connect(node(a)?, node(b)?, PRESET_RATE)?;
+                }
+                Ok(topo)
+            }
+        }
     }
 }
 
@@ -384,13 +463,56 @@ mod tests {
             let topo = preset.build(3, 2).expect("builds");
             assert_eq!(topo.hosts().len(), 2);
         }
-        match "moebius".parse::<Preset>() {
+        let named = |kind: &str| TopologySpec::Named {
+            kind: kind.into(),
+            switches: 3,
+            hosts: 2,
+        };
+        let topo = named("ring").build().expect("named ring builds");
+        assert_eq!(topo.hosts().len(), 2, "preset hosts are a total count");
+        match named("moebius").build() {
             Err(TsnError::InvalidParameter { name, reason }) => {
                 assert_eq!(name, "topology.kind");
                 assert!(reason.contains("moebius"), "{reason}");
             }
             other => panic!("expected InvalidParameter, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn inline_topologies_build_and_validate_node_names() {
+        let spec = TopologySpec::Inline {
+            switches: vec!["s0".into(), "s1".into()],
+            hosts: vec!["h0".into(), "h1".into()],
+            links: vec![
+                ("h0".into(), "s0".into()),
+                ("s0".into(), "s1".into()),
+                ("s1".into(), "h1".into()),
+            ],
+        };
+        let topo = spec.build().expect("inline builds");
+        assert_eq!(topo.hosts().len(), 2);
+        assert_eq!(topo.switches().len(), 2);
+
+        let dangling = TopologySpec::Inline {
+            switches: vec!["s0".into()],
+            hosts: vec!["h0".into()],
+            links: vec![("h0".into(), "sX".into())],
+        };
+        assert!(matches!(
+            dangling.build(),
+            Err(TsnError::InvalidParameter { .. })
+        ));
+
+        let duped = TopologySpec::Inline {
+            switches: vec!["n".into()],
+            hosts: vec!["n".into()],
+            links: vec![],
+        };
+        assert!(matches!(
+            duped.build(),
+            Err(TsnError::InvalidParameter { .. })
+        ));
     }
 
     #[test]
