@@ -123,7 +123,7 @@ fn main() {
     ] {
         let flows =
             tsn_builder::workloads::iec60802_ts_flows(&topo, ts, 42).expect("workload builds");
-        let req = AppRequirements::new(topo.clone(), flows.clone(), SimDuration::from_nanos(50))
+        let req = AppRequirements::new(topo, flows, SimDuration::from_nanos(50))
             .expect("valid requirements");
         let derived = tsn_builder::derive::derive_parameters(
             &req,
@@ -132,7 +132,7 @@ fn main() {
         .expect("derivation succeeds");
         results.extend(runner.bench(&format!("sim_multi/{label}"), || {
             let report = derived
-                .template(topo.clone(), flows.clone(), sim_config())
+                .template(&req, sim_config())
                 .and_then(|template| template.instantiate())
                 .expect("network builds")
                 .run();

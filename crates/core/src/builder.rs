@@ -130,11 +130,7 @@ impl Customization {
             ..SimConfig::paper_defaults()
         };
         self.derived
-            .template(
-                self.requirements.topology().clone(),
-                self.requirements.flows().clone(),
-                base,
-            )?
+            .template(&self.requirements, base)?
             .instantiate()
     }
 

@@ -15,8 +15,8 @@ use crate::requirements::AppRequirements;
 use crate::tas::TasSchedule;
 use tsn_resource::ResourceConfig;
 use tsn_sim::network::{ConfigDelta, GclSchedule, NetworkTemplate, SimConfig};
-use tsn_topology::{EnabledPorts, Topology};
-use tsn_types::{DataRate, FlowSet, SimDuration, TsnError, TsnResult};
+use tsn_topology::EnabledPorts;
+use tsn_types::{DataRate, SimDuration, TsnError, TsnResult};
 
 /// Which gate-control program the switches run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,7 +146,9 @@ impl DerivedConfig {
     }
 
     /// The synthesis step of Fig. 1: injects this derivation into the
-    /// simulated templates. `base` supplies what a derivation does not
+    /// simulated templates. `requirements` are the scenario this was
+    /// derived from: the template installs the routes they hold, so
+    /// nothing routes twice. `base` supplies what a derivation does not
     /// decide (duration, sync, preemption, faults); the derived slot,
     /// resources, aggregation mode, injection offsets and, under
     /// [`GateMode::Tas`], the gate schedule replace the rest. Every
@@ -156,17 +158,16 @@ impl DerivedConfig {
     ///
     /// # Errors
     ///
-    /// As [`NetworkTemplate::with_schedule`]; resource shortfalls surface
+    /// As [`NetworkTemplate::with_routes`]; resource shortfalls surface
     /// at [`NetworkTemplate::instantiate`].
     pub fn template(
         &self,
-        topology: Topology,
-        flows: FlowSet,
+        requirements: &AppRequirements,
         base: SimConfig,
     ) -> TsnResult<NetworkTemplate> {
         let mut config = base;
         self.delta().apply(&mut config);
-        NetworkTemplate::with_schedule(topology, flows, &self.itp.offsets, config, self.schedule())
+        requirements.template(&self.itp.offsets, config, self.schedule())
     }
 }
 
@@ -375,6 +376,43 @@ mod tests {
             assert_eq!(r.queue_num(), 8);
             assert_eq!(r.buffer_num(), 96, "depth 12 × 8 queues");
         }
+    }
+
+    /// Past [`tsn_topology::RouteTreeCache::CAPACITY`] talkers the
+    /// requirements' router holds one tree per talker, as a from-scratch
+    /// build's does, so a network built from the requirements' routes
+    /// reports exactly what a from-scratch build does, route-cache
+    /// counters included.
+    #[test]
+    fn templates_report_like_scratch_builds_past_the_default_cache_capacity() {
+        use tsn_sim::network::{Network, SyncSetup};
+        let req = requirements(presets::multi_ring(10, 8, 7).expect("builds"), 70, 0);
+        let derived = derive_parameters(&req, &DeriveOptions::automatic()).expect("derives");
+        let base = SimConfig {
+            duration: SimDuration::from_millis(10),
+            sync: SyncSetup::Perfect,
+            ..SimConfig::paper_defaults()
+        };
+        let templated = derived
+            .template(&req, base.clone())
+            .and_then(|template| template.instantiate())
+            .expect("builds")
+            .run();
+        let mut config = base;
+        derived.delta().apply(&mut config);
+        let scratch = Network::build(
+            req.topology().clone(),
+            req.flows().clone(),
+            &derived.itp.offsets,
+            config,
+        )
+        .expect("builds")
+        .run();
+        let counters = templated.events.route_cache;
+        assert!(counters.capacity > tsn_topology::RouteTreeCache::CAPACITY);
+        assert_eq!((counters.misses, counters.evictions), (70, 0));
+        assert_eq!(format!("{templated:?}"), format!("{scratch:?}"));
+        assert_eq!(templated.ts_lost(), 0);
     }
 
     #[test]

@@ -253,9 +253,8 @@ mod tests {
         let mut ts: Vec<_> = requirements.flows().ts_flows().collect();
         ts.sort_by_key(|f| f.id());
 
-        let mut route_trees = tsn_topology::RouteTreeCache::new();
         for flow in ts {
-            let route = route_trees.route(requirements.topology(), flow.src(), flow.dst())?;
+            let route = requirements.topology().route(flow.src(), flow.dst())?;
             let cells: Vec<(NodeId, PortId, u64)> = route
                 .switch_hops_iter()
                 .enumerate()

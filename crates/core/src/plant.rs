@@ -14,9 +14,9 @@
 //! spread uniformly over the CQF slots of one period instead of running
 //! the O(flows × slots) greedy planner, and the switch resources are
 //! sized by a single counting pass over the routed hops (the same
-//! guideline-(1)/(4) derivation the paper does, at plant scale). Route
-//! trees go through [`tsn_topology::RouteTreeCache`], so peak routing
-//! memory stays O(cache × nodes) even with thousands of talkers.
+//! guideline-(1)/(4) derivation the paper does, at plant scale). Sizing
+//! streams the flows through a [`tsn_topology::FlowRouter`] and keeps no
+//! route, so peak routing memory stays O(talkers × nodes).
 //!
 //! # Example
 //!
@@ -33,7 +33,7 @@
 use std::collections::BTreeSet;
 use tsn_resource::ResourceConfig;
 use tsn_sim::network::{Network, SimConfig, SyncSetup};
-use tsn_topology::{presets, RouteTreeCache, Topology};
+use tsn_topology::{presets, FlowRouter, Topology};
 use tsn_types::{FlowId, FlowMap, FlowSet, NodeId, SimDuration, TsFlowSpec, TsnError, TsnResult};
 
 /// TS period shared by every plant flow (the IEC 60802 default).
@@ -177,9 +177,9 @@ fn size_resources(topology: &Topology, flows: &FlowSet) -> TsnResult<ResourceCon
     let node_count = topology.nodes().len();
     let mut class_entries = vec![0u32; node_count];
     let mut dsts: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); node_count];
-    let mut cache = RouteTreeCache::new();
+    let mut router = FlowRouter::new(topology, flows);
     for flow in flows.iter() {
-        let route = cache.route(topology, flow.src(), flow.dst())?;
+        let route = router.route(flow)?;
         for hop in route.switch_hops_iter() {
             let idx = hop.node.as_usize();
             class_entries[idx] += 1;

@@ -5,8 +5,9 @@
 //! synchronization precision. Everything else (Table II parameters, GCLs,
 //! injection offsets) is derived.
 
-use tsn_topology::{Route, RouteTreeCache, Topology};
-use tsn_types::{FlowSet, SimDuration, TsFlowSpec, TsnError, TsnResult};
+use tsn_sim::network::{GclSchedule, NetworkTemplate, SimConfig};
+use tsn_topology::{FlowRouter, Route, RouteCacheStats, Topology};
+use tsn_types::{FlowMap, FlowSet, SimDuration, TsFlowSpec, TsnError, TsnResult};
 
 /// One application scenario.
 ///
@@ -35,6 +36,8 @@ pub struct AppRequirements {
     /// `routes[i]` is the shortest-path route of the `i`-th flow of
     /// `flows`, computed once at construction.
     routes: Vec<Route>,
+    /// The router's counters while it computed `routes`.
+    route_cache: RouteCacheStats,
     sync_precision: SimDuration,
 }
 
@@ -42,8 +45,10 @@ impl AppRequirements {
     /// Creates and validates a requirement set: every flow must run
     /// host-to-host over an existing route, and at least one TS flow must
     /// exist (otherwise there is nothing to customize for). Every flow is
-    /// routed here, once, through one [`RouteTreeCache`]; the planners
-    /// read the stored routes instead of routing again.
+    /// routed here, once for the whole pipeline, through one
+    /// [`FlowRouter`]: the planners read the stored routes, and
+    /// `DerivedConfig::template` installs them, so nothing downstream
+    /// routes again.
     ///
     /// # Errors
     ///
@@ -63,23 +68,17 @@ impl AppRequirements {
                 "must be non-zero",
             ));
         }
-        let mut route_trees = RouteTreeCache::new();
-        let mut routes = Vec::with_capacity(flows.len());
-        for flow in flows.iter() {
-            for node in [flow.src(), flow.dst()] {
-                if !topology.node(node)?.is_host() {
-                    return Err(TsnError::invalid_parameter(
-                        "flows",
-                        format!("{} endpoint {node} is not a host", flow.id()),
-                    ));
-                }
-            }
-            routes.push(route_trees.route(&topology, flow.src(), flow.dst())?);
-        }
+        let mut router = FlowRouter::new(&topology, &flows);
+        let routes = flows
+            .iter()
+            .map(|flow| router.route(flow))
+            .collect::<TsnResult<Vec<_>>>()?;
+        let route_cache = router.stats();
         Ok(AppRequirements {
             topology,
             flows,
             routes,
+            route_cache,
             sync_precision,
         })
     }
@@ -116,6 +115,26 @@ impl AppRequirements {
     #[must_use]
     pub fn sync_precision(&self) -> SimDuration {
         self.sync_precision
+    }
+
+    /// The network template over this scenario that installs the stored
+    /// routes and reports the router's counters — the one place the
+    /// routes reach the simulator.
+    pub(crate) fn template(
+        &self,
+        offsets: &FlowMap<SimDuration>,
+        config: SimConfig,
+        gcls: GclSchedule,
+    ) -> TsnResult<NetworkTemplate> {
+        NetworkTemplate::with_routes(
+            self.topology.clone(),
+            self.flows.clone(),
+            &self.routes,
+            self.route_cache,
+            offsets,
+            config,
+            gcls,
+        )
     }
 
     /// The largest switch-hop count over all TS flows.
@@ -183,6 +202,52 @@ mod tests {
             .into(),
         );
         assert!(AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).is_err());
+    }
+
+    /// One endpoint check for the whole pipeline: requirements and a
+    /// from-scratch network build reject the same bad flow set with the
+    /// same error.
+    #[test]
+    fn bad_endpoints_fail_alike_in_requirements_and_network_builds() {
+        use tsn_sim::network::{Network, SimConfig};
+        let topo = presets::ring(4, 2).expect("builds");
+        let host = topo.hosts()[0];
+        let missing = tsn_types::NodeId::new(999);
+        for bad in [topo.switches()[0], missing] {
+            let mut flows = FlowSet::new();
+            flows.push(
+                TsFlowSpec::new(
+                    FlowId::new(0),
+                    host,
+                    bad,
+                    SimDuration::from_millis(10),
+                    SimDuration::from_millis(2),
+                    64,
+                )
+                .expect("spec itself is valid")
+                .into(),
+            );
+            let from_requirements =
+                AppRequirements::new(topo.clone(), flows.clone(), SimDuration::from_nanos(50))
+                    .expect_err("bad endpoint");
+            let Err(from_build) = Network::build(
+                topo.clone(),
+                flows,
+                &tsn_types::FlowMap::new(),
+                SimConfig::paper_defaults(),
+            ) else {
+                panic!("a network with a bad endpoint builds");
+            };
+            assert_eq!(from_requirements, from_build);
+            if bad == missing {
+                assert_eq!(from_build, TsnError::UnknownNode(missing));
+            } else {
+                assert!(
+                    matches!(&from_build, TsnError::InvalidParameter { name, .. } if name == "flows"),
+                    "{from_build}"
+                );
+            }
+        }
     }
 
     #[test]

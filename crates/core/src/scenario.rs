@@ -233,7 +233,7 @@ impl SweepPlanner {
                 };
                 let network = self
                     .resident_template(
-                        scenario,
+                        &requirements,
                         (topo_fp, flows_fp),
                         base,
                         &derived.itp.offsets,
@@ -261,7 +261,7 @@ impl SweepPlanner {
                 delta.offsets = Some(planned.offsets.clone());
                 let report = self
                     .resident_template(
-                        scenario,
+                        &requirements,
                         (topo_fp, flows_fp),
                         base,
                         &planned.offsets,
@@ -280,14 +280,15 @@ impl SweepPlanner {
         }
     }
 
-    /// The resident template for `scenario`'s topology and flows over
-    /// `base` (a [`split_config`] base) and gate schedule `gcls`: built
-    /// on first use, shared by every later point that differs only in
-    /// what a [`ConfigDelta`] restores. `offsets` only seed the build;
-    /// every caller's delta carries its own.
+    /// The resident template for `requirements`' topology and flows
+    /// over `base` (a [`split_config`] base) and gate schedule `gcls`,
+    /// installing the routes `requirements` hold: built on first use,
+    /// shared by every later point that differs only in what a
+    /// [`ConfigDelta`] restores. `offsets` only seed the build; every
+    /// caller's delta carries its own.
     fn resident_template(
         &self,
-        scenario: &Scenario,
+        requirements: &AppRequirements,
         (topo_fp, flows_fp): (u64, u64),
         base: SimConfig,
         offsets: &FlowMap<SimDuration>,
@@ -295,14 +296,7 @@ impl SweepPlanner {
     ) -> TsnResult<Arc<NetworkTemplate>> {
         let key = (topo_fp, flows_fp, fingerprint(&base), fingerprint(&gcls));
         self.templates.get_or_compute(key, || {
-            NetworkTemplate::with_schedule(
-                scenario.topology.clone(),
-                scenario.flows.clone(),
-                offsets,
-                base,
-                gcls,
-            )
-            .map(Arc::new)
+            requirements.template(offsets, base, gcls).map(Arc::new)
         })
     }
 
@@ -557,12 +551,14 @@ mod tests {
             .collect();
         for (scenario, outcome) in scenarios.iter().zip(&outcomes) {
             let derived = outcome.derived.as_ref().expect("derived");
+            let requirements = AppRequirements::new(
+                scenario.topology.clone(),
+                scenario.flows.clone(),
+                SYNC_PRECISION,
+            )
+            .expect("valid scenario");
             let own = derived
-                .template(
-                    scenario.topology.clone(),
-                    scenario.flows.clone(),
-                    scenario.config.clone(),
-                )
+                .template(&requirements, scenario.config.clone())
                 .and_then(|t| t.instantiate())
                 .expect("builds")
                 .run();

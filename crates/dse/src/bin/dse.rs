@@ -3,7 +3,8 @@
 //! Reads a strict-JSON request (`{"queries": [...]}`, see
 //! `tsn_dse::parse_batch`) from a file argument or stdin and prints the
 //! response. `--workers N` (at most `limits::MAX_WORKERS`) sizes the
-//! pool; the response bytes are identical for every worker count. The
+//! pool; the response bytes are identical for every worker count. A
+//! second request file is a usage error (exit 2, nothing read). The
 //! service's benchmark is `cargo bench -p tsn-bench --bench dse`.
 
 use std::io::Read;
@@ -11,6 +12,9 @@ use std::io::Read;
 use tsn_dse::batch::MAX_REQUEST_BYTES;
 use tsn_dse::{parse_batch, run_batch, DseEngine};
 use tsn_experiments::limits;
+
+const USAGE: &str =
+    "usage: dse [REQUEST.json] [--workers N]   answer a JSON batch (stdin when no file)";
 
 /// Reads at most one byte past `MAX_REQUEST_BYTES`, so an over-long
 /// request is refused by `parse_batch` without being held in memory.
@@ -56,17 +60,18 @@ fn main() {
                 };
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: dse [REQUEST.json] [--workers N]   answer a JSON batch \
-                     (stdin when no file)"
-                );
+                println!("{USAGE}");
                 return;
             }
             other if other.starts_with('-') => {
                 eprintln!("dse: unknown flag {other} (see --help)");
                 std::process::exit(2);
             }
-            other => input = Some(other.to_owned()),
+            other if input.is_none() => input = Some(other.to_owned()),
+            _ => {
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     let text = match input {

@@ -206,11 +206,7 @@ impl PlannedQuery {
             sync: SyncSetup::Perfect,
             ..SimConfig::paper_defaults()
         };
-        let template = Arc::new(derived.template(
-            requirements.topology().clone(),
-            requirements.flows().clone(),
-            base,
-        )?);
+        let template = Arc::new(derived.template(&requirements, base)?);
 
         Ok(PlannedQuery {
             query: query.clone(),

@@ -3,7 +3,8 @@
 //! as an `infeasible` answer — never a panic, never a stringly bypass.
 //! Oversized requests are refused earlier, by `parse_batch`, with an
 //! error naming the query and field, and the `dse` binary refuses a
-//! worker count outside `1..=MAX_WORKERS` before reading anything.
+//! worker count outside `1..=MAX_WORKERS`, a missing worker count and a
+//! second request file before reading anything.
 
 use tsn_dse::batch::{MAX_DURATION_US, MAX_HOSTS, MAX_LINKS, MAX_REQUEST_BYTES, MAX_SWITCHES};
 use tsn_dse::query::MAX_TS_COUNT;
@@ -246,5 +247,29 @@ fn out_of_range_worker_counts_exit_2_before_reading_the_request() {
             "{workers}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{workers}: no response is printed");
+    }
+}
+
+#[test]
+fn argv_errors_exit_2_before_reading_a_request() {
+    // Neither file exists, so reading one would print "cannot read".
+    for (args, want) in [
+        (&["missing-a.json", "missing-b.json"][..], "usage: dse "),
+        (&["--workers"][..], "--workers needs a value"),
+        (
+            &["missing-a.json", "--workers"][..],
+            "--workers needs a value",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dse"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("dse runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("cannot read"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no response is printed");
     }
 }

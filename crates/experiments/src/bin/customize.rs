@@ -269,13 +269,8 @@ fn run_scenario(path: &str) -> Result<(String, bool), String> {
             frame_preemption: scenario.frame_preemption,
             ..SimConfig::paper_defaults()
         };
-        let requirements = customization.requirements();
         let report = derived
-            .template(
-                requirements.topology().clone(),
-                requirements.flows().clone(),
-                base,
-            )
+            .template(customization.requirements(), base)
             .and_then(|template| template.instantiate())
             .map_err(|e| format!("synthesis: {e}"))?
             .run();

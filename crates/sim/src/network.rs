@@ -13,6 +13,7 @@ use crate::event::{Event, EventQueue};
 use crate::fault::{FaultConfig, FaultEngine, WireEffect};
 use crate::host::{Generator, Host};
 use crate::report::{DegradationReport, EventStats, SimReport};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -23,7 +24,7 @@ use tsn_switch::pipeline::{PortKind, SwitchSpec, TsnSwitchCore};
 use tsn_switch::stats::DropReason;
 use tsn_switch::time_sync::{ClockModel, SyncConfig, SyncDomain, SyncFaultProfile};
 use tsn_topology::{
-    EnabledPorts, Link, LinkId, NodeKind, Route, RouteTree, RouteTreeCache, Topology,
+    EnabledPorts, FlowRouter, Link, LinkId, NodeKind, Route, RouteCacheStats, RouteTree, Topology,
 };
 use tsn_types::{
     DataRate, EthernetFrame, FlowId, FlowMap, FlowSet, FlowSpec, MacAddr, MeterId, NodeId, PortId,
@@ -328,7 +329,6 @@ impl GclSchedule {
 /// primary-path bookkeeping.
 #[derive(Debug, Clone)]
 struct FlowProgram {
-    flow: FlowId,
     /// `(switch, egress port)` per switch hop, in path order.
     hops: Box<[(NodeId, PortId)]>,
     /// Every link the route traverses (host links included).
@@ -340,9 +340,39 @@ struct FlowProgram {
 /// flow endpoints — not on resources, slot, offsets or queue layouts.
 /// Applying the program replays the exact install order of a from-scratch
 /// build, so instantiations are byte-identical to it by construction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct InstallProgram {
     flows: Vec<FlowProgram>,
+    /// Guideline (5) over the TS routes: gate-control hardware exists
+    /// only on the egress ports they use — the same analysis that sized
+    /// `port_num` during derivation. Other switch-to-switch ports stay
+    /// ungated (always-open), like un-provisioned ports on the FPGA.
+    enabled_ports: EnabledPorts,
+}
+
+impl InstallProgram {
+    /// Builds the program from one route per flow, in flow-set order:
+    /// each route becomes its flow's program and, for a TS flow, feeds
+    /// the enabled-port analysis, then is dropped — a streamed route
+    /// never outlives its flow.
+    fn build<R: Borrow<Route>>(
+        topology: &Topology,
+        flows: &FlowSet,
+        routes: impl IntoIterator<Item = TsnResult<R>>,
+    ) -> TsnResult<Self> {
+        let mut program = InstallProgram {
+            flows: Vec::with_capacity(flows.len()),
+            enabled_ports: EnabledPorts::default(),
+        };
+        for (flow, route) in flows.iter().zip(routes) {
+            let route = route?;
+            program.flows.push(flow_program(topology, route.borrow())?);
+            if flow.as_ts().is_some() {
+                program.enabled_ports.add_route(topology, route.borrow());
+            }
+        }
+        Ok(program)
+    }
 }
 
 /// A config delta for [`NetworkTemplate::reconfigure`]: only the named
@@ -430,8 +460,8 @@ pub struct NetworkTemplate {
     /// Pre-converged (post-warmup, pre-fault-arming) gPTP domain; cloned
     /// per instantiation. `None` under perfect sync.
     sync_seed: Option<SyncDomain>,
-    /// Route-cache effectiveness while the program was computed.
-    route_cache: crate::report::RouteCacheStats,
+    /// The counters of the routing that produced the install program.
+    route_cache: RouteCacheStats,
     /// Lazily-built instantiation image for the capacity-patching fast
     /// path of [`NetworkTemplate::reconfigure`]. `Some(None)` once
     /// building it failed (base config not instantiable) so the replay
@@ -463,37 +493,73 @@ impl std::fmt::Debug for NetworkTemplate {
 }
 
 impl NetworkTemplate {
-    /// Builds a template with the role-derived default gate schedules.
+    /// Builds a template with the role-derived default gate schedules,
+    /// routing every flow through one [`FlowRouter`] and streaming each
+    /// route into the install program.
     ///
     /// # Errors
     ///
-    /// Invalid flow endpoints, unroutable flows, or a sync-domain setup
-    /// failure. Resource shortfalls surface at
-    /// [`NetworkTemplate::instantiate`] instead, since they depend on the
-    /// (reconfigurable) resource knobs.
+    /// The [`FlowRouter::route`] errors, or a sync-domain setup failure.
+    /// Resource shortfalls surface at [`NetworkTemplate::instantiate`]
+    /// instead, since they depend on the (reconfigurable) resource knobs.
     pub fn new(
         topology: Topology,
         flows: FlowSet,
         offsets: &FlowMap<SimDuration>,
         config: SimConfig,
     ) -> TsnResult<Self> {
-        NetworkTemplate::with_schedule(topology, flows, offsets, config, GclSchedule::new())
+        let mut router = FlowRouter::new(&topology, &flows);
+        let routes = flows.iter().map(|flow| router.route(flow));
+        let program = InstallProgram::build(&topology, &flows, routes)?;
+        let route_cache = router.stats();
+        Self::from_routed(
+            topology,
+            flows,
+            program,
+            route_cache,
+            offsets,
+            config,
+            GclSchedule::new(),
+        )
     }
 
-    /// As [`NetworkTemplate::new`], with explicit per-port gate-control
-    /// overrides (synthesized 802.1Qbv schedules).
+    /// As [`NetworkTemplate::new`], but installing `routes` — one per
+    /// flow, in flow-set order, as a [`FlowRouter`] resolved them with
+    /// counters `route_cache` — instead of routing again, with explicit
+    /// per-port gate-control overrides (synthesized 802.1Qbv schedules).
     ///
     /// # Errors
     ///
-    /// As [`NetworkTemplate::new`].
-    pub fn with_schedule(
+    /// A sync-domain setup failure.
+    ///
+    /// # Panics
+    ///
+    /// When `routes` does not hold exactly one route per flow.
+    pub fn with_routes(
         topology: Topology,
         flows: FlowSet,
+        routes: &[Route],
+        route_cache: RouteCacheStats,
         offsets: &FlowMap<SimDuration>,
         config: SimConfig,
         gcls: GclSchedule,
     ) -> TsnResult<Self> {
-        let (program, route_cache, enabled_ports) = compute_program(&topology, &flows)?;
+        assert_eq!(routes.len(), flows.len(), "one route per flow");
+        let program = InstallProgram::build(&topology, &flows, routes.iter().map(Ok))?;
+        Self::from_routed(topology, flows, program, route_cache, offsets, config, gcls)
+    }
+
+    /// The constructor both entry points share once the flows are
+    /// routed: port roles, the pre-converged sync domain, deadlines.
+    fn from_routed(
+        topology: Topology,
+        flows: FlowSet,
+        program: InstallProgram,
+        route_cache: RouteCacheStats,
+        offsets: &FlowMap<SimDuration>,
+        config: SimConfig,
+        gcls: GclSchedule,
+    ) -> TsnResult<Self> {
         let switch_count = topology.switches().len();
         let mut port_kinds = Vec::with_capacity(topology.nodes().len());
         for node in topology.nodes() {
@@ -510,7 +576,9 @@ impl NetworkTemplate {
                                 .is_some_and(tsn_topology::Node::is_switch);
                             if peer_is_switch
                                 && link.allows_egress_from(node.id())
-                                && enabled_ports.is_enabled(node.id(), PortId::new(p as u16))
+                                && program
+                                    .enabled_ports
+                                    .is_enabled(node.id(), PortId::new(p as u16))
                             {
                                 PortKind::Tsn
                             } else {
@@ -821,83 +889,9 @@ impl NetworkTemplate {
     }
 }
 
-/// Resolves every flow's route once: endpoint validation, one cached BFS
-/// tree per talker, switch hops with their egress ports, and the full
-/// link list for the fault engine. The route-cache capacity scales with
-/// the distinct-talker count so large plants don't thrash the fixed
-/// default.
-///
-/// The TS routes also give the enabled ports of guideline (5):
-/// gate-control hardware exists only on the egress ports they use — the
-/// same analysis that sized `port_num` during derivation. Other
-/// switch-to-switch ports stay ungated (always-open), like
-/// un-provisioned ports on the FPGA.
-fn compute_program(
-    topology: &Topology,
-    flows: &FlowSet,
-) -> TsnResult<(InstallProgram, crate::report::RouteCacheStats, EnabledPorts)> {
-    let mut is_talker = vec![false; topology.nodes().len()];
-    let mut talkers = 0usize;
-    for flow in flows.iter() {
-        let idx = flow.src().as_usize();
-        if idx < is_talker.len() && !is_talker[idx] {
-            is_talker[idx] = true;
-            talkers += 1;
-        }
-    }
-    let mut route_trees = RouteTreeCache::with_capacity(talkers);
-    let mut programs = Vec::with_capacity(flows.len());
-    let mut failure = None;
-    // One routing pass: each route becomes its flow's program and, for a
-    // TS flow, feeds the enabled-port analysis, then is dropped — no
-    // route outlives its flow.
-    let ts_routes = flows
-        .iter()
-        .map_while(
-            |flow| match flow_program(topology, &mut route_trees, flow) {
-                Ok((program, route)) => {
-                    programs.push(program);
-                    Some(flow.as_ts().map(|_| route))
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    None
-                }
-            },
-        )
-        .flatten();
-    let enabled_ports = EnabledPorts::from_routes(topology, ts_routes);
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    let stats = crate::report::RouteCacheStats {
-        hits: route_trees.hits(),
-        misses: route_trees.misses(),
-        evictions: route_trees.evictions(),
-        capacity: route_trees.capacity(),
-    };
-    Ok((InstallProgram { flows: programs }, stats, enabled_ports))
-}
-
-/// One flow's install program and the route it came from.
-fn flow_program(
-    topology: &Topology,
-    route_trees: &mut RouteTreeCache,
-    flow: &FlowSpec,
-) -> TsnResult<(FlowProgram, Route)> {
-    for node in [flow.src(), flow.dst()] {
-        if !topology
-            .node(node)
-            .map(tsn_topology::Node::is_host)
-            .unwrap_or(false)
-        {
-            return Err(TsnError::invalid_parameter(
-                "flow",
-                format!("{} endpoint {node} is not a host", flow.id()),
-            ));
-        }
-    }
-    let route = route_trees.route(topology, flow.src(), flow.dst())?;
+/// One flow's install program from its route: the switch hops with
+/// their egress ports and the full link list for the fault engine.
+fn flow_program(topology: &Topology, route: &Route) -> TsnResult<FlowProgram> {
     let mut hops = Vec::new();
     for hop in route.switch_hops_iter() {
         let egress = hop
@@ -905,20 +899,23 @@ fn flow_program(
             .ok_or_else(|| TsnError::invalid_parameter("route", "switch hop without egress"))?;
         hops.push((hop.node, egress));
     }
-    let links: Box<[LinkId]> = route
+    Ok(FlowProgram {
+        hops: hops.into_boxed_slice(),
+        links: route_links(topology, route).into_boxed_slice(),
+    })
+}
+
+/// The links a route traverses, in path order: a flow's primary path at
+/// install and its current path after a fault reroute.
+fn route_links(topology: &Topology, route: &Route) -> Vec<LinkId> {
+    route
         .hops()
         .iter()
         .filter_map(|hop| {
             let egress = hop.egress?;
             topology.link_at(hop.node, egress).ok().map(Link::id)
         })
-        .collect();
-    let program = FlowProgram {
-        flow: flow.id(),
-        hops: hops.into_boxed_slice(),
-        links,
-    };
-    Ok((program, route))
+        .collect()
 }
 
 /// The VLAN that distinguishes one flow from another on the wire (flows
@@ -979,7 +976,6 @@ impl Network {
         // dominated build time — the PR-2 bench regression).
         let flows = Arc::clone(&self.flows);
         for (flow, prog) in flows.iter().zip(program.flows.iter()) {
-            debug_assert_eq!(flow.id(), prog.flow, "program is in flow-set order");
             let src = flow.src();
             let dst = flow.dst();
             if let Some(engine) = &mut self.fault {
@@ -1102,18 +1098,6 @@ impl Network {
             *slot += 1;
         }
         Ok(())
-    }
-
-    /// The links a route traverses, in path order.
-    fn route_links(&self, route: &Route) -> Vec<LinkId> {
-        route
-            .hops()
-            .iter()
-            .filter_map(|hop| {
-                let egress = hop.egress?;
-                self.topology.link_at(hop.node, egress).ok().map(Link::id)
-            })
-            .collect()
     }
 
     /// Moves the pending events onto the reference `BinaryHeap` event
@@ -1300,7 +1284,7 @@ impl Network {
                 engine.note_unroutable(flow.id());
                 continue;
             };
-            let links = self.route_links(&route);
+            let links = route_links(&self.topology, &route);
             let engine = self.fault.as_mut().expect("caller holds an engine");
             if !engine.set_current(flow.id(), links) {
                 continue; // path unchanged: tables already agree

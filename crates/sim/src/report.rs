@@ -4,6 +4,7 @@ use crate::analyzer::{Analyzer, LatencyStats};
 use crate::fault::FlowDegradation;
 use core::fmt;
 use tsn_switch::SwitchStats;
+pub use tsn_topology::RouteCacheStats;
 use tsn_types::{FlowId, NodeId, PortId, SimTime, TrafficClass};
 
 /// Event-core instrumentation: where the discrete-event loop spent its
@@ -36,21 +37,6 @@ pub struct EventStats {
     /// of the same topology and flows routes the same way, so it counts
     /// the same in every run of a scenario.
     pub route_cache: RouteCacheStats,
-}
-
-/// How well the per-talker BFS route cache served flow installation:
-/// hits/misses/evictions plus the capacity it ran with (scaled to the
-/// scenario's talker count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouteCacheStats {
-    /// Routes served from a cached talker tree.
-    pub hits: u64,
-    /// Routes that had to run a fresh BFS.
-    pub misses: u64,
-    /// Whole-cache flushes forced by the capacity bound.
-    pub evictions: u64,
-    /// The capacity the cache ran with.
-    pub capacity: usize,
 }
 
 impl EventStats {

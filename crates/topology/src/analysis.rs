@@ -9,7 +9,6 @@
 
 use crate::graph::Topology;
 use crate::route::Route;
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use tsn_types::{NodeId, PortId};
 
@@ -34,20 +33,20 @@ pub struct EnabledPorts {
 }
 
 impl EnabledPorts {
-    /// Analyses the routes of the TS flows, as the caller resolved them
-    /// (borrowed, or owned and dropped one by one).
-    pub fn from_routes<R: Borrow<Route>>(
+    /// Analyses the routes of the TS flows.
+    pub fn from_routes<'r>(
         topology: &Topology,
-        routes: impl IntoIterator<Item = R>,
+        routes: impl IntoIterator<Item = &'r Route>,
     ) -> Self {
         let mut result = EnabledPorts::default();
         for route in routes {
-            result.absorb_route(topology, route.borrow());
+            result.add_route(topology, route);
         }
         result
     }
 
-    fn absorb_route(&mut self, topology: &Topology, route: &Route) {
+    /// Adds one TS flow's route to the analysis.
+    pub fn add_route(&mut self, topology: &Topology, route: &Route) {
         let hops = route.hops();
         for pair in hops.windows(2) {
             let (hop, next) = (&pair[0], &pair[1]);

@@ -3,8 +3,8 @@
 use crate::link::{Link, LinkDirection, LinkEnd, LinkId};
 use crate::node::{Node, NodeKind};
 use crate::route::{Route, RouteHop};
-use std::collections::VecDeque;
-use tsn_types::{DataRate, NodeId, PortId, SimDuration, TsnError, TsnResult};
+use std::collections::{BTreeSet, VecDeque};
+use tsn_types::{DataRate, FlowSet, FlowSpec, NodeId, PortId, SimDuration, TsnError, TsnResult};
 
 /// Default one-way propagation delay for [`Topology::connect`]
 /// (a few metres of copper).
@@ -459,126 +459,144 @@ impl RouteTree {
 }
 
 /// A bounded cache of [`RouteTree`]s keyed by talker, for routing many
-/// flows that share sources without re-running BFS per flow **or**
-/// holding one tree per talker alive forever.
-///
-/// A tree costs O(nodes) memory, so caching every talker of a large
-/// plant (thousands of hosts over a 10⁴-node graph) would cost
-/// O(talkers × nodes) — quadratic in plant size. The cache instead
-/// holds at most [`RouteTreeCache::CAPACITY`] trees and clears itself
-/// when full; callers that group their flows by talker (all workload
-/// generators here do) re-run at most one extra BFS per talker per
-/// clear. The routes produced are identical regardless of cache hits.
-///
-/// # Example
-///
-/// ```
-/// use tsn_topology::{presets, RouteTreeCache};
-///
-/// let topo = presets::ring(4, 4)?;
-/// let hosts = topo.hosts();
-/// let mut cache = RouteTreeCache::new();
-/// let route = cache.route(&topo, hosts[0], hosts[1])?;
-/// assert_eq!(route.hops(), topo.route(hosts[0], hosts[1])?.hops());
-/// # Ok::<(), tsn_types::TsnError>(())
-/// ```
+/// flows that share sources without re-running BFS per flow. A tree
+/// costs O(nodes), so the cache holds at most its capacity in trees and
+/// clears itself when full; the routes are identical regardless of cache
+/// hits. [`FlowRouter`] sizes one to a flow set's talkers.
 #[derive(Debug)]
 pub struct RouteTreeCache {
     trees: std::collections::BTreeMap<NodeId, RouteTree>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl Default for RouteTreeCache {
-    fn default() -> Self {
-        RouteTreeCache::new()
-    }
+    stats: RouteCacheStats,
 }
 
 impl RouteTreeCache {
-    /// Default tree bound; one tree is O(nodes), so the default cache
-    /// footprint stays O(CAPACITY × nodes) no matter how many talkers
-    /// stream through it. [`RouteTreeCache::with_capacity`] scales the
-    /// bound to the scenario so large plants don't thrash it.
+    /// The smallest tree bound a cache runs with.
     pub const CAPACITY: usize = 64;
 
-    /// An empty cache with the default capacity.
-    #[must_use]
-    pub fn new() -> Self {
-        RouteTreeCache::with_capacity(Self::CAPACITY)
-    }
-
     /// An empty cache bounded at `capacity` trees (clamped to at least
-    /// [`RouteTreeCache::CAPACITY`]). Size it to the distinct-talker
-    /// count of the scenario: a cache that holds every talker's tree
-    /// never evicts, so installation runs exactly one BFS per talker.
+    /// [`RouteTreeCache::CAPACITY`]). A cache that holds every talker's
+    /// tree never evicts, so it runs exactly one BFS per talker.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         RouteTreeCache {
             trees: std::collections::BTreeMap::new(),
-            capacity: capacity.max(Self::CAPACITY),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            stats: RouteCacheStats {
+                capacity: capacity.max(Self::CAPACITY),
+                ..RouteCacheStats::default()
+            },
         }
     }
 
-    /// The tree bound this cache runs with.
+    /// The cache's counters so far and the capacity it runs with.
     #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    pub fn stats(&self) -> RouteCacheStats {
+        self.stats
     }
 
-    /// Routes served from a cached tree.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Routes that had to run a fresh BFS.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Whole-cache flushes forced by the capacity bound.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// The cached tree rooted at `from`, running BFS on a miss.
-    ///
-    /// # Errors
-    ///
-    /// [`TsnError::UnknownNode`] if `from` does not exist.
-    pub fn tree(&mut self, topology: &Topology, from: NodeId) -> TsnResult<&RouteTree> {
-        use std::collections::btree_map::Entry;
-        match self.trees.entry(from) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => Ok(e.insert(topology.routes_from(from)?)),
-        }
-    }
-
-    /// Routes `from → to` through the cached tree. Byte-identical to
-    /// [`Topology::route`].
+    /// Routes `from → to` through the cached tree rooted at `from`,
+    /// running BFS on a miss. Byte-identical to [`Topology::route`].
     ///
     /// # Errors
     ///
     /// As [`Topology::route`].
     pub fn route(&mut self, topology: &Topology, from: NodeId, to: NodeId) -> TsnResult<Route> {
-        if self.trees.contains_key(&from) {
-            self.hits += 1;
-        } else {
-            if self.trees.len() >= self.capacity {
-                self.trees.clear();
-                self.evictions += 1;
-            }
-            self.misses += 1;
+        use std::collections::btree_map::Entry;
+        if !self.trees.contains_key(&from) && self.trees.len() >= self.stats.capacity {
+            self.trees.clear();
+            self.stats.evictions += 1;
         }
-        self.tree(topology, from)?.route(topology, to)
+        let tree = match self.trees.entry(from) {
+            Entry::Occupied(e) => {
+                self.stats.hits += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.stats.misses += 1;
+                e.insert(topology.routes_from(from)?)
+            }
+        };
+        tree.route(topology, to)
+    }
+}
+
+/// How well a [`RouteTreeCache`] served its routes: hits, misses and
+/// evictions, plus the capacity it ran with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RouteCacheStats {
+    /// Routes served from a cached talker tree.
+    pub hits: u64,
+    /// Routes that had to run a fresh BFS.
+    pub misses: u64,
+    /// Whole-cache flushes forced by the capacity bound.
+    pub evictions: u64,
+    /// The capacity the cache ran with.
+    pub capacity: usize,
+}
+
+/// The one way a flow set is routed: host-endpoint validation, then
+/// shortest-path routing through one [`RouteTreeCache`] sized to the
+/// flow set's distinct talkers, so a flow set routes with one BFS per
+/// talker. Flows go through one at a time, so a caller that needs each
+/// route only briefly never holds them all.
+///
+/// # Example
+///
+/// ```
+/// use tsn_topology::{presets, FlowRouter};
+/// use tsn_types::{FlowId, FlowSet, SimDuration, TsFlowSpec};
+///
+/// let topo = presets::ring(4, 4)?;
+/// let (a, b, ms) = (topo.hosts()[0], topo.hosts()[1], SimDuration::from_millis);
+/// let mut flows = FlowSet::new();
+/// flows.push(TsFlowSpec::new(FlowId::new(0), a, b, ms(10), ms(2), 64)?.into());
+/// let mut router = FlowRouter::new(&topo, &flows);
+/// assert_eq!(router.route(&flows.iter().as_slice()[0])?, topo.route(a, b)?);
+/// assert_eq!(router.stats().misses, 1);
+/// # Ok::<(), tsn_types::TsnError>(())
+/// ```
+#[derive(Debug)]
+pub struct FlowRouter<'t> {
+    topology: &'t Topology,
+    cache: RouteTreeCache,
+}
+
+impl<'t> FlowRouter<'t> {
+    /// A router for `flows` over `topology`, its cache bounded at the
+    /// flow set's distinct-talker count (at least
+    /// [`RouteTreeCache::CAPACITY`]).
+    #[must_use]
+    pub fn new(topology: &'t Topology, flows: &FlowSet) -> Self {
+        let talkers: BTreeSet<NodeId> = flows.iter().map(FlowSpec::src).collect();
+        FlowRouter {
+            topology,
+            cache: RouteTreeCache::with_capacity(talkers.len()),
+        }
+    }
+
+    /// Routes one flow, host to host.
+    ///
+    /// # Errors
+    ///
+    /// * [`TsnError::UnknownNode`] for an endpoint that does not exist.
+    /// * [`TsnError::InvalidParameter`] naming `flows` for an endpoint
+    ///   that is not a host.
+    /// * [`TsnError::NoRoute`] when the destination is unreachable.
+    pub fn route(&mut self, flow: &FlowSpec) -> TsnResult<Route> {
+        for node in [flow.src(), flow.dst()] {
+            if !self.topology.node(node)?.is_host() {
+                return Err(TsnError::invalid_parameter(
+                    "flows",
+                    format!("{} endpoint {node} is not a host", flow.id()),
+                ));
+            }
+        }
+        self.cache.route(self.topology, flow.src(), flow.dst())
+    }
+
+    /// The route cache's counters so far.
+    #[must_use]
+    pub fn stats(&self) -> RouteCacheStats {
+        self.cache.stats()
     }
 }
 

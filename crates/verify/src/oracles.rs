@@ -73,33 +73,37 @@ pub fn oracle_by_name(name: &str) -> Option<Oracle> {
         .map(|(_, oracle)| *oracle)
 }
 
-/// Builds topology, flows and the full TSN-Builder derivation for a case.
-/// Any error here happens before a validated configuration exists, so it
-/// is a discard, never a failure.
-pub fn prepare(case: &ScenarioCase) -> Result<(Topology, FlowSet, DerivedConfig), Verdict> {
+/// Builds the requirements (topology, flows and their routes) and the
+/// full TSN-Builder derivation for a case. Any error here happens before
+/// a validated configuration exists, so it is a discard, never a failure.
+pub fn prepare(case: &ScenarioCase) -> Result<(AppRequirements, DerivedConfig), Verdict> {
+    prepare_with(case, |topology| case.flow_set(topology))
+}
+
+/// As [`prepare`], with the workload drawn by `workload`.
+fn prepare_with(
+    case: &ScenarioCase,
+    workload: impl FnOnce(&Topology) -> TsnResult<FlowSet>,
+) -> Result<(AppRequirements, DerivedConfig), Verdict> {
     let discard = |stage: &str, e: TsnError| Verdict::Discard(format!("{stage}: {e}"));
     let topology = case.topology().map_err(|e| discard("preset", e))?;
-    let flows = case
-        .flow_set(&topology)
-        .map_err(|e| discard("workload", e))?;
-    let requirements =
-        AppRequirements::new(topology.clone(), flows.clone(), SimDuration::from_nanos(50))
-            .map_err(|e| discard("requirements", e))?;
+    let flows = workload(&topology).map_err(|e| discard("workload", e))?;
+    let requirements = AppRequirements::new(topology, flows, SimDuration::from_nanos(50))
+        .map_err(|e| discard("requirements", e))?;
     let derived = derive_parameters(&requirements, &DeriveOptions::paper())
         .map_err(|e| discard("derivation", e))?;
-    Ok((topology, flows, derived))
+    Ok((requirements, derived))
 }
 
 /// Builds the derived configuration over the case's base config. Build
 /// errors after a successful derivation are failures.
 pub fn build_derived(
     case: &ScenarioCase,
-    topology: &Topology,
-    flows: &FlowSet,
+    requirements: &AppRequirements,
     derived: &DerivedConfig,
 ) -> Result<Network, Verdict> {
     derived
-        .template(topology.clone(), flows.clone(), case.base_config())
+        .template(requirements, case.base_config())
         .and_then(|template| template.instantiate())
         .map_err(|e| Verdict::Fail(format!("post-derive network build failed: {e}")))
 }
@@ -109,11 +113,11 @@ pub fn build_derived(
 /// `[(hop−1)·slot, (hop+1)·slot]`, no TS frame is lost, and a derived
 /// (fault-free) configuration never loses frames to capacity.
 pub fn sim_vs_analytic(case: &ScenarioCase) -> Verdict {
-    let (topology, flows, derived) = match prepare(case) {
+    let (requirements, derived) = match prepare(case) {
         Ok(x) => x,
         Err(v) => return v,
     };
-    let report = match build_derived(case, &topology, &flows, &derived) {
+    let report = match build_derived(case, &requirements, &derived) {
         Ok(network) => network.run(),
         Err(v) => return v,
     };
@@ -129,7 +133,8 @@ pub fn sim_vs_analytic(case: &ScenarioCase) -> Verdict {
             report.degradation.frames_lost_to_capacity
         ));
     }
-    for flow in flows.ts_flows() {
+    let topology = requirements.topology();
+    for flow in requirements.flows().ts_flows() {
         let route = match topology.route(flow.src(), flow.dst()) {
             Ok(r) => r,
             Err(e) => {
@@ -230,7 +235,7 @@ pub fn inflate(base: &ResourceConfig, mask: u64) -> TsnResult<ResourceConfig> {
 /// inflating pure *capacities* must leave the whole simulation report —
 /// latency, jitter, loss, counters — byte-identical.
 pub fn qos_invariance(case: &ScenarioCase) -> Verdict {
-    let (topology, flows, derived) = match prepare(case) {
+    let (requirements, derived) = match prepare(case) {
         Ok(x) => x,
         Err(v) => return v,
     };
@@ -241,7 +246,7 @@ pub fn qos_invariance(case: &ScenarioCase) -> Verdict {
     if inflated == derived.resources {
         return Verdict::Pass;
     }
-    let baseline = match build_derived(case, &topology, &flows, &derived) {
+    let baseline = match build_derived(case, &requirements, &derived) {
         Ok(network) => network.run(),
         Err(v) => return v,
     };
@@ -249,7 +254,7 @@ pub fn qos_invariance(case: &ScenarioCase) -> Verdict {
         resources: inflated,
         ..derived
     };
-    let grown = match build_derived(case, &topology, &flows, &inflated) {
+    let grown = match build_derived(case, &requirements, &inflated) {
         Ok(network) => network.run(),
         Err(v) => return v,
     };
@@ -267,13 +272,13 @@ pub fn qos_invariance(case: &ScenarioCase) -> Verdict {
 /// reference binary heap realize the same `(time, seq)` total order, so
 /// the same scenario must produce byte-identical reports on both.
 pub fn backend_equivalence(case: &ScenarioCase) -> Verdict {
-    let (topology, flows, derived) = match prepare(case) {
+    let (requirements, derived) = match prepare(case) {
         Ok(x) => x,
         Err(v) => return v,
     };
     let (calendar, heap) = match (
-        build_derived(case, &topology, &flows, &derived),
-        build_derived(case, &topology, &flows, &derived),
+        build_derived(case, &requirements, &derived),
+        build_derived(case, &requirements, &derived),
     ) {
         (Ok(calendar), Ok(heap)) => (calendar.run(), heap.with_reference_queue().run()),
         (Err(v), _) | (_, Err(v)) => return v,
@@ -343,7 +348,7 @@ pub fn hdl_round_trip(emitted: &Module, text: &str) -> Result<Module, String> {
 /// ([`tsn_hdl::parse_modules`]) to exactly the emitted IR, with
 /// parameters matching the resource config.
 pub fn hdl_fixpoint(case: &ScenarioCase) -> Verdict {
-    let (_, _, derived) = match prepare(case) {
+    let (_, derived) = match prepare(case) {
         Ok(x) => x,
         Err(v) => return v,
     };
@@ -425,24 +430,11 @@ fn fault_flows(topology: &Topology, count: u64) -> TsnResult<FlowSet> {
 /// widening the outage window never decreases the deadline-failure count
 /// (TS deadline misses + TS frames lost).
 pub fn fault_monotonicity(case: &ScenarioCase) -> Verdict {
-    let discard = |stage: &str, e: TsnError| Verdict::Discard(format!("{stage}: {e}"));
-    let topology = match case.topology() {
-        Ok(t) => t,
-        Err(e) => return discard("preset", e),
-    };
-    let flows = match fault_flows(&topology, case.flows) {
-        Ok(f) => f,
-        Err(e) => return discard("workload", e),
-    };
-    let requirements =
-        match AppRequirements::new(topology.clone(), flows.clone(), SimDuration::from_nanos(50)) {
-            Ok(r) => r,
-            Err(e) => return discard("requirements", e),
+    let (requirements, derived) =
+        match prepare_with(case, |topology| fault_flows(topology, case.flows)) {
+            Ok(x) => x,
+            Err(v) => return v,
         };
-    let derived = match derive_parameters(&requirements, &DeriveOptions::paper()) {
-        Ok(d) => d,
-        Err(e) => return discard("derivation", e),
-    };
 
     let mut failures = Vec::new();
     for level in 0..FAULT_LEVELS {
@@ -459,7 +451,7 @@ pub fn fault_monotonicity(case: &ScenarioCase) -> Verdict {
             };
         }
         let report = match derived
-            .template(topology.clone(), flows.clone(), config)
+            .template(&requirements, config)
             .and_then(|template| template.instantiate())
         {
             Ok(network) => network.run(),
@@ -688,11 +680,11 @@ fn random_delta(case: &ScenarioCase, derived: &DerivedConfig) -> TsnResult<Confi
 /// when both succeed, the same error when both reject the delta, and
 /// never one succeeding where the other fails.
 pub fn reconfigure_equivalence(case: &ScenarioCase) -> Verdict {
-    let (topology, flows, derived) = match prepare(case) {
+    let (requirements, derived) = match prepare(case) {
         Ok(x) => x,
         Err(v) => return v,
     };
-    let template = match derived.template(topology.clone(), flows.clone(), case.base_config()) {
+    let template = match derived.template(&requirements, case.base_config()) {
         Ok(t) => t,
         Err(e) => return Verdict::Fail(format!("post-derive template build failed: {e}")),
     };
@@ -709,7 +701,13 @@ pub fn reconfigure_equivalence(case: &ScenarioCase) -> Verdict {
         .unwrap_or_else(|| derived.itp.offsets.clone());
 
     let incremental = template.reconfigure(&delta).map(Network::run);
-    let scratch = Network::build(topology, flows, &offsets, scratch_config).map(Network::run);
+    let scratch = Network::build(
+        requirements.topology().clone(),
+        requirements.flows().clone(),
+        &offsets,
+        scratch_config,
+    )
+    .map(Network::run);
     match (incremental, scratch) {
         (Ok(inc), Ok(scr)) => {
             if inc != scr || format!("{inc:?}") != format!("{scr:?}") {
@@ -811,7 +809,7 @@ mod tests {
         let mut lossy = 0;
         for _ in 0..48 {
             let case = ScenarioCase::generate(&mut rng);
-            let Ok((topology, flows, derived)) = prepare(&case) else {
+            let Ok((requirements, derived)) = prepare(&case) else {
                 continue;
             };
             let delta = random_delta(&case, &derived).expect("draws");
@@ -825,7 +823,12 @@ mod tests {
             derived.delta().apply(&mut config);
             delta.apply(&mut config);
             let offsets = delta.offsets.as_ref().unwrap_or(&derived.itp.offsets);
-            let Ok(network) = Network::build(topology, flows, offsets, config) else {
+            let Ok(network) = Network::build(
+                requirements.topology().clone(),
+                requirements.flows().clone(),
+                offsets,
+                config,
+            ) else {
                 continue;
             };
             if network.run().ts_lost() > 0 {
@@ -845,7 +848,7 @@ mod tests {
                 break c;
             }
         };
-        let (_, _, derived) = prepare(&case).expect("derivable case");
+        let (_, derived) = prepare(&case).expect("derivable case");
         let base = &derived.resources;
         assert_eq!(&inflate(base, 0).expect("mask 0"), base);
         let all = inflate(base, 0x3f).expect("mask 0x3f");

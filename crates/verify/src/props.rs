@@ -16,7 +16,7 @@ use tsn_sim::{hist_bucket, LatencyStats};
 use tsn_switch::gate_ctrl::{GateControlList, GateEntry};
 use tsn_switch::ingress_filter::TokenBucketMeter;
 use tsn_switch::table::CapTable;
-use tsn_topology::{presets, RouteTreeCache, Topology};
+use tsn_topology::{presets, Topology};
 use tsn_types::{DataRate, MacAddr, QueueId, SimDuration, SimTime, SplitMix64, TsnResult};
 
 use crate::corpus::CaseCodec;
@@ -609,9 +609,9 @@ fn latency_merge(case: &ParamCase) -> Verdict {
 }
 
 /// Shared topology checks for the builder-shape properties: a sampled
-/// host pair routes identically through the per-call BFS and the bounded
-/// [`RouteTreeCache`] with at most `max_switch_hops` switches on the
-/// path, and every host hangs off a switch.
+/// host pair routes identically through the per-call BFS and a
+/// per-talker [`tsn_topology::RouteTree`] with at most `max_switch_hops`
+/// switches on the path, and every host hangs off a switch.
 fn topology_shape_checks(
     topology: &Topology,
     max_switch_hops: usize,
@@ -634,17 +634,19 @@ fn topology_shape_checks(
                 direct.switch_hops()
             ));
         }
-        let mut cache = RouteTreeCache::new();
-        match cache.route(topology, src, dst) {
-            Ok(cached) if cached.switch_hops() == direct.switch_hops() => {}
-            Ok(cached) => {
+        match topology
+            .routes_from(src)
+            .and_then(|tree| tree.route(topology, dst))
+        {
+            Ok(tree) if tree.switch_hops() == direct.switch_hops() => {}
+            Ok(tree) => {
                 return Verdict::Fail(format!(
-                    "cached route crosses {} switches, direct BFS {}",
-                    cached.switch_hops(),
+                    "route tree crosses {} switches, direct BFS {}",
+                    tree.switch_hops(),
                     direct.switch_hops()
                 ));
             }
-            Err(e) => return Verdict::Fail(format!("cache route {src} -> {dst}: {e}")),
+            Err(e) => return Verdict::Fail(format!("route tree {src} -> {dst}: {e}")),
         }
     }
 

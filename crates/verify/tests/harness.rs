@@ -15,7 +15,7 @@ use tsn_verify::runner::{Runner, Verdict};
 /// config↔HDL consistency check `hdl-fixpoint` applies: the emitted
 /// `gate_ctrl` must provision the *derived* queue depth.
 fn buggy_depth_oracle(case: &ScenarioCase) -> Verdict {
-    let (_topology, _flows, derived) = match oracles::prepare(case) {
+    let (_requirements, derived) = match oracles::prepare(case) {
         Ok(x) => x,
         Err(v) => return v,
     };

@@ -181,11 +181,7 @@ fn per_switch_sizing_is_lossless() -> Result<(), TsnError> {
     use tsn_builder::PerSwitchConfig;
     let topo = presets::star(3, 3)?;
     let flows = workloads::iec60802_ts_flows(&topo, 96, 11)?;
-    let requirements = tsn_builder::AppRequirements::new(
-        topo.clone(),
-        flows.clone(),
-        SimDuration::from_nanos(50),
-    )?;
+    let requirements = tsn_builder::AppRequirements::new(topo, flows, SimDuration::from_nanos(50))?;
     let cfg = PerSwitchConfig::derive(&requirements, &DeriveOptions::paper())?;
 
     let sim = SimConfig {
@@ -194,7 +190,11 @@ fn per_switch_sizing_is_lossless() -> Result<(), TsnError> {
         per_switch_resources: cfg.per_switch.clone().into_iter().collect(),
         ..SimConfig::paper_defaults()
     };
-    let report = cfg.uniform.template(topo, flows, sim)?.instantiate()?.run();
+    let report = cfg
+        .uniform
+        .template(&requirements, sim)?
+        .instantiate()?
+        .run();
     assert_eq!(
         report.ts_lost(),
         0,

@@ -101,13 +101,7 @@ fn swept_tas_scenarios_report_like_the_facade() -> Result<(), TsnError> {
     let facade = customization
         .synthesize_network(duration, SyncSetup::Perfect)?
         .run();
-    let scenario = Scenario::derived(
-        "tas",
-        topo.clone(),
-        flows.clone(),
-        tas_options(),
-        config.clone(),
-    );
+    let scenario = Scenario::derived("tas", topo, flows, tas_options(), config.clone());
     let swept = run_scenarios(&[scenario], 1)
         .remove(0)
         .expect("the TAS scenario runs")
@@ -122,7 +116,7 @@ fn swept_tas_scenarios_report_like_the_facade() -> Result<(), TsnError> {
         tas: None,
         ..customization.derived().clone()
     }
-    .template(topo, flows, config)?
+    .template(customization.requirements(), config)?
     .instantiate()?
     .run();
     assert_ne!(format!("{unscheduled:?}"), format!("{facade:?}"));
