@@ -344,9 +344,9 @@ pub const RECONFIG: Spec = Spec {
 /// The DSE bench (`BENCH_9.json`): queries/sec of a cold 100-query
 /// family batch, pinned at an 8000 ms budget. Each unique query comes
 /// 5 times, so the answer cache hits 0.8 exactly when fingerprint dedup
-/// works; a unique query may cost the certify step's three simulations
-/// (candidate, `queue_depth − 1`, `buffer_num − 1`), a count that does
-/// not depend on the host.
+/// works; a certified unique query costs one simulation (its step-downs
+/// fail on the run's occupancy), and the gate allows 1.2 per unique
+/// query, a count that does not depend on the host.
 pub const DSE: Spec = Spec {
     bench: "dse",
     file: "BENCH_9.json",
@@ -362,7 +362,7 @@ pub const DSE: Spec = Spec {
     gates: &[
         Gate::summary("queries_per_sec_geomean_vs_baseline").at_least(0.95),
         Gate::each("answers_hit_rate").at_least(0.79).at_most(0.81),
-        Gate::each("sims").per("unique").at_most(3.0),
+        Gate::each("sims").per("unique").at_most(1.2),
     ],
 };
 
@@ -382,7 +382,7 @@ mod tests {
         gates: &[
             Gate::summary("geomean").at_least(0.95),
             Gate::each("hit").at_least(0.79).at_most(0.81),
-            Gate::each("sims").per("unique").at_most(3.0),
+            Gate::each("sims").per("unique").at_most(1.2),
         ],
     };
 
@@ -405,9 +405,9 @@ mod tests {
     fn geomean_skips_cases_without_a_pin() {
         // a: 2x its pin, b: 0.5x, c: no pin — the geomean is over a and b.
         let json = record(&[
-            ("a", 200.0, 0.8, 1.0),
-            ("b", 200.0, 0.8, 1.0),
-            ("c", 7.0, 0.8, 1.0),
+            ("a", 200.0, 0.8, 20.0),
+            ("b", 200.0, 0.8, 20.0),
+            ("c", 7.0, 0.8, 20.0),
         ]);
         assert_eq!(json.get("geomean"), Some(&Json::Num(1.0)));
         let Some(Json::Arr(cases)) = json.get("results") else {
@@ -422,24 +422,24 @@ mod tests {
             "the file reads back"
         );
         // Only unpinned cases: a null geomean, which its gate lets pass.
-        let unpinned = record(&[("c", 7.0, 0.8, 1.0)]);
+        let unpinned = record(&[("c", 7.0, 0.8, 20.0)]);
         assert_eq!(unpinned.get("geomean"), Some(&Json::Null));
         assert_eq!(check(&unpinned, TEST.gates), Ok(()));
     }
 
     #[test]
     fn breaches_name_the_case_and_the_metric() {
-        let floor = record(&[("a", 90.0, 0.8, 60.0)]);
+        let floor = record(&[("a", 90.0, 0.8, 20.0)]);
         assert_eq!(
             check(&floor, TEST.gates),
             Err("test: geomean >= 0.95 breached by 0.9".to_owned())
         );
-        let range = record(&[("a", 100.0, 0.5, 60.0), ("b", 400.0, 0.9, 61.0)]);
+        let range = record(&[("a", 100.0, 0.5, 24.0), ("b", 400.0, 0.9, 25.0)]);
         assert_eq!(
             check(&range, TEST.gates),
             Err("a: hit in [0.79, 0.81] breached by 0.5\n\
                  b: hit in [0.79, 0.81] breached by 0.9\n\
-                 b: sims per unique <= 3 breached by 3.05"
+                 b: sims per unique <= 1.2 breached by 1.25"
                 .to_owned())
         );
         let missing = parse(r#"{"bench": "t", "results": [{"name": "x", "hit": null}]}"#);

@@ -5,6 +5,8 @@
 //! synchronization precision. Everything else (Table II parameters, GCLs,
 //! injection offsets) is derived.
 
+use std::sync::Arc;
+
 use tsn_sim::network::{GclSchedule, NetworkTemplate, SimConfig};
 use tsn_topology::{FlowRouter, Route, RouteCacheStats, Topology};
 use tsn_types::{FlowMap, FlowSet, SimDuration, TsFlowSpec, TsnError, TsnResult};
@@ -31,8 +33,10 @@ use tsn_types::{FlowMap, FlowSet, SimDuration, TsFlowSpec, TsnError, TsnResult};
 /// ```
 #[derive(Debug, Clone)]
 pub struct AppRequirements {
-    topology: Topology,
-    flows: FlowSet,
+    /// Shared with every [`NetworkTemplate`] built from these
+    /// requirements, so a template costs no copy of the scenario.
+    topology: Arc<Topology>,
+    flows: Arc<FlowSet>,
     /// `routes[i]` is the shortest-path route of the `i`-th flow of
     /// `flows`, computed once at construction.
     routes: Vec<Route>,
@@ -75,8 +79,8 @@ impl AppRequirements {
             .collect::<TsnResult<Vec<_>>>()?;
         let route_cache = router.stats();
         Ok(AppRequirements {
-            topology,
-            flows,
+            topology: Arc::new(topology),
+            flows: Arc::new(flows),
             routes,
             route_cache,
             sync_precision,
@@ -127,8 +131,8 @@ impl AppRequirements {
         gcls: GclSchedule,
     ) -> TsnResult<NetworkTemplate> {
         NetworkTemplate::with_routes(
-            self.topology.clone(),
-            self.flows.clone(),
+            Arc::clone(&self.topology),
+            Arc::clone(&self.flows),
             &self.routes,
             self.route_cache,
             offsets,

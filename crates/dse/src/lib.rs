@@ -23,7 +23,8 @@
 //!    queue depth and buffer pool at the peak. It is the answer when its
 //!    simulation passes and every single-knob step-down fails (tables
 //!    and meter on their floors, `queue_depth − 1` and `buffer_num − 1`
-//!    on one simulation each) — at most three simulations. Otherwise
+//!    on the passing run's queue and buffer-pool occupancy) — one
+//!    simulation for a lossless query. Otherwise
 //!    the engine confirms the derived configuration and bisects the
 //!    monotone knobs (unicast/class/meter tables, queue depth, buffer
 //!    pool) one at a time, then polishes single steps to a fixpoint.

@@ -22,11 +22,19 @@
 //! entry, queue depth and buffer pool at the peak) and returns it when
 //! its simulation passes and every single-knob step-down fails — the
 //! table and meter step-downs on their floors, `queue_depth − 1` and
-//! `buffer_num − 1` on one simulation each. That is the
+//! `buffer_num − 1` on the passing run's occupancy. That is the
 //! [`check_optimality`] certificate, so a certified answer is locally
-//! minimal by construction, in at most three simulations. On any miss
-//! the confirm → bisect → polish search runs on the same candidate memo,
-//! so no candidate is simulated twice.
+//! minimal by construction.
+//!
+//! The occupancy witness: both capacities are read only at admission, so
+//! when the passing run filled a queue (or a port's buffer pool) to the
+//! knob's value, the run one notch smaller is identical up to that
+//! admission and drops the frame there. For a lossless all-TS query that
+//! is a certain failure, and the step-down is rejected without a
+//! simulation; a certified answer then costs one simulation. A run that
+//! stayed below the knob's value simulates its step-down as before. On
+//! any miss the confirm → bisect → polish search runs on the same
+//! candidate memo, so no candidate is simulated twice.
 
 use std::sync::Arc;
 
@@ -257,6 +265,45 @@ impl PlannedQuery {
         })
     }
 
+    /// Whether `passed`, the passing full run of `cfg`, proves the
+    /// `knob − 1` step-down of `cfg` infeasible without simulating it.
+    ///
+    /// `queue_depth` and `buffer_num` are read only at admission: a queue
+    /// refuses a frame at `len >= queue_depth`, a port's pool at
+    /// `buffered >= buffer_num`. A run one notch smaller is therefore
+    /// identical to `passed` up to the first admission that reached the
+    /// run's high-water mark, and there it drops the frame. So when the
+    /// high-water equals the knob's value, the smaller run drops a frame
+    /// — a TS loss when every flow is TS, which a lossless target
+    /// (`max_lost == 0`) rejects. Per-switch overrides would hold some
+    /// switches at other capacities, so they rule the witness out.
+    #[must_use]
+    pub fn witness_rules_out(
+        &self,
+        cfg: &ResourceConfig,
+        knob: Knob,
+        passed: &Feasibility,
+    ) -> bool {
+        let Feasibility::Feasible {
+            queue_high_water,
+            pool_high_water,
+            ..
+        } = *passed
+        else {
+            return false;
+        };
+        let high_water = match knob {
+            Knob::QueueDepth => queue_high_water,
+            Knob::BufferNum => pool_high_water,
+            Knob::UnicastTbl | Knob::ClassTbl | Knob::MeterTbl => return false,
+        };
+        let flows = self.requirements.flows();
+        self.query.max_lost == 0
+            && flows.ts_count() == flows.len()
+            && self.template.config().per_switch_resources.is_empty()
+            && u32::try_from(high_water) == Ok(knob.value(cfg))
+    }
+
     /// Checks `cfg` against the analytic floors. `Err` names the first
     /// violated bound; such a candidate is rejected without simulation
     /// (and *would* fail it: `Network::build` errors when a table cannot
@@ -324,6 +371,12 @@ pub enum Feasibility {
         /// Worst delivered TS latency, in µs (for the bound-vs-sim
         /// margin).
         worst_latency_us: f64,
+        /// The run's highest per-queue occupancy on any port
+        /// ([`tsn_sim::SimReport::max_queue_high_water`]).
+        queue_high_water: usize,
+        /// The run's highest buffer-pool occupancy on any port
+        /// ([`tsn_sim::SimReport::max_pool_high_water`]).
+        pool_high_water: usize,
     },
     /// Rejected by an analytic floor — never simulated.
     BoundFail(String),
@@ -356,7 +409,8 @@ pub struct SearchOutcome {
     /// Candidate simulations this search ran (memoized lookups of other
     /// queries excluded).
     pub sims: u64,
-    /// Candidates rejected by an analytic floor instead of a simulation.
+    /// Candidates rejected without a simulation: by an analytic floor,
+    /// or by the certified candidate's occupancy witness.
     pub pruned: u64,
 }
 
@@ -566,6 +620,8 @@ impl DseEngine {
             .map_or(0.0, SimDuration::as_micros_f64);
         Feasibility::Feasible {
             worst_latency_us: worst,
+            queue_high_water: report.max_queue_high_water,
+            pool_high_water: report.max_pool_high_water,
         }
     }
 
@@ -628,9 +684,11 @@ impl DseEngine {
 
     /// The certify step: the [`PlannedQuery::peak_candidate`] and its
     /// worst latency when its simulation passes and every single-knob
-    /// step-down fails — the [`check_optimality`] test, in at most three
-    /// simulations (the candidate, `queue_depth − 1`, `buffer_num − 1`;
-    /// the table and meter step-downs fail on their floors).
+    /// step-down fails — the [`check_optimality`] test. The table and
+    /// meter step-downs fail on their floors; `queue_depth − 1` and
+    /// `buffer_num − 1` fail on the candidate run's occupancy witness
+    /// ([`PlannedQuery::witness_rules_out`]) or, where it does not
+    /// apply, on one simulation each.
     fn certify(
         &self,
         planned: &PlannedQuery,
@@ -638,13 +696,19 @@ impl DseEngine {
         pruned: &mut u64,
     ) -> Option<(ResourceConfig, f64)> {
         let candidate = planned.peak_candidate().ok()?;
-        let Feasibility::Feasible { worst_latency_us } =
-            self.feasibility_counted(planned, &candidate, sims, pruned)
+        let passed = self.feasibility_counted(planned, &candidate, sims, pruned);
+        let Feasibility::Feasible {
+            worst_latency_us, ..
+        } = passed
         else {
             return None;
         };
         let minimal = KNOBS.iter().all(|&knob| {
             step_down(&candidate, knob).is_none_or(|smaller| {
+                if planned.witness_rules_out(&candidate, knob, &passed) {
+                    *pruned += 1;
+                    return true;
+                }
                 !self
                     .feasibility_counted(planned, &smaller, sims, pruned)
                     .is_feasible()
@@ -717,8 +781,9 @@ impl DseEngine {
             }
         }
 
-        let Feasibility::Feasible { worst_latency_us } =
-            self.feasibility_counted(planned, &cfg, sims, pruned)
+        let Feasibility::Feasible {
+            worst_latency_us, ..
+        } = self.feasibility_counted(planned, &cfg, sims, pruned)
         else {
             unreachable!("the search only moves between feasible configurations");
         };

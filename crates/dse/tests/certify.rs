@@ -51,7 +51,10 @@ fn reference_search(query: &QosQuery) -> Result<(ResourceConfig, f64), &'static 
             break;
         }
     }
-    let Feasibility::Feasible { worst_latency_us } = engine.feasibility(planned, &cfg) else {
+    let Feasibility::Feasible {
+        worst_latency_us, ..
+    } = engine.feasibility(planned, &cfg)
+    else {
         unreachable!("the descent only moves between feasible configurations");
     };
     Ok((cfg, worst_latency_us))
@@ -81,7 +84,9 @@ fn compare(query: &QosQuery) -> Path {
             );
             let planned = PlannedQuery::plan(query).expect("feasible queries plan");
             if planned.peak_candidate().ok() == Some(config) {
-                assert!(outcome.sims <= 3, "certified in {} sims", outcome.sims);
+                // The step-downs of a lossless certified answer fail on
+                // its run's occupancy, so the answer is one simulation.
+                assert_eq!(outcome.sims, 1, "{query:?}");
                 Path::Certified
             } else {
                 Path::FellBack

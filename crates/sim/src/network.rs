@@ -513,8 +513,8 @@ impl NetworkTemplate {
         let program = InstallProgram::build(&topology, &flows, routes)?;
         let route_cache = router.stats();
         Self::from_routed(
-            topology,
-            flows,
+            Arc::new(topology),
+            Arc::new(flows),
             program,
             route_cache,
             offsets,
@@ -527,6 +527,8 @@ impl NetworkTemplate {
     /// flow, in flow-set order, as a [`FlowRouter`] resolved them with
     /// counters `route_cache` — instead of routing again, with explicit
     /// per-port gate-control overrides (synthesized 802.1Qbv schedules).
+    /// The template shares `topology` and `flows` instead of copying
+    /// them.
     ///
     /// # Errors
     ///
@@ -536,8 +538,8 @@ impl NetworkTemplate {
     ///
     /// When `routes` does not hold exactly one route per flow.
     pub fn with_routes(
-        topology: Topology,
-        flows: FlowSet,
+        topology: Arc<Topology>,
+        flows: Arc<FlowSet>,
         routes: &[Route],
         route_cache: RouteCacheStats,
         offsets: &FlowMap<SimDuration>,
@@ -552,8 +554,8 @@ impl NetworkTemplate {
     /// The constructor both entry points share once the flows are
     /// routed: port roles, the pre-converged sync domain, deadlines.
     fn from_routed(
-        topology: Topology,
-        flows: FlowSet,
+        topology: Arc<Topology>,
+        flows: Arc<FlowSet>,
         program: InstallProgram,
         route_cache: RouteCacheStats,
         offsets: &FlowMap<SimDuration>,
@@ -641,8 +643,8 @@ impl NetworkTemplate {
 
         Ok(NetworkTemplate {
             ports_base: port_base(&topology),
-            topology: Arc::new(topology),
-            flows: Arc::new(flows),
+            topology,
+            flows,
             config,
             offsets: offsets.clone(),
             gcls,
@@ -1745,6 +1747,7 @@ impl Network {
         let mut merged = tsn_switch::SwitchStats::new();
         let mut per_switch = Vec::new();
         let mut max_high_water = 0;
+        let mut max_pool_high_water = 0;
         let mut host_overflow = 0;
         for (idx, role) in self.roles.iter().enumerate() {
             match role {
@@ -1752,6 +1755,7 @@ impl Network {
                     merged.merge(core.stats());
                     per_switch.push((NodeId::new(idx as u32), *core.stats()));
                     max_high_water = max_high_water.max(core.max_queue_high_water());
+                    max_pool_high_water = max_pool_high_water.max(core.max_pool_high_water());
                 }
                 NodeRole::Host(host) => {
                     host_overflow += host.overflow_drops();
@@ -1827,6 +1831,7 @@ impl Network {
             switch_stats: merged,
             per_switch,
             max_queue_high_water: max_high_water,
+            max_pool_high_water,
             host_overflow_drops: host_overflow,
             sync_worst_error_ns,
             events_processed: events.total(),

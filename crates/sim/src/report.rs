@@ -158,6 +158,9 @@ pub struct SimReport {
     /// Highest per-queue occupancy observed anywhere — the measurement
     /// that justifies a `queue_depth` choice.
     pub max_queue_high_water: usize,
+    /// Highest per-port buffer-pool occupancy observed anywhere — the
+    /// measurement that justifies a `buffer_num` choice.
+    pub max_pool_high_water: usize,
     /// Frames lost in host output stages (generator outran its link).
     pub host_overflow_drops: u64,
     /// Worst absolute gPTP error across switches at the end of the run

@@ -48,10 +48,19 @@ fn short_config_for_ports(ports: u32) -> SimConfig {
     config
 }
 
+/// Builds and runs the network, checking the pool invariant of every
+/// report: no port ever buffers more frames than `buffer_num`.
 fn run(topology: Topology, flows: FlowSet, config: SimConfig) -> SimReport {
-    Network::build(topology, flows, &FlowMap::new(), config)
+    let buffer_num = config.resources.buffer_num() as usize;
+    let report = Network::build(topology, flows, &FlowMap::new(), config)
         .expect("network builds")
-        .run()
+        .run();
+    assert!(
+        report.max_pool_high_water <= buffer_num,
+        "pool high-water {} exceeds buffer_num {buffer_num}",
+        report.max_pool_high_water
+    );
+    report
 }
 
 #[test]
@@ -219,6 +228,10 @@ fn adequate_queue_depth_absorbs_the_same_burst() {
     assert_eq!(report.ts_lost(), 0);
     assert!(report.max_queue_high_water <= 16);
     assert!(report.max_queue_high_water >= 8, "burst really queued up");
+    assert!(
+        report.max_pool_high_water >= report.max_queue_high_water,
+        "the pool holds every queue of the port"
+    );
 }
 
 #[test]
@@ -246,6 +259,9 @@ fn shrunk_depth_and_buffers_patch_like_a_fresh_build() {
             "depth {depth}, buffers {buffers}: lossy"
         );
         assert!(built.switch_stats.drops(reason) > 0, "{reason:?} drops");
+        if reason == DropReason::BufferExhausted {
+            assert_eq!(built.max_pool_high_water, buffers as usize, "pool filled");
+        }
         assert_eq!(patched, built, "depth {depth}, buffers {buffers}");
         assert_eq!(format!("{patched:?}"), format!("{built:?}"));
     }

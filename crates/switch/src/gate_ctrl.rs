@@ -374,6 +374,8 @@ pub struct GateCtrl {
     /// Total frames buffered across all queues (kept incrementally so
     /// buffer-pool checks are O(1)).
     buffered: usize,
+    /// The highest `buffered` has been after any admission.
+    buffered_high_water: usize,
     /// Bit mask of the layout's time-sensitive queues.
     ts_mask: u64,
 }
@@ -413,6 +415,7 @@ impl GateCtrl {
             gate_closed_drops: 0,
             occupied: 0,
             buffered: 0,
+            buffered_high_water: 0,
             ts_mask,
         })
     }
@@ -499,6 +502,7 @@ impl GateCtrl {
         self.queues[queue.as_usize()].push(frame)?;
         self.occupied |= 1 << queue.index();
         self.buffered += 1;
+        self.buffered_high_water = self.buffered_high_water.max(self.buffered);
         Ok(queue)
     }
 
@@ -570,6 +574,13 @@ impl GateCtrl {
         self.queues
             .get(queue.as_usize())
             .map_or(0, |q| q.high_water)
+    }
+
+    /// The highest simultaneous occupancy of the port's whole buffer
+    /// pool — the basis for right-sizing `buffer_num`.
+    #[must_use]
+    pub fn buffered_high_water(&self) -> usize {
+        self.buffered_high_water
     }
 
     /// Frames dropped because the target queue was full.
@@ -889,6 +900,28 @@ mod tests {
         gc.pop(QueueId::new(0));
         assert_eq!(gc.occupied_mask(), 0);
         assert_eq!(gc.total_buffered(), 0);
+    }
+
+    #[test]
+    fn buffered_high_water_tracks_enqueue_and_dequeue() {
+        let mut gc = cqf_gate();
+        assert_eq!(gc.buffered_high_water(), 0);
+        let be = QueueId::new(0);
+        gc.enqueue(be, be_frame(), SimTime::ZERO).expect("open");
+        gc.enqueue(be, be_frame(), SimTime::ZERO).expect("open");
+        let ts = gc
+            .enqueue(QueueId::new(6), ts_frame(0), SimTime::ZERO)
+            .expect("open");
+        assert_eq!(gc.buffered_high_water(), 3, "counts every queue");
+        gc.pop(be);
+        gc.pop(ts);
+        assert_eq!(gc.total_buffered(), 1);
+        assert_eq!(gc.buffered_high_water(), 3, "dequeues keep the mark");
+        gc.enqueue(be, be_frame(), SimTime::ZERO).expect("open");
+        assert_eq!(gc.buffered_high_water(), 3, "2 buffered is below it");
+        gc.enqueue(be, be_frame(), SimTime::ZERO).expect("open");
+        gc.enqueue(be, be_frame(), SimTime::ZERO).expect("open");
+        assert_eq!(gc.buffered_high_water(), 4);
     }
 
     #[test]

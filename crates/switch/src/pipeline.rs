@@ -683,6 +683,17 @@ impl TsnSwitchCore {
             .max()
             .unwrap_or(0)
     }
+
+    /// Highest buffer-pool occupancy seen on any port — the measurement
+    /// that justifies shrinking `buffer_num`.
+    #[must_use]
+    pub fn max_pool_high_water(&self) -> usize {
+        self.ports
+            .iter()
+            .map(|p| p.gates.buffered_high_water())
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// Builds the queue layout for a port with `queue_num` queues: the paper's
@@ -820,6 +831,7 @@ mod tests {
                 reason: DropReason::BufferExhausted
             }]
         );
+        assert_eq!(sw.max_pool_high_water(), resources.buffer_num() as usize);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use crate::graph::{Topology, DEFAULT_PROPAGATION};
 use crate::link::LinkDirection;
-use tsn_types::{DataRate, TsnError, TsnResult};
+use tsn_types::{DataRate, Digest, TsnError, TsnResult};
 
 /// Link rate used by all presets (matches the paper's 1 Gbps testbed).
 pub const PRESET_RATE: DataRate = DataRate::gbps(1);
@@ -103,6 +103,38 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
+    /// Feeds the description into `digest`: a variant tag, then every
+    /// field in declaration order.
+    pub fn digest(&self, digest: &mut Digest) {
+        match self {
+            TopologySpec::Named {
+                kind,
+                switches,
+                hosts,
+            } => {
+                digest.u8(0).str(kind).usize(*switches).usize(*hosts);
+            }
+            TopologySpec::Inline {
+                switches,
+                hosts,
+                links,
+            } => {
+                digest.u8(1).usize(switches.len());
+                for name in switches {
+                    digest.str(name);
+                }
+                digest.usize(hosts.len());
+                for name in hosts {
+                    digest.str(name);
+                }
+                digest.usize(links.len());
+                for (a, b) in links {
+                    digest.str(a).str(b);
+                }
+            }
+        }
+    }
+
     /// Materializes the topology.
     ///
     /// # Errors

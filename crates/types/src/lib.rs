@@ -20,6 +20,8 @@
 //! * [`flowmap`] — a dense [`FlowId`]-indexed map ([`FlowMap`]) for the
 //!   simulator's per-frame hot paths at 100k–1M-flow scale.
 //! * [`error`] — the shared [`TsnError`] type.
+//! * [`digest`] — a stable FNV-1a [`Digest`] for identities that are
+//!   printed or stored.
 //!
 //! # Example
 //!
@@ -37,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod error;
 pub mod flow;
 pub mod flowmap;
@@ -47,6 +50,7 @@ pub mod rng;
 pub mod time;
 pub mod vlan;
 
+pub use digest::Digest;
 pub use error::{TsnError, TsnResult};
 pub use flow::{BeFlowSpec, FlowSet, FlowSpec, RcFlowSpec, TsFlowSpec};
 pub use flowmap::FlowMap;

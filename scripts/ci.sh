@@ -81,8 +81,8 @@ run cargo bench -q -p tsn-bench --bench scale -- flows/10k
 # deterministic 100-query family batches (20 unique queries x 5 labels
 # each). Gates: queries/sec geomean vs the pins in BENCH_9.json >=
 # 0.95x, answer-cache hit rate in [0.79, 0.81] (0.8 when dedup works),
-# and at most 3 candidate simulations per unique query (an exact,
-# host-independent counter). The dse-optimality corpus pin already
+# and at most 1.2 candidate simulations per unique query (an exact,
+# host-independent counter; a certified query costs one). The dse-optimality corpus pin already
 # replayed in the verify step above.
 TSN_BENCH_MS="${TSN_BENCH_MS:-2000}" run cargo bench -q -p tsn-bench --bench dse
 
