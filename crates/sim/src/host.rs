@@ -31,8 +31,6 @@ pub struct Generator {
     period: SimDuration,
     /// First injection instant.
     offset: SimDuration,
-    /// End-to-end deadline (TS only).
-    deadline: Option<SimDuration>,
     /// CQF slot grid the generator re-aligns to after every period
     /// (TS only; `None` = free-running).
     slot_align: Option<SimDuration>,
@@ -49,7 +47,6 @@ impl Generator {
         frame_bytes: u32,
         period: SimDuration,
         offset: SimDuration,
-        deadline: SimDuration,
     ) -> Self {
         Generator {
             flow,
@@ -59,7 +56,6 @@ impl Generator {
             frame_bytes,
             period,
             offset,
-            deadline: Some(deadline),
             slot_align: None,
             next_seq: 0,
         }
@@ -106,7 +102,6 @@ impl Generator {
             frame_bytes,
             period: SimDuration::from_nanos(gap_ns.max(1)),
             offset,
-            deadline: None,
             slot_align: None,
             next_seq: 0,
         }
@@ -122,12 +117,6 @@ impl Generator {
     #[must_use]
     pub fn class(&self) -> TrafficClass {
         self.class
-    }
-
-    /// The flow deadline, if any.
-    #[must_use]
-    pub fn deadline(&self) -> Option<SimDuration> {
-        self.deadline
     }
 
     /// First injection instant.
@@ -179,6 +168,12 @@ impl Host {
         self.mac
     }
 
+    /// Reserves room for exactly `generators` more generators, so a host
+    /// holds the talkers it has and no doubling slack.
+    pub(crate) fn reserve_generators(&mut self, generators: usize) {
+        self.generators.reserve_exact(generators);
+    }
+
     /// Adds a generator, returning its index (used in `Inject` events).
     pub fn add_generator(&mut self, generator: Generator) -> usize {
         self.generators.push(generator);
@@ -222,7 +217,6 @@ impl Host {
         }
         let class = generator.class;
         let flow = generator.flow;
-        let deadline = generator.deadline;
 
         let queue = &mut self.out[class_slot(class)];
         let queued = if queue.len() >= HOST_QUEUE_CAP {
@@ -235,7 +229,6 @@ impl Host {
         Ok(InjectOutcome {
             flow,
             class,
-            deadline,
             queued,
             next_injection: next,
         })
@@ -289,8 +282,6 @@ pub struct InjectOutcome {
     pub flow: FlowId,
     /// Its class.
     pub class: TrafficClass,
-    /// Its deadline, if any.
-    pub deadline: Option<SimDuration>,
     /// `false` if the host output queue overflowed (frame lost).
     pub queued: bool,
     /// When the generator fires next.
@@ -321,7 +312,6 @@ mod tests {
             64,
             SimDuration::from_millis(10),
             SimDuration::from_micros(offset_us),
-            SimDuration::from_millis(2),
         )
     }
 
@@ -423,6 +413,17 @@ mod tests {
         }
         assert_eq!(h.queued(), HOST_QUEUE_CAP);
         assert_eq!(h.overflow_drops(), 3);
+    }
+
+    #[test]
+    fn generators_are_reserved_exactly() {
+        let mut h = host();
+        h.reserve_generators(3);
+        for flow in 0..3 {
+            h.add_generator(ts_gen(flow, 0));
+        }
+        assert_eq!(h.generators.capacity(), 3, "no doubling slack");
+        assert_eq!(std::mem::size_of::<Generator>(), 64);
     }
 
     #[test]

@@ -108,6 +108,16 @@ impl SimConfig {
             faults: FaultConfig::none(),
         }
     }
+
+    /// The resources switch `node` is provisioned with: its
+    /// [`SimConfig::per_switch_resources`] override, else
+    /// [`SimConfig::resources`].
+    #[must_use]
+    pub fn resources_of(&self, node: NodeId) -> &ResourceConfig {
+        self.per_switch_resources
+            .get(&node)
+            .unwrap_or(&self.resources)
+    }
 }
 
 impl Default for SimConfig {
@@ -324,15 +334,19 @@ impl GclSchedule {
     }
 }
 
-/// One flow's precomputed forwarding path: the switch hops (with egress
-/// ports) in path order, plus the traversed links for the fault engine's
-/// primary-path bookkeeping.
-#[derive(Debug, Clone)]
-struct FlowProgram {
-    /// `(switch, egress port)` per switch hop, in path order.
-    hops: Box<[(NodeId, PortId)]>,
-    /// Every link the route traverses (host links included).
-    links: Box<[LinkId]>,
+/// What an install program puts on one node: the entries each switch
+/// table receives and the generators each host gets. Instantiation sizes
+/// the node's storage by these counts, not by its capacity knobs.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeLoad {
+    /// Unicast installs (one per switch hop through the node).
+    unicast: u32,
+    /// Classification installs (one per TS/RC switch hop).
+    class: u32,
+    /// Meter installs (one per RC switch hop).
+    meters: u32,
+    /// Generators (one per flow the node talks).
+    generators: u32,
 }
 
 /// The route-resolution half of flow installation, precomputed once per
@@ -340,9 +354,21 @@ struct FlowProgram {
 /// flow endpoints — not on resources, slot, offsets or queue layouts.
 /// Applying the program replays the exact install order of a from-scratch
 /// build, so instantiations are byte-identical to it by construction.
+///
+/// The per-flow paths live in two flat arenas, flows in flow-set order,
+/// each flow's span ending at its entry in `ends`: three allocations
+/// whatever the flow count.
 #[derive(Debug, Clone)]
 struct InstallProgram {
-    flows: Vec<FlowProgram>,
+    /// `(switch, egress port)` per switch hop, each flow's in path order.
+    hops: Vec<(NodeId, PortId)>,
+    /// Every link each route traverses (host links included), for the
+    /// fault engine's primary-path bookkeeping.
+    links: Vec<LinkId>,
+    /// Per flow, the end of its span in `hops` and in `links`.
+    ends: Vec<(u32, u32)>,
+    /// Per node (by index), what the program installs on it.
+    loads: Vec<NodeLoad>,
     /// Guideline (5) over the TS routes: gate-control hardware exists
     /// only on the egress ports they use — the same analysis that sized
     /// `port_num` during derivation. Other switch-to-switch ports stay
@@ -361,17 +387,53 @@ impl InstallProgram {
         routes: impl IntoIterator<Item = TsnResult<R>>,
     ) -> TsnResult<Self> {
         let mut program = InstallProgram {
-            flows: Vec::with_capacity(flows.len()),
+            hops: Vec::new(),
+            links: Vec::new(),
+            ends: Vec::with_capacity(flows.len()),
+            loads: vec![NodeLoad::default(); topology.nodes().len()],
             enabled_ports: EnabledPorts::default(),
         };
         for (flow, route) in flows.iter().zip(routes) {
             let route = route?;
-            program.flows.push(flow_program(topology, route.borrow())?);
+            let route = route.borrow();
+            let classified = !matches!(flow, FlowSpec::Be(_));
+            let metered = matches!(flow, FlowSpec::Rc(_));
+            for hop in route.switch_hops_iter() {
+                let egress = hop.egress.ok_or_else(|| {
+                    TsnError::invalid_parameter("route", "switch hop without egress")
+                })?;
+                program.hops.push((hop.node, egress));
+                let load = &mut program.loads[hop.node.as_usize()];
+                load.unicast += 1;
+                load.class += u32::from(classified);
+                load.meters += u32::from(metered);
+            }
+            program.links.extend(route_links(topology, route));
+            program
+                .ends
+                .push((program.hops.len() as u32, program.links.len() as u32));
+            program.loads[flow.src().as_usize()].generators += 1;
             if flow.as_ts().is_some() {
-                program.enabled_ports.add_route(topology, route.borrow());
+                program.enabled_ports.add_route(topology, route);
             }
         }
+        // The arenas grew by doubling while the routes streamed in; the
+        // template keeps them for its lifetime, so drop the slack once.
+        program.hops.shrink_to_fit();
+        program.links.shrink_to_fit();
         Ok(program)
+    }
+
+    /// Each flow's `(switch hops, links)` spans, in flow-set order.
+    fn flows(&self) -> impl Iterator<Item = (&[(NodeId, PortId)], &[LinkId])> {
+        let mut start = (0, 0);
+        self.ends.iter().map(move |&(hops_end, links_end)| {
+            let (hops_start, links_start) = std::mem::replace(&mut start, (hops_end, links_end));
+            (
+                &self.hops[hops_start as usize..hops_end as usize],
+                &self.links[links_start as usize..links_end as usize],
+            )
+        })
     }
 }
 
@@ -636,10 +698,18 @@ impl NetworkTemplate {
             }
         };
 
-        let deadlines: FlowMap<SimDuration> = flows
-            .iter()
-            .filter_map(|f| f.as_ts().map(|ts| (ts.id(), ts.deadline())))
-            .collect();
+        // Sized to the highest TS id up front rather than grown by
+        // doubling: the template holds this map for its lifetime.
+        let ts_flows = || flows.iter().filter_map(FlowSpec::as_ts);
+        let mut deadlines = FlowMap::with_capacity(
+            ts_flows()
+                .map(|ts| ts.id().as_usize() + 1)
+                .max()
+                .unwrap_or(0),
+        );
+        for ts in ts_flows() {
+            deadlines.insert(ts.id(), ts.deadline());
+        }
 
         Ok(NetworkTemplate {
             ports_base: port_base(&topology),
@@ -748,12 +818,8 @@ impl NetworkTemplate {
         for node in self.topology.nodes() {
             match node.kind() {
                 NodeKind::Switch => {
-                    let resources = config
-                        .per_switch_resources
-                        .get(&node.id())
-                        .unwrap_or(&config.resources);
                     let mut spec = SwitchSpec::new(
-                        resources,
+                        config.resources_of(node.id()),
                         self.port_kinds[node.id().as_usize()].clone(),
                         config.slot,
                     );
@@ -838,11 +904,7 @@ impl NetworkTemplate {
         let mut roles = seed.roles.clone();
         for node in self.topology.nodes() {
             if let NodeRole::Switch { core, .. } = &mut roles[node.id().as_usize()] {
-                let resources = config
-                    .per_switch_resources
-                    .get(&node.id())
-                    .unwrap_or(&config.resources);
-                if !core.reprovision(resources) {
+                if !core.reprovision(config.resources_of(node.id())) {
                     return None;
                 }
             }
@@ -891,33 +953,13 @@ impl NetworkTemplate {
     }
 }
 
-/// One flow's install program from its route: the switch hops with
-/// their egress ports and the full link list for the fault engine.
-fn flow_program(topology: &Topology, route: &Route) -> TsnResult<FlowProgram> {
-    let mut hops = Vec::new();
-    for hop in route.switch_hops_iter() {
-        let egress = hop
-            .egress
-            .ok_or_else(|| TsnError::invalid_parameter("route", "switch hop without egress"))?;
-        hops.push((hop.node, egress));
-    }
-    Ok(FlowProgram {
-        hops: hops.into_boxed_slice(),
-        links: route_links(topology, route).into_boxed_slice(),
-    })
-}
-
 /// The links a route traverses, in path order: a flow's primary path at
 /// install and its current path after a fault reroute.
-fn route_links(topology: &Topology, route: &Route) -> Vec<LinkId> {
-    route
-        .hops()
-        .iter()
-        .filter_map(|hop| {
-            let egress = hop.egress?;
-            topology.link_at(hop.node, egress).ok().map(Link::id)
-        })
-        .collect()
+fn route_links<'a>(topology: &'a Topology, route: &'a Route) -> impl Iterator<Item = LinkId> + 'a {
+    route.hops().iter().filter_map(|hop| {
+        let egress = hop.egress?;
+        topology.link_at(hop.node, egress).ok().map(Link::id)
+    })
 }
 
 /// The VLAN that distinguishes one flow from another on the wire (flows
@@ -973,15 +1015,31 @@ impl Network {
         let mut next_meter: BTreeMap<NodeId, u32> = BTreeMap::new();
         let mut rc_reservations: BTreeMap<(NodeId, PortId, QueueId), u64> = BTreeMap::new();
 
+        // Size every table and generator list by what the program puts
+        // in it before the first insert, so no node holds capacity-sized
+        // buckets or doubling slack. Capacities stay the insert checks.
+        for (role, load) in self.roles.iter_mut().zip(&program.loads) {
+            match role {
+                NodeRole::Switch { core, .. } => {
+                    core.reserve_tables(
+                        load.unicast as usize,
+                        load.class as usize,
+                        load.meters as usize,
+                    );
+                }
+                NodeRole::Host(host) => host.reserve_generators(load.generators as usize),
+            }
+        }
+
         // Borrow the shared flow set through its own handle so the loop
         // body can still take `&mut self` (at 512 flows a deep clone
         // dominated build time — the PR-2 bench regression).
         let flows = Arc::clone(&self.flows);
-        for (flow, prog) in flows.iter().zip(program.flows.iter()) {
+        for (flow, (hops, links)) in flows.iter().zip(program.flows()) {
             let src = flow.src();
             let dst = flow.dst();
             if let Some(engine) = &mut self.fault {
-                engine.set_primary(flow.id(), prog.links.to_vec());
+                engine.set_primary(flow.id(), links.to_vec());
             }
             let vlan = vlan_for(flow.id());
             let dst_mac = mac_for(dst);
@@ -989,7 +1047,7 @@ impl Network {
             let class = flow.class();
             let pcp = class.default_pcp();
 
-            for &(hop_node, egress) in prog.hops.iter() {
+            for &(hop_node, egress) in hops {
                 let NodeRole::Switch { core, .. } = &mut self.roles[hop_node.as_usize()] else {
                     unreachable!("switch hop resolves to a switch role");
                 };
@@ -1049,7 +1107,6 @@ impl Network {
                     ts.frame_bytes(),
                     ts.period(),
                     offset,
-                    ts.deadline(),
                 )
                 .aligned_to(self.config.slot),
                 FlowSpec::Rc(rc) => Generator::constant_rate(
@@ -1286,7 +1343,7 @@ impl Network {
                 engine.note_unroutable(flow.id());
                 continue;
             };
-            let links = route_links(&self.topology, &route);
+            let links = route_links(&self.topology, &route).collect();
             let engine = self.fault.as_mut().expect("caller holds an engine");
             if !engine.set_current(flow.id(), links) {
                 continue; // path unchanged: tables already agree
@@ -1615,12 +1672,10 @@ impl Network {
                 return;
             }
             let deadline = self.deadlines.get(frame.flow()).copied();
-            if let (Some(deadline), Some(engine)) =
-                (self.deadlines.get(frame.flow()), self.fault.as_mut())
-            {
+            if let (Some(deadline), Some(engine)) = (deadline, self.fault.as_mut()) {
                 // Attribute the miss by the flow's route state at
                 // delivery time: detour-induced vs. plain congestion.
-                if now.saturating_since(frame.injected_at()) > *deadline {
+                if now.saturating_since(frame.injected_at()) > deadline {
                     engine.note_miss(frame.flow());
                 }
             }
@@ -1752,10 +1807,24 @@ impl Network {
         for (idx, role) in self.roles.iter().enumerate() {
             match role {
                 NodeRole::Switch { core, .. } => {
+                    let node = NodeId::new(idx as u32);
+                    let (queue_high, pool_high) =
+                        (core.max_queue_high_water(), core.max_pool_high_water());
+                    // Occupancy never exceeds what this switch
+                    // provisions, overrides included.
+                    let res = self.config.resources_of(node);
+                    debug_assert!(
+                        queue_high <= res.queue_depth() as usize
+                            && pool_high <= res.buffer_num() as usize,
+                        "switch {node}: queue high-water {queue_high} over queue_depth {} \
+                         or pool high-water {pool_high} over buffer_num {}",
+                        res.queue_depth(),
+                        res.buffer_num()
+                    );
                     merged.merge(core.stats());
-                    per_switch.push((NodeId::new(idx as u32), *core.stats()));
-                    max_high_water = max_high_water.max(core.max_queue_high_water());
-                    max_pool_high_water = max_pool_high_water.max(core.max_pool_high_water());
+                    per_switch.push((node, *core.stats()));
+                    max_high_water = max_high_water.max(queue_high);
+                    max_pool_high_water = max_pool_high_water.max(pool_high);
                 }
                 NodeRole::Host(host) => {
                     host_overflow += host.overflow_drops();

@@ -457,6 +457,94 @@ fn undersized_class_table_fails_loudly_at_build() {
 }
 
 #[test]
+fn class_table_one_below_the_floor_fails_build_and_reconfigure() {
+    // Table storage is sized by installs, but the capacity is still the
+    // check: at the exact floor (the busiest switch's TS entries) the
+    // network builds, one entry below it fails with the same error on
+    // both instantiation paths. DSE pruning rejects a step below a
+    // floor without simulating it, which is only sound while this holds.
+    let (topo, flows) = burst();
+    let floor = flows.len() as u32;
+    let with_class = |size: u32| {
+        let mut config = short_config();
+        config.resources.set_class_tbl(size).expect("valid");
+        config
+    };
+    let full = "classification table is full (capacity 15)";
+
+    Network::build(
+        topo.clone(),
+        flows.clone(),
+        &FlowMap::new(),
+        with_class(floor),
+    )
+    .expect("the floor fits");
+    let Err(err) = Network::build(
+        topo.clone(),
+        flows.clone(),
+        &FlowMap::new(),
+        with_class(floor - 1),
+    ) else {
+        panic!("one below the floor builds");
+    };
+    assert_eq!(err.to_string(), full);
+
+    let template = NetworkTemplate::new(topo, flows, &FlowMap::new(), with_class(floor))
+        .expect("template builds");
+    template
+        .reconfigure(&ConfigDelta::resources(with_class(floor).resources))
+        .expect("the floor fits");
+    let Err(err) = template.reconfigure(&ConfigDelta::resources(with_class(floor - 1).resources))
+    else {
+        panic!("one below the floor reconfigures");
+    };
+    assert_eq!(err.to_string(), full);
+    assert_eq!(
+        template.reconfigure_stats(),
+        ReconfigureStats {
+            patched: 1,
+            replayed: 1
+        },
+        "the patch path hands a capacity it cannot adopt to the replay"
+    );
+}
+
+#[test]
+fn occupancy_stays_within_each_switchs_own_provisioning() {
+    // The burst's first switch gets a deep override; every other switch
+    // keeps a shallow base. The first switch's queue and pool fill past
+    // the base sizes but stay within its own, which is what `finish`
+    // asserts per switch in debug builds.
+    let (topo, flows) = burst();
+    let first = topo
+        .route(topo.hosts()[0], topo.hosts()[1])
+        .expect("route exists")
+        .switch_hops_iter()
+        .next()
+        .expect("a switch hop")
+        .node;
+    let base = with_depth_and_buffers(short_config(), 4, 8);
+    let deep = with_depth_and_buffers(short_config(), 16, 128).resources;
+    let mut config = base.clone();
+    config.per_switch_resources.insert(first, deep.clone());
+    let report = Network::build(topo, flows, &FlowMap::new(), config)
+        .expect("network builds")
+        .run();
+    assert!(
+        report.max_queue_high_water > base.resources.queue_depth() as usize,
+        "the deep switch queued past the base depth: {}",
+        report.max_queue_high_water
+    );
+    assert!(report.max_queue_high_water <= deep.queue_depth() as usize);
+    assert!(
+        report.max_pool_high_water > base.resources.buffer_num() as usize,
+        "the deep switch buffered past the base pool: {}",
+        report.max_pool_high_water
+    );
+    assert!(report.max_pool_high_water <= deep.buffer_num() as usize);
+}
+
+#[test]
 fn injection_offsets_shift_arrival_slots() {
     // Two runs that differ only in the planned offset: both lossless;
     // offsets land frames in different slots so latency differs.

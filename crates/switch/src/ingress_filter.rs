@@ -206,7 +206,10 @@ pub enum FilterVerdict {
 #[derive(Debug, Clone)]
 pub struct IngressFilter {
     class_table: CapTable<ClassKey, ClassEntry>,
+    /// Installed meters by id. Only ids up to the highest installed one
+    /// take storage; `meter_size` is the check on installs.
     meters: Vec<Option<TokenBucketMeter>>,
+    meter_size: usize,
     layout: QueueLayout,
     fallback_hits: u64,
 }
@@ -217,7 +220,8 @@ impl IngressFilter {
     pub fn new(class_size: usize, meter_size: usize, layout: QueueLayout) -> Self {
         IngressFilter {
             class_table: CapTable::new("classification table", class_size),
-            meters: vec![None; meter_size],
+            meters: Vec::new(),
+            meter_size,
             layout,
             fallback_hits: 0,
         }
@@ -232,19 +236,27 @@ impl IngressFilter {
     /// references a meter slot outside the meter table.
     pub fn add_class_entry(&mut self, key: ClassKey, entry: ClassEntry) -> TsnResult<()> {
         if let Some(meter) = entry.meter {
-            if meter.as_usize() >= self.meters.len() {
+            if meter.as_usize() >= self.meter_size {
                 return Err(TsnError::invalid_parameter(
                     "meter",
                     format!(
                         "meter index {} outside meter table of size {}",
                         meter.as_usize(),
-                        self.meters.len()
+                        self.meter_size
                     ),
                 ));
             }
         }
         self.class_table.insert(key, entry)?;
         Ok(())
+    }
+
+    /// Reserves storage for `entries` classification installs and
+    /// `meters` meter installs, each clipped to its table's size
+    /// ([`CapTable::reserve`]).
+    pub(crate) fn reserve(&mut self, entries: usize, meters: usize) {
+        self.class_table.reserve(entries);
+        self.meters.reserve_exact(meters.min(self.meter_size));
     }
 
     /// Installs (or replaces) a meter.
@@ -254,12 +266,14 @@ impl IngressFilter {
     /// Returns [`TsnError::CapacityExceeded`] if `id` is outside the meter
     /// table.
     pub fn set_meter(&mut self, id: MeterId, meter: TokenBucketMeter) -> TsnResult<()> {
-        let capacity = self.meters.len();
-        let slot = self
-            .meters
-            .get_mut(id.as_usize())
-            .ok_or_else(|| TsnError::capacity("meter table", capacity))?;
-        *slot = Some(meter);
+        let index = id.as_usize();
+        if index >= self.meter_size {
+            return Err(TsnError::capacity("meter table", self.meter_size));
+        }
+        if index >= self.meters.len() {
+            self.meters.resize(index + 1, None);
+        }
+        self.meters[index] = Some(meter);
         Ok(())
     }
 
@@ -281,7 +295,7 @@ impl IngressFilter {
         if meters_used > meter_size || !self.class_table.set_capacity(class_size) {
             return false;
         }
-        self.meters.resize(meter_size, None);
+        self.meter_size = meter_size;
         true
     }
 

@@ -140,6 +140,12 @@ impl PacketSwitch {
         Ok(())
     }
 
+    /// Reserves unicast-table storage for `entries` installs, clipped to
+    /// the table's capacity ([`CapTable::reserve`]).
+    pub(crate) fn reserve_unicast(&mut self, entries: usize) {
+        self.unicast.reserve(entries);
+    }
+
     /// Installs a multicast group entry.
     ///
     /// # Errors

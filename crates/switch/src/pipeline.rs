@@ -255,6 +255,14 @@ impl TsnSwitchCore {
 
     // --- control plane -----------------------------------------------------
 
+    /// Sizes the unicast, classification and meter tables' storage for
+    /// the installs about to come, each clipped to its table's capacity.
+    /// Storage only: capacities and install outcomes are unchanged.
+    pub fn reserve_tables(&mut self, unicast: usize, class: usize, meters: usize) {
+        self.packet_switch.reserve_unicast(unicast);
+        self.filter.reserve(class, meters);
+    }
+
     /// Installs a unicast forwarding entry.
     ///
     /// # Errors

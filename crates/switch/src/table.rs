@@ -105,14 +105,19 @@ pub struct CapTable<K, V> {
 }
 
 impl<K: Eq + Hash, V> CapTable<K, V> {
-    /// Creates an empty table with room for `capacity` entries. `name` is
-    /// used in error messages (e.g. `"classification table"`).
+    /// Creates an empty table that accepts up to `capacity` entries.
+    /// `name` is used in error messages (e.g. `"classification table"`).
+    ///
+    /// The capacity is the modelled hardware's size and only ever a check
+    /// on inserts: no storage is reserved up front. Callers that know how
+    /// many entries they will install size the storage with
+    /// [`CapTable::reserve`].
     #[must_use]
     pub fn new(name: &'static str, capacity: usize) -> Self {
         CapTable {
             name,
             capacity,
-            entries: HashMap::with_capacity_and_hasher(capacity.min(4096), FxBuild::default()),
+            entries: HashMap::with_hasher(FxBuild::default()),
             lookups: 0,
             misses: 0,
             rejected_inserts: 0,
@@ -133,6 +138,14 @@ impl<K: Eq + Hash, V> CapTable<K, V> {
             return Err(TsnError::capacity(self.name, self.capacity));
         }
         Ok(self.entries.insert(key, value))
+    }
+
+    /// Reserves storage for `entries` more entries, clipped to the room
+    /// the capacity still leaves: inserts beyond it are rejected anyway.
+    /// Storage only; the capacity and every insert outcome are unchanged.
+    pub fn reserve(&mut self, entries: usize) {
+        let room = self.capacity.saturating_sub(self.entries.len());
+        self.entries.reserve(entries.min(room));
     }
 
     /// Looks up a key, counting the access for the miss-rate statistics.
@@ -237,18 +250,20 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced_for_new_keys_only() {
-        let mut t: CapTable<u8, u8> = CapTable::new("t", 2);
-        t.insert(1, 10).expect("fits");
-        t.insert(2, 20).expect("fits");
-        assert!(t.is_full());
-        assert!(matches!(
-            t.insert(3, 30),
-            Err(TsnError::CapacityExceeded { capacity: 2, .. })
-        ));
-        // Overwrite of an existing key is fine even when full.
-        assert_eq!(t.insert(1, 11).expect("overwrite allowed"), Some(10));
-        assert_eq!(t.get(&1), Some(&11));
-        assert_eq!(t.rejected_inserts(), 1);
+        // Reserved storage, even beyond the capacity, moves no outcome.
+        for reserve in [0, 2, 64] {
+            let mut t: CapTable<u8, u8> = CapTable::new("t", 2);
+            t.reserve(reserve);
+            t.insert(1, 10).expect("fits");
+            t.insert(2, 20).expect("fits");
+            assert!(t.is_full());
+            assert_eq!(t.insert(3, 30), Err(TsnError::capacity("t", 2)));
+            // Overwrite of an existing key is fine even when full.
+            assert_eq!(t.insert(1, 11).expect("overwrite allowed"), Some(10));
+            assert_eq!(t.get(&1), Some(&11));
+            assert_eq!(t.occupancy(), 2);
+            assert_eq!(t.rejected_inserts(), 1, "an overwrite is not a rejection");
+        }
     }
 
     #[test]
@@ -285,6 +300,19 @@ mod tests {
         assert_eq!(t.utilization(), 0.25);
         let z: CapTable<u8, u8> = CapTable::new("z", 0);
         assert_eq!(z.utilization(), 0.0);
+    }
+
+    #[test]
+    fn a_reserve_beyond_the_capacity_is_clipped() {
+        let mut t: CapTable<u32, u32> = CapTable::new("t", 4);
+        assert_eq!(t.entries.capacity(), 0, "nothing reserved up front");
+        t.reserve(100_000);
+        assert!(
+            (4..16).contains(&t.entries.capacity()),
+            "storage for 4 entries, not 100k: {}",
+            t.entries.capacity()
+        );
+        assert_eq!(t.capacity(), 4, "a reserve never moves the capacity");
     }
 
     #[test]

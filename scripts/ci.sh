@@ -62,6 +62,12 @@ TSN_BENCH_MS="${TSN_BENCH_MS:-25}" run cargo bench -q -p tsn-bench --bench simul
 # workspace test wall.
 run cargo test -q --release -p tsn-sim --test zero_alloc
 
+# Footprint pin: the live heap a 10k-flow plant's template and network
+# instance hold, each at most 5% over its pin (tests/plant_footprint.rs).
+# Its own line, so a capacity-sized reserve or a per-flow allocation that
+# comes back is named here.
+run cargo test -q --release -p tsn-builder-suite --test plant_footprint
+
 # Layer-bench smokes: run every planning (CQF, ITP, derive, TAS,
 # per-switch) and template (table lookups, gate control, HDL emission)
 # bench once on a tiny budget, so a panicking `expect` inside one fails
