@@ -20,7 +20,6 @@
 //! the 100k check costs no extra peak RSS.
 
 use std::fmt::Write as _;
-use std::hash::Hasher as _;
 use std::sync::Arc;
 use std::time::Instant;
 use tsn_bench::record::{num, RECONFIG, SCALE};
@@ -29,6 +28,7 @@ use tsn_builder::plant::{large_plant, LargePlant};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_sim::network::{ConfigDelta, Network, NetworkTemplate};
 use tsn_sim::SimReport;
+use tsn_types::digest::Digest;
 
 /// `VmHWM` (peak resident set) in bytes from `/proc/self/status`;
 /// `None` off Linux. Monotone over the process lifetime, so cases must
@@ -41,19 +41,19 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// A 64-bit digest of the report's complete `Debug` rendering, streamed
-/// through a fixed-key `DefaultHasher` (`SipHash-1-3` with zero keys —
-/// stable across processes). Two reports digest equal iff they render
+/// through a [`Digest`] (FNV-1a 64, stable across processes and
+/// toolchains). Two reports digest equal iff they render
 /// byte-identically, but neither a second report nor its multi-megabyte
 /// rendering ever exists in memory.
 fn report_digest(report: &SimReport) -> u64 {
-    struct HashWriter(std::collections::hash_map::DefaultHasher);
-    impl std::fmt::Write for HashWriter {
+    struct DigestWriter(Digest);
+    impl std::fmt::Write for DigestWriter {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0.write(s.as_bytes());
+            self.0.bytes(s.as_bytes());
             Ok(())
         }
     }
-    let mut sink = HashWriter(std::collections::hash_map::DefaultHasher::new());
+    let mut sink = DigestWriter(Digest::new());
     write!(sink, "{report:?}").expect("digest sink never fails");
     sink.0.finish()
 }

@@ -6,8 +6,9 @@
 //! sweep beats serial by at least 2x for 8+ scenarios when the machine
 //! has the cores for it.
 
+use std::sync::Arc;
 use tsn_bench::{fmt_ns, Runner};
-use tsn_builder::{Scenario, SweepPlanner};
+use tsn_builder::{AppRequirements, Scenario, SweepPlanner};
 use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_sim::sweep::available_workers;
 use tsn_topology::presets;
@@ -24,6 +25,9 @@ fn scenarios() -> Vec<Scenario> {
         for flows in [32u32, 64, 96, 128] {
             let workload = tsn_builder::workloads::iec60802_ts_flows(&topo, flows, 7)
                 .expect("workload builds");
+            let requirements =
+                AppRequirements::new(topo.clone(), workload, SimDuration::from_nanos(50))
+                    .expect("valid requirements");
             let mut config = SimConfig::paper_defaults();
             // COTS-sized resources: port_num=4 covers the star hub's
             // three TSN ports (the default provisions only one).
@@ -33,8 +37,7 @@ fn scenarios() -> Vec<Scenario> {
             config.sync = SyncSetup::Perfect;
             out.push(Scenario::explicit(
                 format!("{tag}/{flows}"),
-                topo.clone(),
-                workload,
+                Arc::new(requirements),
                 config,
             ));
         }

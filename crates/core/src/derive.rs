@@ -31,7 +31,7 @@ pub enum GateMode {
 }
 
 /// Knobs of the derivation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct DeriveOptions {
     /// Slot to use; `None` lets [`CqfPlan::choose_slot`] pick the largest
     /// feasible one.

@@ -5,10 +5,11 @@
 //! synchronization precision. Everything else (Table II parameters, GCLs,
 //! injection offsets) is derived.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tsn_sim::network::{GclSchedule, NetworkTemplate, SimConfig};
 use tsn_topology::{FlowRouter, Route, RouteCacheStats, Topology};
+use tsn_types::digest::Digest;
 use tsn_types::{FlowMap, FlowSet, SimDuration, TsFlowSpec, TsnError, TsnResult};
 
 /// One application scenario.
@@ -43,6 +44,8 @@ pub struct AppRequirements {
     /// The router's counters while it computed `routes`.
     route_cache: RouteCacheStats,
     sync_precision: SimDuration,
+    /// [`AppRequirements::digest`], computed on first use.
+    digest: OnceLock<u64>,
 }
 
 impl AppRequirements {
@@ -84,7 +87,20 @@ impl AppRequirements {
             routes,
             route_cache,
             sync_precision,
+            digest: OnceLock::new(),
         })
+    }
+
+    /// The scenario's identity: a [`Digest`] of the topology, the flow
+    /// set and the sync precision (the routes follow from the first
+    /// two). Computed on first use and kept, so a sweep that shares one
+    /// requirements value hashes the scenario once, and a caller that
+    /// never asks pays nothing.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| Digest::of(&(&*self.topology, &*self.flows, self.sync_precision)))
     }
 
     /// The topology.
@@ -252,6 +268,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn digest_is_the_content_not_the_build() {
+        let build = |switches: usize, flow_count: u32, precision_ns: u64| {
+            let topo = presets::ring(switches, 2).expect("builds");
+            let mut flows = FlowSet::new();
+            for id in 0..flow_count {
+                flows.push(a_flow(&topo, id));
+            }
+            AppRequirements::new(topo, flows, SimDuration::from_nanos(precision_ns))
+                .expect("valid scenario")
+                .digest()
+        };
+        let reference = build(4, 2, 50);
+        assert_eq!(reference, build(4, 2, 50), "equal content built twice");
+        assert_ne!(reference, build(5, 2, 50), "the topology moves it");
+        assert_ne!(reference, build(4, 3, 50), "the flow set moves it");
+        assert_ne!(reference, build(4, 2, 40), "the sync precision moves it");
+
+        let topo = presets::ring(4, 2).expect("builds");
+        let mut flows = FlowSet::new();
+        flows.push(a_flow(&topo, 0));
+        flows.push(a_flow(&topo, 1));
+        let requirements =
+            AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).expect("valid");
+        assert_eq!(requirements.digest(), reference);
+        assert_eq!(requirements.clone().digest(), reference, "clones keep it");
     }
 
     #[test]

@@ -3,30 +3,40 @@
 //! The paper's customization loop (Fig. 1) — and every evaluation table
 //! and figure — is a sweep over `(topology × workload × resources)`
 //! points. This module gives that loop a first-class API: describe each
-//! point as a [`Scenario`], hand the list to [`run_scenarios`], and get
-//! per-scenario [`ScenarioOutcome`]s back **in input order**, computed on
-//! a bounded worker pool ([`tsn_sim::sweep`]) with shared planning work
-//! (CQF slot feasibility, ITP injection plans, derived resource
-//! configurations) memoized behind concurrent caches: two sweep points
-//! that plan the same flows at the same slot plan them once.
+//! point as a [`Scenario`] — a label, the application requirements it
+//! runs on, a resource plan and a simulation config — hand the list to
+//! [`run_scenarios`], and get per-scenario [`ScenarioOutcome`]s back **in
+//! input order**, computed on a bounded worker pool ([`tsn_sim::sweep`]).
+//!
+//! Points over one network share one [`AppRequirements`] behind an
+//! `Arc`, so its flows are validated and routed once for the whole
+//! sweep, and every template built from it shares its topology and flow
+//! set. Shared planning work (CQF slot feasibility, ITP injection plans,
+//! derived resource configurations, resident network templates) is
+//! memoized behind concurrent caches keyed by the requirements'
+//! [`AppRequirements::digest`]: two sweep points that plan the same
+//! flows at the same slot plan them once.
 //!
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//! use tsn_builder::requirements::AppRequirements;
 //! use tsn_builder::scenario::{run_scenarios, Scenario};
 //! use tsn_builder::workloads;
 //! use tsn_sim::network::{SimConfig, SyncSetup};
 //! use tsn_topology::presets;
 //! use tsn_types::SimDuration;
 //!
+//! let topo = presets::ring(3, 2)?;
+//! let flows = workloads::iec60802_ts_flows(&topo, 8, 7)?;
+//! let requirements = Arc::new(AppRequirements::new(topo, flows, SimDuration::from_nanos(50))?);
 //! let mut scenarios = Vec::new();
-//! for hops in 1..=2u64 {
-//!     let topo = presets::ring(3, 2)?;
-//!     let flows = workloads::iec60802_ts_flows(&topo, 8, 7)?;
+//! for ms in [10, 20] {
 //!     let mut config = SimConfig::paper_defaults();
-//!     config.duration = SimDuration::from_millis(20);
+//!     config.duration = SimDuration::from_millis(ms);
 //!     config.sync = SyncSetup::Perfect;
-//!     scenarios.push(Scenario::explicit(format!("hops={hops}"), topo, flows, config));
+//!     scenarios.push(Scenario::explicit(format!("{ms}ms"), Arc::clone(&requirements), config));
 //! }
 //! let outcomes = run_scenarios(&scenarios, 2);
 //! assert_eq!(outcomes.len(), 2);
@@ -44,14 +54,11 @@ use std::sync::Arc;
 use tsn_resource::ResourceConfig;
 use tsn_sim::network::{ConfigDelta, GclSchedule, NetworkTemplate, SimConfig};
 use tsn_sim::report::SimReport;
-use tsn_sim::sweep::{fingerprint, run_sweep, PlanCache, SweepError};
+use tsn_sim::sweep::{run_sweep, PlanCache, SweepError};
 use tsn_topology::presets::PRESET_RATE;
-use tsn_topology::Topology;
-use tsn_types::{FlowMap, SimDuration, TsnResult};
+use tsn_types::digest::Digest;
+use tsn_types::TsnResult;
 
-/// Required synchronization precision every scenario is validated
-/// against.
-const SYNC_PRECISION: SimDuration = SimDuration::from_nanos(50);
 /// Injection-offset strategy under [`ResourcePlan::Explicit`].
 const STRATEGY: Strategy = Strategy::GreedyLeastLoaded;
 
@@ -73,17 +80,14 @@ pub enum ResourcePlan {
 pub struct Scenario {
     /// Display label carried into the outcome (e.g. `"hops=3"`).
     pub label: String,
-    /// The network.
-    pub topology: Topology,
-    /// The workload.
-    pub flows: FlowSet,
+    /// The network and workload, validated and routed once and shared
+    /// by every point over them.
+    pub requirements: Arc<AppRequirements>,
     /// Resource selection mode.
     pub plan: ResourcePlan,
     /// Simulation parameters (duration, sync, preemption, …).
     pub config: SimConfig,
 }
-
-use tsn_types::FlowSet;
 
 impl Scenario {
     /// A scenario that simulates exactly `config` (slot + resources as
@@ -91,14 +95,12 @@ impl Scenario {
     #[must_use]
     pub fn explicit(
         label: impl Into<String>,
-        topology: Topology,
-        flows: FlowSet,
+        requirements: Arc<AppRequirements>,
         config: SimConfig,
     ) -> Self {
         Scenario {
             label: label.into(),
-            topology,
-            flows,
+            requirements,
             plan: ResourcePlan::Explicit,
             config,
         }
@@ -108,15 +110,13 @@ impl Scenario {
     #[must_use]
     pub fn derived(
         label: impl Into<String>,
-        topology: Topology,
-        flows: FlowSet,
+        requirements: Arc<AppRequirements>,
         options: DeriveOptions,
         config: SimConfig,
     ) -> Self {
         Scenario {
             label: label.into(),
-            topology,
-            flows,
+            requirements,
             plan: ResourcePlan::Derive(options),
             config,
         }
@@ -149,26 +149,26 @@ pub struct ScenarioOutcome {
     pub report: SimReport,
 }
 
-type PlanKey = (u64, u64, SimDuration);
-type DeriveKey = (u64, u64, u64);
-type TemplateKey = (u64, u64, u64, u64);
-
 /// The shared planning caches for one sweep (or one long-lived session).
 ///
-/// Keys are structural fingerprints of `(topology, flows, …)`; values are
-/// the full planning results, cloned out to each scenario that hits. Use
-/// one planner per sweep ([`run_scenarios`] does) or keep one across
-/// sweeps to share plans between them.
+/// Each key is a [`Digest`] of the scenario's
+/// [`AppRequirements::digest`] together with what else the cached value
+/// depends on: the slot (CQF and ITP plans), the derive options
+/// (derivations), or the template's base config and gate schedule
+/// (resident templates). Values are the full planning results, cloned
+/// out to each scenario that hits. Use one planner per sweep
+/// ([`run_scenarios`] does) or keep one across sweeps to share plans
+/// between them.
 #[derive(Debug, Default)]
 pub struct SweepPlanner {
-    cqf: PlanCache<PlanKey, TsnResult<CqfPlan>>,
-    itp: PlanCache<PlanKey, TsnResult<ItpResult>>,
-    derived: PlanCache<DeriveKey, TsnResult<DerivedConfig>>,
+    cqf: PlanCache<u64, TsnResult<CqfPlan>>,
+    itp: PlanCache<u64, TsnResult<ItpResult>>,
+    derived: PlanCache<u64, TsnResult<DerivedConfig>>,
     /// Resident [`NetworkTemplate`]s, keyed on everything a
     /// [`ConfigDelta`] *cannot* change: sweep points that differ only in
     /// resources / slot / aggregation / offsets share one template and
     /// reconfigure instead of rebuilding the world.
-    templates: PlanCache<TemplateKey, TsnResult<Arc<NetworkTemplate>>>,
+    templates: PlanCache<u64, TsnResult<Arc<NetworkTemplate>>>,
 }
 
 impl SweepPlanner {
@@ -190,113 +190,65 @@ impl SweepPlanner {
         self.cqf.misses() + self.itp.misses() + self.derived.misses()
     }
 
-    /// Scenarios served by an already-resident [`NetworkTemplate`]
-    /// (incremental reconfiguration instead of a from-scratch build).
-    #[must_use]
-    pub fn template_hits(&self) -> u64 {
-        self.templates.hits()
-    }
-
-    /// Templates actually built (route computation + sync warmup).
-    #[must_use]
-    pub fn template_misses(&self) -> u64 {
-        self.templates.misses()
-    }
-
     /// Plans and runs one scenario (synchronously, on the caller's
-    /// thread), sharing any cached planning work.
+    /// thread), sharing any cached planning work. The scenario's
+    /// requirements are already routed, so this neither copies nor
+    /// routes them.
     ///
     /// # Errors
     ///
-    /// Propagates validation, planning and network-assembly errors.
+    /// Propagates planning and network-assembly errors.
     pub fn run_one(&self, scenario: &Scenario) -> TsnResult<ScenarioOutcome> {
-        let requirements = AppRequirements::new(
-            scenario.topology.clone(),
-            scenario.flows.clone(),
-            SYNC_PRECISION,
-        )?;
-        let topo_fp = fingerprint(&scenario.topology);
-        let flows_fp = fingerprint(&scenario.flows);
-
-        match &scenario.plan {
+        let requirements = &*scenario.requirements;
+        let identity = requirements.digest();
+        let (base, mut delta) = split_config(&scenario.config);
+        let (itp, gcls, derived) = match &scenario.plan {
             ResourcePlan::Derive(options) => {
-                let key = (topo_fp, flows_fp, fingerprint(options));
                 let derived = self
                     .derived
-                    .get_or_compute(key, || derive_parameters(&requirements, options))?;
+                    .get_or_compute(Digest::of(&(identity, options)), || {
+                        derive_parameters(requirements, options)
+                    })?;
                 // The derived knobs replace the scenario's; its
                 // per-switch overrides stay, as in `template`.
-                let (base, split) = split_config(&scenario.config);
-                let delta = ConfigDelta {
-                    per_switch_resources: split.per_switch_resources,
+                delta = ConfigDelta {
+                    per_switch_resources: delta.per_switch_resources,
                     ..derived.delta()
                 };
-                let network = self
-                    .resident_template(
-                        &requirements,
-                        (topo_fp, flows_fp),
-                        base,
-                        &derived.itp.offsets,
-                        derived.schedule(),
-                    )?
-                    .reconfigure(&delta)?;
-                Ok(ScenarioOutcome {
-                    label: scenario.label.clone(),
-                    resources: derived.resources.clone(),
-                    itp: derived.itp.clone(),
-                    derived: Some(derived),
-                    report: network.run(),
-                })
+                (derived.itp.clone(), derived.schedule(), Some(derived))
             }
             ResourcePlan::Explicit => {
                 let slot = scenario.config.slot;
-                let key = (topo_fp, flows_fp, slot);
+                let key = Digest::of(&(identity, slot));
                 let plan = self
                     .cqf
-                    .get_or_compute(key, || CqfPlan::with_slot(&requirements, slot, PRESET_RATE))?;
+                    .get_or_compute(key, || CqfPlan::with_slot(requirements, slot, PRESET_RATE))?;
                 let planned = self
                     .itp
-                    .get_or_compute(key, || itp::plan(&requirements, &plan, STRATEGY))?;
-                let (base, mut delta) = split_config(&scenario.config);
+                    .get_or_compute(key, || itp::plan(requirements, &plan, STRATEGY))?;
                 delta.offsets = Some(planned.offsets.clone());
-                let report = self
-                    .resident_template(
-                        &requirements,
-                        (topo_fp, flows_fp),
-                        base,
-                        &planned.offsets,
-                        GclSchedule::new(),
-                    )?
-                    .reconfigure(&delta)?
-                    .run();
-                Ok(ScenarioOutcome {
-                    label: scenario.label.clone(),
-                    resources: scenario.config.resources.clone(),
-                    derived: None,
-                    itp: planned,
-                    report,
-                })
+                (planned, GclSchedule::new(), None)
             }
-        }
-    }
-
-    /// The resident template for `requirements`' topology and flows
-    /// over `base` (a [`split_config`] base) and gate schedule `gcls`,
-    /// installing the routes `requirements` hold: built on first use,
-    /// shared by every later point that differs only in what a
-    /// [`ConfigDelta`] restores. `offsets` only seed the build; every
-    /// caller's delta carries its own.
-    fn resident_template(
-        &self,
-        requirements: &AppRequirements,
-        (topo_fp, flows_fp): (u64, u64),
-        base: SimConfig,
-        offsets: &FlowMap<SimDuration>,
-        gcls: GclSchedule,
-    ) -> TsnResult<Arc<NetworkTemplate>> {
-        let key = (topo_fp, flows_fp, fingerprint(&base), fingerprint(&gcls));
-        self.templates.get_or_compute(key, || {
-            requirements.template(offsets, base, gcls).map(Arc::new)
+        };
+        // The resident template for these requirements, base config and
+        // gate schedule: built on first use, shared by every later point
+        // that differs only in what the delta restores. `itp.offsets`
+        // only seed the build; every point's delta carries its own.
+        let key = Digest::of(&(identity, &base, &gcls));
+        let template = self.templates.get_or_compute(key, || {
+            requirements
+                .template(&itp.offsets, base, gcls)
+                .map(Arc::new)
+        })?;
+        Ok(ScenarioOutcome {
+            label: scenario.label.clone(),
+            resources: derived
+                .as_ref()
+                .map_or(&scenario.config.resources, |d| &d.resources)
+                .clone(),
+            derived,
+            itp,
+            report: template.reconfigure(&delta)?.run(),
         })
     }
 
@@ -350,6 +302,7 @@ mod tests {
     use crate::workloads;
     use tsn_sim::network::{Network, SyncSetup};
     use tsn_topology::presets;
+    use tsn_types::SimDuration;
 
     fn small_config() -> SimConfig {
         let mut config = SimConfig::paper_defaults();
@@ -358,13 +311,21 @@ mod tests {
         config
     }
 
+    /// The requirements of `ts` IEC 60802 flows on a 3-switch ring.
+    fn ring_requirements(ts: u32) -> Arc<AppRequirements> {
+        let topo = presets::ring(3, 2).expect("builds");
+        let flows = workloads::iec60802_ts_flows(&topo, ts, 7).expect("workload");
+        Arc::new(AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).expect("valid"))
+    }
+
+    /// `n` explicit points over three flow sets, each set's points
+    /// sharing one requirements value.
     fn sweep_inputs(n: u64) -> Vec<Scenario> {
+        let requirements: Vec<_> = (8..11).map(ring_requirements).collect();
         (0..n)
             .map(|i| {
-                let topo = presets::ring(3, 2).expect("builds");
-                let flows =
-                    workloads::iec60802_ts_flows(&topo, 8 + (i % 3) as u32, 7).expect("workload");
-                Scenario::explicit(format!("s{i}"), topo, flows, small_config())
+                let shared = Arc::clone(&requirements[(i % 3) as usize]);
+                Scenario::explicit(format!("s{i}"), shared, small_config())
             })
             .collect()
     }
@@ -404,15 +365,18 @@ mod tests {
 
     #[test]
     fn duplicate_planning_inputs_hit_the_cache() {
-        // 6 scenarios over 2 distinct (topology, flows, slot) planning
-        // inputs: 2 misses per cache, the rest hits.
-        let topo = presets::ring(3, 2).expect("builds");
-        let flows_a = workloads::iec60802_ts_flows(&topo, 8, 7).expect("workload");
-        let flows_b = workloads::iec60802_ts_flows(&topo, 12, 7).expect("workload");
+        // 6 scenarios over 2 distinct (requirements, slot) planning
+        // inputs: 2 misses per cache, the rest hits. The second flow set
+        // is built once per point, so equal content is what hits.
+        let shared = ring_requirements(8);
         let scenarios: Vec<Scenario> = (0..6)
             .map(|i| {
-                let flows = if i % 2 == 0 { &flows_a } else { &flows_b };
-                Scenario::explicit(format!("s{i}"), topo.clone(), flows.clone(), small_config())
+                let requirements = if i % 2 == 0 {
+                    Arc::clone(&shared)
+                } else {
+                    ring_requirements(12)
+                };
+                Scenario::explicit(format!("s{i}"), requirements, small_config())
             })
             .collect();
         let planner = SweepPlanner::new();
@@ -423,17 +387,19 @@ mod tests {
     }
 
     #[test]
-    fn derivation_is_cached_by_flows_and_options() {
+    fn derivation_is_cached_by_requirements_and_options() {
         let topo = presets::ring(6, 3).expect("builds");
         let flows = workloads::iec60802_ts_flows(&topo, 64, 7).expect("workload");
+        let requirements = Arc::new(
+            AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).expect("valid"),
+        );
         let mut options = DeriveOptions::automatic();
         options.slot = Some(crate::cqf::PAPER_SLOT);
         let scenarios: Vec<Scenario> = (0..3)
             .map(|i| {
                 Scenario::derived(
                     format!("d{i}"),
-                    topo.clone(),
-                    flows.clone(),
+                    Arc::clone(&requirements),
                     options.clone(),
                     small_config(),
                 )
@@ -456,28 +422,26 @@ mod tests {
 
     #[test]
     fn resource_only_sweeps_share_one_template() {
-        // Two resource cases over the same (topology, flows, slot):
-        // Fig. 2's shape. One template, second point served by
-        // reconfigure — and both reports byte-identical to a
-        // from-scratch Network::build.
-        let topo = presets::ring(3, 2).expect("builds");
-        let flows = workloads::iec60802_ts_flows(&topo, 8, 7).expect("workload");
+        // Two resource cases over the same (requirements, slot): Fig. 2's
+        // shape. One template, second point served by reconfigure — and
+        // both reports byte-identical to a from-scratch Network::build.
+        let requirements = ring_requirements(8);
         let mut lean = small_config();
         lean.resources = tsn_resource::ResourceConfig::new();
         let fat = small_config();
         let scenarios = vec![
-            Scenario::explicit("lean", topo.clone(), flows.clone(), lean),
-            Scenario::explicit("fat", topo.clone(), flows.clone(), fat),
+            Scenario::explicit("lean", Arc::clone(&requirements), lean),
+            Scenario::explicit("fat", Arc::clone(&requirements), fat),
         ];
         let planner = SweepPlanner::new();
         let outcomes = planner.run(&scenarios, 2);
-        assert_eq!(planner.template_misses(), 1, "one shared template");
-        assert_eq!(planner.template_hits(), 1);
+        assert_eq!(planner.templates.misses(), 1, "one shared template");
+        assert_eq!(planner.templates.hits(), 1);
         for (scenario, outcome) in scenarios.iter().zip(outcomes) {
             let outcome = outcome.expect("scenario runs");
             let scratch = Network::build(
-                scenario.topology.clone(),
-                scenario.flows.clone(),
+                requirements.topology().clone(),
+                requirements.flows().clone(),
                 &outcome.itp.offsets,
                 scenario.config.clone(),
             )
@@ -496,8 +460,7 @@ mod tests {
         // Fig. 7(c)'s shape: derived points over one topology and flow
         // set at different slots. One template serves every point, and
         // each report equals the derivation's own template build.
-        let topo = presets::ring(3, 2).expect("builds");
-        let flows = workloads::iec60802_ts_flows(&topo, 8, 7).expect("workload");
+        let requirements = ring_requirements(8);
         let scenarios: Vec<Scenario> = [33u64, 65, 130]
             .into_iter()
             .map(|slot| {
@@ -505,8 +468,7 @@ mod tests {
                 options.slot = Some(SimDuration::from_micros(slot));
                 Scenario::derived(
                     format!("slot={slot}"),
-                    topo.clone(),
-                    flows.clone(),
+                    Arc::clone(&requirements),
                     options,
                     small_config(),
                 )
@@ -526,8 +488,7 @@ mod tests {
                 options.queue_depth_override = depth;
                 Scenario::derived(
                     format!("tas depth={depth:?}"),
-                    topo.clone(),
-                    flows.clone(),
+                    Arc::clone(&requirements),
                     options,
                     small_config(),
                 )
@@ -543,22 +504,16 @@ mod tests {
     fn assert_shares_one_template(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
         let planner = SweepPlanner::new();
         let outcomes = planner.run(scenarios, 2);
-        assert_eq!(planner.template_misses(), 1, "one shared template");
-        assert_eq!(planner.template_hits(), scenarios.len() as u64 - 1);
+        assert_eq!(planner.templates.misses(), 1, "one shared template");
+        assert_eq!(planner.templates.hits(), scenarios.len() as u64 - 1);
         let outcomes: Vec<ScenarioOutcome> = outcomes
             .into_iter()
             .map(|outcome| outcome.expect("scenario runs"))
             .collect();
         for (scenario, outcome) in scenarios.iter().zip(&outcomes) {
             let derived = outcome.derived.as_ref().expect("derived");
-            let requirements = AppRequirements::new(
-                scenario.topology.clone(),
-                scenario.flows.clone(),
-                SYNC_PRECISION,
-            )
-            .expect("valid scenario");
             let own = derived
-                .template(&requirements, scenario.config.clone())
+                .template(&scenario.requirements, scenario.config.clone())
                 .and_then(|t| t.instantiate())
                 .expect("builds")
                 .run();
@@ -566,6 +521,53 @@ mod tests {
             assert_eq!(format!("{:?}", outcome.report), format!("{own:?}"));
         }
         outcomes
+    }
+
+    #[test]
+    fn templates_share_the_requirements_topology_and_flows() {
+        // Explicit points at two slots and derived points at two slots,
+        // all over one requirements value: every resident template the
+        // planner builds holds that value's topology and flow set, not a
+        // copy.
+        let requirements = ring_requirements(8);
+        let mut scenarios = Vec::new();
+        for slot in [33u64, 65] {
+            let mut config = small_config();
+            config.slot = SimDuration::from_micros(slot);
+            let mut options = DeriveOptions::automatic();
+            options.slot = Some(config.slot);
+            options.gate_mode = if slot == 33 {
+                crate::derive::GateMode::Tas
+            } else {
+                crate::derive::GateMode::Cqf
+            };
+            scenarios.push(Scenario::explicit(
+                format!("explicit {slot}"),
+                Arc::clone(&requirements),
+                config.clone(),
+            ));
+            scenarios.push(Scenario::derived(
+                format!("derived {slot}"),
+                Arc::clone(&requirements),
+                options,
+                config,
+            ));
+        }
+        let planner = SweepPlanner::new();
+        assert!(planner.run(&scenarios, 2).iter().all(Result::is_ok));
+        let keys = planner.templates.keys();
+        assert!(keys.len() >= 2, "the TAS point needs its own template");
+        for key in keys {
+            let template = planner
+                .templates
+                .get_or_compute(key, || unreachable!("every key is resident"))
+                .expect("template builds");
+            assert!(std::ptr::eq(&**template.flows(), requirements.flows()));
+            assert!(std::ptr::eq(
+                &**template.topology(),
+                requirements.topology()
+            ));
+        }
     }
 
     #[test]
@@ -590,28 +592,20 @@ mod tests {
 
     #[test]
     fn a_bad_scenario_only_loses_its_own_slot() {
+        // The middle point shares its requirements (and so its template)
+        // with the others, but provisions a classification table too small
+        // for its flows: it fails inside the sweep, at reconfigure.
         let mut scenarios = sweep_inputs(3);
-        // Middle scenario: flows whose endpoints are switches — invalid.
-        let topo = presets::ring(3, 2).expect("builds");
-        let sw = topo.switches()[0];
-        let host = topo.hosts()[0];
-        let mut flows = FlowSet::new();
-        flows.push(
-            tsn_types::TsFlowSpec::new(
-                tsn_types::FlowId::new(0),
-                host,
-                sw,
-                SimDuration::from_millis(10),
-                SimDuration::from_millis(2),
-                64,
-            )
-            .expect("spec valid in isolation")
-            .into(),
-        );
-        scenarios[1] = Scenario::explicit("bad", topo, flows, small_config());
+        let mut config = small_config();
+        config.resources.set_class_tbl(1).expect("valid size");
+        scenarios[1] = Scenario::explicit("bad", Arc::clone(&scenarios[0].requirements), config);
         let results = run_scenarios(&scenarios, 3);
         assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(SweepError::Failed(_))));
+        assert!(
+            matches!(&results[1], Err(SweepError::Failed(e)) if e.to_string().contains("full")),
+            "{:?}",
+            results[1].as_ref().err()
+        );
         assert!(results[2].is_ok());
     }
 }

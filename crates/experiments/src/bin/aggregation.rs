@@ -8,10 +8,11 @@
 //!
 //! Both modes derive and simulate in parallel through the scenario sweep.
 
-use tsn_builder::{run_scenarios, workloads, DeriveOptions, Scenario};
+use std::sync::Arc;
+use tsn_builder::{run_scenarios, workloads, AppRequirements, DeriveOptions, Scenario};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::limits::workers_from_env;
-use tsn_experiments::util::{dump_json, expect_outcomes};
+use tsn_experiments::util::{dump_json, expect_outcomes, requirements};
 use tsn_resource::{AllocationPolicy, UsageReport};
 use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_topology::presets;
@@ -39,9 +40,7 @@ impl ToJson for AggRow {
     }
 }
 
-fn scenario(aggregate: bool) -> Scenario {
-    let topo = presets::ring(6, 3).expect("topology builds");
-    let flows = workloads::iec60802_ts_flows(&topo, 1024, 42).expect("workload builds");
+fn scenario(requirements: &Arc<AppRequirements>, aggregate: bool) -> Scenario {
     let mut options = DeriveOptions::automatic();
     options.slot = Some(tsn_builder::PAPER_SLOT);
     options.aggregate_switch_tbl = aggregate;
@@ -54,8 +53,7 @@ fn scenario(aggregate: bool) -> Scenario {
         } else {
             "exact (per flow)"
         },
-        topo,
-        flows,
+        Arc::clone(requirements),
         options,
         config,
     )
@@ -67,7 +65,11 @@ fn main() {
         "{:<30} {:>12} {:>14} {:>10} {:>8} {:>10}",
         "mode", "entries", "switch BRAM", "total", "TS loss", "avg(us)"
     );
-    let scenarios = vec![scenario(false), scenario(true)];
+    let topo = presets::ring(6, 3).expect("topology builds");
+    let flows = workloads::iec60802_ts_flows(&topo, 1024, 42).expect("workload builds");
+    // Both modes derive over one network, validated and routed once.
+    let shared = requirements(topo, flows);
+    let scenarios = vec![scenario(&shared, false), scenario(&shared, true)];
     let outcomes = expect_outcomes("aggregation", run_scenarios(&scenarios, workers_from_env()));
     let rows: Vec<AggRow> = outcomes
         .iter()

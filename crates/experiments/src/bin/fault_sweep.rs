@@ -14,10 +14,11 @@
 //! emitted table is too. `--smoke` shrinks the horizon and seed count
 //! for CI, keeping all intensity levels and the monotonicity check.
 
+use std::sync::Arc;
 use tsn_builder::{Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::limits::workers_from_env;
-use tsn_experiments::util::{dump_json, expect_outcomes};
+use tsn_experiments::util::{dump_json, expect_outcomes, requirements};
 use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_sim::{FaultConfig, LinkFaultProfile, LinkFlap, LinkOutage};
 use tsn_switch::time_sync::SyncConfig;
@@ -132,7 +133,9 @@ fn faults_at(level: u32, seed: u64, horizon: SimDuration) -> FaultConfig {
     }
 }
 
-fn scenario(level: u32, seed: u64, duration: SimDuration) -> Scenario {
+/// The simulation config every level and seed shares; only the faults
+/// differ.
+fn sweep_config(duration: SimDuration) -> SimConfig {
     let mut config = SimConfig::paper_defaults();
     config.duration = duration;
     config.drain = duration / 2;
@@ -151,14 +154,7 @@ fn scenario(level: u32, seed: u64, duration: SimDuration) -> Scenario {
         },
         warmup: SimDuration::from_millis(6),
     };
-    let (topo, flows) = diamond();
-    Scenario::explicit(
-        format!("intensity={level}/seed={seed}"),
-        topo,
-        flows,
-        config,
-    )
-    .with_faults(faults_at(level, seed, duration))
+    config
 }
 
 /// One intensity level's aggregate across its seeds.
@@ -224,10 +220,16 @@ fn main() {
         (SimDuration::from_millis(40), &[42, 43, 44])
     };
 
+    // Every level and seed runs on the one diamond, routed once.
+    let (topo, flows) = diamond();
+    let diamond = requirements(topo, flows);
+    let config = sweep_config(duration);
     let mut scenarios = Vec::new();
     for &level in &LEVELS {
         for &seed in seeds {
-            scenarios.push(scenario(level, seed, duration));
+            let label = format!("intensity={level}/seed={seed}");
+            let scenario = Scenario::explicit(label, Arc::clone(&diamond), config.clone());
+            scenarios.push(scenario.with_faults(faults_at(level, seed, duration)));
         }
     }
     let planner = SweepPlanner::new();

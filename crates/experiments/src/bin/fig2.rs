@@ -10,14 +10,15 @@
 //! and slot, so the planner computes every CQF/ITP plan once and serves
 //! the second case from cache.
 
-use tsn_builder::{cqf::PAPER_SLOT, workloads, Scenario, SweepPlanner};
+use std::sync::Arc;
+use tsn_builder::{cqf::PAPER_SLOT, workloads, AppRequirements, Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
-    dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
+    dump_json, expect_outcomes, figure_config, fixed_path, print_series, requirements, QosPoint,
 };
-use tsn_resource::{baseline, ResourceConfig};
-use tsn_types::{DataRate, SimDuration, TrafficClass};
+use tsn_resource::baseline;
+use tsn_types::{DataRate, TrafficClass};
 
 struct Series {
     case: String,
@@ -35,54 +36,19 @@ impl ToJson for Series {
     }
 }
 
-fn point_scenario(
-    case: &str,
-    resources: &ResourceConfig,
-    class: TrafficClass,
-    mbps: u64,
-) -> Scenario {
-    let (topo, tester, analyzers) = ring_with_analyzers(3, &[2]).expect("topology builds");
+/// The network at one background class and load, shared by both
+/// resource cases.
+fn network(class: TrafficClass, mbps: u64) -> Arc<AppRequirements> {
     // 1023 TS + at most 1 RC filter entry = the 1024-entry table.
-    let ts =
-        workloads::ts_flows_fixed_path(1023, tester, analyzers[0], 64, SimDuration::from_millis(8))
-            .expect("workload builds");
+    let (topo, ts) = fixed_path(3, 2, 1023, 64);
     let (rc, be) = match class {
         TrafficClass::RateConstrained => (DataRate::mbps(mbps), DataRate::ZERO),
         _ => (DataRate::ZERO, DataRate::mbps(mbps)),
     };
-    let bg = workloads::background_flows(&topo, rc, be, 5000)
-        .expect("workload builds")
-        .into_iter()
-        // Background shares the tester/analyzer path.
-        .map(|f| match f {
-            tsn_types::FlowSpec::Rc(r) => tsn_types::RcFlowSpec::new(
-                r.id(),
-                tester,
-                analyzers[0],
-                r.reserved_rate(),
-                r.frame_bytes(),
-            )
-            .expect("valid")
-            .into(),
-            tsn_types::FlowSpec::Be(b) => tsn_types::BeFlowSpec::new(
-                b.id(),
-                tester,
-                analyzers[0],
-                b.offered_rate(),
-                b.frame_bytes(),
-            )
-            .expect("valid")
-            .into(),
-            other => other,
-        })
-        .collect();
-    let flows = workloads::merge(ts, bg);
-    Scenario::explicit(
-        format!("{case}/{}/bg={mbps}", class.label()),
-        topo,
-        flows,
-        figure_config(PAPER_SLOT, resources.clone()),
-    )
+    // Background runs from the first host to the second: it shares the
+    // tester/analyzer path.
+    let bg = workloads::background_flows(&topo, rc, be, 5000).expect("workload builds");
+    requirements(topo, workloads::merge(ts, bg))
 }
 
 fn main() {
@@ -93,12 +59,20 @@ fn main() {
     let classes = [TrafficClass::BestEffort, TrafficClass::RateConstrained];
     let loads: Vec<u64> = (0..=900).step_by(100).collect();
 
+    let mut networks = Vec::new();
+    for &class in &classes {
+        for &mbps in &loads {
+            networks.push((class, mbps, network(class, mbps)));
+        }
+    }
     let mut scenarios = Vec::new();
     for (case, resources) in &cases {
-        for &class in &classes {
-            for &mbps in &loads {
-                scenarios.push(point_scenario(case, resources, class, mbps));
-            }
+        for (class, mbps, network) in &networks {
+            scenarios.push(Scenario::explicit(
+                format!("{case}/{}/bg={mbps}", class.label()),
+                Arc::clone(network),
+                figure_config(PAPER_SLOT, resources.clone()),
+            ));
         }
     }
 

@@ -7,33 +7,22 @@
 //! The four hop counts run in parallel through the scenario sweep
 //! (`TSN_SWEEP_WORKERS` overrides the worker count).
 
-use tsn_builder::{cqf, run_scenarios, workloads, Scenario};
+use tsn_builder::{cqf, run_scenarios, Scenario};
 use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
-    dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
+    dump_json, expect_outcomes, figure_config, fixed_path, print_series, requirements, QosPoint,
 };
 use tsn_resource::ResourceConfig;
-use tsn_types::SimDuration;
 
 fn main() {
     let slot = cqf::PAPER_SLOT;
     let scenarios: Vec<Scenario> = (1..=4u64)
         .map(|hops| {
             // Analyzer on switch (hops-1): the flow crosses `hops` switches.
-            let (topo, tester, analyzers) =
-                ring_with_analyzers(6, &[(hops - 1) as usize]).expect("topology builds");
-            let flows = workloads::ts_flows_fixed_path(
-                1024,
-                tester,
-                analyzers[0],
-                64,
-                SimDuration::from_millis(8),
-            )
-            .expect("workload builds");
+            let (topo, flows) = fixed_path(6, (hops - 1) as usize, 1024, 64);
             Scenario::explicit(
                 format!("hops={hops}"),
-                topo,
-                flows,
+                requirements(topo, flows),
                 figure_config(slot, ResourceConfig::new()),
             )
         })

@@ -10,31 +10,21 @@
 use tsn_builder::{cqf, run_scenarios, workloads, Scenario};
 use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
-    dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
+    dump_json, expect_outcomes, figure_config, fixed_path, print_series, requirements, QosPoint,
 };
 use tsn_resource::ResourceConfig;
-use tsn_types::SimDuration;
 
 fn main() {
     let slot = cqf::PAPER_SLOT;
     let scenarios: Vec<Scenario> = workloads::FRAME_SIZES
         .iter()
         .map(|&bytes| {
-            let (topo, tester, analyzers) = ring_with_analyzers(6, &[2]).expect("topology builds");
             // 3 hops; fewer flows for the big sizes so one slot (65 us = 5 MTU
             // frames) is never structurally overloaded per phase.
-            let flows = workloads::ts_flows_fixed_path(
-                256,
-                tester,
-                analyzers[0],
-                bytes,
-                SimDuration::from_millis(8),
-            )
-            .expect("workload builds");
+            let (topo, flows) = fixed_path(6, 2, 256, bytes);
             Scenario::explicit(
                 format!("{bytes}B"),
-                topo,
-                flows,
+                requirements(topo, flows),
                 figure_config(slot, ResourceConfig::new()),
             )
         })

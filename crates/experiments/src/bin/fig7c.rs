@@ -9,10 +9,11 @@
 //! and buffer count — the customization loop in action); the four
 //! derive-and-simulate scenarios run in parallel through the sweep.
 
-use tsn_builder::{run_scenarios, workloads, DeriveOptions, Scenario};
+use std::sync::Arc;
+use tsn_builder::{run_scenarios, DeriveOptions, Scenario};
 use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
-    dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
+    dump_json, expect_outcomes, figure_config, fixed_path, print_series, requirements, QosPoint,
 };
 use tsn_resource::ResourceConfig;
 use tsn_types::SimDuration;
@@ -20,26 +21,19 @@ use tsn_types::SimDuration;
 const SLOTS_US: [u64; 4] = [33, 65, 130, 195];
 
 fn main() {
+    // One network for every slot, validated and routed once.
+    let (topo, flows) = fixed_path(6, 2, 1024, 64);
+    let shared = requirements(topo, flows);
     let scenarios: Vec<Scenario> = SLOTS_US
         .iter()
         .map(|&slot_us| {
             let slot = SimDuration::from_micros(slot_us);
-            let (topo, tester, analyzers) = ring_with_analyzers(6, &[2]).expect("topology builds");
-            let flows = workloads::ts_flows_fixed_path(
-                1024,
-                tester,
-                analyzers[0],
-                64,
-                SimDuration::from_millis(8),
-            )
-            .expect("workload builds");
             let mut options = DeriveOptions::automatic();
             options.slot = Some(slot);
             // The derivation replaces the config's slot and resources.
             Scenario::derived(
                 format!("slot={slot_us}us"),
-                topo,
-                flows,
+                Arc::clone(&shared),
                 options,
                 figure_config(slot, ResourceConfig::new()),
             )

@@ -9,10 +9,10 @@
 use tsn_builder::{cqf, run_scenarios, workloads, Scenario};
 use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
-    dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
+    dump_json, expect_outcomes, figure_config, fixed_path, print_series, requirements, QosPoint,
 };
 use tsn_resource::ResourceConfig;
-use tsn_types::{BeFlowSpec, DataRate, FlowId, RcFlowSpec, SimDuration};
+use tsn_types::DataRate;
 
 const LOADS_MBPS: [u64; 5] = [0, 100, 200, 300, 400];
 
@@ -21,46 +21,16 @@ fn main() {
     let scenarios: Vec<Scenario> = LOADS_MBPS
         .iter()
         .map(|&mbps| {
-            let (topo, tester, analyzers) = ring_with_analyzers(6, &[2]).expect("topology builds");
             // 1023 TS + 1 RC stream = 1024 classification entries, the
             // paper's table budget (BE takes the PCP fallback).
-            let mut flows = workloads::ts_flows_fixed_path(
-                1023,
-                tester,
-                analyzers[0],
-                64,
-                SimDuration::from_millis(8),
-            )
-            .expect("workload builds");
-            if mbps > 0 {
-                // RC and BE at the same bandwidth, sharing the TS path.
-                flows.push(
-                    RcFlowSpec::new(
-                        FlowId::new(5000),
-                        tester,
-                        analyzers[0],
-                        DataRate::mbps(mbps),
-                        workloads::BACKGROUND_FRAME_BYTES,
-                    )
-                    .expect("valid rc")
-                    .into(),
-                );
-                flows.push(
-                    BeFlowSpec::new(
-                        FlowId::new(5001),
-                        tester,
-                        analyzers[0],
-                        DataRate::mbps(mbps),
-                        workloads::BACKGROUND_FRAME_BYTES,
-                    )
-                    .expect("valid be")
-                    .into(),
-                );
-            }
+            let (topo, ts) = fixed_path(6, 2, 1023, 64);
+            // RC and BE at the same bandwidth, sharing the TS path.
+            let rate = DataRate::mbps(mbps);
+            let bg =
+                workloads::background_flows(&topo, rate, rate, 5000).expect("valid background");
             Scenario::explicit(
                 format!("bg={mbps}Mbps"),
-                topo,
-                flows,
+                requirements(topo, workloads::merge(ts, bg)),
                 figure_config(slot, ResourceConfig::new()),
             )
         })

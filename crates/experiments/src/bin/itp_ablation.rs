@@ -7,14 +7,14 @@
 //! plus the BRAM each provisioning costs. The three plans run in
 //! parallel through the sweep runner.
 
-use tsn_builder::{cqf::PAPER_SLOT, itp, workloads, AppRequirements, CqfPlan};
+use tsn_builder::{cqf::PAPER_SLOT, itp, workloads, CqfPlan};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::limits::workers_from_env;
-use tsn_experiments::util::dump_json;
+use tsn_experiments::util::{dump_json, requirements};
 use tsn_resource::{AllocationPolicy, ResourceConfig};
 use tsn_sim::sweep::run_sweep;
 use tsn_topology::presets;
-use tsn_types::{DataRate, SimDuration};
+use tsn_types::DataRate;
 
 struct AblationRow {
     strategy: String,
@@ -39,8 +39,7 @@ impl ToJson for AblationRow {
 fn main() {
     let topo = presets::ring(6, 3).expect("topology builds");
     let flows = workloads::iec60802_ts_flows(&topo, 1024, 42).expect("workload builds");
-    let requirements =
-        AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).expect("valid requirements");
+    let requirements = requirements(topo, flows);
     let plan = CqfPlan::with_slot(&requirements, PAPER_SLOT, DataRate::gbps(1)).expect("feasible");
 
     println!("ITP ablation — 1024 TS flows, ring(6), slot 65us\n");

@@ -11,14 +11,15 @@
 //! on/off pairs share each load's topology and flows, so every CQF/ITP
 //! plan is computed once.
 
-use tsn_builder::{cqf, workloads, Scenario, SweepPlanner};
+use std::sync::Arc;
+use tsn_builder::{cqf, AppRequirements, Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
-    dump_json, expect_outcomes, figure_config, print_series, ring_with_analyzers, QosPoint,
+    dump_json, expect_outcomes, figure_config, fixed_path, print_series, requirements, QosPoint,
 };
 use tsn_resource::ResourceConfig;
-use tsn_types::{BeFlowSpec, DataRate, FlowId, RcFlowSpec, SimDuration};
+use tsn_types::{BeFlowSpec, DataRate, FlowId, RcFlowSpec};
 
 const LOADS_MBPS: [u64; 5] = [0, 100, 200, 300, 400];
 
@@ -38,51 +39,36 @@ impl ToJson for Series {
     }
 }
 
-fn point_scenario(preemption: bool, mbps: u64) -> Scenario {
-    let slot = cqf::PAPER_SLOT;
-    let (topo, tester, analyzers) = ring_with_analyzers(6, &[2]).expect("topology builds");
-    let mut flows =
-        workloads::ts_flows_fixed_path(512, tester, analyzers[0], 64, SimDuration::from_millis(8))
-            .expect("workload builds");
+/// The Fig. 7(d) network at background load `mbps`, shared by the
+/// preemption-off and -on runs.
+fn network(mbps: u64) -> Arc<AppRequirements> {
+    let (topo, mut flows) = fixed_path(6, 2, 512, 64);
+    let (tester, analyzer) = (topo.hosts()[0], topo.hosts()[1]);
     if mbps > 0 {
-        flows.push(
-            RcFlowSpec::new(
-                FlowId::new(5000),
-                tester,
-                analyzers[0],
-                DataRate::mbps(mbps),
-                1500,
-            )
-            .expect("valid rc")
-            .into(),
-        );
-        flows.push(
-            BeFlowSpec::new(
-                FlowId::new(5001),
-                tester,
-                analyzers[0],
-                DataRate::mbps(mbps),
-                1500,
-            )
-            .expect("valid be")
-            .into(),
-        );
+        // RC and BE at the same bandwidth and MTU frames, sharing the TS
+        // path.
+        let rate = DataRate::mbps(mbps);
+        let rc =
+            RcFlowSpec::new(FlowId::new(5000), tester, analyzer, rate, 1500).expect("valid rc");
+        let be =
+            BeFlowSpec::new(FlowId::new(5001), tester, analyzer, rate, 1500).expect("valid be");
+        flows.extend([rc.into(), be.into()]);
     }
-    let mut config = figure_config(slot, ResourceConfig::new());
-    config.frame_preemption = preemption;
-    Scenario::explicit(
-        format!("preemption={preemption}/bg={mbps}"),
-        topo,
-        flows,
-        config,
-    )
+    requirements(topo, flows)
 }
 
 fn main() {
+    let networks: Vec<_> = LOADS_MBPS.iter().map(|&mbps| network(mbps)).collect();
     let mut scenarios = Vec::new();
     for preemption in [false, true] {
-        for &mbps in &LOADS_MBPS {
-            scenarios.push(point_scenario(preemption, mbps));
+        for (&mbps, network) in LOADS_MBPS.iter().zip(&networks) {
+            let mut config = figure_config(cqf::PAPER_SLOT, ResourceConfig::new());
+            config.frame_preemption = preemption;
+            scenarios.push(Scenario::explicit(
+                format!("preemption={preemption}/bg={mbps}"),
+                Arc::clone(network),
+                config,
+            ));
         }
     }
     let planner = SweepPlanner::new();

@@ -9,14 +9,14 @@
 //! Both cases run in parallel; they share the same topology, flows and
 //! slot, so the planner computes the CQF/ITP plan once.
 
-use tsn_builder::{cqf::PAPER_SLOT, workloads, Scenario, SweepPlanner};
+use std::sync::Arc;
+use tsn_builder::{cqf::PAPER_SLOT, Scenario, SweepPlanner};
 use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::limits::workers_from_env;
 use tsn_experiments::util::{
-    dump_json, expect_outcomes, figure_config, ring_with_analyzers, QosPoint,
+    dump_json, expect_outcomes, figure_config, fixed_path, requirements, QosPoint,
 };
-use tsn_resource::{baseline, AllocationPolicy, ResourceConfig};
-use tsn_types::SimDuration;
+use tsn_resource::{baseline, AllocationPolicy};
 
 struct CaseResult {
     name: String,
@@ -38,30 +38,25 @@ impl ToJson for CaseResult {
     }
 }
 
-fn case_scenario(name: &str, resources: &ResourceConfig) -> Scenario {
+fn main() {
     // Three switches in a chain (ring of 3, traffic one way), tester on
     // sw0, analyzer on sw2 — "three TSN switches with one enabled port
-    // connected with each other".
-    let (topo, tester, analyzers) = ring_with_analyzers(3, &[2]).expect("topology builds");
-    let flows =
-        workloads::ts_flows_fixed_path(1024, tester, analyzers[0], 64, SimDuration::from_millis(8))
-            .expect("workload builds");
-    Scenario::explicit(
-        name,
-        topo,
-        flows,
-        figure_config(PAPER_SLOT, resources.clone()),
-    )
-}
-
-fn main() {
+    // connected with each other". Both cases run on this one network.
+    let (topo, flows) = fixed_path(3, 2, 1024, 64);
+    let shared = requirements(topo, flows);
     let configs = [
         ("Case 1", baseline::table1_case1()),
         ("Case 2", baseline::table1_case2()),
     ];
     let scenarios: Vec<Scenario> = configs
-        .iter()
-        .map(|(name, resources)| case_scenario(name, resources))
+        .into_iter()
+        .map(|(name, resources)| {
+            Scenario::explicit(
+                name,
+                Arc::clone(&shared),
+                figure_config(PAPER_SLOT, resources),
+            )
+        })
         .collect();
     let planner = SweepPlanner::new();
     let outcomes = expect_outcomes("table1", planner.run(&scenarios, workers_from_env()));

@@ -2,12 +2,13 @@
 
 use crate::json::{Json, ToJson};
 use std::path::PathBuf;
-use tsn_builder::ScenarioOutcome;
+use std::sync::Arc;
+use tsn_builder::{workloads, AppRequirements, ScenarioOutcome};
 use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_sim::sweep::SweepError;
 use tsn_sim::SimReport;
 use tsn_topology::{LinkDirection, Topology};
-use tsn_types::{DataRate, NodeId, SimDuration, TrafficClass, TsnResult};
+use tsn_types::{DataRate, FlowSet, NodeId, SimDuration, TrafficClass, TsnResult};
 
 /// One measured point of a latency figure.
 #[derive(Debug, Clone)]
@@ -118,43 +119,62 @@ pub fn expect_outcomes(
         .collect()
 }
 
-/// A unidirectional ring of `switches` switches with one *tester* host on
-/// switch 0 and one *analyzer* host on each switch named in
-/// `analyzer_switches` (switch 0 may also carry an analyzer — that is the
-/// 1-hop case of Fig. 7(a)).
+/// The requirements of one experiment network at the paper's 50 ns sync
+/// precision, validated and routed once, for every sweep point over it
+/// to share.
 ///
-/// Returns `(topology, tester, analyzers)` with `analyzers[i]` attached
-/// to `analyzer_switches[i]`.
+/// # Panics
 ///
-/// # Errors
+/// When the flows do not fit the topology (a broken experiment, not a
+/// user error).
+#[must_use]
+pub fn requirements(topology: Topology, flows: FlowSet) -> Arc<AppRequirements> {
+    let requirements = AppRequirements::new(topology, flows, SimDuration::from_nanos(50));
+    Arc::new(requirements.expect("experiment requirements are valid"))
+}
+
+/// The figures' network and workload: a unidirectional ring of
+/// `switches` switches with a *tester* host on switch 0 and one
+/// *analyzer* host on switch `analyzer_switch` (switch 0 too in Fig.
+/// 7(a)'s 1-hop case), and `ts` TS flows of `bytes`-byte frames every
+/// 8 ms from tester to analyzer. The tester and the analyzer are the
+/// topology's first and second host, the pair
+/// [`tsn_builder::workloads::background_flows`] loads.
 ///
-/// Propagates topology-construction errors.
-pub fn ring_with_analyzers(
+/// # Panics
+///
+/// When the ring or the flows do not build (a broken experiment, not a
+/// user error).
+#[must_use]
+pub fn fixed_path(
     switches: usize,
-    analyzer_switches: &[usize],
-) -> TsnResult<(Topology, NodeId, Vec<NodeId>)> {
-    let mut topo = Topology::new();
-    let sw: Vec<NodeId> = (0..switches)
-        .map(|i| topo.add_switch(format!("sw{i}")))
-        .collect();
-    for i in 0..switches {
-        topo.connect_with(
-            sw[i],
-            sw[(i + 1) % switches],
-            DataRate::gbps(1),
-            SimDuration::from_nanos(50),
-            LinkDirection::AToB,
-        )?;
-    }
-    let tester = topo.add_host("tester");
-    topo.connect(tester, sw[0], DataRate::gbps(1))?;
-    let mut analyzers = Vec::with_capacity(analyzer_switches.len());
-    for (i, &s) in analyzer_switches.iter().enumerate() {
-        let analyzer = topo.add_host(format!("analyzer{i}"));
-        topo.connect(analyzer, sw[s], DataRate::gbps(1))?;
-        analyzers.push(analyzer);
-    }
-    Ok((topo, tester, analyzers))
+    analyzer_switch: usize,
+    ts: u32,
+    bytes: u32,
+) -> (Topology, FlowSet) {
+    let build = || -> TsnResult<(Topology, FlowSet)> {
+        let mut topo = Topology::new();
+        let sw: Vec<NodeId> = (0..switches)
+            .map(|i| topo.add_switch(format!("sw{i}")))
+            .collect();
+        for i in 0..switches {
+            topo.connect_with(
+                sw[i],
+                sw[(i + 1) % switches],
+                DataRate::gbps(1),
+                SimDuration::from_nanos(50),
+                LinkDirection::AToB,
+            )?;
+        }
+        let tester = topo.add_host("tester");
+        topo.connect(tester, sw[0], DataRate::gbps(1))?;
+        let analyzer = topo.add_host("analyzer0");
+        topo.connect(analyzer, sw[analyzer_switch], DataRate::gbps(1))?;
+        let period = SimDuration::from_millis(8);
+        let flows = workloads::ts_flows_fixed_path(ts, tester, analyzer, bytes, period)?;
+        Ok((topo, flows))
+    };
+    build().expect("experiment network builds")
 }
 
 /// The default measurement config used by the figures: 100 ms of

@@ -28,12 +28,13 @@
 //! mark.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use tsn_topology::{LinkId, Topology};
 use tsn_types::rng::SplitMix64;
 use tsn_types::{FlowId, SimDuration, SimTime};
 
 /// A scheduled hard outage: the link is down in `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkOutage {
     /// The link that fails.
     pub link: LinkId,
@@ -46,7 +47,7 @@ pub struct LinkOutage {
 /// A randomly flapping link: starting at `first_down`, the link
 /// alternates down/up phases whose lengths are drawn uniformly from
 /// `[mean/2, 3·mean/2]` using the fault seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkFlap {
     /// The link that flaps.
     pub link: LinkId,
@@ -66,6 +67,14 @@ pub struct LinkFaultProfile {
     /// Probability that a transmitted frame arrives with flipped bits
     /// (its FCS no longer verifies, so receivers must discard it).
     pub corrupt_prob: f64,
+}
+
+/// Hashes the probabilities by their bits: a digest input, not a set key.
+impl Hash for LinkFaultProfile {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.loss_prob.to_bits().hash(state);
+        self.corrupt_prob.to_bits().hash(state);
+    }
 }
 
 impl LinkFaultProfile {
@@ -131,6 +140,27 @@ impl FaultConfig {
             || self.drift_scale != 1.0
             || self.sync_loss_prob > 0.0
             || self.sync_jitter_ns > 0.0
+    }
+}
+
+/// Hashes every field (the destructuring makes a new one a compile
+/// error here), floats by their bits: a digest input, not a set key.
+impl Hash for FaultConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let FaultConfig {
+            seed,
+            outages,
+            flaps,
+            wire,
+            per_link_wire,
+            drift_scale,
+            sync_loss_prob,
+            sync_jitter_ns,
+        } = self;
+        (seed, outages, flaps, wire, per_link_wire).hash(state);
+        for float in [drift_scale, sync_loss_prob, sync_jitter_ns] {
+            float.to_bits().hash(state);
+        }
     }
 }
 

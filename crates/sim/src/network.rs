@@ -15,6 +15,7 @@ use crate::host::{Generator, Host};
 use crate::report::{DegradationReport, EventStats, SimReport};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tsn_resource::ResourceConfig;
@@ -32,7 +33,7 @@ use tsn_types::{
 };
 
 /// How the switches' clocks are synchronized.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum SyncSetup {
     /// All switches share the true simulation time (an idealized domain).
     Perfect,
@@ -117,6 +118,41 @@ impl SimConfig {
         self.per_switch_resources
             .get(&node)
             .unwrap_or(&self.resources)
+    }
+}
+
+/// Hashes every field (the destructuring makes a new one a compile
+/// error here), the per-switch overrides in `NodeId` order, so two
+/// configs with the same content digest equal however their maps were
+/// filled.
+impl Hash for SimConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let SimConfig {
+            slot,
+            resources,
+            switch_proc_delay,
+            duration,
+            drain,
+            sync,
+            aggregate_switch_tbl,
+            per_switch_resources,
+            frame_preemption,
+            faults,
+        } = self;
+        (
+            slot,
+            resources,
+            switch_proc_delay,
+            duration,
+            drain,
+            sync,
+            aggregate_switch_tbl,
+        )
+            .hash(state);
+        let mut overrides: Vec<_> = per_switch_resources.iter().collect();
+        overrides.sort_unstable_by_key(|&(&node, _)| node);
+        overrides.hash(state);
+        (frame_preemption, faults).hash(state);
     }
 }
 
@@ -301,7 +337,7 @@ fn port_base(topology: &Topology) -> Arc<[u32]> {
 /// the former `HashMap<(NodeId, PortId), …>` build argument: entries are
 /// grouped per node, so building a switch scans only its own overrides
 /// instead of the whole map.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct GclSchedule {
     entries: Vec<(NodeId, PortId, GateControlList, GateControlList)>,
 }

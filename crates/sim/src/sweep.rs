@@ -7,7 +7,10 @@
 //! trivially; this module provides the bounded worker pool that fans them
 //! out plus the concurrent memo-cache that lets scenarios share planning
 //! work (CQF slot choice, ITP injection plans, derived resource
-//! configurations).
+//! configurations). The cache takes any `Hash + Eq` key; the scenario
+//! planner (`tsn_builder::SweepPlanner`) keys it by `u64`
+//! [`tsn_types::digest::Digest`]s of values (a scenario's requirements
+//! digest with its slot, options or base config), never by `Debug` text.
 //!
 //! Guarantees:
 //!
@@ -32,7 +35,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -129,15 +132,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "panic payload of unknown type".to_owned()
     }
-}
-
-/// Structural identity for [`PlanCache`] keys: a hash of the value's
-/// `Debug` text, deterministic and complete for the plain data keyed on.
-#[must_use]
-pub fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    format!("{value:?}").hash(&mut hasher);
-    hasher.finish()
 }
 
 /// A concurrent memo-cache for shared planning work.

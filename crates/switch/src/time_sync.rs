@@ -141,6 +141,14 @@ pub struct SyncConfig {
     pub timestamp_noise_ns: f64,
 }
 
+/// Hashes the noise bound by its bits: a digest input, not a set key.
+impl std::hash::Hash for SyncConfig {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.sync_interval.hash(state);
+        self.timestamp_noise_ns.to_bits().hash(state);
+    }
+}
+
 impl Default for SyncConfig {
     fn default() -> Self {
         SyncConfig {

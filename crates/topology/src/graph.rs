@@ -32,7 +32,7 @@ pub const DEFAULT_PROPAGATION: SimDuration = SimDuration::from_nanos(50);
 /// assert_eq!(route.switch_hops(), 1);
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Hash)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

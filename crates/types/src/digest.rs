@@ -10,6 +10,12 @@
 //! * durations as nanoseconds;
 //! * enum variants and `Option`s as a one-byte tag before the payload.
 //!
+//! [`Digest`] is also a [`Hasher`] whose integer writers use the same
+//! fixed-width little-endian encoding, so a type with a `Hash` impl
+//! digests through [`Digest::of`]. That is how in-process identities
+//! (the sweep planner's cache keys) are built; the values a golden
+//! prints use the typed writers, whose encoding this module pins.
+//!
 //! # Example
 //!
 //! ```
@@ -24,6 +30,7 @@
 //! ```
 
 use crate::time::SimDuration;
+use std::hash::{Hash, Hasher};
 
 /// FNV-1a 64 offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -104,6 +111,51 @@ impl Digest {
     pub const fn finish(&self) -> u64 {
         self.0
     }
+
+    /// The digest of `value`'s `Hash` encoding.
+    #[must_use]
+    pub fn of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut digest = Digest::new();
+        value.hash(&mut digest);
+        digest.finish()
+    }
+}
+
+/// The integer writers use the typed writers' fixed little-endian
+/// encoding (the signed ones forward to them), so a `Hash`-derived digest
+/// does not depend on the host's byte order or pointer width.
+impl Hasher for Digest {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn write_u8(&mut self, value: u8) {
+        self.u8(value);
+    }
+
+    fn write_u16(&mut self, value: u16) {
+        self.bytes(&value.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.u32(value);
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.u64(value);
+    }
+
+    fn write_u128(&mut self, value: u128) {
+        self.bytes(&value.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, value: usize) {
+        self.usize(value);
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +207,31 @@ mod tests {
         let mut tagged = Digest::new();
         tagged.u8(1).u64(0);
         assert_eq!(zero, tagged);
+    }
+
+    #[test]
+    fn hash_writes_use_the_typed_encoding() {
+        let mut typed = Digest::new();
+        typed
+            .u8(7)
+            .u32(1)
+            .u64(2)
+            .usize(3)
+            .duration(SimDuration::from_nanos(4));
+        assert_eq!(
+            Digest::of(&(7u8, 1u32, 2u64, 3usize, SimDuration::from_nanos(4))),
+            typed.finish()
+        );
+        assert_eq!(Digest::of(&-1i32), Digest::of(&u32::MAX));
+        assert_eq!(
+            Digest::of(&0x0102u16),
+            Digest::new().bytes(&[2, 1]).finish()
+        );
+        assert_eq!(
+            Digest::of(&1u128),
+            Digest::new().u64(1).u64(0).finish(),
+            "u128 is 16 little-endian bytes"
+        );
     }
 
     #[test]

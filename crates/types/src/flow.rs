@@ -113,14 +113,6 @@ impl TsFlowSpec {
     pub fn frame_bytes(&self) -> u32 {
         self.frame_bytes
     }
-
-    /// The average bandwidth the flow consumes.
-    #[must_use]
-    pub fn average_rate(&self) -> DataRate {
-        let bits = u64::from(self.frame_bytes) * 8;
-        // bits per period -> bits per second.
-        DataRate::bps((bits as u128 * 1_000_000_000 / self.period.as_nanos() as u128) as u64)
-    }
 }
 
 /// A rate-constrained flow (medium priority), shaped by a credit-based
@@ -403,7 +395,7 @@ impl From<BeFlowSpec> for FlowSpec {
 /// assert_eq!(set.scheduling_cycle(), Some(SimDuration::from_millis(20)));
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, Clone, PartialEq, Hash)]
 pub struct FlowSet {
     flows: Vec<FlowSpec>,
 }
@@ -485,26 +477,10 @@ impl FlowSet {
             .reduce(|a, b| a.lcm(b))
     }
 
-    /// The tightest TS deadline, or `None` if there are no TS flows.
-    #[must_use]
-    pub fn min_deadline(&self) -> Option<SimDuration> {
-        self.ts_flows().map(TsFlowSpec::deadline).min()
-    }
-
     /// The largest frame size in the set, or `None` if empty.
     #[must_use]
     pub fn max_frame_bytes(&self) -> Option<u32> {
         self.flows.iter().map(FlowSpec::frame_bytes).max()
-    }
-
-    /// Total average bandwidth of the TS flows.
-    #[must_use]
-    pub fn ts_aggregate_rate(&self) -> DataRate {
-        DataRate::bps(
-            self.ts_flows()
-                .map(|f| f.average_rate().bits_per_sec())
-                .sum(),
-        )
     }
 }
 
@@ -614,12 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn ts_average_rate() {
-        // 64 B every 10 ms = 51_200 bps.
-        assert_eq!(ts(0, 10).average_rate(), DataRate::bps(51_200));
-    }
-
-    #[test]
     fn flow_set_counts_and_accessors() {
         let mut set = FlowSet::new();
         set.push(ts(0, 10).into());
@@ -664,28 +634,6 @@ mod tests {
             .collect();
         assert_eq!(set.scheduling_cycle(), Some(SimDuration::from_millis(40)));
         assert_eq!(FlowSet::new().scheduling_cycle(), None);
-    }
-
-    #[test]
-    fn min_deadline_over_ts_flows() {
-        let a = ts(0, 10);
-        let b = TsFlowSpec::new(
-            FlowId::new(1),
-            NodeId::new(0),
-            NodeId::new(1),
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(1),
-            64,
-        )
-        .expect("valid");
-        let set: FlowSet = [a, b].into_iter().map(FlowSpec::from).collect();
-        assert_eq!(set.min_deadline(), Some(SimDuration::from_millis(1)));
-    }
-
-    #[test]
-    fn aggregate_ts_rate_sums_flows() {
-        let set: FlowSet = (0..4).map(|i| ts(i, 10).into()).collect();
-        assert_eq!(set.ts_aggregate_rate(), DataRate::bps(4 * 51_200));
     }
 
     #[test]

@@ -149,12 +149,17 @@ impl<T: fmt::Debug> fmt::Debug for FlowMap<T> {
     }
 }
 
+/// A collected map holds exactly its highest id + 1 slots: dense ids
+/// fill the iterator's size hint without growing, and any growth slack
+/// from sparse ids is released at the end.
 impl<T> FromIterator<(FlowId, T)> for FlowMap<T> {
     fn from_iter<I: IntoIterator<Item = (FlowId, T)>>(iter: I) -> Self {
-        let mut map = FlowMap::new();
+        let iter = iter.into_iter();
+        let mut map = FlowMap::with_capacity(iter.size_hint().0);
         for (flow, value) in iter {
             map.insert(flow, value);
         }
+        map.slots.shrink_to_fit();
         map
     }
 }
@@ -185,6 +190,22 @@ mod tests {
         let pairs: Vec<(u32, u32)> = m.iter().map(|(id, &v)| (id.index(), v)).collect();
         assert_eq!(pairs, vec![(2, 20), (7, 70)]);
         assert_eq!(m.values().copied().collect::<Vec<_>>(), vec![20, 70]);
+    }
+
+    #[test]
+    fn a_collected_map_keeps_no_slack() {
+        let dense: FlowMap<u64> = (0..1000u32).map(|i| (FlowId::new(i), 0)).collect();
+        assert_eq!(dense.slots.capacity(), 1000);
+        let filtered: FlowMap<u64> = (0..1000u32)
+            .filter(|i| i % 3 == 0)
+            .map(|i| (FlowId::new(i), 0))
+            .collect();
+        assert_eq!(filtered.slots.capacity(), 999 + 1);
+        let sparse: FlowMap<u8> = [(FlowId::new(5000), 1), (FlowId::new(2), 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(sparse.slots.capacity(), 5001);
+        assert_eq!(sparse.len(), 2);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! ("entries = time slots within a scheduling cycle"), with the same QoS
 //! and added off-schedule protection.
 
+use std::sync::Arc;
 use tsn_builder::{
     run_scenarios, workloads, DeriveOptions, DerivedConfig, GateMode, Scenario, TsnBuilder,
 };
@@ -96,12 +97,14 @@ fn swept_tas_scenarios_report_like_the_facade() -> Result<(), TsnError> {
         ..SimConfig::paper_defaults()
     };
 
-    let customization = TsnBuilder::new(topo.clone(), flows.clone(), SimDuration::from_nanos(50))?
-        .derive(&tas_options())?;
+    let customization =
+        TsnBuilder::new(topo, flows, SimDuration::from_nanos(50))?.derive(&tas_options())?;
     let facade = customization
         .synthesize_network(duration, SyncSetup::Perfect)?
         .run();
-    let scenario = Scenario::derived("tas", topo, flows, tas_options(), config.clone());
+    // The sweep point runs on the façade's own requirements.
+    let requirements = Arc::new(customization.requirements().clone());
+    let scenario = Scenario::derived("tas", requirements, tas_options(), config.clone());
     let swept = run_scenarios(&[scenario], 1)
         .remove(0)
         .expect("the TAS scenario runs")
