@@ -347,5 +347,8 @@ fn main() {
         LEVELS.len()
     );
 
-    dump_json("fault_sweep", &Json::arr(points));
+    if let Err(e) = dump_json("fault_sweep", &Json::arr(points)) {
+        eprintln!("fault_sweep: {e}");
+        std::process::exit(1);
+    }
 }

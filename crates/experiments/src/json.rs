@@ -157,8 +157,7 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Conversion into a [`Json`] tree; what [`crate::util::dump_json`]
-/// accepts.
+/// Conversion into a [`Json`] tree.
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;

@@ -68,6 +68,13 @@ run cargo test -q --release -p tsn-sim --test zero_alloc
 # comes back is named here.
 run cargo test -q --release -p tsn-builder-suite --test plant_footprint
 
+# Paper artifacts: every `paper` artifact's stdout and results JSON, and
+# `fault_sweep`'s (full and --smoke), byte-identical to the committed
+# verify/outputs/ (crates/experiments/tests/outputs.rs). Its own line,
+# so a drifted artifact is named here rather than buried in the
+# workspace test wall.
+run cargo test -q --release -p tsn-experiments --test outputs
+
 # Layer-bench smokes: run every planning (CQF, ITP, derive, TAS,
 # per-switch) and template (table lookups, gate control, HDL emission)
 # bench once on a tiny budget, so a panicking `expect` inside one fails
