@@ -51,6 +51,7 @@ fn ring_flows(ts: u32, bg_mbps: u64) -> (tsn_topology::Topology, FlowSet) {
                 &topo,
                 DataRate::mbps(bg_mbps),
                 DataRate::mbps(bg_mbps),
+                tsn_builder::workloads::BACKGROUND_FRAME_BYTES,
                 10_000,
             )
             .expect("workload builds"),

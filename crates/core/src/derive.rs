@@ -378,13 +378,12 @@ mod tests {
         }
     }
 
-    /// Past [`tsn_topology::RouteTreeCache::CAPACITY`] talkers the
-    /// requirements' router holds one tree per talker, as a from-scratch
-    /// build's does, so a network built from the requirements' routes
-    /// reports exactly what a from-scratch build does, route-cache
-    /// counters included.
+    /// With 70 talkers the requirements' router runs one BFS per
+    /// talker, as a from-scratch build's does, so a network built from
+    /// the requirements' routes reports exactly what a from-scratch
+    /// build does, route-cache counters included.
     #[test]
-    fn templates_report_like_scratch_builds_past_the_default_cache_capacity() {
+    fn templates_report_like_scratch_builds_with_one_tree_per_talker() {
         use tsn_sim::network::{Network, SyncSetup};
         let req = requirements(presets::multi_ring(10, 8, 7).expect("builds"), 70, 0);
         let derived = derive_parameters(&req, &DeriveOptions::automatic()).expect("derives");
@@ -408,9 +407,11 @@ mod tests {
         )
         .expect("builds")
         .run();
+        let talkers: std::collections::BTreeSet<_> = req.flows().iter().map(|f| f.src()).collect();
         let counters = templated.events.route_cache;
-        assert!(counters.capacity > tsn_topology::RouteTreeCache::CAPACITY);
-        assert_eq!((counters.misses, counters.evictions), (70, 0));
+        assert_eq!(talkers.len(), 70);
+        assert_eq!(counters.misses, 70, "one miss per talker");
+        assert_eq!(counters.hits, req.flows().len() as u64 - 70);
         assert_eq!(format!("{templated:?}"), format!("{scratch:?}"));
         assert_eq!(templated.ts_lost(), 0);
     }

@@ -177,7 +177,7 @@ fn size_resources(topology: &Topology, flows: &FlowSet) -> TsnResult<ResourceCon
     let node_count = topology.nodes().len();
     let mut class_entries = vec![0u32; node_count];
     let mut dsts: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); node_count];
-    let mut router = FlowRouter::new(topology, flows);
+    let mut router = FlowRouter::new(topology);
     for flow in flows.iter() {
         let route = router.route(flow)?;
         for hop in route.switch_hops_iter() {

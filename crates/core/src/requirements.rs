@@ -75,7 +75,7 @@ impl AppRequirements {
                 "must be non-zero",
             ));
         }
-        let mut router = FlowRouter::new(&topology, &flows);
+        let mut router = FlowRouter::new(&topology);
         let routes = flows
             .iter()
             .map(|flow| router.route(flow))

@@ -161,32 +161,6 @@ impl TasSchedule {
     pub fn port_count(&self) -> usize {
         self.gcls.len()
     }
-
-    /// Fraction of (port, slot, TS-queue) ingress windows that are open —
-    /// a measure of how much tighter TAS gating is than CQF (which keeps
-    /// one TS ingress open in *every* slot).
-    #[must_use]
-    pub fn ingress_open_fraction(&self, layout: &QueueLayout) -> f64 {
-        let (qa, qb) = layout.cqf_pair();
-        let mut open = 0u64;
-        let mut total = 0u64;
-        for (in_gcl, _) in self.gcls.values() {
-            for phase in 0..self.phases {
-                let t = tsn_types::SimTime::ZERO + self.slot * phase;
-                for q in [qa, qb] {
-                    total += 1;
-                    if in_gcl.is_open(q, t) {
-                        open += 1;
-                    }
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            open as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +234,19 @@ mod tests {
         let layout = QueueLayout::standard8();
         let schedule =
             TasSchedule::synthesize(&req, &plan, &planned, &layout).expect("synthesizes");
-        let fraction = schedule.ingress_open_fraction(&layout);
+        // The fraction of (port, slot, TS-queue) ingress windows open.
+        let (qa, qb) = layout.cqf_pair();
+        let (mut open, mut total) = (0u32, 0u32);
+        for (in_gcl, _) in schedule.gcls.values() {
+            for phase in 0..schedule.phases {
+                let t = tsn_types::SimTime::ZERO + schedule.slot * phase;
+                for q in [qa, qb] {
+                    total += 1;
+                    open += u32::from(in_gcl.is_open(q, t));
+                }
+            }
+        }
+        let fraction = f64::from(open) / f64::from(total);
         // CQF keeps one of the two pair gates open in every slot -> 0.5.
         assert!(
             fraction < 0.25,

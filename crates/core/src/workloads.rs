@@ -21,7 +21,7 @@ pub const TS_PERIOD: SimDuration = SimDuration::from_millis(10);
 pub const DEADLINES_MS: [u64; 4] = [1, 2, 4, 8];
 /// The paper's packet-size sweep (Fig. 7(b)).
 pub const FRAME_SIZES: [u32; 6] = [64, 128, 256, 512, 1024, 1500];
-/// Background frame size for RC/BE flows.
+/// The figures' background frame size for RC/BE flows.
 pub const BACKGROUND_FRAME_BYTES: u32 = 1024;
 
 fn hosts_of(topology: &Topology) -> TsnResult<Vec<tsn_types::NodeId>> {
@@ -145,9 +145,10 @@ pub fn ts_flows_fixed_path(
     Ok(flows)
 }
 
-/// Adds RC and BE background flows of `rc_rate` / `be_rate` each between
-/// consecutive host pairs, ids starting at `base_id`. Either rate may be
-/// zero to skip that class.
+/// One RC flow at `rc_rate` and one BE flow at `be_rate`, both of
+/// `frame_bytes` frames, from the topology's first host to its second,
+/// ids starting at `base_id`. Either rate may be zero to skip that
+/// class.
 ///
 /// # Errors
 ///
@@ -156,6 +157,7 @@ pub fn background_flows(
     topology: &Topology,
     rc_rate: DataRate,
     be_rate: DataRate,
+    frame_bytes: u32,
     base_id: u32,
 ) -> TsnResult<FlowSet> {
     let hosts = hosts_of(topology)?;
@@ -163,15 +165,11 @@ pub fn background_flows(
     let mut id = base_id;
     let (src, dst) = (hosts[0], hosts[1]);
     if !rc_rate.is_zero() {
-        flows.push(
-            RcFlowSpec::new(FlowId::new(id), src, dst, rc_rate, BACKGROUND_FRAME_BYTES)?.into(),
-        );
+        flows.push(RcFlowSpec::new(FlowId::new(id), src, dst, rc_rate, frame_bytes)?.into());
         id += 1;
     }
     if !be_rate.is_zero() {
-        flows.push(
-            BeFlowSpec::new(FlowId::new(id), src, dst, be_rate, BACKGROUND_FRAME_BYTES)?.into(),
-        );
+        flows.push(BeFlowSpec::new(FlowId::new(id), src, dst, be_rate, frame_bytes)?.into());
     }
     Ok(flows)
 }
@@ -297,15 +295,14 @@ mod tests {
     #[test]
     fn background_rates_and_classes() {
         let topo = presets::ring(6, 3).expect("builds");
-        let both = background_flows(&topo, DataRate::mbps(100), DataRate::mbps(300), 5000)
-            .expect("workload builds");
+        let bg = |rc, be| background_flows(&topo, rc, be, 1500, 5000).expect("workload builds");
+        let both = bg(DataRate::mbps(100), DataRate::mbps(300));
         assert_eq!(both.rc_count(), 1);
         assert_eq!(both.be_count(), 1);
-        let rc_only = background_flows(&topo, DataRate::mbps(100), DataRate::ZERO, 5000)
-            .expect("workload builds");
+        assert!(both.iter().all(|f| f.frame_bytes() == 1500));
+        let rc_only = bg(DataRate::mbps(100), DataRate::ZERO);
         assert_eq!(rc_only.len(), 1);
-        let none =
-            background_flows(&topo, DataRate::ZERO, DataRate::ZERO, 5000).expect("workload builds");
+        let none = bg(DataRate::ZERO, DataRate::ZERO);
         assert!(none.is_empty());
     }
 
@@ -313,8 +310,14 @@ mod tests {
     fn merge_concatenates() {
         let topo = presets::ring(6, 3).expect("builds");
         let ts = iec60802_ts_flows(&topo, 8, 1).expect("workload builds");
-        let bg = background_flows(&topo, DataRate::mbps(10), DataRate::mbps(10), 100)
-            .expect("workload builds");
+        let bg = background_flows(
+            &topo,
+            DataRate::mbps(10),
+            DataRate::mbps(10),
+            BACKGROUND_FRAME_BYTES,
+            100,
+        )
+        .expect("workload builds");
         let all = merge(ts, bg);
         assert_eq!(all.len(), 10);
     }

@@ -216,6 +216,7 @@ fn run_scenario(path: &str) -> Result<(String, bool), String> {
             &topology,
             DataRate::mbps(scenario.rc_mbps),
             DataRate::mbps(scenario.be_mbps),
+            workloads::BACKGROUND_FRAME_BYTES,
             1_000_000,
         )
         .map_err(|e| format!("background: {e}"))?,

@@ -16,9 +16,10 @@ use crate::json::{Json, ToJson};
 use crate::limits::workers_from_env;
 use crate::util::{expect_outcomes, requirements};
 use std::sync::Arc;
+use tsn_builder::workloads::{self, BACKGROUND_FRAME_BYTES};
 use tsn_builder::{
-    cqf, itp, workloads, AppRequirements, CqfPlan, DeriveOptions, PerSwitchConfig, Scenario,
-    ScenarioOutcome, SweepPlanner, TsnBuilder,
+    cqf, itp, AppRequirements, CqfPlan, DeriveOptions, PerSwitchConfig, Scenario, ScenarioOutcome,
+    SweepPlanner, TsnBuilder,
 };
 use tsn_resource::{baseline, AllocationPolicy, ResourceConfig, UsageReport};
 use tsn_sim::network::{SimConfig, SyncSetup};
@@ -26,10 +27,7 @@ use tsn_sim::sweep::run_sweep;
 use tsn_sim::SimReport;
 use tsn_switch::time_sync::{ClockModel, SyncConfig, SyncDomain};
 use tsn_topology::{presets, LinkDirection, Topology};
-use tsn_types::{
-    BeFlowSpec, DataRate, FlowId, FlowSet, NodeId, RcFlowSpec, SimDuration, SimTime, TrafficClass,
-    TsnResult,
-};
+use tsn_types::{DataRate, FlowSet, NodeId, SimDuration, SimTime, TrafficClass, TsnResult};
 
 /// One paper artifact.
 pub struct Artifact {
@@ -362,7 +360,8 @@ fn fig2() -> Json {
             };
             // Background runs from the first host to the second: it
             // shares the tester/analyzer path.
-            let bg = workloads::background_flows(&topo, rc, be, 5000).expect("workload builds");
+            let bg = workloads::background_flows(&topo, rc, be, BACKGROUND_FRAME_BYTES, 5000)
+                .expect("workload builds");
             networks.push((class, mbps, requirements(topo, workloads::merge(ts, bg))));
         }
     }
@@ -712,8 +711,8 @@ fn fig7d() -> Json {
             let (topo, ts) = fixed_path(6, 2, 1023, 64);
             // RC and BE at the same bandwidth, sharing the TS path.
             let rate = DataRate::mbps(mbps);
-            let bg =
-                workloads::background_flows(&topo, rate, rate, 5000).expect("valid background");
+            let bg = workloads::background_flows(&topo, rate, rate, BACKGROUND_FRAME_BYTES, 5000)
+                .expect("valid background");
             Scenario::explicit(
                 format!("bg={mbps}Mbps"),
                 requirements(topo, workloads::merge(ts, bg)),
@@ -1026,19 +1025,13 @@ fn preemption() -> Json {
     let networks: Vec<Arc<AppRequirements>> = LOADS_MBPS
         .iter()
         .map(|&mbps| {
-            let (topo, mut flows) = fixed_path(6, 2, 512, 64);
-            let (tester, analyzer) = (topo.hosts()[0], topo.hosts()[1]);
-            if mbps > 0 {
-                // RC and BE at the same bandwidth and MTU frames, sharing
-                // the TS path.
-                let rate = DataRate::mbps(mbps);
-                let rc = RcFlowSpec::new(FlowId::new(5000), tester, analyzer, rate, 1500)
-                    .expect("valid rc");
-                let be = BeFlowSpec::new(FlowId::new(5001), tester, analyzer, rate, 1500)
-                    .expect("valid be");
-                flows.extend([rc.into(), be.into()]);
-            }
-            requirements(topo, flows)
+            let (topo, ts) = fixed_path(6, 2, 512, 64);
+            // RC and BE at the same bandwidth and MTU frames, sharing the
+            // TS path.
+            let rate = DataRate::mbps(mbps);
+            let bg = workloads::background_flows(&topo, rate, rate, 1500, 5000)
+                .expect("valid background");
+            requirements(topo, workloads::merge(ts, bg))
         })
         .collect();
     let mut scenarios = Vec::new();

@@ -55,8 +55,7 @@ pub struct HdlCost {
 impl HdlCost {
     /// Total table bits under `policy` (each memory instance costed
     /// independently, as the paper's accounting does).
-    #[must_use]
-    pub fn table_bits(&self, policy: AllocationPolicy) -> u64 {
+    fn table_bits(&self, policy: AllocationPolicy) -> u64 {
         self.memories.iter().fold(0u64, |acc, m| {
             acc.saturating_add(policy.table_cost_bits(m.entries, m.width_bits))
         })

@@ -27,11 +27,12 @@ pub enum Event {
         /// The frame.
         frame: EthernetFrame,
     },
-    /// A switch egress port should try to transmit.
-    PortKick {
-        /// The switch.
+    /// A transmitter should try to send: a switch egress port or a
+    /// host NIC (whose one port is port 0).
+    Kick {
+        /// The switch or host.
         node: NodeId,
-        /// The egress port.
+        /// Its egress port.
         port: PortId,
     },
     /// A host should inject the next frame of one of its generators.
@@ -40,11 +41,6 @@ pub enum Event {
         node: NodeId,
         /// Generator index local to the host.
         generator: usize,
-    },
-    /// A host egress link should try to transmit.
-    HostKick {
-        /// The host.
-        node: NodeId,
     },
     /// A transmission segment on `(node, port)` finished. `gen` guards
     /// against frames that were preempted mid-flight (802.3br): a
@@ -322,14 +318,15 @@ enum Backend {
 ///
 /// ```
 /// use tsn_sim::event::{Event, EventQueue};
-/// use tsn_types::{NodeId, SimTime};
+/// use tsn_types::{NodeId, PortId, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_micros(5), Event::HostKick { node: NodeId::new(1) });
-/// q.schedule(SimTime::from_micros(2), Event::HostKick { node: NodeId::new(0) });
+/// let port = PortId::new(0);
+/// q.schedule(SimTime::from_micros(5), Event::Kick { node: NodeId::new(1), port });
+/// q.schedule(SimTime::from_micros(2), Event::Kick { node: NodeId::new(0), port });
 /// let (at, ev) = q.pop().expect("two events queued");
 /// assert_eq!(at, SimTime::from_micros(2));
-/// assert!(matches!(ev, Event::HostKick { node } if node == NodeId::new(0)));
+/// assert!(matches!(ev, Event::Kick { node, .. } if node == NodeId::new(0)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue {
@@ -439,8 +436,9 @@ mod tests {
     use tsn_types::rng::SplitMix64;
 
     fn kick(n: u32) -> Event {
-        Event::HostKick {
+        Event::Kick {
             node: NodeId::new(n),
+            port: PortId::new(0),
         }
     }
 
@@ -466,7 +464,7 @@ mod tests {
             }
             let order: Vec<u32> = std::iter::from_fn(|| q.pop())
                 .map(|(_, e)| match e {
-                    Event::HostKick { node } => node.index(),
+                    Event::Kick { node, .. } => node.index(),
                     _ => unreachable!(),
                 })
                 .collect();

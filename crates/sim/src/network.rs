@@ -172,6 +172,30 @@ enum NodeRole {
     Host(Box<Host>),
 }
 
+/// A host's one port: its NIC's link to its switch.
+const HOST_PORT: PortId = PortId::new(0);
+
+impl NodeRole {
+    /// Pops the next frame this node may send on `port` at its
+    /// corrected time: express frames only (`Some(true)`), preemptable
+    /// ones only (`Some(false)`) or any (`None`). Yields the frame, the
+    /// switch queue it left (`None` on a host) and its wire bytes.
+    fn pop_frame(
+        &mut self,
+        port: PortId,
+        corrected: SimTime,
+        express: Option<bool>,
+    ) -> Option<(EthernetFrame, Option<QueueId>, u32)> {
+        let (frame, queue) = match self {
+            NodeRole::Switch { core, .. } => core
+                .dequeue_class(port, corrected, express)
+                .map(|(queue, frame)| (frame, Some(queue)))?,
+            NodeRole::Host(host) => (host.pop_next_class(express)?, None),
+        };
+        Some((frame, queue, frame.wire_bytes()))
+    }
+}
+
 /// Smallest fragment (wire bytes) that must already be on the wire before
 /// an express frame may interrupt (802.3br's 64-byte minimum fragment,
 /// preamble included in our wire accounting).
@@ -202,12 +226,17 @@ struct Suspended {
     remaining_wire_bytes: u32,
 }
 
-/// Per-port transmitter state for the preemption machinery.
+/// One port's transmitter, the only record of it: the port is busy
+/// exactly while `active` holds a segment, whose `TxComplete` (tagged
+/// with `gen`) is then pending.
 #[derive(Debug, Clone, Default)]
 struct WireState {
     gen: u64,
     active: Option<ActiveTx>,
+    /// The tail of a preempted frame, waiting for the express burst.
     suspended: Option<Suspended>,
+    /// Transmitted wire bytes (frames + overhead), for link utilization.
+    tx_bytes: u64,
 }
 
 /// What a preemption attempt decided.
@@ -230,12 +259,7 @@ pub struct Network {
     flows: Arc<FlowSet>,
     queue: EventQueue,
     analyzer: Analyzer,
-    /// Per-(node, port) link-busy horizon (flat stride-indexed arena).
-    busy_until: PortGrid<SimTime>,
-    /// Per-(node, port) transmitted wire bytes (frames + overhead).
-    tx_bytes: PortGrid<u64>,
-    /// Per-(node, port) transmitter state (active segment, suspended
-    /// fragment, generation).
+    /// Per-(node, port) transmitter (flat stride-indexed arena).
     wires: PortGrid<WireState>,
     /// Preemptions performed (802.3br).
     preemptions: u64,
@@ -606,7 +630,7 @@ impl NetworkTemplate {
         offsets: &FlowMap<SimDuration>,
         config: SimConfig,
     ) -> TsnResult<Self> {
-        let mut router = FlowRouter::new(&topology, &flows);
+        let mut router = FlowRouter::new(&topology);
         let routes = flows.iter().map(|flow| router.route(flow));
         let program = InstallProgram::build(&topology, &flows, routes)?;
         let route_cache = router.stats();
@@ -973,8 +997,6 @@ impl NetworkTemplate {
             flows: Arc::clone(&self.flows),
             queue,
             analyzer: Analyzer::with_flow_capacity(self.flows.len()),
-            busy_until: PortGrid::new(Arc::clone(&self.ports_base), SimTime::ZERO),
-            tx_bytes: PortGrid::new(Arc::clone(&self.ports_base), 0),
             wires: PortGrid::new(Arc::clone(&self.ports_base), WireState::default()),
             preemptions: 0,
             sync_domain: self.sync_seed.clone(),
@@ -1261,17 +1283,16 @@ impl Network {
                 self.stats.injects += 1;
                 self.on_inject(node, generator, now);
             }
-            Event::HostKick { node } => {
-                self.stats.host_kicks += 1;
-                self.on_host_kick(node, now);
+            Event::Kick { node, port } => {
+                match self.roles[node.as_usize()] {
+                    NodeRole::Switch { .. } => self.stats.port_kicks += 1,
+                    NodeRole::Host(_) => self.stats.host_kicks += 1,
+                }
+                self.on_kick(node, port, now);
             }
             Event::FrameArrive { node, port, frame } => {
                 self.stats.frame_arrives += 1;
                 self.on_arrive(node, port, frame, now);
-            }
-            Event::PortKick { node, port } => {
-                self.stats.port_kicks += 1;
-                self.on_port_kick(node, port, now);
             }
             Event::TxComplete { node, port, gen } => {
                 self.stats.tx_completes += 1;
@@ -1301,10 +1322,10 @@ impl Network {
         let Some(ends) = self.topology.link(link).map(|l| [l.a(), l.b()]) else {
             return;
         };
-        if goes_down {
-            // Frames mid-serialization (and suspended fragments) on the
-            // dead wire are lost on both ends.
-            for end in ends {
+        for end in ends {
+            if goes_down {
+                // Frames mid-serialization (and suspended fragments) on
+                // the dead wire are lost on both ends.
                 let ws = self.wires.at_mut(end.node.as_usize(), end.port.as_usize());
                 ws.gen += 1; // stale TxComplete becomes a no-op
                 let engine = self.fault.as_mut().expect("checked above");
@@ -1316,38 +1337,17 @@ impl Network {
                     engine.frames_lost_on_dead_links += 1;
                     engine.note_flow_loss(suspended.frame.flow());
                 }
-                *self
-                    .busy_until
-                    .at_mut(end.node.as_usize(), end.port.as_usize()) = now;
-                // Keep the transmitter draining: queued frames headed
-                // into the dead wire drop one by one at `start_tx` until
-                // the re-route takes effect.
-                let kick = self.kick_for(end.node, end.port);
-                self.queue.schedule(now, kick);
             }
-        } else {
-            // The wire is back: wake both transmitters.
-            for end in ends {
-                let kick = self.kick_for(end.node, end.port);
-                self.queue.schedule(now, kick);
-            }
+            // Wake both transmitters: on a dead wire queued frames drop
+            // one by one at `start_tx` until the re-route takes effect;
+            // on a recovered one they are sent again.
+            let kick = Event::Kick {
+                node: end.node,
+                port: end.port,
+            };
+            self.queue.schedule(now, kick);
         }
         self.reprogram_routes();
-    }
-
-    /// The wake-up event for a transmitter: a `PortKick` on switches, a
-    /// `HostKick` on hosts.
-    fn kick_for(&self, node: NodeId, port: PortId) -> Event {
-        let is_host = self
-            .topology
-            .node(node)
-            .map(tsn_topology::Node::is_host)
-            .unwrap_or(false);
-        if is_host {
-            Event::HostKick { node }
-        } else {
-            Event::PortKick { node, port }
-        }
     }
 
     /// Recomputes every flow's route avoiding the currently-dead links
@@ -1418,8 +1418,8 @@ impl Network {
         }
     }
 
-    /// Starts one transmission segment on `(node, port)` and schedules
-    /// its completion.
+    /// Starts one transmission segment on the idle `(node, port)` and
+    /// schedules its completion.
     fn start_tx(
         &mut self,
         node: NodeId,
@@ -1429,6 +1429,13 @@ impl Network {
         wire_bytes: u32,
         now: SimTime,
     ) {
+        debug_assert!(
+            self.wires
+                .at(node.as_usize(), port.as_usize())
+                .active
+                .is_none(),
+            "{node} port {port}: a segment started at {now} over one still on the wire"
+        );
         let Ok(link) = self.topology.link_at(node, port) else {
             return;
         };
@@ -1440,15 +1447,13 @@ impl Network {
                 engine.frames_lost_on_dead_links += 1;
                 engine.note_flow_loss(frame.flow());
                 self.ts_dropped += ts_loss(&frame);
-                let kick = self.kick_for(node, port);
-                self.queue.schedule(now, kick);
+                self.queue.schedule(now, Event::Kick { node, port });
                 return;
             }
         }
         let tx = link.rate().serialization_time(wire_bytes);
         let express = frame.class() == TrafficClass::TimeSensitive;
         let end = now + tx;
-        *self.busy_until.at_mut(node.as_usize(), port.as_usize()) = end;
         let ws = self.wires.at_mut(node.as_usize(), port.as_usize());
         ws.active = Some(ActiveTx {
             frame,
@@ -1480,8 +1485,7 @@ impl Network {
                 Some(Some(until_next)) => {
                     let wait = until_next + SimDuration::from_nanos(100);
                     if now + wait < end {
-                        self.queue
-                            .schedule(now + wait, Event::PortKick { node, port });
+                        self.queue.schedule(now + wait, Event::Kick { node, port });
                     }
                 }
                 Some(None) => self.stats.kicks_suppressed += 1,
@@ -1522,8 +1526,7 @@ impl Network {
             remaining_wire_bytes: remaining + FRAGMENT_OVERHEAD_BYTES,
         });
         ws.gen += 1; // invalidate the in-flight completion
-        *self.busy_until.at_mut(node.as_usize(), port.as_usize()) = now;
-        *self.tx_bytes.at_mut(node.as_usize(), port.as_usize()) += sent;
+        ws.tx_bytes += sent;
         self.preemptions += 1;
         PreemptOutcome::Preempted
     }
@@ -1539,7 +1542,7 @@ impl Network {
         let Some(active) = ws.active.take() else {
             return;
         };
-        *self.tx_bytes.at_mut(node.as_usize(), port.as_usize()) += u64::from(active.wire_bytes);
+        ws.tx_bytes += u64::from(active.wire_bytes);
         let Ok(link) = self.topology.link_at(node, port) else {
             return;
         };
@@ -1599,18 +1602,16 @@ impl Network {
             .at(node.as_usize(), port.as_usize())
             .suspended
             .is_some();
-        let kick = match &self.roles[node.as_usize()] {
+        let backlog = match &self.roles[node.as_usize()] {
             NodeRole::Switch { core, .. } => {
-                let backlog = core.gates(port).is_some_and(|g| g.total_buffered() > 0);
-                (backlog || suspended).then_some(Event::PortKick { node, port })
+                core.gates(port).is_some_and(|g| g.total_buffered() > 0)
             }
-            NodeRole::Host(host) => {
-                (host.queued() > 0 || suspended).then_some(Event::HostKick { node })
-            }
+            NodeRole::Host(host) => host.queued() > 0,
         };
-        match kick {
-            Some(kick) => self.queue.schedule(now, kick),
-            None => self.stats.kicks_suppressed += 1,
+        if backlog || suspended {
+            self.queue.schedule(now, Event::Kick { node, port });
+        } else {
+            self.stats.kicks_suppressed += 1;
         }
     }
 
@@ -1627,72 +1628,15 @@ impl Network {
                 .schedule(outcome.next_injection, Event::Inject { node, generator });
         }
         if outcome.queued {
-            self.queue.schedule(now, Event::HostKick { node });
+            let kick = Event::Kick {
+                node,
+                port: HOST_PORT,
+            };
+            self.queue.schedule(now, kick);
         } else if outcome.class == TrafficClass::TimeSensitive {
             // NIC queue overflow; host generators send unicast only.
             self.ts_dropped += 1;
         }
-    }
-
-    fn on_host_kick(&mut self, node: NodeId, now: SimTime) {
-        let port = PortId::new(0);
-        let busy = *self.busy_until.at(node.as_usize(), 0);
-        if now < busy {
-            // Express traffic may interrupt a preemptable segment.
-            let express_waiting = match &self.roles[node.as_usize()] {
-                NodeRole::Host(host) => host.express_queued(),
-                NodeRole::Switch { .. } => return,
-            };
-            if self.config.frame_preemption && express_waiting {
-                match self.try_preempt(node, port, now) {
-                    PreemptOutcome::Preempted => {} // fall through, wire free
-                    PreemptOutcome::RetryAt(at) => {
-                        self.queue.schedule(at, Event::HostKick { node });
-                        return;
-                    }
-                    PreemptOutcome::No => {
-                        // The pending TxComplete re-kicks at `busy`.
-                        self.stats.kicks_suppressed += 1;
-                        return;
-                    }
-                }
-            } else {
-                // The pending TxComplete re-kicks at `busy` if frames
-                // are still queued; no need to schedule a retry.
-                self.stats.kicks_suppressed += 1;
-                return;
-            }
-        }
-        let preemption = self.config.frame_preemption;
-        let suspended_waiting = self.wires.at(node.as_usize(), 0).suspended.is_some();
-        let NodeRole::Host(host) = &mut self.roles[node.as_usize()] else {
-            return;
-        };
-        // 802.3br service order: express MAC, then the suspended
-        // fragment, then fresh preemptable frames.
-        let next = if preemption {
-            if let Some(frame) = host.pop_next_class(Some(true)) {
-                Some((frame, None))
-            } else if suspended_waiting {
-                let s = self
-                    .wires
-                    .at_mut(node.as_usize(), 0)
-                    .suspended
-                    .take()
-                    .expect("checked");
-                let bytes = s.remaining_wire_bytes;
-                Some((s.frame, Some(bytes)))
-            } else {
-                host.pop_next_class(Some(false)).map(|f| (f, None))
-            }
-        } else {
-            host.pop_next().map(|f| (f, None))
-        };
-        let Some((frame, resume_bytes)) = next else {
-            return;
-        };
-        let wire_bytes = resume_bytes.unwrap_or_else(|| frame.wire_bytes());
-        self.start_tx(node, port, frame, None, wire_bytes, now);
     }
 
     fn on_arrive(&mut self, node: NodeId, _port: PortId, frame: EthernetFrame, now: SimTime) {
@@ -1740,94 +1684,83 @@ impl Network {
             // service the backlog. Under frame preemption the kick
             // stays, so an arriving express frame can interrupt the
             // in-flight preemptable segment.
-            if now < *self.busy_until.at(node.as_usize(), port.as_usize())
-                && !self.config.frame_preemption
-            {
+            let busy = self
+                .wires
+                .at(node.as_usize(), port.as_usize())
+                .active
+                .is_some();
+            if busy && !self.config.frame_preemption {
                 self.stats.kicks_suppressed += 1;
             } else {
-                self.queue.schedule(now, Event::PortKick { node, port });
+                self.queue.schedule(now, Event::Kick { node, port });
             }
         }
         self.scratch = scratch;
     }
 
-    fn on_port_kick(&mut self, node: NodeId, port: PortId, now: SimTime) {
+    /// Wakes the transmitter of `(node, port)`, a switch egress or a
+    /// host NIC alike. A busy port yields only to an express frame
+    /// (802.3br preemption); otherwise its pending `TxComplete` kicks
+    /// it again. An idle port sends its next frame in 802.3br service
+    /// order, or, on a switch with nothing eligible, wakes at the next
+    /// gate change or credit recovery.
+    fn on_kick(&mut self, node: NodeId, port: PortId, now: SimTime) {
         let corrected = self.corrected_time(node, now);
-        let busy = *self.busy_until.at(node.as_usize(), port.as_usize());
-        if now < busy {
-            let express_ready = match &self.roles[node.as_usize()] {
-                NodeRole::Switch { core, .. } => core.express_ready(port, corrected),
-                NodeRole::Host(_) => return,
-            };
-            if self.config.frame_preemption && express_ready {
-                match self.try_preempt(node, port, now) {
-                    PreemptOutcome::Preempted => {} // fall through, wire free
-                    PreemptOutcome::RetryAt(at) => {
-                        self.queue.schedule(at, Event::PortKick { node, port });
-                        return;
-                    }
-                    PreemptOutcome::No => {
-                        // The pending TxComplete re-kicks at `busy`.
-                        self.stats.kicks_suppressed += 1;
-                        return;
-                    }
-                }
-            } else {
-                // The pending TxComplete re-kicks at `busy` if the port
-                // still has backlog; no need to schedule a retry.
-                self.stats.kicks_suppressed += 1;
-                return;
-            }
-        }
         let preemption = self.config.frame_preemption;
-        let suspended_waiting = self
+        if self
             .wires
             .at(node.as_usize(), port.as_usize())
-            .suspended
-            .is_some();
-        let NodeRole::Switch { core, .. } = &mut self.roles[node.as_usize()] else {
-            return;
-        };
-        // 802.3br service order on the egress: express MAC first, then
-        // the suspended fragment, then fresh preemptable frames.
-        let next = if preemption {
-            if let Some((queue, frame)) = core.dequeue_class(port, corrected, Some(true)) {
-                Some((queue, frame, None))
-            } else if suspended_waiting {
-                let s = self
-                    .wires
-                    .at_mut(node.as_usize(), port.as_usize())
-                    .suspended
-                    .take()
-                    .expect("checked");
-                let bytes = s.remaining_wire_bytes;
-                let queue = s.queue.expect("switch segments carry their queue");
-                Some((queue, s.frame, Some(bytes)))
-            } else {
-                core.dequeue_class(port, corrected, Some(false))
-                    .map(|(q, f)| (q, f, None))
-            }
-        } else {
-            core.dequeue(port, corrected).map(|(q, f)| (q, f, None))
-        };
-        match next {
-            Some((queue, frame, resume_bytes)) => {
-                let wire_bytes = resume_bytes.unwrap_or_else(|| frame.wire_bytes());
-                self.start_tx(node, port, frame, Some(queue), wire_bytes, now);
-            }
-            None => {
-                // Nothing eligible now: wake at the next gate change or
-                // credit recovery (measured on the corrected clock, applied
-                // as an interval on the true clock, with a small guard so
-                // clock error cannot strand us before the boundary).
-                let NodeRole::Switch { core, .. } = &self.roles[node.as_usize()] else {
-                    return;
+            .active
+            .is_some()
+        {
+            let express_waiting = preemption
+                && match &self.roles[node.as_usize()] {
+                    NodeRole::Switch { core, .. } => core.express_ready(port, corrected),
+                    NodeRole::Host(host) => host.express_queued(),
                 };
-                if let Some(next) = core.next_dequeue_opportunity(port, corrected) {
-                    let wait = next.saturating_since(corrected) + SimDuration::from_nanos(100);
-                    self.queue
-                        .schedule(now + wait, Event::PortKick { node, port });
+            let outcome = if express_waiting {
+                self.try_preempt(node, port, now)
+            } else {
+                PreemptOutcome::No
+            };
+            match outcome {
+                PreemptOutcome::Preempted => {} // fall through, wire free
+                PreemptOutcome::RetryAt(at) => {
+                    self.queue.schedule(at, Event::Kick { node, port });
+                    return;
                 }
+                PreemptOutcome::No => {
+                    self.stats.kicks_suppressed += 1;
+                    return;
+                }
+            }
+        }
+        let role = &mut self.roles[node.as_usize()];
+        let suspended = &mut self
+            .wires
+            .at_mut(node.as_usize(), port.as_usize())
+            .suspended;
+        // 802.3br service order: express MAC first, then the suspended
+        // fragment, then fresh preemptable frames.
+        let next = if !preemption {
+            role.pop_frame(port, corrected, None)
+        } else if let Some(next) = role.pop_frame(port, corrected, Some(true)) {
+            Some(next)
+        } else if let Some(s) = suspended.take() {
+            Some((s.frame, s.queue, s.remaining_wire_bytes))
+        } else {
+            role.pop_frame(port, corrected, Some(false))
+        };
+        if let Some((frame, queue, wire_bytes)) = next {
+            self.start_tx(node, port, frame, queue, wire_bytes, now);
+        } else if let NodeRole::Switch { core, .. } = role {
+            // Nothing eligible now: wake at the next gate change or
+            // credit recovery (measured on the corrected clock, applied
+            // as an interval on the true clock, with a small guard so
+            // clock error cannot strand us before the boundary).
+            if let Some(next) = core.next_dequeue_opportunity(port, corrected) {
+                let wait = next.saturating_since(corrected) + SimDuration::from_nanos(100);
+                self.queue.schedule(now + wait, Event::Kick { node, port });
             }
         }
     }
@@ -1871,7 +1804,8 @@ impl Network {
         let elapsed_ns = self.now.as_nanos().max(1);
         let mut link_utilization = Vec::new();
         for node_idx in 0..self.roles.len() {
-            for (port_idx, &bytes) in self.tx_bytes.node_span(node_idx).iter().enumerate() {
+            for (port_idx, wire) in self.wires.node_span(node_idx).iter().enumerate() {
+                let bytes = wire.tx_bytes;
                 if bytes == 0 {
                     continue;
                 }

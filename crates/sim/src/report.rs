@@ -14,9 +14,9 @@ use tsn_types::{FlowId, NodeId, PortId, SimTime, TrafficClass};
 pub struct EventStats {
     /// `FrameArrive` events handled.
     pub frame_arrives: u64,
-    /// `PortKick` events handled.
+    /// `Kick` events handled on switch ports.
     pub port_kicks: u64,
-    /// `HostKick` events handled.
+    /// `Kick` events handled on host NICs.
     pub host_kicks: u64,
     /// `Inject` events handled.
     pub injects: u64,

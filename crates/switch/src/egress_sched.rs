@@ -310,12 +310,6 @@ impl EgressScheduler {
     pub fn shaper(&self, slot: usize) -> Option<&CreditBasedShaper> {
         self.shapers.get(slot).and_then(Option::as_ref)
     }
-
-    /// Number of installed queue→shaper mappings.
-    #[must_use]
-    pub fn mapped_queues(&self) -> usize {
-        self.mapped
-    }
 }
 
 #[cfg(test)]
@@ -467,7 +461,7 @@ mod tests {
         assert!(sched.map_queue(QueueId::new(5), 0).is_err(), "map full");
         // Remapping an existing entry is allowed.
         sched.map_queue(QueueId::new(3), 0).expect("remap");
-        assert_eq!(sched.mapped_queues(), 2);
+        assert_eq!(sched.mapped, 2);
     }
 
     #[test]

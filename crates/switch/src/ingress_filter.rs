@@ -345,12 +345,6 @@ impl IngressFilter {
         &self.layout
     }
 
-    /// Classification-table occupancy.
-    #[must_use]
-    pub fn class_occupancy(&self) -> usize {
-        self.class_table.occupancy()
-    }
-
     /// Frames classified via the PCP fallback (table misses).
     #[must_use]
     pub fn fallback_hits(&self) -> u64 {
@@ -543,7 +537,7 @@ mod tests {
                 },
             )
             .is_err());
-        assert_eq!(f.class_occupancy(), 1);
+        assert_eq!(f.class_table.occupancy(), 1);
     }
 
     #[test]

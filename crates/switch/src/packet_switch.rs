@@ -210,18 +210,6 @@ impl PacketSwitch {
     pub fn unicast_occupancy(&self) -> usize {
         self.unicast.occupancy()
     }
-
-    /// Occupancy of the multicast table.
-    #[must_use]
-    pub fn multicast_occupancy(&self) -> usize {
-        self.multicast.occupancy()
-    }
-
-    /// Lookup misses over both tables.
-    #[must_use]
-    pub fn miss_count(&self) -> u64 {
-        self.unicast.misses() + self.multicast.misses()
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +244,7 @@ mod tests {
         );
         // A full miss probes both the exact and the aggregated entry,
         // like the two-pass hardware lookup it models.
-        assert_eq!(ps.miss_count(), 2);
+        assert_eq!(ps.unicast.misses() + ps.multicast.misses(), 2);
     }
 
     #[test]
@@ -360,7 +348,7 @@ mod tests {
         ps.add_multicast(McId::new(0), vec![]).expect("fits");
         assert!(ps.add_multicast(McId::new(1), vec![]).is_err());
         assert_eq!(ps.unicast_occupancy(), 2);
-        assert_eq!(ps.multicast_occupancy(), 1);
+        assert_eq!(ps.multicast.occupancy(), 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use crate::link::{Link, LinkDirection, LinkEnd, LinkId};
 use crate::node::{Node, NodeKind};
 use crate::route::{Route, RouteHop};
-use std::collections::{BTreeSet, VecDeque};
-use tsn_types::{DataRate, FlowSet, FlowSpec, NodeId, PortId, SimDuration, TsnError, TsnResult};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
+use tsn_types::{DataRate, FlowSpec, NodeId, PortId, SimDuration, TsnError, TsnResult};
 
 /// Default one-way propagation delay for [`Topology::connect`]
 /// (a few metres of copper).
@@ -458,86 +459,21 @@ impl RouteTree {
     }
 }
 
-/// A bounded cache of [`RouteTree`]s keyed by talker, for routing many
-/// flows that share sources without re-running BFS per flow. A tree
-/// costs O(nodes), so the cache holds at most its capacity in trees and
-/// clears itself when full; the routes are identical regardless of cache
-/// hits. [`FlowRouter`] sizes one to a flow set's talkers.
-#[derive(Debug)]
-pub struct RouteTreeCache {
-    trees: std::collections::BTreeMap<NodeId, RouteTree>,
-    stats: RouteCacheStats,
-}
-
-impl RouteTreeCache {
-    /// The smallest tree bound a cache runs with.
-    pub const CAPACITY: usize = 64;
-
-    /// An empty cache bounded at `capacity` trees (clamped to at least
-    /// [`RouteTreeCache::CAPACITY`]). A cache that holds every talker's
-    /// tree never evicts, so it runs exactly one BFS per talker.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        RouteTreeCache {
-            trees: std::collections::BTreeMap::new(),
-            stats: RouteCacheStats {
-                capacity: capacity.max(Self::CAPACITY),
-                ..RouteCacheStats::default()
-            },
-        }
-    }
-
-    /// The cache's counters so far and the capacity it runs with.
-    #[must_use]
-    pub fn stats(&self) -> RouteCacheStats {
-        self.stats
-    }
-
-    /// Routes `from → to` through the cached tree rooted at `from`,
-    /// running BFS on a miss. Byte-identical to [`Topology::route`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Topology::route`].
-    pub fn route(&mut self, topology: &Topology, from: NodeId, to: NodeId) -> TsnResult<Route> {
-        use std::collections::btree_map::Entry;
-        if !self.trees.contains_key(&from) && self.trees.len() >= self.stats.capacity {
-            self.trees.clear();
-            self.stats.evictions += 1;
-        }
-        let tree = match self.trees.entry(from) {
-            Entry::Occupied(e) => {
-                self.stats.hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(e) => {
-                self.stats.misses += 1;
-                e.insert(topology.routes_from(from)?)
-            }
-        };
-        tree.route(topology, to)
-    }
-}
-
-/// How well a [`RouteTreeCache`] served its routes: hits, misses and
-/// evictions, plus the capacity it ran with.
+/// How well a [`FlowRouter`]'s talker trees served its routes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouteCacheStats {
     /// Routes served from a cached talker tree.
     pub hits: u64,
     /// Routes that had to run a fresh BFS.
     pub misses: u64,
-    /// Whole-cache flushes forced by the capacity bound.
-    pub evictions: u64,
-    /// The capacity the cache ran with.
-    pub capacity: usize,
 }
 
 /// The one way a flow set is routed: host-endpoint validation, then
-/// shortest-path routing through one [`RouteTreeCache`] sized to the
-/// flow set's distinct talkers, so a flow set routes with one BFS per
-/// talker. Flows go through one at a time, so a caller that needs each
-/// route only briefly never holds them all.
+/// shortest-path routing through one [`RouteTree`] per talker, built by
+/// BFS on the talker's first flow and kept for the rest, so a flow set
+/// routes with one BFS per talker. Routes are byte-identical to
+/// [`Topology::route`]. Flows go through one at a time, so a caller that
+/// needs each route only briefly never holds them all.
 ///
 /// # Example
 ///
@@ -549,7 +485,7 @@ pub struct RouteCacheStats {
 /// let (a, b, ms) = (topo.hosts()[0], topo.hosts()[1], SimDuration::from_millis);
 /// let mut flows = FlowSet::new();
 /// flows.push(TsFlowSpec::new(FlowId::new(0), a, b, ms(10), ms(2), 64)?.into());
-/// let mut router = FlowRouter::new(&topo, &flows);
+/// let mut router = FlowRouter::new(&topo);
 /// assert_eq!(router.route(&flows.iter().as_slice()[0])?, topo.route(a, b)?);
 /// assert_eq!(router.stats().misses, 1);
 /// # Ok::<(), tsn_types::TsnError>(())
@@ -557,19 +493,18 @@ pub struct RouteCacheStats {
 #[derive(Debug)]
 pub struct FlowRouter<'t> {
     topology: &'t Topology,
-    cache: RouteTreeCache,
+    trees: BTreeMap<NodeId, RouteTree>,
+    stats: RouteCacheStats,
 }
 
 impl<'t> FlowRouter<'t> {
-    /// A router for `flows` over `topology`, its cache bounded at the
-    /// flow set's distinct-talker count (at least
-    /// [`RouteTreeCache::CAPACITY`]).
+    /// A router over `topology`, with no talker tree built yet.
     #[must_use]
-    pub fn new(topology: &'t Topology, flows: &FlowSet) -> Self {
-        let talkers: BTreeSet<NodeId> = flows.iter().map(FlowSpec::src).collect();
+    pub fn new(topology: &'t Topology) -> Self {
         FlowRouter {
             topology,
-            cache: RouteTreeCache::with_capacity(talkers.len()),
+            trees: BTreeMap::new(),
+            stats: RouteCacheStats::default(),
         }
     }
 
@@ -590,13 +525,23 @@ impl<'t> FlowRouter<'t> {
                 ));
             }
         }
-        self.cache.route(self.topology, flow.src(), flow.dst())
+        let tree = match self.trees.entry(flow.src()) {
+            Entry::Occupied(e) => {
+                self.stats.hits += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.stats.misses += 1;
+                e.insert(self.topology.routes_from(flow.src())?)
+            }
+        };
+        tree.route(self.topology, flow.dst())
     }
 
-    /// The route cache's counters so far.
+    /// The talker trees' counters so far.
     #[must_use]
     pub fn stats(&self) -> RouteCacheStats {
-        self.cache.stats()
+        self.stats
     }
 }
 

@@ -39,7 +39,7 @@ pub mod presets;
 pub mod route;
 
 pub use analysis::EnabledPorts;
-pub use graph::{FlowRouter, RouteCacheStats, RouteTree, RouteTreeCache, Topology};
+pub use graph::{FlowRouter, RouteCacheStats, RouteTree, Topology};
 pub use link::{Link, LinkDirection, LinkEnd, LinkId};
 pub use node::{Node, NodeKind};
 pub use route::{Route, RouteHop};

@@ -21,8 +21,13 @@ fn main() -> Result<(), TsnError> {
     // from {1,2,4,8} ms) plus ~450 Mbps of RC and BE background each.
     let topology = presets::ring(6, 3)?;
     let ts = workloads::iec60802_ts_flows(&topology, 1022, 2024)?;
-    let background =
-        workloads::background_flows(&topology, DataRate::mbps(450), DataRate::mbps(450), 100_000)?;
+    let background = workloads::background_flows(
+        &topology,
+        DataRate::mbps(450),
+        DataRate::mbps(450),
+        workloads::BACKGROUND_FRAME_BYTES,
+        100_000,
+    )?;
     let flows = workloads::merge(ts, background);
 
     let customization = TsnBuilder::new(topology, flows, SimDuration::from_nanos(50))?

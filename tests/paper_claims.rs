@@ -1,10 +1,13 @@
 //! The paper's headline claims, asserted end-to-end across the workspace.
 
-use tsn_builder::{latency_bounds, workloads, DeriveOptions, TsnBuilder};
+use std::sync::Arc;
+use tsn_builder::{
+    latency_bounds, run_scenarios, workloads, AppRequirements, DeriveOptions, Scenario, TsnBuilder,
+};
 use tsn_resource::{baseline, AllocationPolicy, UsageReport};
 use tsn_sim::network::{Network, SimConfig, SyncSetup};
-use tsn_topology::presets;
-use tsn_types::{SimDuration, TsnError};
+use tsn_topology::{presets, LinkDirection, Topology};
+use tsn_types::{DataRate, NodeId, SimDuration, TsnError};
 
 /// Table III: the four columns and the three headline reductions.
 #[test]
@@ -70,6 +73,57 @@ fn table_i_same_qos_with_540kb_less() -> Result<(), TsnError> {
         delta < 1.0,
         "identical traffic and gates: means must match, delta {delta} ns"
     );
+    Ok(())
+}
+
+/// Fig. 2: rate-constrained background sharing the tester's path leaves
+/// the TS flows lossless. Case 1 at 200 Mbps is the point where a shaper
+/// wake-up falls on the nanosecond a segment leaves the last switch's
+/// analyzer port; a transmitter that then starts another segment over
+/// the one still on the wire loses a frame without counting it.
+#[test]
+fn fig2_rc_background_loses_no_ts_frame() -> Result<(), TsnError> {
+    // Fig. 2's network: a 3-switch chain, tester on sw0, analyzer on sw2.
+    let mut topo = Topology::new();
+    let sw: Vec<NodeId> = (0..3).map(|i| topo.add_switch(format!("sw{i}"))).collect();
+    for i in 0..3 {
+        topo.connect_with(
+            sw[i],
+            sw[(i + 1) % 3],
+            DataRate::gbps(1),
+            SimDuration::from_nanos(50),
+            LinkDirection::AToB,
+        )?;
+    }
+    let tester = topo.add_host("tester");
+    topo.connect(tester, sw[0], DataRate::gbps(1))?;
+    let analyzer = topo.add_host("analyzer0");
+    topo.connect(analyzer, sw[2], DataRate::gbps(1))?;
+    let period = SimDuration::from_millis(8);
+    let ts = workloads::ts_flows_fixed_path(1023, tester, analyzer, 64, period)?;
+    let bg = workloads::background_flows(
+        &topo,
+        DataRate::mbps(200),
+        DataRate::ZERO,
+        workloads::BACKGROUND_FRAME_BYTES,
+        5000,
+    )?;
+    let flows = workloads::merge(ts, bg);
+    let requirements = AppRequirements::new(topo, flows, SimDuration::from_nanos(50))?;
+    let mut config = SimConfig::paper_defaults();
+    config.resources = baseline::table1_case1();
+    let scenario = Scenario::explicit("Case 1/RC/bg=200", Arc::new(requirements), config);
+    let outcome = run_scenarios(&[scenario], 1)
+        .pop()
+        .expect("one scenario, one outcome")
+        .unwrap_or_else(|e| panic!("{e}"));
+    let report = outcome.report;
+    assert!(
+        report.ts_injected() >= 1023 * 9,
+        "every flow sends all run long"
+    );
+    assert_eq!(report.ts_lost(), 0, "every TS frame is delivered");
+    assert_eq!(report.ts_deadline_misses(), 0);
     Ok(())
 }
 

@@ -48,6 +48,7 @@ fn tas_network_is_lossless_like_cqf() -> Result<(), TsnError> {
             &topo,
             DataRate::mbps(200),
             DataRate::mbps(200),
+            workloads::BACKGROUND_FRAME_BYTES,
             9000,
         )?);
         let customization =
@@ -88,6 +89,7 @@ fn swept_tas_scenarios_report_like_the_facade() -> Result<(), TsnError> {
         &topo,
         DataRate::mbps(200),
         DataRate::mbps(200),
+        workloads::BACKGROUND_FRAME_BYTES,
         9000,
     )?);
     let duration = SimDuration::from_millis(30);
