@@ -1,5 +1,6 @@
 //! Per-template datapath benchmarks: what one frame costs in each of the
-//! five function templates, plus HDL emission (the synthesis stage).
+//! five function templates, plus HDL emission (the synthesis stage) and
+//! each layer of its machine check (parse, lint, cost agreement).
 
 use std::hint::black_box;
 use tsn_bench::Runner;
@@ -145,10 +146,27 @@ fn bench_time_sync(runner: &Runner) {
     });
 }
 
+/// The HDL path of one customization, one layer per case: emit, then
+/// the machine check's parse, lint and cost agreement on the default
+/// config.
 fn bench_hdl(runner: &Runner) {
     let config = ResourceConfig::new();
     runner.bench("hdl/generate_bundle", || {
-        tsn_hdl::templates::generate(black_box(&config)).expect("generates")
+        tsn_hdl::generate(black_box(&config)).expect("generates")
+    });
+    let source = tsn_hdl::generate(&config)
+        .expect("generates")
+        .concatenated();
+    runner.bench("hdl/parse", || {
+        tsn_hdl::parse_modules(black_box(&source)).expect("parses")
+    });
+    let modules = tsn_hdl::parse_modules(&source).expect("parses");
+    runner.bench("hdl/lint", || {
+        let findings = tsn_hdl::lint_modules(black_box(&modules));
+        assert!(findings.is_empty(), "default bundle lints clean");
+    });
+    runner.bench("hdl/cost_check", || {
+        tsn_hdl::check_agreement(black_box(&config), black_box(&modules)).expect("agrees")
     });
 }
 

@@ -6,14 +6,12 @@
 //! behavioural `always`/`initial` blocks. Widths, depths, parameter
 //! defaults and overrides are [`Expr`] trees; everything the checks do
 //! not evaluate (assign right-hand sides, connection expressions, block
-//! bodies, comments) stays text. Rendering and parsing are inverses:
+//! bodies, comments) stays [`Text`]. Rendering and parsing are inverses:
 //! `parse_modules(&m.render()) == vec![m]`.
 
 use crate::expr::{Expr, Range};
-use crate::parse::{lex, KEYWORDS};
-use crate::validate::is_identifier;
+use crate::text::Text;
 use core::fmt;
-use std::collections::BTreeSet;
 
 /// Port direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,7 +38,7 @@ impl fmt::Display for Dir {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Param {
     /// Parameter name (conventionally SCREAMING_SNAKE_CASE).
-    pub name: String,
+    pub name: Text,
     /// Default value.
     pub value: Expr,
 }
@@ -58,26 +56,26 @@ pub struct Port {
     /// The `[msb:lsb]` range; `None` means a scalar port.
     pub range: Option<Range>,
     /// Port name.
-    pub name: String,
+    pub name: Text,
 }
 
 /// A module instantiation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Instance {
     /// Instantiated module name.
-    pub module: String,
+    pub module: Text,
     /// Instance name.
-    pub name: String,
+    pub name: Text,
     /// `#(.NAME(expr))` parameter overrides, in order.
-    pub params: Vec<(String, Expr)>,
+    pub params: Vec<(Text, Expr)>,
     /// `.port(expr)` connections, in order; the expression is text.
-    pub connections: Vec<(String, String)>,
+    pub connections: Vec<(Text, Text)>,
 }
 
 impl Instance {
     /// An instance with no overrides and no connections.
     #[must_use]
-    pub fn new(module: impl Into<String>, name: impl Into<String>) -> Self {
+    pub fn new(module: impl Into<Text>, name: impl Into<Text>) -> Self {
         Instance {
             module: module.into(),
             name: name.into(),
@@ -90,7 +88,7 @@ impl Instance {
     /// next to it.
     #[must_use]
     pub fn params(mut self, overrides: &[(&str, &str)]) -> Self {
-        let pairs = overrides.iter().map(|&(p, v)| (p.to_owned(), v.into()));
+        let pairs = overrides.iter().map(|&(p, v)| (p.into(), v.into()));
         self.params.extend(pairs);
         self
     }
@@ -98,9 +96,7 @@ impl Instance {
     /// Connects each child port to the expression next to it.
     #[must_use]
     pub fn connect(mut self, connections: &[(&str, &str)]) -> Self {
-        let pairs = connections
-            .iter()
-            .map(|&(p, e)| (p.to_owned(), e.to_owned()));
+        let pairs = connections.iter().map(|&(p, e)| (p.into(), e.into()));
         self.connections.extend(pairs);
         self
     }
@@ -110,20 +106,20 @@ impl Instance {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Item {
     /// `// comment`
-    Comment(String),
+    Comment(Text),
     /// `wire [msb:lsb] name;`
     Wire {
         /// Width range; `None` means a 1-bit net.
         range: Option<Range>,
         /// Net name.
-        name: String,
+        name: Text,
     },
     /// `reg [msb:lsb] name;`
     Reg {
         /// Width range; `None` means a 1-bit register.
         range: Option<Range>,
         /// Register name.
-        name: String,
+        name: Text,
     },
     /// `reg [msb:lsb] name [0:depth-1];` — a BRAM-inferrable memory.
     Memory {
@@ -132,19 +128,19 @@ pub enum Item {
         /// Depth range (e.g. `[0:DEPTH-1]`).
         depth: Range,
         /// Memory name.
-        name: String,
+        name: Text,
     },
     /// `assign lhs = rhs;`
     Assign {
         /// Left-hand side text.
-        lhs: String,
+        lhs: Text,
         /// Right-hand side text.
-        rhs: String,
+        rhs: Text,
     },
     /// `localparam name = value;`
     Localparam {
         /// Name.
-        name: String,
+        name: Text,
         /// Value.
         value: Expr,
     },
@@ -152,18 +148,18 @@ pub enum Item {
     /// emitted verbatim, indented.
     Always {
         /// Sensitivity list, e.g. `posedge clk`.
-        sensitivity: String,
+        sensitivity: Text,
         /// Statement lines.
-        body: Vec<String>,
+        body: Vec<Text>,
     },
     /// An `initial begin … end` block (testbenches).
     Initial {
         /// Statement lines.
-        body: Vec<String>,
+        body: Vec<Text>,
     },
     /// A verbatim statement (e.g. `always #4 clk = ~clk;`). Still
     /// subject to the validator.
-    Raw(String),
+    Raw(Text),
     /// A module instance.
     Instance(Instance),
 }
@@ -178,7 +174,7 @@ impl From<Instance> for Item {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Module {
     /// Module name.
-    pub name: String,
+    pub name: Text,
     /// Parameters.
     pub params: Vec<Param>,
     /// Ports.
@@ -190,7 +186,7 @@ pub struct Module {
 impl Module {
     /// Creates an empty module.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Text>) -> Self {
         Module {
             name: name.into(),
             params: Vec::new(),
@@ -200,7 +196,7 @@ impl Module {
     }
 
     /// Adds a parameter.
-    pub fn param(&mut self, name: impl Into<String>, value: impl Into<Expr>) -> &mut Self {
+    pub fn param(&mut self, name: impl Into<Text>, value: impl Into<Expr>) -> &mut Self {
         self.params.push(Param {
             name: name.into(),
             value: value.into(),
@@ -210,7 +206,7 @@ impl Module {
 
     /// Adds a port `width` bits wide (`1` renders without a range).
     fn port(&mut self, dir: Dir, width: impl Into<Expr>, name: &str) -> &mut Self {
-        let (range, name) = (bits(width.into()), name.to_owned());
+        let (range, name) = (bits(width.into()), name.into());
         self.ports.push(Port { dir, range, name });
         self
     }
@@ -237,14 +233,14 @@ impl Module {
     }
 
     /// Adds a `wire` of `width` bits.
-    pub fn wire(&mut self, width: impl Into<Expr>, name: impl Into<String>) -> &mut Self {
+    pub fn wire(&mut self, width: impl Into<Expr>, name: impl Into<Text>) -> &mut Self {
         let (range, name) = (bits(width.into()), name.into());
         self.item(Item::Wire { range, name })
     }
 
     /// Adds a `reg` of `width` bits.
     pub fn reg(&mut self, width: impl Into<Expr>, name: &str) -> &mut Self {
-        let (range, name) = (bits(width.into()), name.to_owned());
+        let (range, name) = (bits(width.into()), name.into());
         self.item(Item::Reg { range, name })
     }
 
@@ -253,33 +249,27 @@ impl Module {
         self.item(Item::Memory {
             range: Some(Range::bits(width.into())),
             depth: Range::words(depth.into()),
-            name: name.to_owned(),
+            name: name.into(),
         })
     }
 
     /// Adds `assign lhs = rhs;`.
-    pub fn assign(&mut self, lhs: &str, rhs: impl Into<String>) -> &mut Self {
-        let (lhs, rhs) = (lhs.to_owned(), rhs.into());
+    pub fn assign(&mut self, lhs: &str, rhs: impl Into<Text>) -> &mut Self {
+        let (lhs, rhs) = (lhs.into(), rhs.into());
         self.item(Item::Assign { lhs, rhs })
     }
 
     /// Adds `// text`.
-    pub fn comment(&mut self, text: impl Into<String>) -> &mut Self {
+    pub fn comment(&mut self, text: impl Into<Text>) -> &mut Self {
         self.item(Item::Comment(text.into()))
     }
 
     /// Adds `always @(posedge clk) begin … end` around `body`.
     pub fn clocked(&mut self, body: &[&str]) -> &mut Self {
         self.item(Item::Always {
-            sensitivity: "posedge clk".to_owned(),
-            body: body.iter().map(|&line| line.to_owned()).collect(),
+            sensitivity: "posedge clk".into(),
+            body: body.iter().map(|&line| line.into()).collect(),
         })
-    }
-
-    /// Looks a port up by name.
-    #[must_use]
-    pub(crate) fn find_port(&self, name: &str) -> Option<&Port> {
-        self.ports.iter().find(|p| p.name == name)
     }
 
     /// The module's instances, in body order.
@@ -298,49 +288,44 @@ impl Module {
         })
     }
 
-    /// Every non-keyword identifier the body mentions: declared names,
-    /// expression identifiers, instance and port names, and the words of
-    /// every text item (comments excluded). The unused-port lint checks
-    /// ports against this set.
-    #[must_use]
-    pub(crate) fn references(&self) -> BTreeSet<&str> {
-        let (mut texts, mut exprs): (Vec<&String>, Vec<&Expr>) = (Vec::new(), Vec::new());
+    /// Visits every non-keyword identifier the body mentions, repeats
+    /// included: declared names, expression identifiers, instance and
+    /// port names, and the words of every text item (comments excluded).
+    /// The unused-port lint checks ports against these; parsed text
+    /// answers from the identifiers its parse recorded ([`Text::idents`]).
+    pub(crate) fn references<'a>(&'a self, mut visit: impl FnMut(&'a str)) {
+        let visit = &mut visit;
         for item in &self.items {
             match item {
                 Item::Comment(_) => {}
                 Item::Wire { range, name } | Item::Reg { range, name } => {
-                    texts.push(name);
-                    exprs.extend(range.iter().flat_map(|r| [&r.msb, &r.lsb]));
+                    name.idents().for_each(&mut *visit);
+                    range.iter().for_each(|r| r.idents(visit));
                 }
                 Item::Memory { range, depth, name } => {
-                    texts.push(name);
-                    let ranges = range.iter().chain([depth]);
-                    exprs.extend(ranges.flat_map(|r| [&r.msb, &r.lsb]));
+                    name.idents().for_each(&mut *visit);
+                    range.iter().chain([depth]).for_each(|r| r.idents(visit));
                 }
-                Item::Assign { lhs, rhs } => texts.extend([lhs, rhs]),
+                Item::Assign { lhs, rhs } => lhs.idents().chain(rhs.idents()).for_each(&mut *visit),
                 Item::Localparam { name, value } => {
-                    texts.push(name);
-                    exprs.push(value);
+                    name.idents().for_each(&mut *visit);
+                    value.idents(visit);
                 }
                 Item::Always { sensitivity, body } => {
-                    texts.extend(body.iter().chain([sensitivity]))
+                    let lines = body.iter().chain([sensitivity]);
+                    lines.flat_map(Text::idents).for_each(&mut *visit);
                 }
-                Item::Initial { body } => texts.extend(body),
-                Item::Raw(line) => texts.push(line),
+                Item::Initial { body } => body.iter().flat_map(Text::idents).for_each(&mut *visit),
+                Item::Raw(line) => line.idents().for_each(&mut *visit),
                 Item::Instance(inst) => {
-                    texts.extend([&inst.module, &inst.name]);
-                    texts.extend(inst.connections.iter().flat_map(|(p, e)| [p, e]));
-                    texts.extend(inst.params.iter().map(|(p, _)| p));
-                    exprs.extend(inst.params.iter().map(|(_, v)| v));
+                    let connections = inst.connections.iter().flat_map(|(p, e)| [p, e]);
+                    let names = [&inst.module, &inst.name].into_iter().chain(connections);
+                    let names = names.chain(inst.params.iter().map(|(p, _)| p));
+                    names.flat_map(Text::idents).for_each(&mut *visit);
+                    inst.params.iter().for_each(|(_, v)| v.idents(visit));
                 }
             }
         }
-        let mut refs = BTreeSet::new();
-        texts
-            .into_iter()
-            .for_each(|text| text_idents(text, &mut refs));
-        exprs.into_iter().for_each(|expr| expr.idents(&mut refs));
-        refs
     }
 
     /// Renders the module as Verilog source.
@@ -348,18 +333,6 @@ impl Module {
     pub fn render(&self) -> String {
         self.to_string()
     }
-}
-
-/// Adds every non-keyword identifier of a text item to `out`, skipping
-/// comments and literals. Text that is one identifier, like most names
-/// and connections, is not lexed.
-pub(crate) fn text_idents<'a>(text: &'a str, out: &mut impl Extend<&'a str>) {
-    if is_identifier(text) {
-        out.extend([text].into_iter().filter(|w| !KEYWORDS.contains(w)));
-        return;
-    }
-    let words = lex(text).filter(|tok| tok.is_ident() && !KEYWORDS.contains(&tok.text));
-    out.extend(words.map(|tok| tok.text));
 }
 
 /// An optional range, printed as ` [msb:lsb]` or nothing.
@@ -390,7 +363,7 @@ fn join<T>(
     Ok(())
 }
 
-fn body(f: &mut fmt::Formatter<'_>, lines: &[String]) -> fmt::Result {
+fn body(f: &mut fmt::Formatter<'_>, lines: &[Text]) -> fmt::Result {
     for line in lines {
         writeln!(f, "        {line}")?;
     }
@@ -460,9 +433,19 @@ impl fmt::Display for Module {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parse::parse_modules;
+    use std::collections::BTreeSet;
+
+    /// Every word [`Module::references`] visits, once.
+    pub(crate) fn references(m: &Module) -> BTreeSet<&str> {
+        let mut refs = BTreeSet::new();
+        m.references(|word| {
+            refs.insert(word);
+        });
+        refs
+    }
 
     fn demo() -> Module {
         let mut m = Module::new("demo");
@@ -532,7 +515,7 @@ mod tests {
             .assign("w", "r ? {AW{1'b0}} : din[3:0]")
             .item(Item::Initial {
                 body: vec![
-                    String::new(),
+                    "".into(),
                     "  x = 1; // c".into(),
                     "if (a) begin".into(),
                     "end".into(),
@@ -555,7 +538,7 @@ mod tests {
         m.comment("ghost")
             .assign("a", "b & c // ghost2")
             .wire(Expr::from("W2") + 1, "w");
-        let refs = m.references();
+        let refs = references(&m);
         for word in ["a", "b", "c", "w", "W2", "mem", "dout", "clk"] {
             assert!(refs.contains(word), "{word}");
         }

@@ -14,7 +14,8 @@
 use crate::ast::{Dir, Item, Module};
 use crate::expr::{Env, Range};
 use crate::lint::{default_env, instance_env, width_of};
-use std::collections::BTreeMap;
+use crate::text::Text;
+use core::fmt;
 use tsn_resource::bram::{AllocationPolicy, BRAM18_BITS, BRAM36_BITS};
 use tsn_resource::{rtl, ResourceConfig};
 use tsn_types::{TsnError, TsnResult};
@@ -26,21 +27,13 @@ pub struct MemoryInstance {
     /// `u_packet_switch.u_unicast_tbl.mem`.
     pub path: String,
     /// Module the memory is declared in.
-    pub module: String,
+    pub module: Text,
     /// Declared memory name.
-    pub memory: String,
+    pub memory: Text,
     /// Resolved entry count (depth).
     pub entries: u64,
     /// Resolved entry width in bits.
     pub width_bits: u64,
-}
-
-impl MemoryInstance {
-    /// Raw payload bits (`entries * width`).
-    #[must_use]
-    pub fn raw_bits(&self) -> u64 {
-        self.entries.saturating_mul(self.width_bits)
-    }
 }
 
 /// The full cost picture of one elaborated design.
@@ -53,30 +46,39 @@ pub struct HdlCost {
 }
 
 impl HdlCost {
-    /// Total table bits under `policy` (each memory instance costed
-    /// independently, as the paper's accounting does).
-    fn table_bits(&self, policy: AllocationPolicy) -> u64 {
-        self.memories.iter().fold(0u64, |acc, m| {
-            acc.saturating_add(policy.table_cost_bits(m.entries, m.width_bits))
-        })
+    /// `(entries, width)` of every memory.
+    fn shapes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.memories.iter().map(|m| (m.entries, m.width_bits))
     }
 
     /// 18 Kb BRAM primitives needed when each memory rounds up
     /// independently.
     #[must_use]
     pub fn bram18_blocks(&self) -> u64 {
-        self.memories.iter().fold(0u64, |acc, m| {
-            acc.saturating_add(m.raw_bits().div_ceil(BRAM18_BITS))
-        })
+        blocks(self.shapes(), BRAM18_BITS)
     }
 
     /// 36 Kb BRAM blocks needed when each memory rounds up independently.
     #[must_use]
     pub fn bram36_blocks(&self) -> u64 {
-        self.memories.iter().fold(0u64, |acc, m| {
-            acc.saturating_add(m.raw_bits().div_ceil(BRAM36_BITS))
-        })
+        blocks(self.shapes(), BRAM36_BITS)
     }
+}
+
+/// Total table bits of `(entries, width)` memories under `policy`, each
+/// costed independently, as the paper's accounting does.
+fn table_bits(shapes: impl Iterator<Item = (u64, u64)>, policy: AllocationPolicy) -> u64 {
+    shapes.fold(0u64, |acc, (entries, width)| {
+        acc.saturating_add(policy.table_cost_bits(entries, width))
+    })
+}
+
+/// Blocks of `block_bits` the `(entries, width)` memories need, each
+/// rounded up independently.
+fn blocks(shapes: impl Iterator<Item = (u64, u64)>, block_bits: u64) -> u64 {
+    shapes.fold(0u64, |acc, (entries, width)| {
+        acc.saturating_add(entries.saturating_mul(width).div_ceil(block_bits))
+    })
 }
 
 const MAX_DEPTH: usize = 32;
@@ -91,8 +93,8 @@ const MAX_DEPTH: usize = 32;
 /// a positive integer, or the hierarchy nests deeper than a generated
 /// design ever does (a cycle).
 pub fn cost_of(modules: &[Module], root: &str) -> TsnResult<HdlCost> {
-    let by_name: BTreeMap<&str, &Module> = modules.iter().map(|m| (m.name.as_str(), m)).collect();
-    let Some(root_module) = by_name.get(root) else {
+    // The last module of each name counts, as in a map built in order.
+    let Some(root_module) = modules.iter().rfind(|m| m.name == root) else {
         return Err(TsnError::InvalidArtifact(format!(
             "root module {root} not found in the parsed design"
         )));
@@ -102,11 +104,28 @@ pub fn cost_of(modules: &[Module], root: &str) -> TsnResult<HdlCost> {
         register_bits: 0,
     };
     let env = default_env(root_module);
-    elaborate(root_module, &by_name, &env, "", 0, &mut cost)?;
+    elaborate(root_module, modules, &env, &mut String::new(), 0, &mut cost)?;
     Ok(cost)
 }
 
-fn resolve(module: &str, what: &str, range: Option<&Range>, env: &Env) -> TsnResult<u64> {
+/// What [`resolve`] resolves, named only in an error.
+enum Subject<'a> {
+    MemoryWidth(&'a str),
+    MemoryDepth(&'a str),
+    Register(&'a str),
+}
+
+impl fmt::Display for Subject<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Subject::MemoryWidth(name) => write!(f, "width of memory {name}"),
+            Subject::MemoryDepth(name) => write!(f, "depth of memory {name}"),
+            Subject::Register(name) => write!(f, "width of register {name}"),
+        }
+    }
+}
+
+fn resolve(module: &str, what: Subject, range: Option<&Range>, env: &Env) -> TsnResult<u64> {
     let width = width_of(range, env)
         .map_err(|e| TsnError::InvalidArtifact(format!("{module}: cannot resolve {what}: {e}")))?;
     u64::try_from(width).map_err(|_| {
@@ -114,11 +133,14 @@ fn resolve(module: &str, what: &str, range: Option<&Range>, env: &Env) -> TsnRes
     })
 }
 
+/// Elaborates `module` below the hierarchical `path` (empty at the
+/// root, else ending in `.`), which it extends and restores for each
+/// child.
 fn elaborate(
     module: &Module,
-    by_name: &BTreeMap<&str, &Module>,
+    modules: &[Module],
     env: &Env,
-    path: &str,
+    path: &mut String,
     depth: usize,
     cost: &mut HdlCost,
 ) -> TsnResult<()> {
@@ -128,41 +150,42 @@ fn elaborate(
             module.name
         )));
     }
-    let mut registers = Vec::new();
     for item in &module.items {
-        match item {
-            Item::Memory { range, depth, name } => {
-                let what = |w: &str| format!("{w} of memory {name}");
-                let width_bits = resolve(&module.name, &what("width"), range.as_ref(), env)?;
-                cost.memories.push(MemoryInstance {
-                    path: format!("{path}{name}"),
-                    module: module.name.clone(),
-                    memory: name.clone(),
-                    entries: resolve(&module.name, &what("depth"), Some(depth), env)?,
-                    width_bits,
-                });
-            }
-            Item::Reg { range, name } => registers.push((name, range)),
-            _ => {}
+        if let Item::Memory { range, depth, name } = item {
+            let width = Subject::MemoryWidth(name);
+            let width_bits = resolve(&module.name, width, range.as_ref(), env)?;
+            let entries = Subject::MemoryDepth(name);
+            cost.memories.push(MemoryInstance {
+                path: format!("{path}{name}"),
+                module: module.name.clone(),
+                memory: name.clone(),
+                entries: resolve(&module.name, entries, Some(depth), env)?,
+                width_bits,
+            });
         }
     }
+    let regs = module.items.iter().filter_map(|item| match item {
+        Item::Reg { range, name } => Some((name, range)),
+        _ => None,
+    });
     let output_regs = module.ports.iter().filter(|p| p.dir == Dir::OutputReg);
-    registers.extend(output_regs.map(|p| (&p.name, &p.range)));
-    for (name, range) in registers {
-        let what = format!("width of register {name}");
-        let bits = resolve(&module.name, &what, range.as_ref(), env)?;
+    for (name, range) in regs.chain(output_regs.map(|p| (&p.name, &p.range))) {
+        let bits = resolve(&module.name, Subject::Register(name), range.as_ref(), env)?;
         cost.register_bits = cost.register_bits.saturating_add(bits);
     }
     for inst in module.instances() {
-        let Some(child) = by_name.get(inst.module.as_str()) else {
+        let Some(child) = modules.iter().rfind(|m| m.name == inst.module) else {
             return Err(TsnError::InvalidArtifact(format!(
                 "{}: instance {} references unknown module {}",
                 module.name, inst.name, inst.module
             )));
         };
         let child_env = instance_env(child, &inst.params, env);
-        let child_path = format!("{path}{}.", inst.name);
-        elaborate(child, by_name, &child_env, &child_path, depth + 1, cost)?;
+        let parent = path.len();
+        path.push_str(&inst.name);
+        path.push('.');
+        elaborate(child, modules, &child_env, path, depth + 1, cost)?;
+        path.truncate(parent);
     }
     Ok(())
 }
@@ -173,8 +196,8 @@ fn elaborate(
 /// Checked, in order:
 /// 1. the full memory map — `(path, entries, width)` triples — against
 ///    [`rtl::emitted_memories`];
-/// 2. total table bits under every [`AllocationPolicy`] against
-///    [`rtl::emitted_table_bits`];
+/// 2. total table bits under every [`AllocationPolicy`] against the
+///    same sum over that map ([`rtl::emitted_table_bits`]);
 /// 3. BRAM18/BRAM36 block counts against the `rtl` mirror;
 /// 4. register bits against [`rtl::emitted_register_bits`];
 /// 5. per-group sums (class, meter, gate, queue memories) against the
@@ -205,28 +228,25 @@ pub fn check_agreement(cfg: &ResourceConfig, modules: &[Module]) -> Result<(), S
         ));
     }
 
+    // The `rtl` totals are these folds over `rtl::emitted_memories`,
+    // which is built once above.
+    let expected_shapes = || expected_mems.iter().map(|m| (m.entries, m.width_bits));
     for policy in AllocationPolicy::ALL {
-        let got = cost.table_bits(policy);
-        let want = rtl::emitted_table_bits(cfg, policy);
+        let got = table_bits(cost.shapes(), policy);
+        let want = table_bits(expected_shapes(), policy);
         if got != want {
             return Err(format!(
                 "table bits disagree under {policy}: parsed {got}, expected {want}"
             ));
         }
     }
-    if cost.bram18_blocks() != rtl::emitted_bram18_blocks(cfg) {
-        return Err(format!(
-            "BRAM18 blocks disagree: parsed {}, expected {}",
-            cost.bram18_blocks(),
-            rtl::emitted_bram18_blocks(cfg)
-        ));
-    }
-    if cost.bram36_blocks() != rtl::emitted_bram36_blocks(cfg) {
-        return Err(format!(
-            "BRAM36 blocks disagree: parsed {}, expected {}",
-            cost.bram36_blocks(),
-            rtl::emitted_bram36_blocks(cfg)
-        ));
+    for (kind, bits) in [("BRAM18", BRAM18_BITS), ("BRAM36", BRAM36_BITS)] {
+        let (got, want) = (blocks(cost.shapes(), bits), blocks(expected_shapes(), bits));
+        if got != want {
+            return Err(format!(
+                "{kind} blocks disagree: parsed {got}, expected {want}"
+            ));
+        }
     }
     if cost.register_bits != rtl::emitted_register_bits(cfg) {
         return Err(format!(

@@ -5,16 +5,63 @@
 //! minus, plain decimal numbers and parameter names in these positions,
 //! so that is the whole grammar. [`Expr::eval`] works against an
 //! environment of resolved parameter values with checked arithmetic;
-//! missing identifiers, division by zero and overflow are a soft `Err`
-//! the callers turn into "could not resolve" rather than a lint finding
-//! or a panic.
+//! missing identifiers, division by zero and overflow are a soft
+//! [`EvalError`] the callers turn into "could not resolve" rather than a
+//! lint finding or a panic. The error borrows the failing subtree and is
+//! only printed when a caller reports it.
 
+use crate::text::Text;
 use core::fmt;
 use core::ops::{Add, Mul, Sub};
-use std::collections::BTreeMap;
 
-/// Parameter-name → resolved-value environment.
-pub type Env<'a> = BTreeMap<&'a str, i64>;
+/// Parameter-name → resolved-value environment: the handful of names
+/// one module instance resolves, kept in a list. A lookup compares the
+/// bytes only of names with the lookup's length; setting a name again
+/// replaces its value.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Env<'a>(Vec<(&'a str, i64)>);
+
+impl<'a> Env<'a> {
+    /// An empty environment.
+    #[must_use]
+    pub fn new() -> Self {
+        Env(Vec::new())
+    }
+
+    /// An empty environment with room for `names` names.
+    pub(crate) fn with_capacity(names: usize) -> Self {
+        Env(Vec::with_capacity(names))
+    }
+
+    /// The value of `name`.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<i64> {
+        self.0.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v)
+    }
+
+    /// Sets `name` to `value`, replacing any earlier value.
+    pub fn insert(&mut self, name: &'a str, value: i64) {
+        match self.0.iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = value,
+            None => self.0.push((name, value)),
+        }
+    }
+
+    /// Every `(name, value)`, in the order the names were first set.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, i64)> + '_ {
+        self.0.iter().copied()
+    }
+}
+
+impl<'a, const N: usize> From<[(&'a str, i64); N]> for Env<'a> {
+    fn from(pairs: [(&'a str, i64); N]) -> Self {
+        let mut env = Env::with_capacity(N);
+        for (name, value) in pairs {
+            env.insert(name, value);
+        }
+        env
+    }
+}
 
 /// A binary operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,11 +117,39 @@ pub enum Expr {
     /// A plain decimal literal.
     Num(i64),
     /// A parameter name.
-    Ident(String),
+    Ident(Text),
     /// Unary minus.
     Neg(Box<Expr>),
-    /// `lhs op rhs`.
-    Bin(Op, Box<Expr>, Box<Expr>),
+    /// `lhs op rhs`, both operands in one allocation.
+    Bin(Op, Box<[Expr; 2]>),
+}
+
+/// Why an [`Expr`] or [`Range`] did not evaluate. It borrows the failing
+/// part and builds its message only when printed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvalError<'a> {
+    /// An identifier the environment does not hold.
+    Unknown(&'a str),
+    /// Negating this operand overflows `i64`.
+    NegOverflow(&'a Expr),
+    /// This division or remainder has a zero divisor.
+    DivByZero(&'a Expr),
+    /// This operation overflows `i64`.
+    Overflow(&'a Expr),
+    /// The width of this range overflows `i64`.
+    RangeOverflow(&'a Range),
+}
+
+impl fmt::Display for EvalError<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EvalError::Unknown(name) => write!(f, "unknown identifier {name:?}"),
+            EvalError::NegOverflow(e) => write!(f, "-({e}) overflows"),
+            EvalError::DivByZero(e) => write!(f, "{e}: division by zero"),
+            EvalError::Overflow(e) => write!(f, "{e} overflows"),
+            EvalError::RangeOverflow(r) => write!(f, "range [{r}] overflows"),
+        }
+    }
 }
 
 impl Expr {
@@ -82,23 +157,18 @@ impl Expr {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable reason when an identifier is missing
-    /// from `env`, a divisor is zero or a step overflows `i64`.
-    pub fn eval(&self, env: &Env) -> Result<i64, String> {
+    /// Returns an [`EvalError`] when an identifier is missing from
+    /// `env`, a divisor is zero or a step overflows `i64`.
+    pub fn eval(&self, env: &Env) -> Result<i64, EvalError<'_>> {
         match self {
             Expr::Num(n) => Ok(*n),
-            Expr::Ident(name) => env
-                .get(name.as_str())
-                .copied()
-                .ok_or_else(|| format!("unknown identifier {name:?}")),
-            Expr::Neg(e) => e
-                .eval(env)?
-                .checked_neg()
-                .ok_or_else(|| format!("-({e}) overflows")),
-            Expr::Bin(op, l, r) => {
+            Expr::Ident(name) => env.get(name).ok_or(EvalError::Unknown(name)),
+            Expr::Neg(e) => e.eval(env)?.checked_neg().ok_or(EvalError::NegOverflow(e)),
+            Expr::Bin(op, operands) => {
+                let [l, r] = &**operands;
                 let (a, b) = (l.eval(env)?, r.eval(env)?);
                 if b == 0 && matches!(op, Op::Div | Op::Rem) {
-                    return Err(format!("{self}: division by zero"));
+                    return Err(EvalError::DivByZero(self));
                 }
                 match op {
                     Op::Add => a.checked_add(b),
@@ -107,26 +177,23 @@ impl Expr {
                     Op::Div => a.checked_div(b),
                     Op::Rem => a.checked_rem(b),
                 }
-                .ok_or_else(|| format!("{self} overflows"))
+                .ok_or(EvalError::Overflow(self))
             }
         }
     }
 
-    /// Adds every identifier in the tree to `out`, left to right.
-    pub fn idents<'a>(&'a self, out: &mut impl Extend<&'a str>) {
+    /// Calls `visit` on every identifier in the tree, left to right.
+    pub fn idents<'a>(&'a self, visit: &mut impl FnMut(&'a str)) {
         match self {
             Expr::Num(_) => {}
-            Expr::Ident(name) => out.extend([name.as_str()]),
-            Expr::Neg(e) => e.idents(out),
-            Expr::Bin(_, l, r) => {
-                l.idents(out);
-                r.idents(out);
-            }
+            Expr::Ident(name) => visit(name),
+            Expr::Neg(e) => e.idents(visit),
+            Expr::Bin(_, operands) => operands.iter().for_each(|e| e.idents(visit)),
         }
     }
 
-    fn bin(op: Op, lhs: Expr, rhs: Expr) -> Expr {
-        Expr::Bin(op, Box::new(lhs), Box::new(rhs))
+    pub(crate) fn bin(op: Op, lhs: Expr, rhs: Expr) -> Expr {
+        Expr::Bin(op, Box::new([lhs, rhs]))
     }
 
     /// `3` for atoms and negations, else the operator's precedence.
@@ -147,7 +214,7 @@ impl From<u32> for Expr {
 /// A parameter name.
 impl From<&str> for Expr {
     fn from(name: &str) -> Self {
-        Expr::Ident(name.to_owned())
+        Expr::Ident(name.into())
     }
 }
 
@@ -189,7 +256,8 @@ impl fmt::Display for Expr {
                 f.write_str("-")?;
                 operand(f, e, e.precedence() < 3)
             }
-            Expr::Bin(op, l, r) => {
+            Expr::Bin(op, operands) => {
+                let [l, r] = &**operands;
                 let p = op.precedence();
                 operand(f, l, l.precedence() < p)?;
                 write!(f, "{}", op.symbol())?;
@@ -229,6 +297,12 @@ impl Range {
         }
     }
 
+    /// Calls `visit` on every identifier of both bounds, left to right.
+    pub(crate) fn idents<'a>(&'a self, visit: &mut impl FnMut(&'a str)) {
+        self.msb.idents(visit);
+        self.lsb.idents(visit);
+    }
+
     /// Width of the range: `|msb - lsb| + 1`. Works for both `[W-1:0]`
     /// (width) and `[0:D-1]` (depth) orderings.
     ///
@@ -236,12 +310,12 @@ impl Range {
     ///
     /// Propagates [`Expr::eval`] failures from either bound, and reports
     /// a width that overflows `i64`.
-    pub fn width(&self, env: &Env) -> Result<i64, String> {
+    pub fn width(&self, env: &Env) -> Result<i64, EvalError<'_>> {
         let (msb, lsb) = (self.msb.eval(env)?, self.lsb.eval(env)?);
         msb.checked_sub(lsb)
             .and_then(i64::checked_abs)
             .and_then(|d| d.checked_add(1))
-            .ok_or_else(|| format!("range [{self}] overflows"))
+            .ok_or(EvalError::RangeOverflow(self))
     }
 }
 
@@ -257,7 +331,8 @@ mod tests {
     use crate::parse::tests::parse_expr;
 
     fn eval(text: &str, env: &Env) -> Result<i64, String> {
-        parse_expr(text).map_err(|e| e.to_string())?.eval(env)
+        let tree = parse_expr(text).map_err(|e| e.to_string())?;
+        tree.eval(env).map_err(|e| e.to_string())
     }
 
     #[test]
@@ -342,7 +417,7 @@ mod tests {
     fn idents_are_visited_in_order() {
         let tree = parse_expr("a + b*a - 3").expect("parses");
         let mut seen = Vec::new();
-        tree.idents(&mut seen);
+        tree.idents(&mut |name| seen.push(name));
         assert_eq!(seen, ["a", "b", "a"]);
     }
 }

@@ -20,8 +20,12 @@
 //!   ([`templates::generate`]);
 //! * [`validate`] — a lexical checker (balance, identifiers, duplicate
 //!   modules) every generated file must pass;
-//! * [`parse`] — a structural parser from Verilog text back into the IR,
-//!   borrowing source slices instead of re-rendering tokens;
+//! * [`parse`] — a structural parser from Verilog text back into the IR:
+//!   it lexes the text once, and every parsed name and text item is a
+//!   span of one shared copy of the source;
+//! * [`text`] — [`Text`], the IR's names and text items, with the
+//!   identifiers each one holds (recorded by the parse, so the lints
+//!   never lex again);
 //! * [`lint`] — structural checks over the IR (width mismatches, unused
 //!   ports, undeclared identifiers, address-width/depth violations, …);
 //!   shipped bundles must lint clean;
@@ -53,12 +57,14 @@ pub mod expr;
 pub mod lint;
 pub mod parse;
 pub mod templates;
+pub mod text;
 pub mod validate;
 
 pub use ast::{Dir, Instance, Item, Module, Param, Port};
 pub use cost::{check_agreement, cost_of, HdlCost, MemoryInstance};
-pub use expr::{Expr, Range};
+pub use expr::{EvalError, Expr, Range};
 pub use lint::{lint_modules, LintFinding};
 pub use parse::parse_modules;
 pub use templates::{generate, modules, HdlBundle};
+pub use text::Text;
 pub use validate::check_source;

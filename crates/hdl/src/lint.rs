@@ -16,10 +16,10 @@
 //! parsed [`crate::expr::Expr`] trees; connection text is only scanned
 //! for identifiers.
 
-use crate::ast::{text_idents, Dir, Item, Module, Param};
-use crate::expr::{Env, Expr, Range};
+use crate::ast::{Dir, Item, Module, Param};
+use crate::expr::{Env, EvalError, Expr, Range};
+use crate::text::Text;
 use crate::validate::is_identifier;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One lint diagnostic.
@@ -56,10 +56,10 @@ pub fn default_env(module: &Module) -> Env<'_> {
 #[must_use]
 pub fn instance_env<'a>(
     module: &'a Module,
-    overrides: &[(String, Expr)],
+    overrides: &[(Text, Expr)],
     parent_env: &Env,
 ) -> Env<'a> {
-    let mut env = Env::new();
+    let mut env = Env::with_capacity(module.params.len());
     for Param { name, value } in &module.params {
         let value = match overrides.iter().find(|(n, _)| n == name) {
             Some((_, over)) => over.eval(parent_env),
@@ -78,13 +78,30 @@ pub fn instance_env<'a>(
 }
 
 /// Bit width of an optional range: 1 when absent.
-pub(crate) fn width_of(range: Option<&Range>, env: &Env) -> Result<i64, String> {
+pub(crate) fn width_of<'a>(range: Option<&'a Range>, env: &Env) -> Result<i64, EvalError<'a>> {
     range.map_or(Ok(1), |r| r.width(env))
 }
 
-/// Widths of every port, wire and reg of `module`, where resolvable in
-/// `env`. Scalar declarations have width 1.
-fn net_widths<'a>(module: &'a Module, env: &Env) -> BTreeMap<&'a str, i64> {
+/// A name's length and end bytes, packed. Equal names have equal
+/// sketches, and the names of one module scope rarely share one, so a
+/// scan over a scope's names compares sketches and reads bytes only on
+/// a match: no sort, no search and few mispredicted branches.
+fn sketch(name: &str) -> u64 {
+    let bytes = name.as_bytes();
+    let first = u64::from(bytes.first().copied().unwrap_or(0));
+    let last = u64::from(bytes.last().copied().unwrap_or(0));
+    name.len() as u64 | first << 48 | last << 56
+}
+
+/// The bit a [`sketch`] sets in a 64-bit filter of a name set.
+fn filter_bit(sketch: u64) -> u64 {
+    1 << (sketch.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58)
+}
+
+/// `(sketch, name, width)` of every port, wire and reg of `module` whose
+/// width resolves in `env`, in declaration order. Scalar declarations
+/// have width 1.
+fn net_widths<'a>(module: &'a Module, env: &Env) -> Vec<(u64, &'a str, i64)> {
     let nets = module.items.iter().filter_map(|item| match item {
         Item::Wire { range, name } | Item::Reg { range, name } => Some((name, range)),
         _ => None,
@@ -92,27 +109,40 @@ fn net_widths<'a>(module: &'a Module, env: &Env) -> BTreeMap<&'a str, i64> {
     let ports = module.ports.iter().map(|p| (&p.name, &p.range));
     ports
         .chain(nets)
-        .filter_map(|(name, range)| Some((name.as_str(), width_of(range.as_ref(), env).ok()?)))
+        .filter_map(|(name, range)| {
+            Some((
+                sketch(name),
+                name.as_str(),
+                width_of(range.as_ref(), env).ok()?,
+            ))
+        })
         .collect()
 }
 
-/// Every name declared in a module's scope: ports, nets, memories,
-/// parameters and localparams.
-fn declared_names(module: &Module) -> BTreeSet<&str> {
+/// The width of the last declaration of `name` in [`net_widths`].
+fn width_named(widths: &[(u64, &str, i64)], name: &str) -> Option<i64> {
+    let key = sketch(name);
+    let mut named = widths.iter().rev();
+    named
+        .find(|&&(k, n, _)| k == key && n == name)
+        .map(|&(.., width)| width)
+}
+
+/// `(sketch, name)` of every name declared in a module's scope: ports,
+/// nets, memories, parameters and localparams.
+fn declared_names(module: &Module) -> Vec<(u64, &str)> {
     let items = module.items.iter().filter_map(|item| match item {
         Item::Wire { name, .. }
         | Item::Reg { name, .. }
         | Item::Memory { name, .. }
-        | Item::Localparam { name, .. } => Some(name.as_str()),
+        | Item::Localparam { name, .. } => Some(name),
         _ => None,
     });
-    module
-        .ports
-        .iter()
-        .map(|p| p.name.as_str())
-        .chain(module.params.iter().map(|p| p.name.as_str()))
-        .chain(items)
-        .collect()
+    let ports = module.ports.iter().map(|p| &p.name);
+    let names = ports
+        .chain(module.params.iter().map(|p| &p.name))
+        .chain(items);
+    names.map(|name| (sketch(name), name.as_str())).collect()
 }
 
 /// Bit width of a connection expression, where statically known.
@@ -122,9 +152,9 @@ fn declared_names(module: &Module) -> BTreeSet<&str> {
 /// Everything else — slices, concatenations, arithmetic, unsized
 /// literals — returns `None`: Verilog implicitly resizes those, so the
 /// width lint must not judge them.
-fn connection_width(text: &str, net_widths: &BTreeMap<&str, i64>) -> Option<i64> {
+fn connection_width(text: &str, net_widths: &[(u64, &str, i64)]) -> Option<i64> {
     if is_identifier(text) {
-        return net_widths.get(text).copied();
+        return width_named(net_widths, text);
     }
     let literal = text.starts_with(|c: char| c.is_ascii_digit())
         && text
@@ -134,15 +164,16 @@ fn connection_width(text: &str, net_widths: &BTreeMap<&str, i64>) -> Option<i64>
     size.parse::<i64>().ok().filter(|&s| s > 0)
 }
 
-fn duplicates<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
-    let mut seen = BTreeSet::new();
-    let mut dups = Vec::new();
-    for name in names {
-        if !seen.insert(name) && !dups.contains(&name) {
-            dups.push(name);
-        }
-    }
-    dups
+/// Each name `items` holds more than once, at its second occurrence.
+fn duplicates<'a, T>(
+    items: &'a [T],
+    name: impl Fn(&'a T) -> &'a Text,
+) -> impl Iterator<Item = &'a Text> {
+    items.iter().enumerate().filter_map(move |(i, item)| {
+        let n = name(item);
+        let earlier = items[..i].iter().filter(|e| name(e) == n).count();
+        (earlier == 1).then_some(n)
+    })
 }
 
 /// Lints a whole design (every module of a bundle together).
@@ -151,114 +182,125 @@ fn duplicates<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
 /// instantiated modules to be present in `modules`; an instantiation of
 /// a module that is not is itself a finding (`unknown-module`) — except
 /// that nothing in the shipped bundles triggers it.
+///
+/// Identifiers come from [`Text::idents`], so a parsed design is not
+/// lexed again, and a message is formatted only for a finding.
 #[must_use]
 pub fn lint_modules(modules: &[Module]) -> Vec<LintFinding> {
-    let by_name: BTreeMap<&str, &Module> = modules.iter().map(|m| (m.name.as_str(), m)).collect();
     let mut findings = Vec::new();
     for module in modules {
-        lint_module(module, &by_name, &mut findings);
+        lint_module(module, modules, &mut findings);
     }
     findings
 }
 
-fn lint_module(
-    module: &Module,
-    by_name: &BTreeMap<&str, &Module>,
-    findings: &mut Vec<LintFinding>,
-) {
-    let push = |findings: &mut Vec<LintFinding>, rule: &'static str, message: String| {
+fn lint_module(module: &Module, modules: &[Module], findings: &mut Vec<LintFinding>) {
+    let mut push = |rule: &'static str, message: String| {
         findings.push(LintFinding {
-            module: module.name.clone(),
+            module: module.name.to_string(),
             rule,
             message,
         });
     };
 
-    for name in duplicates(module.params.iter().map(|p| p.name.as_str())) {
-        push(
-            findings,
-            "duplicate-parameter",
-            format!("parameter {name} declared more than once"),
-        );
+    for name in duplicates(&module.params, |p| &p.name) {
+        let message = format!("parameter {name} declared more than once");
+        push("duplicate-parameter", message);
     }
-    for name in duplicates(module.ports.iter().map(|p| p.name.as_str())) {
+    for name in duplicates(&module.ports, |p| &p.name) {
         push(
-            findings,
             "duplicate-port",
             format!("port {name} declared more than once"),
         );
     }
 
-    let refs = module.references();
-    for port in &module.ports {
-        if !refs.contains(port.name.as_str()) {
-            let what = if port.dir == Dir::Input {
-                "is never read"
-            } else {
-                "is never driven"
-            };
-            push(
-                findings,
-                "unused-port",
-                format!("{} port {} {what} in the module body", port.dir, port.name),
-            );
+    // Each port is marked once the body references its name. Most body
+    // words are no port's name, and the ports' sketch filter turns those
+    // away before any port is compared.
+    let mut ports: Vec<(u64, &str, bool)> = module
+        .ports
+        .iter()
+        .map(|p| (sketch(&p.name), p.name.as_str(), false))
+        .collect();
+    let filter = ports
+        .iter()
+        .fold(0, |bits, &(key, ..)| bits | filter_bit(key));
+    module.references(|word| {
+        let key = sketch(word);
+        if filter & filter_bit(key) != 0 {
+            for port in ports
+                .iter_mut()
+                .filter(|&&mut (k, n, _)| k == key && n == word)
+            {
+                port.2 = true;
+            }
         }
+    });
+    let unused = module
+        .ports
+        .iter()
+        .zip(&ports)
+        .filter(|(_, &(.., used))| !used);
+    for (port, _) in unused {
+        let what = if port.dir == Dir::Input {
+            "is never read"
+        } else {
+            "is never driven"
+        };
+        let message = format!("{} port {} {what} in the module body", port.dir, port.name);
+        push("unused-port", message);
     }
 
     let env = default_env(module);
-    for (aw_name, aw, depth_name, depth) in pair_violations(&module.params, &env) {
+    pair_violations(&module.params, &env, |aw_name, aw, depth_name, depth| {
         let words = 1i64 << aw;
-        push(
-            findings,
-            "addr-width",
-            format!("{aw_name}={aw} addresses only {words} words but {depth_name}={depth}"),
-        );
-    }
+        let message =
+            format!("{aw_name}={aw} addresses only {words} words but {depth_name}={depth}");
+        push("addr-width", message);
+    });
 
+    if module.instances().next().is_none() {
+        return;
+    }
     let widths = net_widths(module, &env);
     let scope = declared_names(module);
+    // Built on the first literal override the magic-number rule meets.
+    let mut named = None;
+    let mut bound = Vec::new();
 
     for inst in module.instances() {
-        for name in duplicates(inst.params.iter().map(|(n, _)| n.as_str())) {
-            push(
-                findings,
-                "duplicate-parameter",
-                format!("instance {} overrides parameter {name} twice", inst.name),
-            );
+        for name in duplicates(&inst.params, |(n, _)| n) {
+            let message = format!("instance {} overrides parameter {name} twice", inst.name);
+            push("duplicate-parameter", message);
         }
-        for name in duplicates(inst.connections.iter().map(|(n, _)| n.as_str())) {
-            push(
-                findings,
-                "duplicate-port",
-                format!("instance {} connects port {name} twice", inst.name),
-            );
+        for name in duplicates(&inst.connections, |(n, _)| n) {
+            let message = format!("instance {} connects port {name} twice", inst.name);
+            push("duplicate-port", message);
         }
 
         // Every identifier mentioned in override/connection expressions
-        // must exist in the parent scope.
-        let overrides = inst.params.iter().map(|(_, value)| {
-            let mut idents = Vec::new();
-            value.idents(&mut idents);
-            (value.to_string(), idents)
-        });
-        let connections = inst.connections.iter().map(|(_, text)| {
-            let mut idents = Vec::new();
-            text_idents(text, &mut idents);
-            (text.clone(), idents)
-        });
-        for (text, idents) in overrides.chain(connections) {
-            let mut seen = BTreeSet::new();
-            let undeclared = idents.into_iter().filter(|name| !scope.contains(name));
-            for ident in undeclared.filter(|name| seen.insert(*name)) {
-                push(
-                    findings,
-                    "undeclared-identifier",
-                    format!(
-                        "instance {} references undeclared identifier {ident} in {text:?}",
-                        inst.name
-                    ),
-                );
+        // must exist in the parent scope; each text reports a name once.
+        let mut undeclared = |text: &dyn fmt::Debug, ident: &str, reported: &mut Vec<String>| {
+            let key = sketch(ident);
+            let declared = scope.iter().any(|&(k, name)| k == key && name == ident);
+            if declared || reported.iter().any(|r| r == ident) {
+                return;
             }
+            reported.push(ident.to_owned());
+            let message = format!(
+                "instance {} references undeclared identifier {ident} in {text:?}",
+                inst.name
+            );
+            push("undeclared-identifier", message);
+        };
+        for (_, value) in &inst.params {
+            let mut reported = Vec::new();
+            value.idents(&mut |ident| undeclared(&Shown(value), ident, &mut reported));
+        }
+        for (_, text) in &inst.connections {
+            let mut reported = Vec::new();
+            text.idents()
+                .for_each(|ident| undeclared(text, ident, &mut reported));
         }
 
         // Magic numbers: a literal override where the module already has
@@ -270,15 +312,9 @@ fn lint_module(
             if literal <= 1 {
                 continue; // 0/1 literals are idiomatic, not magic
             }
-            let named = module
-                .params
-                .iter()
-                .map(|p| (p.name.as_str(), &p.value))
-                .chain(module.localparams())
-                .find(|(n, _)| env.get(n) == Some(&literal));
-            if let Some((name, _)) = named {
+            let named = named.get_or_insert_with(|| named_values(module, &env));
+            if let Some((name, _)) = named.iter().find(|&&(_, v)| v == literal) {
                 push(
-                    findings,
                     "magic-number",
                     format!(
                         "instance {} hardcodes {pname}={literal} where parameter {name} holds that value",
@@ -288,9 +324,9 @@ fn lint_module(
             }
         }
 
-        let Some(child) = by_name.get(inst.module.as_str()) else {
+        // The last module of that name, as in a map built in order.
+        let Some(child) = modules.iter().rfind(|m| m.name == inst.module) else {
             push(
-                findings,
                 "unknown-module",
                 format!(
                     "instance {} references unknown module {}",
@@ -301,9 +337,8 @@ fn lint_module(
         };
 
         for (pname, _) in &inst.params {
-            if !child.params.iter().any(|p| &p.name == pname) {
+            if !child.params.iter().any(|p| p.name == *pname) {
                 push(
-                    findings,
                     "unknown-parameter",
                     format!(
                         "instance {} overrides parameter {pname} that {} does not declare",
@@ -312,22 +347,35 @@ fn lint_module(
                 );
             }
         }
-        for (cname, _) in &inst.connections {
-            if child.find_port(cname).is_none() {
-                push(
-                    findings,
-                    "unknown-port",
-                    format!(
-                        "instance {} connects port {cname} that {} does not declare",
-                        inst.name, child.name
-                    ),
-                );
-            }
+        // Each connection's port of the child (the first of that name):
+        // the unknown-port, unconnected-port and width rules read it.
+        bound.clear();
+        bound.extend(
+            inst.connections
+                .iter()
+                .map(|(cname, _)| child.ports.iter().position(|p| p.name == *cname)),
+        );
+        for ((cname, _), _) in inst
+            .connections
+            .iter()
+            .zip(&bound)
+            .filter(|(_, p)| p.is_none())
+        {
+            push(
+                "unknown-port",
+                format!(
+                    "instance {} connects port {cname} that {} does not declare",
+                    inst.name, child.name
+                ),
+            );
         }
-        for port in &child.ports {
-            if !inst.connections.iter().any(|(n, _)| n == &port.name) {
+        for (i, port) in child.ports.iter().enumerate() {
+            // A port bound by index is connected; any other may still
+            // share its name with an earlier, bound port.
+            let connected =
+                bound.contains(&Some(i)) || inst.connections.iter().any(|(n, _)| *n == port.name);
+            if !connected {
                 push(
-                    findings,
                     "unconnected-port",
                     format!(
                         "instance {} leaves port {} of {} unconnected",
@@ -338,9 +386,11 @@ fn lint_module(
         }
 
         let child_env = instance_env(child, &inst.params, &env);
-        for (aw_name, aw, depth_name, depth) in pair_violations(&child.params, &child_env) {
-            push(
-                findings,
+        pair_violations(
+            &child.params,
+            &child_env,
+            |aw_name, aw, depth_name, depth| {
+                push(
                 "addr-width",
                 format!(
                     "instance {} resolves {aw_name}={aw} ({} words) against {depth_name}={depth} in {}",
@@ -349,13 +399,14 @@ fn lint_module(
                     child.name
                 ),
             );
-        }
+            },
+        );
 
         // Width agreement, where both sides resolve statically. Slices,
         // expressions and unsized literals are implicitly resized by
         // Verilog and stay unjudged (see connection_width).
-        for (cname, value) in &inst.connections {
-            let Some(port) = child.find_port(cname) else {
+        for ((cname, value), port) in inst.connections.iter().zip(&bound) {
+            let Some(port) = port.map(|i| &child.ports[i]) else {
                 continue;
             };
             let port_width = width_of(port.range.as_ref(), &child_env).ok();
@@ -364,7 +415,6 @@ fn lint_module(
             };
             if pw != cw {
                 push(
-                    findings,
                     "width-mismatch",
                     format!(
                         "instance {}: port {cname} of {} is {pw} bit(s) but connection {value:?} is {cw} bit(s)",
@@ -376,31 +426,53 @@ fn lint_module(
     }
 }
 
+/// The parameters, then the localparams, of `module` with their values
+/// in `env`, in declaration order.
+fn named_values<'a>(module: &'a Module, env: &Env) -> Vec<(&'a str, i64)> {
+    let params = module.params.iter().map(|p| p.name.as_str());
+    let names = params.chain(module.localparams().map(|(name, _)| name));
+    names
+        .filter_map(|name| Some((name, env.get(name)?)))
+        .collect()
+}
+
+/// Debug-prints a value as the string of its `Display`.
+struct Shown<'a, T>(&'a T);
+
+impl<T: fmt::Display> fmt::Debug for Shown<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0.to_string(), f)
+    }
+}
+
 /// `X_AW`/`X_DEPTH` (and `ADDR_WIDTH`/`DEPTH`) parameter pairs must
 /// satisfy `2^aw >= depth`, else the address bus cannot reach every
-/// memory word.
-fn pair_violations<'a>(params: &'a [Param], env: &Env) -> Vec<(&'a str, i64, String, i64)> {
-    let mut out = Vec::new();
+/// memory word. Reports `(aw name, aw, depth name, depth)` per
+/// violation.
+fn pair_violations<'a>(
+    params: &'a [Param],
+    env: &Env,
+    mut report: impl FnMut(&'a str, i64, &str, i64),
+) {
     for Param { name, .. } in params {
-        let depth_name = if name == "ADDR_WIDTH" {
-            "DEPTH".to_owned()
+        let depth = if name == "ADDR_WIDTH" {
+            env.iter().find(|&(n, _)| n == "DEPTH")
         } else if let Some(prefix) = name.strip_suffix("_AW") {
-            format!("{prefix}_DEPTH")
+            env.iter()
+                .find(|(n, _)| n.strip_prefix(prefix) == Some("_DEPTH"))
         } else {
             continue;
         };
-        let (Some(&aw), Some(&depth)) = (env.get(name.as_str()), env.get(depth_name.as_str()))
-        else {
+        let (Some(aw), Some((depth_name, depth))) = (env.get(name), depth) else {
             continue;
         };
         if !(0..63).contains(&aw) || depth < 0 {
             continue;
         }
         if (1i64 << aw) < depth {
-            out.push((name.as_str(), aw, depth_name, depth));
+            report(name, aw, depth_name, depth);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -556,7 +628,7 @@ mod tests {
 
     #[test]
     fn connection_widths_resolve_only_safe_shapes() {
-        let nets = BTreeMap::from([("data_bus", 64)]);
+        let nets = [(sketch("data_bus"), "data_bus", 64)];
         assert_eq!(connection_width("data_bus", &nets), Some(64));
         assert_eq!(connection_width("4'b0101", &nets), Some(4));
         assert_eq!(connection_width("1'b0", &nets), Some(1));

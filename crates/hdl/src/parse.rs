@@ -16,23 +16,49 @@
 
 use crate::ast::{Dir, Instance, Item, Module, Param, Port};
 use crate::expr::{Expr, Op, Range};
+use crate::text::{Source, Text};
+use std::sync::Arc;
 use tsn_types::{TsnError, TsnResult};
 
-/// One token: a slice of the source and its byte offset.
+/// What a token is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A non-keyword identifier.
+    Name,
+    /// One of the dialect's [keywords](is_keyword).
+    Keyword,
+    /// A digit, then letters, digits, `_` and `'`.
+    Number,
+    /// Any other single character.
+    Symbol,
+}
+
+/// One token: a slice of the source and its kind. (Its offset is where
+/// the slice lies in the source; see [`Parser::start`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Tok<'a> {
     pub(crate) text: &'a str,
-    start: usize,
+    kind: Kind,
+    /// How many names (non-keyword identifiers) the lexer produced
+    /// before this token.
+    names_before: u32,
 }
 
 impl Tok<'_> {
     pub(crate) fn is_ident(&self) -> bool {
-        self.text
-            .starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+        matches!(self.kind, Kind::Name | Kind::Keyword)
     }
 
-    fn end(&self) -> usize {
-        self.start + self.text.len()
+    /// A non-keyword identifier.
+    pub(crate) fn is_name(&self) -> bool {
+        self.kind == Kind::Name
+    }
+
+    /// The names among tokens `self..=last`, as indices of the lexer's
+    /// name sequence.
+    fn names_through(&self, last: &Tok) -> (u32, u32) {
+        let end = last.names_before + u32::from(last.is_name());
+        (self.names_before, end)
     }
 }
 
@@ -42,63 +68,142 @@ impl Tok<'_> {
 /// `//` line comments and `/* … */` block comments are skipped; an
 /// unterminated block comment silently swallows the rest of the input,
 /// which the structural checks downstream then report.
-pub(crate) fn lex(source: &str) -> impl Iterator<Item = Tok<'_>> {
-    let bytes = source.as_bytes();
-    let mut i = 0;
-    std::iter::from_fn(move || loop {
-        let rest = source.get(i..)?;
-        let b = *bytes.get(i)?;
-        if b.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        if let Some(comment) = rest.strip_prefix("//") {
-            i += 2 + comment.find('\n').unwrap_or(comment.len());
-            continue;
-        }
-        if let Some(comment) = rest.strip_prefix("/*") {
-            i += 2 + comment.find("*/").map_or(comment.len(), |n| n + 2);
-            continue;
-        }
-        let run = |word: fn(u8) -> bool| rest.bytes().skip(1).take_while(|&c| word(c)).count() + 1;
-        let len = if b.is_ascii_alphabetic() || b == b'_' {
-            run(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'$')
-        } else if b.is_ascii_digit() {
-            run(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'')
-        } else {
-            rest.chars().next().map_or(1, char::len_utf8)
-        };
-        let tok = Tok {
-            text: &rest[..len],
-            start: i,
-        };
-        i += len;
-        return Some(tok);
-    })
+pub(crate) fn lex(source: &str) -> Lexer<'_> {
+    Lexer {
+        source,
+        i: 0,
+        names: 0,
+    }
 }
 
-pub(crate) const KEYWORDS: &[&str] = &[
-    "module",
-    "endmodule",
-    "input",
-    "output",
-    "inout",
-    "reg",
-    "wire",
-    "assign",
-    "always",
-    "begin",
-    "end",
-    "if",
-    "else",
-    "parameter",
-    "localparam",
-    "posedge",
-    "negedge",
-    "initial",
-    "forever",
-    "integer",
-];
+/// The token iterator [`lex`] returns.
+#[derive(Clone)]
+pub(crate) struct Lexer<'a> {
+    source: &'a str,
+    /// Byte offset of the next token, always on a char boundary.
+    i: usize,
+    /// Names produced so far.
+    names: u32,
+}
+
+/// Byte classes: [`START`] begins an identifier, [`DIGIT`] a number;
+/// [`IDENT`] and [`NUMBER`] continue them, [`TAIL`] continues a
+/// multi-byte character, and [`SPACE`] separates tokens.
+const START: u8 = 1;
+const DIGIT: u8 = 2;
+const IDENT: u8 = 4;
+const NUMBER: u8 = 8;
+const TAIL: u8 = 16;
+const SPACE: u8 = 32;
+
+/// The class bits of every byte.
+const CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        class[b] = if c.is_ascii_alphabetic() || c == b'_' {
+            START | IDENT | NUMBER
+        } else if c.is_ascii_digit() {
+            DIGIT | IDENT | NUMBER
+        } else if c == b'$' {
+            IDENT
+        } else if c == b'\'' {
+            NUMBER
+        } else if c.is_ascii_whitespace() {
+            SPACE
+        } else if c & 0xc0 == 0x80 {
+            TAIL
+        } else {
+            0
+        };
+        b += 1;
+    }
+    class
+};
+
+fn class(b: u8) -> u8 {
+    CLASS[usize::from(b)]
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Tok<'a>;
+
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let bytes = self.source.as_bytes();
+        let n = bytes.len();
+        let mut i = self.i;
+        let first = loop {
+            if i >= n {
+                self.i = n;
+                return None;
+            }
+            let b = bytes[i];
+            if class(b) & SPACE != 0 {
+                i += 1;
+            } else if b == b'/' && i + 1 < n && bytes[i + 1] == b'/' {
+                let line = bytes[i..].iter().position(|&c| c == b'\n');
+                i = line.map_or(n, |len| i + len);
+            } else if b == b'/' && i + 1 < n && bytes[i + 1] == b'*' {
+                let body = &self.source[i + 2..];
+                i += 2 + body.find("*/").map_or(body.len(), |len| len + 2);
+            } else {
+                break class(b);
+            }
+        };
+        let start = i;
+        let (tail, kind) = if first & START != 0 {
+            (IDENT, Kind::Name)
+        } else if first & DIGIT != 0 {
+            (NUMBER, Kind::Number)
+        } else {
+            (TAIL, Kind::Symbol)
+        };
+        i += 1;
+        while i < n && class(bytes[i]) & tail != 0 {
+            i += 1;
+        }
+        let text = &self.source[start..i];
+        let kind = if kind == Kind::Name && is_keyword(text) {
+            Kind::Keyword
+        } else {
+            kind
+        };
+        let tok = Tok {
+            text,
+            kind,
+            names_before: self.names,
+        };
+        self.i = i;
+        self.names += u32::from(kind == Kind::Name);
+        Some(tok)
+    }
+}
+
+/// The byte offset of `part`, a slice of `source`, within it.
+fn offset(source: &str, part: &str) -> usize {
+    part.as_ptr() as usize - source.as_ptr() as usize
+}
+
+/// The Verilog keywords of the emitted dialect: never identifiers.
+pub(crate) fn is_keyword(word: &str) -> bool {
+    let candidates: &[&str] = match word.as_bytes().first() {
+        Some(b'a') => &["assign", "always"],
+        Some(b'b') => &["begin"],
+        Some(b'e') => &["end", "endmodule", "else"],
+        Some(b'f') => &["forever"],
+        Some(b'i') => &["input", "inout", "if", "initial", "integer"],
+        Some(b'l') => &["localparam"],
+        Some(b'm') => &["module"],
+        Some(b'n') => &["negedge"],
+        Some(b'o') => &["output"],
+        Some(b'p') => &["parameter", "posedge"],
+        Some(b'r') => &["reg"],
+        Some(b'w') => &["wire"],
+        _ => return false,
+    };
+    candidates.contains(&word)
+}
 
 /// Most literals and identifiers one expression may hold: bounds the
 /// tree depth, so evaluating or dropping a tree cannot exhaust the
@@ -112,8 +217,45 @@ fn invalid(message: impl Into<String>) -> TsnError {
     TsnError::InvalidArtifact(message.into())
 }
 
+/// A decimal literal, `_` separators allowed; `None` when the token
+/// holds anything else or overflows `i64`.
+fn integer(text: &str) -> Option<i64> {
+    text.bytes()
+        .filter(|&b| b != b'_')
+        .try_fold(0i64, |acc, b| {
+            let digit = char::from(b).to_digit(10)?;
+            acc.checked_mul(10)?.checked_add(i64::from(digit))
+        })
+}
+
+/// Why a parse failed. It becomes a message only when
+/// [`parse_modules`] reports it: [`Parser::item`] backtracks from its
+/// failures to keep a statement as raw text and builds nothing to throw
+/// away.
+#[derive(Debug)]
+enum Fail {
+    /// `expected {0:?} in {1}`, at the token index.
+    Symbol(&'static str, &'static str, usize),
+    /// `expected {0}`, at the token index.
+    Kind(&'static str, usize),
+    /// An unexpected token in the `{0}` list, at the token index.
+    List(&'static str, usize),
+    /// The token at the index is not a plain integer.
+    NotInteger(usize),
+    /// An expression of more than [`MAX_EXPR_TERMS`] terms.
+    TooLong,
+    /// A fixed message.
+    Other(&'static str),
+    /// This module has no `endmodule`.
+    Unterminated(Text),
+}
+
+type Parsed<T> = Result<T, Fail>;
+
 struct Parser<'a> {
-    src: &'a str,
+    /// The shared copy of the input every parsed [`Text`] spans.
+    src: Arc<Source>,
+    text: &'a str,
     toks: Vec<Tok<'a>>,
     pos: usize,
     /// Terms read by the expression being parsed.
@@ -121,8 +263,77 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// Lexes `text` once: the tokens the parser walks, and the
+    /// identifier table its [`Text`]s answer [`Text::idents`] from.
+    fn new(text: &'a str) -> TsnResult<Self> {
+        if u32::try_from(text.len()).is_err() {
+            return Err(invalid("Verilog source larger than 4 GiB"));
+        }
+        let mut toks = Vec::with_capacity(text.len() / 4);
+        let mut names = Vec::with_capacity(text.len() / 8);
+        for tok in lex(text) {
+            if tok.is_name() {
+                let start = offset(text, tok.text);
+                names.push((start as u32, (start + tok.text.len()) as u32));
+            }
+            toks.push(tok);
+        }
+        Ok(Parser {
+            src: Source::new(text, names),
+            text,
+            toks,
+            pos: 0,
+            terms: 0,
+        })
+    }
+
+    /// The message for `fail`.
+    fn report(&self, fail: Fail) -> TsnError {
+        let found = |at: usize| self.get(at).map(|t| t.text);
+        invalid(match fail {
+            Fail::Symbol(text, context, at) => {
+                format!("expected {text:?} in {context}, found {:?}", found(at))
+            }
+            Fail::Kind(what, at) => format!("expected {what}, found {:?}", found(at)),
+            Fail::List(list, at) => format!("unexpected token in {list} list: {:?}", found(at)),
+            Fail::NotInteger(at) => format!(
+                "{:?} is not a plain integer expression",
+                found(at).unwrap_or_default()
+            ),
+            Fail::TooLong => format!("expression longer than {MAX_EXPR_TERMS} terms"),
+            Fail::Other(message) => message.to_owned(),
+            Fail::Unterminated(module) => format!("module {module} missing endmodule"),
+        })
+    }
+
+    /// The byte offset of `tok` in the source.
+    fn start(&self, tok: Tok) -> usize {
+        offset(self.text, tok.text)
+    }
+
+    /// The byte offset just past `tok` in the source.
+    fn end(&self, tok: Tok) -> usize {
+        self.start(tok) + tok.text.len()
+    }
+
+    /// One token as IR text.
+    fn token(&self, tok: Tok) -> Text {
+        let span = (self.start(tok), self.end(tok));
+        Text::span(&self.src, span, tok.names_through(&tok))
+    }
+
+    /// Token `i`.
+    fn get(&self, i: usize) -> Option<Tok<'a>> {
+        self.toks.get(i).copied()
+    }
+
+    /// Token `i`, which must exist.
+    fn at(&self, i: usize) -> Tok<'a> {
+        self.get(i).expect("token index within the lexed source")
+    }
+
     fn peek(&self) -> Option<Tok<'a>> {
-        self.toks.get(self.pos).copied()
+        self.get(self.pos)
     }
 
     fn next(&mut self) -> Option<Tok<'a>> {
@@ -137,41 +348,40 @@ impl<'a> Parser<'a> {
         hit
     }
 
-    fn expect(&mut self, text: &str, context: &str) -> TsnResult<()> {
+    fn expect(&mut self, text: &'static str, context: &'static str) -> Parsed<()> {
         if self.eat(text) {
             Ok(())
         } else {
-            Err(invalid(format!(
-                "expected {text:?} in {context}, found {:?}",
-                self.peek().map(|t| t.text)
-            )))
+            Err(Fail::Symbol(text, context, self.pos))
         }
     }
 
-    fn ident(&mut self, what: &str) -> TsnResult<String> {
+    fn ident(&mut self, what: &'static str) -> Parsed<Text> {
         match self.next() {
-            Some(tok) if tok.is_ident() => Ok(tok.text.to_owned()),
-            other => Err(invalid(format!(
-                "expected {what}, found {:?}",
-                other.map(|t| t.text)
-            ))),
+            Some(tok) if tok.is_ident() => Ok(self.token(tok)),
+            _ => Err(Fail::Kind(what, self.pos - 1)),
         }
     }
 
     /// The source text of tokens `from..to`.
-    fn slice(&self, from: usize, to: usize) -> &'a str {
+    fn slice(&self, from: usize, to: usize) -> Text {
         let to = to.min(self.toks.len());
         if to <= from {
-            return "";
+            return Text::span(&self.src, (0, 0), (0, 0));
         }
-        &self.src[self.toks[from].start..self.toks[to - 1].end()]
+        let (first, last) = (self.at(from), self.at(to - 1));
+        Text::span(
+            &self.src,
+            (self.start(first), self.end(last)),
+            first.names_through(&last),
+        )
     }
 
     /// Skips tokens until one of `stops` appears at bracket depth 0 and
     /// returns their source text. Running out of tokens ends the scan:
     /// truncated input surfaces as a structured parse error at the
     /// caller (which will miss its stop symbol), never as a panic.
-    fn text_until(&mut self, stops: &[&str]) -> String {
+    fn text_until(&mut self, stops: &[&str]) -> Text {
         let (from, mut depth) = (self.pos, 0i32);
         while let Some(tok) = self.peek() {
             if depth == 0 && stops.contains(&tok.text) {
@@ -184,27 +394,27 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
         }
-        self.slice(from, self.pos).to_owned()
+        self.slice(from, self.pos)
     }
 
     /// One whole expression.
-    fn value(&mut self) -> TsnResult<Expr> {
+    fn value(&mut self) -> Parsed<Expr> {
         self.terms = 0;
         self.sum()
     }
 
-    fn sum(&mut self) -> TsnResult<Expr> {
+    fn sum(&mut self) -> Parsed<Expr> {
         let mut acc = self.product()?;
         while let Some(op) = self.op(&[Op::Add, Op::Sub]) {
-            acc = Expr::Bin(op, Box::new(acc), Box::new(self.product()?));
+            acc = Expr::bin(op, acc, self.product()?);
         }
         Ok(acc)
     }
 
-    fn product(&mut self) -> TsnResult<Expr> {
+    fn product(&mut self) -> Parsed<Expr> {
         let mut acc = self.atom()?;
         while let Some(op) = self.op(&[Op::Mul, Op::Div, Op::Rem]) {
-            acc = Expr::Bin(op, Box::new(acc), Box::new(self.atom()?));
+            acc = Expr::bin(op, acc, self.atom()?);
         }
         Ok(acc)
     }
@@ -218,14 +428,13 @@ impl<'a> Parser<'a> {
         Some(op)
     }
 
-    fn atom(&mut self) -> TsnResult<Expr> {
+    fn atom(&mut self) -> Parsed<Expr> {
         self.terms += 1;
         if self.terms > MAX_EXPR_TERMS {
-            return Err(invalid(format!(
-                "expression longer than {MAX_EXPR_TERMS} terms"
-            )));
+            return Err(Fail::TooLong);
         }
-        let tok = self.next().ok_or_else(|| invalid("expression cut short"))?;
+        let at = self.pos;
+        let tok = self.next().ok_or(Fail::Other("expression cut short"))?;
         match tok.text {
             "-" => Ok(Expr::Neg(Box::new(self.atom()?))),
             "(" => {
@@ -233,17 +442,13 @@ impl<'a> Parser<'a> {
                 self.expect(")", "expression")?;
                 Ok(inner)
             }
-            text if tok.is_ident() => Ok(Expr::Ident(text.to_owned())),
-            text => text
-                .replace('_', "")
-                .parse()
-                .map(Expr::Num)
-                .map_err(|_| invalid(format!("{text:?} is not a plain integer expression"))),
+            _ if tok.is_ident() => Ok(Expr::Ident(self.token(tok))),
+            text => integer(text).map(Expr::Num).ok_or(Fail::NotInteger(at)),
         }
     }
 
     /// An optional `[msb:lsb]` range.
-    fn range(&mut self) -> TsnResult<Option<Range>> {
+    fn range(&mut self) -> Parsed<Option<Range>> {
         if !self.eat("[") {
             return Ok(None);
         }
@@ -257,9 +462,9 @@ impl<'a> Parser<'a> {
     /// A `.name(value), …)` list, its opening `(` already consumed.
     fn named_list<T>(
         &mut self,
-        what: &str,
-        mut value: impl FnMut(&mut Self) -> TsnResult<T>,
-    ) -> TsnResult<Vec<(String, T)>> {
+        what: &'static str,
+        mut value: impl FnMut(&mut Self) -> Parsed<T>,
+    ) -> Parsed<Vec<(Text, T)>> {
         let mut out = Vec::new();
         if self.eat(")") {
             return Ok(out);
@@ -279,60 +484,81 @@ impl<'a> Parser<'a> {
 
     /// A `begin … end` block whose `begin` ends its line and whose `end`
     /// starts its line: the lines in between, body indent stripped.
-    fn block(&mut self) -> TsnResult<Vec<String>> {
+    fn block(&mut self) -> Parsed<Vec<Text>> {
         self.expect("begin", "block")?;
-        let begin = self.toks[self.pos - 1];
+        let begin_at = self.pos - 1;
+        let begin = self.at(begin_at);
         let mut depth = 1;
         let end = loop {
-            let tok = self.next().ok_or_else(|| invalid("unterminated block"))?;
+            let tok = self.next().ok_or(Fail::Other("unterminated block"))?;
             match tok.text {
                 "begin" => depth += 1,
                 "end" if depth == 1 => break tok,
                 "end" => depth -= 1,
-                "endmodule" => return Err(invalid("block runs into endmodule")),
+                "endmodule" => return Err(Fail::Other("block runs into endmodule")),
                 _ => {}
             }
         };
-        let after_begin = &self.src[begin.end()..];
+        let after_begin = &self.text[self.end(begin)..];
         let first = after_begin
             .find('\n')
             .filter(|&n| after_begin[..n].trim().is_empty());
-        let before_end = &self.src[..end.start];
+        let before_end = &self.text[..self.start(end)];
         let last = before_end
             .rfind('\n')
             .filter(|&n| before_end[n..].trim().is_empty());
         match (first, last) {
-            (Some(first), Some(last)) if begin.end() + first <= last => {
-                let lines = &self.src[begin.end() + first + 1..=last];
-                Ok(lines
-                    .split_terminator('\n')
-                    .map(|line| line.strip_prefix(BODY_INDENT).unwrap_or(line.trim_start()))
-                    .map(str::to_owned)
-                    .collect())
+            (Some(first), Some(last)) if self.end(begin) + first <= last => {
+                let mut at = self.end(begin) + first + 1;
+                let lines = &self.text[at..=last];
+                let mut body = Vec::with_capacity(lines.bytes().filter(|&b| b == b'\n').count());
+                // The block's tokens, walked line by line: no token spans
+                // a line, and the `end` token lies past the last line.
+                let mut tok = begin_at + 1;
+                for line in lines.split_terminator('\n') {
+                    let text = line.strip_prefix(BODY_INDENT).unwrap_or(line.trim_start());
+                    let start = at + line.len() - text.len();
+                    let stop = start + text.len();
+                    while self.start(self.at(tok)) < start {
+                        tok += 1;
+                    }
+                    let from = self.at(tok).names_before;
+                    while self.end(self.at(tok)) <= stop {
+                        tok += 1;
+                    }
+                    let names = (from, self.at(tok).names_before);
+                    body.push(Text::span(&self.src, (start, stop), names));
+                    at += line.len() + 1;
+                }
+                Ok(body)
             }
-            _ => Err(invalid("block is not laid out one statement per line")),
+            _ => Err(Fail::Other("block is not laid out one statement per line")),
         }
     }
 
-    /// `IDENT [#(.P(expr), …)] IDENT ( .p(text), … );`, the module name
-    /// already consumed.
-    fn instance(&mut self, module: &str) -> TsnResult<Instance> {
-        let mut inst = Instance::new(module, "");
+    /// `[#(.P(expr), …)] IDENT ( .p(text), … );` after the module name.
+    fn instance(&mut self, module: Text) -> Parsed<Instance> {
+        let mut params = Vec::new();
         if self.eat("#") {
             self.expect("(", "parameter override")?;
-            inst.params = self.named_list("parameter override", Self::value)?;
+            params = self.named_list("parameter override", Self::value)?;
         }
-        inst.name = self.ident("instance name")?;
+        let name = self.ident("instance name")?;
         self.expect("(", "instance")?;
-        inst.connections = self.named_list("connection", |p| Ok(p.text_until(&[")"])))?;
+        let connections = self.named_list("connection", |p| Ok(p.text_until(&[")"])))?;
         self.expect(";", "instance")?;
-        Ok(inst)
+        Ok(Instance {
+            module,
+            name,
+            params,
+            connections,
+        })
     }
 
     /// One structured body item, or `Err` when the statement has none of
     /// the IR's shapes.
-    fn item(&mut self) -> TsnResult<Item> {
-        let tok = self.next().ok_or_else(|| invalid("body cut short"))?;
+    fn item(&mut self) -> Parsed<Item> {
+        let tok = self.next().ok_or(Fail::Other("body cut short"))?;
         Ok(match tok.text {
             "wire" => {
                 let range = self.range()?;
@@ -375,23 +601,21 @@ impl<'a> Parser<'a> {
             "initial" => Item::Initial {
                 body: self.block()?,
             },
-            module if tok.is_ident() && !KEYWORDS.contains(&module) => {
-                Item::Instance(self.instance(module)?)
-            }
-            _ => return Err(invalid("unstructured statement")),
+            _ if tok.is_name() => Item::Instance(self.instance(self.token(tok))?),
+            _ => return Err(Fail::Other("unstructured statement")),
         })
     }
 
     /// The statement at the cursor as source text: up to its `;` or the
     /// `end` closing its block, at bracket depth 0, or up to
     /// `endmodule`.
-    fn raw(&mut self, module: &str) -> TsnResult<Item> {
+    fn raw(&mut self, module: &Text) -> Parsed<Item> {
         let from = self.pos;
         let (mut brackets, mut blocks) = (0i32, 0i32);
         loop {
             let tok = self
                 .peek()
-                .ok_or_else(|| invalid(format!("module {module} missing endmodule")))?;
+                .ok_or_else(|| Fail::Unterminated(module.clone()))?;
             if tok.text == "endmodule" && self.pos > from {
                 break;
             }
@@ -408,31 +632,34 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(Item::Raw(self.slice(from, self.pos).to_owned()))
+        Ok(Item::Raw(self.slice(from, self.pos)))
     }
 
     /// The `//` comments between the previous token and the next one.
     fn comments(&self, items: &mut Vec<Item>) {
-        let from = self.pos.checked_sub(1).map_or(0, |p| self.toks[p].end());
-        let to = self.peek().map_or(self.src.len(), |t| t.start);
-        let mut rest = self.src.get(from..to).unwrap_or("");
-        while let Some(at) = rest.find('/') {
-            rest = &rest[at..];
+        let from = self.pos.checked_sub(1).map_or(0, |p| self.end(self.at(p)));
+        let to = self.peek().map_or(self.text.len(), |t| self.start(t));
+        let gap = self.text.get(from..to).unwrap_or("");
+        let mut at = 0;
+        while let Some(slash) = gap[at..].find('/') {
+            at += slash;
+            let rest = &gap[at..];
             if let Some(line) = rest.strip_prefix("//") {
-                let text = &line[..line.find('\n').unwrap_or(line.len())];
-                items.push(Item::Comment(
-                    text.strip_prefix(' ').unwrap_or(text).to_owned(),
-                ));
-                rest = &line[text.len()..];
+                let len = line.find('\n').unwrap_or(line.len());
+                let start = from + at + 2 + usize::from(line[..len].starts_with(' '));
+                // The lexer skips comments: no names lie inside.
+                let span = (start, from + at + 2 + len);
+                items.push(Item::Comment(Text::span(&self.src, span, (0, 0))));
+                at += 2 + len;
             } else if let Some(block) = rest.strip_prefix("/*") {
-                rest = block.find("*/").map_or("", |n| &block[n + 2..]);
+                at = block.find("*/").map_or(gap.len(), |n| at + 2 + n + 2);
             } else {
-                rest = &rest[1..];
+                at += 1;
             }
         }
     }
 
-    fn module(&mut self) -> TsnResult<Module> {
+    fn module(&mut self) -> Parsed<Module> {
         let mut module = Module::new(self.ident("module name")?);
 
         // #( parameter N = V, ... )
@@ -448,18 +675,14 @@ impl<'a> Parser<'a> {
                     }
                     Some(",") => {}
                     Some(")") => break,
-                    other => {
-                        return Err(invalid(format!(
-                            "unexpected token in parameter list: {other:?}"
-                        )))
-                    }
+                    _ => return Err(Fail::List("parameter", self.pos - 1)),
                 }
             }
         }
 
         // ( port declarations )
         if !self.eat("(") {
-            return Err(invalid("expected port list after module header"));
+            return Err(Fail::Other("expected port list after module header"));
         }
         loop {
             match self.next().map(|t| t.text) {
@@ -475,7 +698,7 @@ impl<'a> Parser<'a> {
                     let name = self.ident("port name")?;
                     module.ports.push(Port { dir, range, name });
                 }
-                other => return Err(invalid(format!("unexpected token in port list: {other:?}"))),
+                _ => return Err(Fail::List("port", self.pos - 1)),
             }
         }
         self.expect(";", "module header")?;
@@ -485,23 +708,29 @@ impl<'a> Parser<'a> {
             self.comments(&mut module.items);
             let from = self.pos;
             match self.peek().map(|t| t.text) {
-                None => return Err(invalid(format!("module {} missing endmodule", module.name))),
+                None => return Err(Fail::Unterminated(module.name)),
                 Some("endmodule") => {
                     self.pos += 1;
                     return Ok(module);
                 }
                 Some(_) => {}
             }
-            let item = self.item().or_else(|_| {
-                self.pos = from;
-                self.raw(&module.name)
-            })?;
+            let item = match self.item() {
+                Ok(item) => item,
+                Err(_) => {
+                    self.pos = from;
+                    self.raw(&module.name)?
+                }
+            };
             module.items.push(item);
         }
     }
 }
 
 /// Parses every module in a Verilog source string.
+///
+/// The source is lexed once; every name and text item of the returned
+/// modules is a span of one shared copy of it (see [`Text`]).
 ///
 /// # Errors
 ///
@@ -524,16 +753,12 @@ impl<'a> Parser<'a> {
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
 pub fn parse_modules(source: &str) -> TsnResult<Vec<Module>> {
-    let mut parser = Parser {
-        src: source,
-        toks: lex(source).collect(),
-        pos: 0,
-        terms: 0,
-    };
+    let mut parser = Parser::new(source)?;
     let mut modules = Vec::new();
     while let Some(tok) = parser.next() {
         if tok.text == "module" {
-            modules.push(parser.module()?);
+            let module = parser.module().map_err(|fail| parser.report(fail))?;
+            modules.push(module);
         }
     }
     Ok(modules)
@@ -542,6 +767,7 @@ pub fn parse_modules(source: &str) -> TsnResult<Vec<Module>> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::ast::tests::references;
     use crate::cost::cost_of;
     use crate::lint::lint_modules;
     use crate::templates::{generate, modules};
@@ -549,13 +775,8 @@ pub(crate) mod tests {
 
     /// Parses one whole expression.
     pub(crate) fn parse_expr(text: &str) -> TsnResult<Expr> {
-        let mut parser = Parser {
-            src: text,
-            toks: lex(text).collect(),
-            pos: 0,
-            terms: 0,
-        };
-        let value = parser.value()?;
+        let mut parser = Parser::new(text)?;
+        let value = parser.value().map_err(|fail| parser.report(fail))?;
         match parser.peek() {
             None => Ok(value),
             Some(tok) => Err(invalid(format!("trailing {:?}", tok.text))),
@@ -616,8 +837,8 @@ pub(crate) mod tests {
                 connections: vec![("clk".into(), "clk".into()), ("din".into(), "8'h00".into())],
             }]
         );
-        assert!(m.references().contains("fifo"));
-        assert!(m.references().contains("clk"));
+        assert!(references(&m).contains("fifo"));
+        assert!(references(&m).contains("clk"));
         assert_eq!(m.render(), src);
     }
 
@@ -640,7 +861,7 @@ pub(crate) mod tests {
             .assign("w", "counter + LP");
         });
         assert_eq!(m.items, want);
-        assert!(m.references().contains("counter"));
+        assert!(references(&m).contains("counter"));
         assert_eq!(m.render(), src);
     }
 

@@ -11,6 +11,7 @@
 
 use crate::ast::{Instance, Item, Module};
 use crate::expr::Expr;
+use crate::text::Text;
 use crate::validate::module_names;
 use std::collections::HashSet;
 use tsn_resource::ResourceConfig;
@@ -489,20 +490,18 @@ fn egress_sched(config: &ResourceConfig) -> Module {
     m
 }
 
-fn priority_encoder_body(queues: u32) -> Vec<String> {
-    let mut body = vec![
-        "if (!rst_n) begin".to_owned(),
-        "    grant_onehot <= 0;".to_owned(),
-        "end else begin".to_owned(),
-        "    grant_onehot <= 0;".to_owned(),
+fn priority_encoder_body(queues: u32) -> Vec<Text> {
+    let mut body: Vec<Text> = vec![
+        "if (!rst_n) begin".into(),
+        "    grant_onehot <= 0;".into(),
+        "end else begin".into(),
+        "    grant_onehot <= 0;".into(),
     ];
     for q in (0..queues).rev() {
         let keyword = if q == queues - 1 { "if" } else { "else if" };
-        body.push(format!(
-            "    {keyword} (eligible[{q}]) grant_onehot[{q}] <= 1'b1;"
-        ));
+        body.push(format!("    {keyword} (eligible[{q}]) grant_onehot[{q}] <= 1'b1;").into());
     }
-    body.push("end".to_owned());
+    body.push("end".into());
     body
 }
 
@@ -677,7 +676,7 @@ fn testbench(config: &ResourceConfig) -> Module {
                 "#8 rx_valid = 1'b0;",
                 "#400 $finish;",
             ]
-            .map(str::to_owned)
+            .map(Text::from)
             .to_vec(),
         });
     m

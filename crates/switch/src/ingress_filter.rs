@@ -311,7 +311,7 @@ impl IngressFilter {
             return FilterVerdict::Drop(FilterDrop::FcsError);
         }
         let key = ClassKey::of(frame);
-        match self.class_table.lookup(&key).copied() {
+        match self.class_table.get(&key).copied() {
             Some(entry) => {
                 if let Some(meter_id) = entry.meter {
                     match self.meters.get_mut(meter_id.as_usize()) {

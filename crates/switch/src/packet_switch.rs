@@ -171,23 +171,18 @@ impl PacketSwitch {
     }
 
     /// Looks up the outport(s) for a frame.
-    pub fn lookup(&mut self, frame: &EthernetFrame) -> LookupOutcome {
+    pub fn lookup(&self, frame: &EthernetFrame) -> LookupOutcome {
         let fields = PacketFields::parse(frame);
         self.lookup_fields(fields.dst, fields.vlan, fields.mc_id)
     }
 
     /// Looks up by raw fields (the lookup submodule's native interface).
-    pub fn lookup_fields(
-        &mut self,
-        dst: MacAddr,
-        vlan: VlanId,
-        mc_id: Option<McId>,
-    ) -> LookupOutcome {
+    pub fn lookup_fields(&self, dst: MacAddr, vlan: VlanId, mc_id: Option<McId>) -> LookupOutcome {
         if dst.is_multicast() {
             let Some(mc) = mc_id else {
                 return LookupOutcome::Miss;
             };
-            match self.multicast.lookup(&mc) {
+            match self.multicast.get(&mc) {
                 // Cloning an `Arc<[PortId]>` is a refcount bump — the
                 // interned port set itself is never copied per frame.
                 Some(ports) => LookupOutcome::Multicast(Arc::clone(ports)),
@@ -195,10 +190,10 @@ impl PacketSwitch {
             }
         } else {
             // Exact (dst, vid) first, then the aggregated any-VLAN entry.
-            if let Some(&port) = self.unicast.lookup(&(dst, Some(vlan))) {
+            if let Some(&port) = self.unicast.get(&(dst, Some(vlan))) {
                 return LookupOutcome::Unicast(port);
             }
-            match self.unicast.lookup(&(dst, None)) {
+            match self.unicast.get(&(dst, None)) {
                 Some(&port) => LookupOutcome::Unicast(port),
                 None => LookupOutcome::Miss,
             }
@@ -242,9 +237,22 @@ mod tests {
             ps.lookup(&frame_to(MacAddr::station(8))),
             LookupOutcome::Miss
         );
-        // A full miss probes both the exact and the aggregated entry,
-        // like the two-pass hardware lookup it models.
-        assert_eq!(ps.unicast.misses() + ps.multicast.misses(), 2);
+        // The two-pass lookup: an exact (dst, vid) entry wins over the
+        // aggregated any-VLAN entry, which catches every other VLAN.
+        let other = VlanId::new(7).expect("legal vid");
+        ps.add_unicast_any_vlan(dst, PortId::new(2)).expect("fits");
+        assert_eq!(
+            ps.lookup_fields(dst, VlanId::DEFAULT, None),
+            LookupOutcome::Unicast(PortId::new(1))
+        );
+        assert_eq!(
+            ps.lookup_fields(dst, other, None),
+            LookupOutcome::Unicast(PortId::new(2))
+        );
+        assert_eq!(
+            ps.lookup_fields(MacAddr::station(8), other, None),
+            LookupOutcome::Miss
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! point of the paper's customization model. [`CapTable`] behaves like a
 //! map that refuses inserts beyond its configured capacity, so an
 //! under-provisioned `class_size` or `unicast_size` fails *visibly* (the
-//! same way the FPGA table would stop learning), and usage statistics are
-//! tracked for reports.
+//! same way the FPGA table would stop learning), and occupancy and
+//! rejected inserts are tracked for reports.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -99,8 +99,6 @@ pub struct CapTable<K, V> {
     name: &'static str,
     capacity: usize,
     entries: HashMap<K, V, FxBuild>,
-    lookups: u64,
-    misses: u64,
     rejected_inserts: u64,
 }
 
@@ -118,8 +116,6 @@ impl<K: Eq + Hash, V> CapTable<K, V> {
             name,
             capacity,
             entries: HashMap::with_hasher(FxBuild::default()),
-            lookups: 0,
-            misses: 0,
             rejected_inserts: 0,
         }
     }
@@ -148,23 +144,13 @@ impl<K: Eq + Hash, V> CapTable<K, V> {
         self.entries.reserve(entries.min(room));
     }
 
-    /// Looks up a key, counting the access for the miss-rate statistics.
-    pub fn lookup(&mut self, key: &K) -> Option<&V> {
-        self.lookups += 1;
-        let hit = self.entries.get(key);
-        if hit.is_none() {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    /// Looks up a key without touching statistics.
+    /// Looks up a key.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<&V> {
         self.entries.get(key)
     }
 
-    /// Mutable access to an entry without touching statistics.
+    /// Mutable access to an entry.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.entries.get_mut(key)
     }
@@ -174,7 +160,7 @@ impl<K: Eq + Hash, V> CapTable<K, V> {
         self.entries.remove(key)
     }
 
-    /// Removes all entries (statistics are kept).
+    /// Removes all entries (the rejected-insert count is kept).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -213,18 +199,6 @@ impl<K: Eq + Hash, V> CapTable<K, V> {
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
-    }
-
-    /// Total lookups performed via [`CapTable::lookup`].
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that found no entry.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Inserts rejected because the table was full.
@@ -267,17 +241,17 @@ mod tests {
     }
 
     #[test]
-    fn lookup_statistics_count_hits_and_misses() {
+    fn lookups_hit_inserted_keys_and_miss_others() {
         let mut t: CapTable<u8, u8> = CapTable::new("t", 4);
-        t.insert(1, 1).expect("fits");
-        assert!(t.lookup(&1).is_some());
-        assert!(t.lookup(&9).is_none());
-        assert!(t.lookup(&9).is_none());
-        assert_eq!(t.lookups(), 3);
-        assert_eq!(t.misses(), 2);
-        // `get` does not count.
-        let _ = t.get(&9);
-        assert_eq!(t.lookups(), 3);
+        t.insert(1, 10).expect("fits");
+        assert_eq!(t.get(&1), Some(&10));
+        assert_eq!(t.get(&9), None);
+        // A miss inserts nothing: the table still holds one entry.
+        assert_eq!(t.get(&9), None);
+        assert_eq!(t.occupancy(), 1);
+        *t.get_mut(&1).expect("hit") = 11;
+        assert_eq!(t.get(&1), Some(&11));
+        assert_eq!(t.get_mut(&9), None);
     }
 
     #[test]

@@ -76,9 +76,10 @@ run cargo test -q --release -p tsn-builder-suite --test plant_footprint
 run cargo test -q --release -p tsn-experiments --test outputs
 
 # Layer-bench smokes: run every planning (CQF, ITP, derive, TAS,
-# per-switch) and template (table lookups, gate control, HDL emission)
-# bench once on a tiny budget, so a panicking `expect` inside one fails
-# here. No timing gate.
+# per-switch) and template (table lookups, gate control, HDL emission
+# and the machine check's hdl/parse, hdl/lint and hdl/cost_check) bench
+# once on a tiny budget, so a panicking `expect` inside one fails here.
+# No timing gate.
 TSN_BENCH_MS=5 run cargo bench -q -p tsn-bench --bench planning
 TSN_BENCH_MS=5 run cargo bench -q -p tsn-bench --bench templates
 
