@@ -45,42 +45,6 @@ pub struct HdlCost {
     pub register_bits: u64,
 }
 
-impl HdlCost {
-    /// `(entries, width)` of every memory.
-    fn shapes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.memories.iter().map(|m| (m.entries, m.width_bits))
-    }
-
-    /// 18 Kb BRAM primitives needed when each memory rounds up
-    /// independently.
-    #[must_use]
-    pub fn bram18_blocks(&self) -> u64 {
-        blocks(self.shapes(), BRAM18_BITS)
-    }
-
-    /// 36 Kb BRAM blocks needed when each memory rounds up independently.
-    #[must_use]
-    pub fn bram36_blocks(&self) -> u64 {
-        blocks(self.shapes(), BRAM36_BITS)
-    }
-}
-
-/// Total table bits of `(entries, width)` memories under `policy`, each
-/// costed independently, as the paper's accounting does.
-fn table_bits(shapes: impl Iterator<Item = (u64, u64)>, policy: AllocationPolicy) -> u64 {
-    shapes.fold(0u64, |acc, (entries, width)| {
-        acc.saturating_add(policy.table_cost_bits(entries, width))
-    })
-}
-
-/// Blocks of `block_bits` the `(entries, width)` memories need, each
-/// rounded up independently.
-fn blocks(shapes: impl Iterator<Item = (u64, u64)>, block_bits: u64) -> u64 {
-    shapes.fold(0u64, |acc, (entries, width)| {
-        acc.saturating_add(entries.saturating_mul(width).div_ceil(block_bits))
-    })
-}
-
 const MAX_DEPTH: usize = 32;
 
 /// Elaborates `root` (usually `tsn_switch_top`) against the design in
@@ -197,8 +161,8 @@ fn elaborate(
 /// 1. the full memory map — `(path, entries, width)` triples — against
 ///    [`rtl::emitted_memories`];
 /// 2. total table bits under every [`AllocationPolicy`] against the
-///    same sum over that map ([`rtl::emitted_table_bits`]);
-/// 3. BRAM18/BRAM36 block counts against the `rtl` mirror;
+///    same sum over that map, both through [`rtl::table_bits`];
+/// 3. BRAM18/BRAM36 block counts, both through [`rtl::blocks`];
 /// 4. register bits against [`rtl::emitted_register_bits`];
 /// 5. per-group sums (class, meter, gate, queue memories) against the
 ///    Table III cost queries on `cfg` itself — the same numbers
@@ -228,12 +192,11 @@ pub fn check_agreement(cfg: &ResourceConfig, modules: &[Module]) -> Result<(), S
         ));
     }
 
-    // The `rtl` totals are these folds over `rtl::emitted_memories`,
-    // which is built once above.
-    let expected_shapes = || expected_mems.iter().map(|m| (m.entries, m.width_bits));
+    let parsed_shapes = || cost.memories.iter().map(|m| (m.entries, m.width_bits));
+    let expected_shapes = || expected_mems.iter().map(rtl::EmittedMemory::shape);
     for policy in AllocationPolicy::ALL {
-        let got = table_bits(cost.shapes(), policy);
-        let want = table_bits(expected_shapes(), policy);
+        let got = rtl::table_bits(parsed_shapes(), policy);
+        let want = rtl::table_bits(expected_shapes(), policy);
         if got != want {
             return Err(format!(
                 "table bits disagree under {policy}: parsed {got}, expected {want}"
@@ -241,7 +204,8 @@ pub fn check_agreement(cfg: &ResourceConfig, modules: &[Module]) -> Result<(), S
         }
     }
     for (kind, bits) in [("BRAM18", BRAM18_BITS), ("BRAM36", BRAM36_BITS)] {
-        let (got, want) = (blocks(cost.shapes(), bits), blocks(expected_shapes(), bits));
+        let got = rtl::blocks(parsed_shapes(), bits);
+        let want = rtl::blocks(expected_shapes(), bits);
         if got != want {
             return Err(format!(
                 "{kind} blocks disagree: parsed {got}, expected {want}"
@@ -256,41 +220,35 @@ pub fn check_agreement(cfg: &ResourceConfig, modules: &[Module]) -> Result<(), S
         ));
     }
 
-    // Group sums against the paper's own cost queries. These groups map
-    // one-to-one onto Table III rows; the switch table (split into two
-    // >=1-entry RAMs in RTL) and the CBS group (the RTL adds a per-queue
-    // map and a credit array) are covered by the exact `rtl` mirror
-    // above instead.
-    for policy in AllocationPolicy::ALL {
-        let group = |pred: &dyn Fn(&MemoryInstance) -> bool| {
-            cost.memories
-                .iter()
-                .filter(|m| pred(m))
-                .fold(0u64, |acc, m| {
-                    acc.saturating_add(policy.table_cost_bits(m.entries, m.width_bits))
-                })
-        };
-        let checks: [(&str, u64, u64); 4] = [
-            (
-                "class table",
-                group(&|m| m.path.contains("u_class_tbl")),
-                cfg.class_tbl_bits(policy),
-            ),
-            (
-                "meter table",
-                group(&|m| m.memory == "meter_tbl"),
-                cfg.meter_tbl_bits(policy),
-            ),
-            (
-                "gate tables",
-                group(&|m| m.memory == "in_gcl" || m.memory == "out_gcl"),
-                cfg.gate_tbl_bits(policy),
-            ),
-            (
-                "queue FIFOs",
-                group(&|m| m.path.contains(".u_queue")),
-                cfg.queue_bits(policy),
-            ),
+    // Group sums against the paper's own cost queries. The class, meter,
+    // gate and queue groups map one-to-one onto Table III rows; the
+    // switch table (split into two >=1-entry RAMs in RTL) can only cost
+    // more than the paper's combined figure, and the CBS group (the RTL
+    // adds a per-queue map and a credit array) is covered by the exact
+    // `rtl` mirror above instead. Each memory joins its groups once;
+    // every group is then summed under each policy.
+    let mut sums = [[0u64; AllocationPolicy::ALL.len()]; 5];
+    for m in &cost.memories {
+        let member = [
+            m.path.contains("u_class_tbl"),
+            m.memory == "meter_tbl",
+            m.memory == "in_gcl" || m.memory == "out_gcl",
+            m.path.contains(".u_queue"),
+            m.path.starts_with("u_packet_switch."),
+        ];
+        for (group, _) in sums.iter_mut().zip(member).filter(|&(_, member)| member) {
+            for (sum, policy) in group.iter_mut().zip(AllocationPolicy::ALL) {
+                *sum = sum.saturating_add(policy.table_cost_bits(m.entries, m.width_bits));
+            }
+        }
+    }
+    let [class, meter, gate, queue, switch] = sums;
+    for (p, policy) in AllocationPolicy::ALL.into_iter().enumerate() {
+        let checks = [
+            ("class table", class[p], cfg.class_tbl_bits(policy)),
+            ("meter table", meter[p], cfg.meter_tbl_bits(policy)),
+            ("gate tables", gate[p], cfg.gate_tbl_bits(policy)),
+            ("queue FIFOs", queue[p], cfg.queue_bits(policy)),
         ];
         for (what, got, want) in checks {
             if got != want {
@@ -299,12 +257,10 @@ pub fn check_agreement(cfg: &ResourceConfig, modules: &[Module]) -> Result<(), S
                 ));
             }
         }
-        // The RTL switch table can only cost more than the paper's
-        // combined figure (two physical RAMs, each at least one entry).
-        let switch_group = group(&|m| m.path.starts_with("u_packet_switch."));
-        if switch_group < cfg.switch_tbl_bits(policy) {
+        if switch[p] < cfg.switch_tbl_bits(policy) {
             return Err(format!(
-                "switch table bits {switch_group} fell below the paper figure {} under {policy}",
+                "switch table bits {} fell below the paper figure {} under {policy}",
+                switch[p],
                 cfg.switch_tbl_bits(policy)
             ));
         }

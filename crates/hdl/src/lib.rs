@@ -19,7 +19,8 @@
 //!   ([`templates::modules`]) and as rendered, validated files
 //!   ([`templates::generate`]);
 //! * [`validate`] — a lexical checker (balance, identifiers, duplicate
-//!   modules) every generated file must pass;
+//!   modules) over the parser's tokens, which every generated file must
+//!   pass;
 //! * [`parse`] — a structural parser from Verilog text back into the IR:
 //!   it lexes the text once, and every parsed name and text item is a
 //!   span of one shared copy of the source;

@@ -66,13 +66,14 @@ impl Tok<'_> {
 /// `$`), numbers (a digit, then letters, digits, `_` and `'`, which
 /// covers sized literals like `8'h00`) and single-character symbols.
 /// `//` line comments and `/* … */` block comments are skipped; an
-/// unterminated block comment silently swallows the rest of the input,
-/// which the structural checks downstream then report.
+/// unterminated block comment swallows the rest of the input and sets
+/// `unterminated_comment`.
 pub(crate) fn lex(source: &str) -> Lexer<'_> {
     Lexer {
         source,
         i: 0,
         names: 0,
+        unterminated_comment: false,
     }
 }
 
@@ -84,6 +85,8 @@ pub(crate) struct Lexer<'a> {
     i: usize,
     /// Names produced so far.
     names: u32,
+    /// A `/*` that no `*/` closes ended the input.
+    pub(crate) unterminated_comment: bool,
 }
 
 /// Byte classes: [`START`] begins an identifier, [`DIGIT`] a number;
@@ -146,7 +149,9 @@ impl<'a> Iterator for Lexer<'a> {
                 i = line.map_or(n, |len| i + len);
             } else if b == b'/' && i + 1 < n && bytes[i + 1] == b'*' {
                 let body = &self.source[i + 2..];
-                i += 2 + body.find("*/").map_or(body.len(), |len| len + 2);
+                let close = body.find("*/");
+                self.unterminated_comment |= close.is_none();
+                i += 2 + close.map_or(body.len(), |len| len + 2);
             } else {
                 break class(b);
             }
@@ -181,7 +186,7 @@ impl<'a> Iterator for Lexer<'a> {
 }
 
 /// The byte offset of `part`, a slice of `source`, within it.
-fn offset(source: &str, part: &str) -> usize {
+pub(crate) fn offset(source: &str, part: &str) -> usize {
     part.as_ptr() as usize - source.as_ptr() as usize
 }
 

@@ -7,17 +7,21 @@
 //! back the declared names, so a caller can check uniqueness across
 //! files without scanning them again.
 
+use crate::parse::{lex, offset};
 use std::collections::HashSet;
+use std::ops::Range;
 use tsn_types::{TsnError, TsnResult};
 
 /// Checks a Verilog source string for structural sanity.
 ///
-/// One lexical pass over the bytes: comments are skipped in place and
-/// every identifier-like token feeds the `module`/`endmodule` and
-/// `begin`/`end` balances and the module-name rules. When several checks
-/// fail, the error reported is the one the checks give in this order:
-/// unterminated block comment, module balance, `begin`/`end` balance,
-/// brackets, module names.
+/// One pass over the parser's tokens ([`crate::parse`]), which skip
+/// comments: the brackets feed a bracket stack, and every word feeds
+/// the `module`/`endmodule` and `begin`/`end` balances and the
+/// module-name rules. A word is a run of letters, digits, `_` and `$`,
+/// so `$end` is not `end` and `module $x` names `$x`. When several
+/// checks fail, the error reported is the one the checks give in this
+/// order: unterminated block comment, module balance, `begin`/`end`
+/// balance, brackets, module names.
 ///
 /// # Errors
 ///
@@ -45,50 +49,42 @@ pub fn check_source(source: &str) -> TsnResult<()> {
 ///
 /// As [`check_source`].
 pub(crate) fn module_names(source: &str) -> TsnResult<Vec<&str>> {
-    let bytes = source.as_bytes();
     let mut modules = Balance::new("module", "endmodule");
     let mut blocks = Balance::new("begin", "end");
     let mut brackets = Vec::new();
     let mut bracket_error = None;
     let mut names = Names::default();
-    let mut token_start = None;
-    let mut i = 0;
-    while i <= bytes.len() {
-        // A space past the end closes the last token.
-        let b = bytes.get(i).copied().unwrap_or(b' ');
-        if is_identifier_byte(b) {
-            token_start.get_or_insert(i);
-            i += 1;
-            continue;
-        }
-        if let Some(start) = token_start.take() {
-            let token = &source[start..i];
-            modules.count(token);
-            blocks.count(token);
-            names.feed(token);
-        }
-        match (b, bytes.get(i + 1)) {
-            (b'/', Some(b'/')) => {
-                // A line comment ends at (and consumes) its newline.
-                i = bytes[i..]
-                    .iter()
-                    .position(|&c| c == b'\n')
-                    .map_or(bytes.len(), |n| i + n + 1);
-                continue;
+    let mut feed = |word: Range<usize>| {
+        if !word.is_empty() {
+            let word = &source[word];
+            match word {
+                "module" => modules.step(1),
+                "endmodule" => modules.step(-1),
+                "begin" => blocks.step(1),
+                "end" => blocks.step(-1),
+                _ => {}
             }
-            (b'/', Some(b'*')) => {
-                // An unterminated block comment would otherwise swallow
-                // the rest of the file, `endmodule`s included.
-                let Some(n) = source[i + 2..].find("*/") else {
-                    return Err(TsnError::InvalidArtifact(
-                        "unterminated block comment".to_owned(),
-                    ));
-                };
-                i += n + 4;
-                continue;
-            }
-            (b'(' | b'[' | b'{', _) => brackets.push(b),
-            (b')' | b']' | b'}', _) => {
+            names.feed(word);
+        }
+    };
+    // The word being read, as a byte range of `source`. The parser's
+    // tokens split some words (`$` before a name, `'` inside a sized
+    // number), so a word grows over every word piece that touches it.
+    let mut word = 0..0;
+    let mut piece = |piece: &str| {
+        let start = offset(source, piece);
+        if start != word.end {
+            feed(word.clone());
+            word = start..start;
+        }
+        word.end += piece.len();
+    };
+    let mut tokens = lex(source);
+    for tok in &mut tokens {
+        let b = tok.text.as_bytes()[0];
+        match b {
+            b'(' | b'[' | b'{' => brackets.push(b),
+            b')' | b']' | b'}' => {
                 let expected = match b {
                     b')' => b'(',
                     b']' => b'[',
@@ -98,9 +94,18 @@ pub(crate) fn module_names(source: &str) -> TsnResult<Vec<&str>> {
                     bracket_error = Some(format!("unbalanced bracket {:?}", char::from(b)));
                 }
             }
+            // Only a number can hold a `'`.
+            _ if b.is_ascii_digit() => tok.text.split('\'').for_each(&mut piece),
+            _ if is_word_byte(b) => piece(tok.text),
             _ => {}
         }
-        i += 1;
+    }
+    feed(word);
+    if tokens.unterminated_comment {
+        // It swallowed the rest of the file, `endmodule`s included.
+        return Err(TsnError::InvalidArtifact(
+            "unterminated block comment".to_owned(),
+        ));
     }
     modules.finish()?;
     blocks.finish()?;
@@ -125,9 +130,9 @@ pub fn is_identifier(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '$')
 }
 
-/// Bytes that continue a token; everything else (punctuation, white
-/// space, any non-ASCII byte) separates tokens.
-fn is_identifier_byte(b: u8) -> bool {
+/// Bytes of a word; everything else (punctuation, white space, any
+/// non-ASCII byte) separates words.
+fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'$'
 }
 
@@ -150,14 +155,10 @@ impl Balance {
         }
     }
 
-    fn count(&mut self, token: &str) {
-        if self.underflow {
-            return;
-        }
-        if token == self.open {
-            self.depth += 1;
-        } else if token == self.close {
-            self.depth -= 1;
+    /// One `open` (`1`) or `close` (`-1`) keyword.
+    fn step(&mut self, by: i64) {
+        if !self.underflow {
+            self.depth += by;
             self.underflow = self.depth < 0;
         }
     }

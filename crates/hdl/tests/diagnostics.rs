@@ -2,17 +2,18 @@
 //! prints, in order, asserted verbatim against `diagnostics.txt`.
 //!
 //! The cases are one-token defects planted in the default bundle (the
-//! first three are the ones `crates/verify/tests/harness.rs` plants) and
+//! first three are the ones `crates/verify/tests/harness.rs` plants),
 //! one small hand-written source per lint rule, cost failure and parse
-//! error. For each case the pin records every [`LintFinding`]'s rule,
-//! module and message, then `check_agreement`'s verdict (bundle cases)
-//! or `cost_of`'s (hand cases); a source that does not parse records the
-//! parse error instead.
+//! error, and sources for the lexical check. For each parsed case the
+//! pin records every [`LintFinding`]'s rule, module and message, then
+//! `check_agreement`'s verdict (bundle cases) or `cost_of`'s (hand
+//! cases); a source that does not parse records the parse error
+//! instead. For each lexical case it records `check_source`'s verdict.
 //!
 //! [`LintFinding`]: tsn_hdl::LintFinding
 
 use std::fmt::Write as _;
-use tsn_hdl::{check_agreement, cost_of, generate, lint_modules, parse_modules};
+use tsn_hdl::{check_agreement, check_source, cost_of, generate, lint_modules, parse_modules};
 use tsn_resource::ResourceConfig;
 
 /// `(case, text to replace, replacement)` edits of the default bundle.
@@ -160,6 +161,61 @@ const HAND: &[(&str, &str, &str)] = &[
     ),
 ];
 
+/// `(case, source)` for `check_source`: the edge cases of its unit
+/// tests, one source per message, and words the parser's tokens split
+/// (`$` before a name, `'` inside a sized number).
+const LEXICAL: &[(&str, &str)] = &[
+    ("edge-empty", ""),
+    ("edge-1", "module module 1x ();\nendmodule\nendmodule\n"),
+    (
+        "edge-2",
+        "module module ();\nendmodule\nendmodule\nmodule module ();\nendmodule\nendmodule\n",
+    ),
+    ("edge-3", "module m ();\nendmodule\nmodule"),
+    ("edge-4", "module 1x ();\nendmodule\n"),
+    ("edge-5", "module $x ();\nendmodule\n"),
+    (
+        "edge-6",
+        "module m$ ();\nendmodule\nmodule m$ ();\nendmodule\n",
+    ),
+    ("edge-7", "module/**/m ();\nendmodule\n"),
+    ("edge-8", "module m (); /*/ endmodule */ endmodule"),
+    ("edge-9", "module m (); // endmodule\nendmodule"),
+    ("edge-10", "module m (); endmodule //"),
+    ("edge-11", "module m (); endmodule /"),
+    ("edge-12", "module m (); end begin endmodule"),
+    ("edge-13", "module m ([)]); endmodule"),
+    ("edge-14", "module m ()); begin endmodule"),
+    ("edge-15", "module m (); endmodule\u{e9}module"),
+    (
+        "unterminated-comment",
+        "module m ( input clk );\nendmodule\n/* trailing",
+    ),
+    ("stray-endmodule", "module a ();\nendmodule\nendmodule\n"),
+    ("unclosed-module", "module a ();\n"),
+    ("stray-end", "module m (); end\nendmodule\n"),
+    (
+        "unclosed-begin",
+        "module m ( input clk );\nalways @(posedge clk) begin\nendmodule\n",
+    ),
+    ("unbalanced-bracket", "module m ( input d ));\nendmodule\n"),
+    (
+        "unclosed-bracket",
+        "module m ( input [7:0] d ;\nendmodule\n",
+    ),
+    ("illegal-name", "module 9lives ();\nendmodule\n"),
+    (
+        "duplicate-name",
+        "module a ();\nendmodule\nmodule a ();\nendmodule\n",
+    ),
+    ("missing-name", "module m ();\nendmodule\nmodule\n"),
+    ("dollar-end", "module m (); begin $end end endmodule"),
+    ("dollar-module", "module m (); $module x endmodule"),
+    ("sized-end", "module m (); begin 1'end endmodule"),
+    ("sized-module", "module m (); 8'module x; endmodule"),
+    ("quote-dollar", "module 8'$x (); endmodule"),
+];
+
 /// Every diagnostic of one source: lint findings, then the agreement
 /// check against `cfg`, or without one the cost of `root`.
 fn diagnose(out: &mut String, src: &str, root: &str, cfg: Option<&ResourceConfig>) {
@@ -204,6 +260,10 @@ fn every_diagnostic_matches_the_pin_verbatim() {
     for (case, src, root) in HAND {
         got.push_str(&format!("=== {case}\n"));
         diagnose(&mut got, src, root, None);
+    }
+    for (case, src) in LEXICAL {
+        let verdict = check_source(src).map_or_else(|e| e.to_string(), |()| "ok".to_owned());
+        writeln!(got, "=== {case}\ncheck: {verdict}").expect("writes");
     }
     let want = include_str!("diagnostics.txt");
     for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {

@@ -24,7 +24,7 @@
 //! zero-width field would emit a degenerate `[0-1:0]` range that Verilog
 //! reads as two bits, so the generator never ships one.
 
-use crate::bram::{AllocationPolicy, BRAM18_BITS, BRAM36_BITS};
+use crate::bram::{AllocationPolicy, BRAM36_BITS};
 use crate::config::ResourceConfig;
 
 /// One predicted memory instance of the emitted design.
@@ -44,10 +44,10 @@ pub struct EmittedMemory {
 }
 
 impl EmittedMemory {
-    /// Raw payload bits (`entries * width`).
+    /// `(entries, width)`, what [`table_bits`] and [`blocks`] fold.
     #[must_use]
-    pub fn raw_bits(&self) -> u64 {
-        self.entries.saturating_mul(self.width_bits)
+    pub fn shape(&self) -> (u64, u64) {
+        (self.entries, self.width_bits)
     }
 }
 
@@ -142,21 +142,21 @@ pub fn emitted_memories(cfg: &ResourceConfig) -> Vec<EmittedMemory> {
     mems
 }
 
-/// Total table bits of the emitted design under `policy` (each memory
-/// instance costed independently).
+/// Total table bits of `(entries, width)` memories under `policy`, each
+/// costed independently, as the paper's accounting does.
 #[must_use]
-pub fn emitted_table_bits(cfg: &ResourceConfig, policy: AllocationPolicy) -> u64 {
-    emitted_memories(cfg).iter().fold(0u64, |acc, m| {
-        acc.saturating_add(policy.table_cost_bits(m.entries, m.width_bits))
+pub fn table_bits(shapes: impl IntoIterator<Item = (u64, u64)>, policy: AllocationPolicy) -> u64 {
+    shapes.into_iter().fold(0u64, |acc, (entries, width)| {
+        acc.saturating_add(policy.table_cost_bits(entries, width))
     })
 }
 
-/// 18 Kb BRAM primitives the emitted design needs, each memory rounded
-/// up independently.
+/// Blocks of `block_bits` the `(entries, width)` memories need, each
+/// rounded up independently.
 #[must_use]
-pub fn emitted_bram18_blocks(cfg: &ResourceConfig) -> u64 {
-    emitted_memories(cfg).iter().fold(0u64, |acc, m| {
-        acc.saturating_add(m.raw_bits().div_ceil(BRAM18_BITS))
+pub fn blocks(shapes: impl IntoIterator<Item = (u64, u64)>, block_bits: u64) -> u64 {
+    shapes.into_iter().fold(0u64, |acc, (entries, width)| {
+        acc.saturating_add(entries.saturating_mul(width).div_ceil(block_bits))
     })
 }
 
@@ -164,9 +164,10 @@ pub fn emitted_bram18_blocks(cfg: &ResourceConfig) -> u64 {
 /// independently.
 #[must_use]
 pub fn emitted_bram36_blocks(cfg: &ResourceConfig) -> u64 {
-    emitted_memories(cfg).iter().fold(0u64, |acc, m| {
-        acc.saturating_add(m.raw_bits().div_ceil(BRAM36_BITS))
-    })
+    blocks(
+        emitted_memories(cfg).iter().map(EmittedMemory::shape),
+        BRAM36_BITS,
+    )
 }
 
 /// Register bits of the emitted design (plain `reg`s plus `output reg`
@@ -197,7 +198,11 @@ pub fn emitted_register_bits(cfg: &ResourceConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bram::KB_BITS;
+    use crate::bram::{BRAM18_BITS, KB_BITS};
+
+    fn shapes(cfg: &ResourceConfig) -> impl Iterator<Item = (u64, u64)> {
+        emitted_memories(cfg).into_iter().map(|m| m.shape())
+    }
 
     #[test]
     fn gate_queue_class_meter_groups_match_the_cost_queries() {
@@ -205,9 +210,10 @@ mod tests {
             for policy in AllocationPolicy::ALL {
                 let mems = emitted_memories(&cfg);
                 let group = |pred: &dyn Fn(&EmittedMemory) -> bool| {
-                    mems.iter().filter(|m| pred(m)).fold(0u64, |acc, m| {
-                        acc + policy.table_cost_bits(m.entries, m.width_bits)
-                    })
+                    table_bits(
+                        mems.iter().filter(|m| pred(m)).map(EmittedMemory::shape),
+                        policy,
+                    )
                 };
                 assert_eq!(
                     group(&|m| m.path.contains("u_class_tbl")),
@@ -245,7 +251,7 @@ mod tests {
         assert_eq!(unicast.path, "u_packet_switch.u_unicast_tbl.mem");
         assert_eq!(unicast.entries, 1024);
         assert_eq!(unicast.width_bits, 72);
-        assert_eq!(unicast.raw_bits(), 1024 * 72);
+        assert_eq!(unicast.shape(), (1024, 72));
         // The disabled multicast table still elaborates one entry.
         assert_eq!(mems[1].entries, 1);
     }
@@ -263,20 +269,18 @@ mod tests {
     #[test]
     fn block_counts_round_per_instance() {
         let cfg = ResourceConfig::new();
+        let bits = |policy| table_bits(shapes(&cfg), policy);
         // Paper accounting is exactly BRAM18 blocks × 18 Kb for tables.
         assert_eq!(
-            emitted_table_bits(&cfg, AllocationPolicy::PaperAccounting),
-            emitted_bram18_blocks(&cfg) * BRAM18_BITS
+            bits(AllocationPolicy::PaperAccounting),
+            blocks(shapes(&cfg), BRAM18_BITS) * BRAM18_BITS
         );
         assert_eq!(
-            emitted_table_bits(&cfg, AllocationPolicy::Bram36),
+            bits(AllocationPolicy::Bram36),
             emitted_bram36_blocks(&cfg) * BRAM36_BITS
         );
         // Exact bits are bounded by both rounded figures.
-        assert!(
-            emitted_table_bits(&cfg, AllocationPolicy::ExactBits)
-                <= emitted_table_bits(&cfg, AllocationPolicy::PaperAccounting)
-        );
+        assert!(bits(AllocationPolicy::ExactBits) <= bits(AllocationPolicy::PaperAccounting));
     }
 
     #[test]
@@ -294,6 +298,6 @@ mod tests {
     #[test]
     fn table_costs_stay_in_paper_units() {
         let cfg = ResourceConfig::new();
-        assert!(emitted_table_bits(&cfg, AllocationPolicy::PaperAccounting).is_multiple_of(KB_BITS));
+        assert!(table_bits(shapes(&cfg), AllocationPolicy::PaperAccounting).is_multiple_of(KB_BITS));
     }
 }

@@ -330,7 +330,6 @@ pub enum GateDrop {
 struct GatedQueue {
     frames: VecDeque<EthernetFrame>,
     depth: usize,
-    overflow_drops: u64,
     high_water: usize,
 }
 
@@ -339,14 +338,12 @@ impl GatedQueue {
         GatedQueue {
             frames: VecDeque::new(),
             depth,
-            overflow_drops: 0,
             high_water: 0,
         }
     }
 
     fn push(&mut self, frame: EthernetFrame) -> Result<(), GateDrop> {
         if self.frames.len() >= self.depth {
-            self.overflow_drops += 1;
             return Err(GateDrop::QueueOverflow);
         }
         self.frames.push_back(frame);
@@ -366,7 +363,6 @@ pub struct GateCtrl {
     in_gcl: GateControlList,
     out_gcl: GateControlList,
     layout: QueueLayout,
-    gate_closed_drops: u64,
     /// Bit *q* set ⇔ queue *q* holds at least one frame. Lets the
     /// scheduler compute per-instant eligibility with one AND instead of
     /// per-queue length checks.
@@ -412,7 +408,6 @@ impl GateCtrl {
             in_gcl,
             out_gcl,
             layout,
-            gate_closed_drops: 0,
             occupied: 0,
             buffered: 0,
             buffered_high_water: 0,
@@ -479,25 +474,16 @@ impl GateCtrl {
         let class = self.layout.class_of(target).ok_or(GateDrop::UnknownQueue)?;
         let queue = if class == TrafficClass::TimeSensitive {
             let entry = self.in_gcl.entry_at(now);
-            match self
-                .layout
+            self.layout
                 .ts_queues()
                 .iter()
                 .copied()
                 .find(|&q| entry.is_open(q))
-            {
-                Some(q) => q,
-                None => {
-                    self.gate_closed_drops += 1;
-                    return Err(GateDrop::GateClosed);
-                }
-            }
-        } else {
-            if !self.in_gcl.is_open(target, now) {
-                self.gate_closed_drops += 1;
-                return Err(GateDrop::GateClosed);
-            }
+                .ok_or(GateDrop::GateClosed)?
+        } else if self.in_gcl.is_open(target, now) {
             target
+        } else {
+            return Err(GateDrop::GateClosed);
         };
         self.queues[queue.as_usize()].push(frame)?;
         self.occupied |= 1 << queue.index();
@@ -581,18 +567,6 @@ impl GateCtrl {
     #[must_use]
     pub fn buffered_high_water(&self) -> usize {
         self.buffered_high_water
-    }
-
-    /// Frames dropped because the target queue was full.
-    #[must_use]
-    pub fn overflow_drops(&self) -> u64 {
-        self.queues.iter().map(|q| q.overflow_drops).sum()
-    }
-
-    /// Frames dropped because no ingress gate was open.
-    #[must_use]
-    pub fn gate_closed_drops(&self) -> u64 {
-        self.gate_closed_drops
     }
 
     /// The per-queue metadata capacity (`set_queues`), identical across
@@ -768,7 +742,6 @@ mod tests {
             gc.enqueue(QueueId::new(6), ts_frame(2), t0),
             Err(GateDrop::QueueOverflow)
         );
-        assert_eq!(gc.overflow_drops(), 1);
         assert_eq!(gc.high_water(QueueId::new(6)), 2);
         assert_eq!(gc.total_buffered(), 2);
     }
@@ -810,7 +783,6 @@ mod tests {
             gc.enqueue(QueueId::new(0), be_frame(), SimTime::ZERO),
             Err(GateDrop::GateClosed)
         );
-        assert_eq!(gc.gate_closed_drops(), 1);
     }
 
     #[test]

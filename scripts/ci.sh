@@ -30,8 +30,9 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace
 # freshly emitted preset bundles into the structural IR and run the full
 # lint rule set (width mismatches, unused ports, undeclared identifiers,
 # address-width violations, ...). Any finding is an error — shipped RTL
-# lints clean by invariant.
-run cargo run -q --release -p tsn-builder-suite --bin hdl_lint
+# lints clean by invariant. Its own line, so a finding is named here
+# rather than buried in the workspace test wall.
+run cargo test -q --release -p tsn-builder-suite --test hdl_machine_check
 
 # Fault-sweep smoke: the full intensity grid on a short horizon. The
 # binary itself asserts monotone deadline-miss growth and that all three
